@@ -10,6 +10,7 @@ optimality, never correctness.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .gadgets import and_compute, and_uncompute
@@ -52,54 +53,73 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
     the first Toffoli, (2) between the pair nothing writes a control or the
     target and the target appears only as a control of other gates, and
     (3) the next reference to the target after the second Toffoli releases it.
+
+    Matching takes time linear in the instruction count: one pass builds each
+    qubit's use list and write list, and every condition is checked against
+    those lists instead of by rescanning the circuit.
     """
-    require_valid(circuit)
+    return _match_pairs(require_valid(circuit))
+
+
+def _match_pairs(circuit: Circuit) -> list[PairMatch]:
+    """:func:`find_pairs` on a circuit the caller has already validated."""
     instrs = circuit.instructions
-    consumed: set[int] = set()
-    matches: list[PairMatch] = []
+    uses: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
+    writes: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
+    # position of each CCX in its target's use list
+    target_pos: dict[int, int] = {}
     for i, instr in enumerate(instrs):
-        if instr.op is not Op.CCX or i in consumed:
-            continue
-        c1, c2, target = instr.qubits
+        if instr.op is Op.CCX:
+            target_pos[i] = len(uses[instr.qubits[2]])
+        for q in instr.qubits:
+            uses[q].append(i)
+        for q in instr.writes():
+            writes[q].append(i)
 
-        alloc_index = None
-        for j in range(i - 1, -1, -1):
-            if target in instrs[j].qubits:
-                if instrs[j].op is Op.ALLOC0:
-                    alloc_index = j
-                break
-        if alloc_index is None:
+    seconds: set[int] = set()  # a CCX matched as a second cannot start a pair
+    matches: list[PairMatch] = []
+    for i, pos in target_pos.items():
+        if i in seconds:
+            continue
+        c1, c2, target = instrs[i].qubits
+        t_uses = uses[target]
+        if pos == 0 or instrs[t_uses[pos - 1]].op is not Op.ALLOC0:
             continue
 
-        second = None
-        blocked = False
-        for j in range(i + 1, len(instrs)):
+        # Every reference to the target up to the matching second CCX must
+        # read it as a control, so nothing writes it; the first reference
+        # that does not blocks the pair.
+        # Each walk stops at the next CCX targeting the qubit, so walks cover
+        # disjoint stretches of a use list, and no earlier match can have
+        # taken that CCX as its second.
+        second_pos = None
+        for k in range(pos + 1, len(t_uses)):
+            j = t_uses[k]
             cur = instrs[j]
-            if (cur.op is Op.CCX and j not in consumed and cur.qubits[2] == target
+            if (cur.op is Op.CCX and cur.qubits[2] == target
                     and set(cur.qubits[:2]) == {c1, c2}):
-                second = j
+                second_pos = k
                 break
-            if cur.writes() & {c1, c2, target}:
-                blocked = True
+            if not _reads_as_control(cur, target):
                 break
-            if target in cur.qubits and not _reads_as_control(cur, target):
-                blocked = True
-                break
-        if blocked or second is None:
+        if second_pos is None or second_pos + 1 == len(t_uses):
+            continue
+        j = t_uses[second_pos]
+        if any(_written_between(writes[c], i, j) for c in (c1, c2)):
+            continue
+        release_index = t_uses[second_pos + 1]
+        if instrs[release_index].op is not Op.RELEASE:
             continue
 
-        release_index = None
-        for j in range(second + 1, len(instrs)):
-            if target in instrs[j].qubits:
-                if instrs[j].op is Op.RELEASE:
-                    release_index = j
-                break
-        if release_index is None:
-            continue
-
-        matches.append(PairMatch(i, second, (c1, c2), target, alloc_index, release_index))
-        consumed.update((i, second, alloc_index, release_index))
+        matches.append(PairMatch(i, j, (c1, c2), target, t_uses[pos - 1], release_index))
+        seconds.add(j)
     return matches
+
+
+def _written_between(write_list: list[int], lo: int, hi: int) -> bool:
+    """Whether a sorted write list holds an index strictly between lo and hi."""
+    k = bisect_right(write_list, lo)
+    return k < len(write_list) and write_list[k] < hi
 
 
 def _replay(circuit: Circuit, expand) -> Circuit:
@@ -135,7 +155,9 @@ def replace_pairs(circuit: Circuit) -> Circuit:
     """
     current = require_valid(circuit)
     while True:
-        matches = find_pairs(current)
+        # `current` is the input or a circuit `_replay` just built, and
+        # building validates, so the matcher need not check it again.
+        matches = _match_pairs(current)
         if not matches:
             return current
         drop = {m.alloc_index for m in matches} | {m.release_index for m in matches}
@@ -204,10 +226,10 @@ def lower_ccx(circuit: Circuit, mode: str = "textbook7") -> Circuit:
     ``paired4``: Toffolis in matched compute/uncompute pairs cost 4 T each
     with cancelling phase errors; unpaired ones fall back to textbook7.
     """
-    require_valid(circuit)
     if mode not in ("textbook7", "paired4"):
         raise ValueError(f"unknown lowering mode {mode!r}")
-    pairs = find_pairs(circuit) if mode == "paired4" else []
+    require_valid(circuit)
+    pairs = _match_pairs(circuit) if mode == "paired4" else []
     first = {m.first_index for m in pairs}
     second = {m.second_index for m in pairs}
 

@@ -119,3 +119,152 @@ def random_paired_circuit(rng: np.random.Generator) -> Circuit:
             b.h(int(rng.choice(data)))
     b.output("q", tuple(data))
     return b.build()
+
+
+#: Ways :func:`near_miss_circuit` breaks a planted pair, one rule per pair.
+BLOCKING_RULES = ("write_control", "target_use", "not_fresh", "no_release",
+                  "different_controls")
+
+
+def near_miss_circuit(rng: np.random.Generator, *, break_prob: float = 0.5) -> Circuit:
+    """Planted alloc0/CCX/.../CCX/release pairs, each broken with probability `break_prob`.
+
+    A broken pair violates one rule of ``BLOCKING_RULES``: a write to a
+    control between the Toffolis, a non-control use of the target, an
+    ``alloct``, data or already-touched target, a reference to the target
+    between the second Toffoli and its release (or no release), or a second
+    Toffoli with different controls.  Unbroken pairs may swap their controls.
+    Pairs stay open concurrently and close in random order, so they nest and
+    interleave; a control may be another open pair's target (a ladder), and
+    released targets are allocated again by later pairs.  The other gates
+    placed between Toffolis leave every open pair's conditions intact: with
+    ``break_prob=0`` every pair matches and with ``break_prob=1`` none does.
+    In between, a write to a control that two open pairs share blocks both.
+    """
+    b = CircuitBuilder()
+    data = list(b.register("q", int(rng.integers(3, 6))))
+    n_pairs = int(rng.integers(1, 7))
+    opened = 0
+    open_pairs: list[dict] = []   # between the two Toffolis
+    unreleased: list[int] = []    # second Toffoli done, release pending
+    released: list[int] = []
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))] if options else None
+
+    def busy() -> set[int]:
+        """Qubits a benign gate must leave alone."""
+        out = set(unreleased)
+        for p in open_pairs:
+            out.update((p["t"], *p["controls"]))
+        return out
+
+    def benign() -> None:
+        roll = rng.random()
+        free = [q for q in data if q not in busy()]
+        if roll < 0.4 and open_pairs and free:
+            b.cx(pick(open_pairs)["t"], pick(free))      # target read as a control
+        elif roll < 0.55 and open_pairs and free:
+            b.cz(pick(open_pairs)["t"], pick(free))
+        elif roll < 0.8:
+            targets = {p["t"] for p in open_pairs} | set(unreleased)
+            q = pick([q for q in data if q not in targets])
+            if q is not None:
+                (b.t if rng.random() < 0.5 else b.s)(q)  # diagonal: writes nothing
+        elif free:
+            (b.h if rng.random() < 0.5 else b.x)(pick(free))
+
+    def break_between(p: dict) -> None:
+        t, (c1, c2) = p["t"], p["controls"]
+        others = [q for q in data if q not in (c1, c2, t)]
+        if p["rule"] == "write_control":
+            c = c1 if rng.random() < 0.5 else c2
+            roll = rng.random()
+            if roll < 0.4:
+                b.x(c)
+            elif roll < 0.7 or not others:
+                b.h(c)
+            else:
+                b.cx(pick(others), c)
+        else:  # target_use
+            roll = rng.random()
+            if roll < 0.3:
+                b.s(t)
+            elif roll < 0.5:
+                b.x(t)
+            elif roll < 0.7:
+                b.rz(float(rng.uniform(-3.0, 3.0)), t)
+            elif others:
+                b.cx(pick(others), t)
+            else:
+                b.h(t)
+        p["pending"] = False
+
+    def open_pair() -> None:
+        rule = pick(BLOCKING_RULES) if rng.random() < break_prob else None
+        pool = data + [p["t"] for p in open_pairs if p["t"] not in data]
+        c1, c2 = (int(q) for q in rng.choice(pool, size=2, replace=False))
+        if rule == "not_fresh" and rng.random() < 0.3:
+            t = pick([q for q in data if q not in busy() and q not in (c1, c2)])
+            if t is None:
+                return
+        else:
+            reuse = pick(released) if rng.random() < 0.5 else None
+            if reuse is not None:
+                released.remove(reuse)
+            if rule == "not_fresh" and rng.random() < 0.4:
+                t = b.alloct(reuse)
+            else:
+                t = b.alloc0(reuse)
+                if rule == "not_fresh":
+                    b.h(t) if rng.random() < 0.5 else b.cx(c1, t)
+        b.ccx(c1, c2, t)
+        open_pairs.append({"t": t, "controls": (c1, c2), "rule": rule,
+                           "pending": rule in ("write_control", "target_use"),
+                           "allocated": t not in data})
+
+    def close_pair(p: dict) -> None:
+        open_pairs.remove(p)
+        t, (c1, c2) = p["t"], p["controls"]
+        if p["pending"]:
+            break_between(p)
+        if p["rule"] == "different_controls":
+            # t is an ancilla under this rule, so a data qubit is always free
+            b.ccx(c1, pick([q for q in data if q not in (c1, c2)]), t)
+        elif rng.random() < 0.5:
+            b.ccx(c2, c1, t)
+        else:
+            b.ccx(c1, c2, t)
+        if not p["allocated"]:
+            return
+        if p["rule"] == "no_release":
+            roll = rng.random()
+            if roll < 0.3:
+                return  # live to the end
+            q = pick([q for q in data if q not in busy()])
+            b.h(t) if roll < 0.6 or q is None else b.cx(t, q)
+        if rng.random() < 0.3:
+            unreleased.append(t)
+        else:
+            b.release(t)
+            released.append(t)
+
+    while opened < n_pairs or open_pairs or unreleased:
+        roll = rng.random()
+        if roll < 0.25 and opened < n_pairs:
+            open_pair()
+            opened += 1
+        elif roll < 0.45 and open_pairs:
+            controls = {c for p in open_pairs for c in p["controls"]}
+            closable = [p for p in open_pairs if p["t"] not in controls]
+            close_pair(pick(closable))
+        elif roll < 0.55 and unreleased:
+            t = unreleased.pop(int(rng.integers(len(unreleased))))
+            b.release(t)
+            released.append(t)
+        elif roll < 0.65 and any(p["pending"] for p in open_pairs):
+            break_between(pick([p for p in open_pairs if p["pending"]]))
+        else:
+            benign()
+    b.output("q", tuple(data))
+    return b.build()

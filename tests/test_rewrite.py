@@ -3,13 +3,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tclean.ir
 from tclean.gadgets import AdderSpec, cuccaro_adder, gidney_adder
-from tclean.ir import CircuitBuilder, Op, validate
+from tclean.ir import Circuit, CircuitBuilder, CircuitError, Instruction, Op, validate
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
 from tclean.sim import channel_equiv, run
 
-from strategies import random_circuit
+from pairs_reference import reference_find_pairs
+from strategies import near_miss_circuit, random_circuit, random_paired_circuit
 
 
 def canonical_pair(between=None):
@@ -200,8 +202,6 @@ def test_t_count_never_increases_under_pass(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_random_paired_circuits_replace_equivalently(seed):
-    from strategies import random_paired_circuit
-
     c = random_paired_circuit(np.random.default_rng(seed))
     matches = find_pairs(c)
     assert len(matches) == sum(1 for i in c.instructions if i.op is Op.CCX) // 2
@@ -211,3 +211,69 @@ def test_random_paired_circuits_replace_equivalently(seed):
     res = channel_equiv(replaced, lambda v: run(c, v, seed=0).final_state,
                         trials=3, tol=1e-10, seed=seed % 1000)
     assert res.equivalent
+
+
+def test_lower_ccx_rejects_unknown_mode_before_validating():
+    broken = Circuit(instructions=(Instruction(Op.X, (0,)),), n_qubits=1, n_classbits=0)
+    with pytest.raises(CircuitError):
+        lower_ccx(broken, "paired4")
+    with pytest.raises(ValueError, match="unknown lowering mode 'bogus'"):
+        lower_ccx(broken, "bogus")
+    with pytest.raises(ValueError, match="unknown lowering mode"):
+        lower_ccx(canonical_pair(), "bogus")
+
+
+def test_passes_validate_input_once(monkeypatch):
+    # One validation at entry, plus the one each rebuilt circuit gets when
+    # it is built; the matcher itself never revalidates.
+    c = cuccaro_adder(AdderSpec(4))
+    calls = []
+    real = tclean.ir.validate
+    monkeypatch.setattr(tclean.ir, "validate",
+                        lambda circuit: calls.append(circuit) or real(circuit))
+    replace_pairs(c)
+    assert len(calls) == 2  # entry, then the build after the only rewriting round
+    calls.clear()
+    lower_ccx(c, "paired4")
+    assert len(calls) == 2  # entry, then the build of the lowered circuit
+    calls.clear()
+    find_pairs(c)
+    assert len(calls) == 1
+
+
+GENERATORS = {
+    "random": random_circuit,
+    "paired": random_paired_circuit,
+    "near_miss": near_miss_circuit,
+}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32 - 1))
+def test_matcher_agrees_with_forward_scan_reference(kind, seed):
+    c = GENERATORS[kind](np.random.default_rng(seed))
+    assert find_pairs(c) == reference_find_pairs(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_near_miss_rules_each_block_exactly_their_pair(seed):
+    # Unbroken planted pairs all match and every broken one is blocked, so
+    # the differential test above sees both outcomes for every rule.
+    clean = near_miss_circuit(np.random.default_rng(seed), break_prob=0.0)
+    n_ccx = sum(1 for i in clean.instructions if i.op is Op.CCX)
+    assert 2 * len(find_pairs(clean)) == n_ccx
+    broken = near_miss_circuit(np.random.default_rng(seed), break_prob=1.0)
+    assert find_pairs(broken) == []
+
+
+@pytest.mark.parametrize("carry_out", (False, True))
+def test_cuccaro_rewrite_at_n_1024(carry_out):
+    n = 1024
+    c = cuccaro_adder(AdderSpec(n, carry_out=carry_out))
+    pairs = n if carry_out else n - 1
+    assert len(find_pairs(c)) == pairs
+    assert count(replace_pairs(c)).t_count == 4 * pairs
+    assert count(lower_ccx(c, "paired4")).t_count == 8 * pairs
+    small = cuccaro_adder(AdderSpec(256, carry_out=carry_out))
+    assert find_pairs(small) == reference_find_pairs(small)
