@@ -51,11 +51,9 @@ from .gadgets import (
     AND_REVERSE_NET_T,
     AND_T_COUNT,
     AdderSpec,
-    GadgetReportExpectation,
     GradientNotPreparedError,
     HammingConstruction,
     and_gadget_circuit,
-    expected_counts,
     apply_rz_via_hamming,
     controlled_adder,
     cuccaro_adder,

@@ -7,184 +7,26 @@ to standard output; circuits go to ``--out`` or standard output.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from . import gadgets
-from .gadgets import AdderSpec
+from .constructions import CONSTRUCTIONS, verify
 from .ir import Circuit, CircuitError, require_valid
 from .oracle import OracleParseError, TooManyVariablesError, compile_oracle
 from .resources import CostModel, NoCrossoverError, count, crossover, effective_t_formula, hybrid_cutoff, serialize_report
 from .rewrite import replace_pairs
-from .sim import (
-    SimulationError,
-    channel_equiv,
-    enumerate_branches,
-    gradient_state,
-    permutation_map,
-)
+from .sim import SimulationError
 from .textfmt import TextFormatError, from_text, to_text
-
-BUILD_KINDS = (
-    "gidney-adder",
-    "cuccaro-adder",
-    "controlled-adder",
-    "out-of-place-adder",
-    "and",
-    "mcx",
-    "hamming",
-    "phase-gradient",
-)
-
-
-def build_circuit(kind: str, n: int, carry_out: bool = False) -> Circuit:
-    if kind == "gidney-adder":
-        return gadgets.gidney_adder(AdderSpec(n, carry_out=carry_out))
-    if kind == "cuccaro-adder":
-        return gadgets.cuccaro_adder(AdderSpec(n, carry_out=carry_out))
-    if kind == "controlled-adder":
-        return gadgets.controlled_adder(AdderSpec(n, carry_out=carry_out))
-    if kind == "out-of-place-adder":
-        return gadgets.outofplace_adder(AdderSpec(n))
-    if kind == "and":
-        return gadgets.and_gadget_circuit("roundtrip")
-    if kind == "mcx":
-        return gadgets.multi_controlled_x(n)
-    if kind == "hamming":
-        return gadgets.hamming_weight(n).circuit
-    if kind == "phase-gradient":
-        return gadgets.phase_gradient_add(n)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-# -- verify ---------------------------------------------------------------------
-
-
-class _Checks:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.failed = False
-
-    def record(self, name: str, ok: bool, worst: float = 1.0, branches: int = 0) -> None:
-        status = "PASS" if ok else "FAIL"
-        self.lines.append(f"{name} {status} worst_fidelity={worst:.12f} branches={branches}")
-        self.failed |= not ok
-
-
-def _check_counts(checks: _Checks, name: str, circuit: Circuit,
-                  expect: dict[str, int]) -> None:
-    report = count(circuit)
-    ok = all(getattr(report, key) == val for key, val in expect.items())
-    checks.record(name, ok)
-
-
-def _adder_ideal(n: int, *, controlled: bool = False) -> Callable[[int], int]:
-    def fn(k: int) -> int:
-        pos = 0
-        if controlled:
-            ctrl = k & 1
-            pos = 1
-        else:
-            ctrl = 1
-        a = (k >> pos) & ((1 << n) - 1)
-        b = (k >> (pos + n)) & ((1 << n) - 1)
-        s = (a + b) % (1 << n) if ctrl else b
-        return (k & ((1 << pos) - 1)) | (a << pos) | (s << (pos + n))
-    return fn
-
-
-def _verify_kind(kind: str, n: int, seed: int, trials: int) -> _Checks:
-    checks = _Checks()
-    rng = np.random.default_rng(seed)
-    if kind == "gidney-adder":
-        c = gadgets.gidney_adder(AdderSpec(n))
-        _check_counts(checks, "counts", c, {"t_count": 4 * n - 4, "meas_depth": 2 * n - 2})
-        ideal = permutation_map(_adder_ideal(n), 2 * n)
-        res = channel_equiv(c, ideal, trials=trials, seed=int(rng.integers(1 << 32)))
-        checks.record("channel", res.equivalent, res.worst_fidelity, res.branch_count)
-    elif kind == "cuccaro-adder":
-        c = gadgets.cuccaro_adder(AdderSpec(n))
-        _check_counts(checks, "counts", c, {"t_count": 0, "ccx_count": 2 * n - 2})
-        ideal = permutation_map(_adder_ideal(n), 2 * n)
-        res = channel_equiv(c, ideal, trials=trials, seed=int(rng.integers(1 << 32)))
-        checks.record("channel", res.equivalent, res.worst_fidelity, res.branch_count)
-        rep = replace_pairs(c)
-        checks.record("replace-pairs-t", count(rep).t_count == 4 * n - 4)
-    elif kind == "controlled-adder":
-        c = gadgets.controlled_adder(AdderSpec(n))
-        _check_counts(checks, "counts", c, {"t_count": 8 * n - 4})
-        ideal = permutation_map(_adder_ideal(n, controlled=True), 2 * n + 1)
-        res = channel_equiv(c, ideal, trials=trials, seed=int(rng.integers(1 << 32)))
-        checks.record("channel", res.equivalent, res.worst_fidelity, res.branch_count)
-    elif kind == "out-of-place-adder":
-        c = gadgets.outofplace_adder(AdderSpec(n))
-        _check_counts(checks, "counts", c, {"t_count": 4 * n})
-        ideal = permutation_map(lambda k: k | ((((k & ((1 << n) - 1)) + (k >> n)) << (2 * n))),
-                                2 * n, 3 * n + 1)
-        res = channel_equiv(c, ideal, trials=trials, seed=int(rng.integers(1 << 32)))
-        checks.record("channel", res.equivalent, res.worst_fidelity, res.branch_count)
-        inv = gadgets.outofplace_adder_inverse(AdderSpec(n))
-        checks.record("inverse-t-free", count(inv).t_count == 0)
-    elif kind == "and":
-        compute = gadgets.and_gadget_circuit("compute")
-        _check_counts(checks, "compute-counts", compute, {"t_count": 4, "meas_depth": 1})
-        ideal = permutation_map(lambda k: k | (((k & 1) & (k >> 1)) << 2), 2, 3)
-        res = channel_equiv(compute, ideal, trials=trials, seed=int(rng.integers(1 << 32)))
-        checks.record("compute-channel", res.equivalent, res.worst_fidelity, res.branch_count)
-        roundtrip = gadgets.and_gadget_circuit("roundtrip")
-        _check_counts(checks, "roundtrip-counts", roundtrip, {"t_count": 4, "meas_depth": 2})
-        res = channel_equiv(roundtrip, lambda v: v, trials=trials, seed=int(rng.integers(1 << 32)))
-        checks.record("roundtrip-channel", res.equivalent, res.worst_fidelity, res.branch_count)
-    elif kind == "mcx":
-        c = gadgets.multi_controlled_x(n)
-        _check_counts(checks, "counts", c, {"t_count": 4 * n - 4})
-        all_on = (1 << n) - 1
-        ideal = permutation_map(
-            lambda k: k ^ (1 << n) if (k & all_on) == all_on else k, n + 1)
-        res = channel_equiv(c, ideal, trials=trials, seed=int(rng.integers(1 << 32)))
-        checks.record("channel", res.equivalent, res.worst_fidelity, res.branch_count)
-    elif kind == "hamming":
-        hw = gadgets.hamming_weight(n)
-        report = count(hw.circuit)
-        checks.record("t-bound", report.t_count <= 4 * n)
-        ok = True
-        branches = 0
-        for x in range(1 << n):
-            for br in enumerate_branches(hw.circuit, x):
-                branches += 1
-                out = int(np.argmax(np.abs(br.final_state)))
-                pos = {q: j for j, q in enumerate(hw.circuit.output_qubits())}
-                val = sum(((out >> pos[q]) & 1) << p for p, q in enumerate(hw.register))
-                ok &= val == bin(x).count("1")
-        checks.record("popcount", ok, 1.0, branches)
-    elif kind == "phase-gradient":
-        c = gadgets.phase_gradient_add(n)
-        adder_t = count(gadgets.gidney_adder(AdderSpec(n))).t_count
-        checks.record("t-equals-adder", count(c).t_count == adder_t)
-        grad = gradient_state(n)
-        ok = True
-        worst = 1.0
-        branches = 0
-        for k in range(1 << n):
-            vec = np.zeros(1 << n, dtype=complex)
-            vec[k] = 1.0
-            inp = np.kron(grad, vec)
-            expected = np.exp(2j * math.pi * k / (1 << n)) * inp
-            for br in enumerate_branches(c, inp):
-                branches += 1
-                f = float(abs(np.vdot(expected, br.final_state)) ** 2)
-                worst = min(worst, f)
-                ok &= f >= 1 - 1e-10
-        checks.record("kickback-phases", ok, worst, branches)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return checks
 
 
 # -- argument parsing -------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -193,7 +35,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="emit a construction as circuit text")
-    p_build.add_argument("--kind", required=True, choices=BUILD_KINDS)
+    p_build.add_argument("--kind", required=True, choices=tuple(CONSTRUCTIONS))
     p_build.add_argument("--n", type=int, default=2)
     p_build.add_argument("--carry-out", action="store_true")
     p_build.add_argument("--out")
@@ -202,10 +44,10 @@ def _make_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--in", dest="infile", required=True)
 
     p_verify = sub.add_parser("verify", help="run a construction's oracle checks")
-    p_verify.add_argument("--kind", required=True, choices=BUILD_KINDS)
+    p_verify.add_argument("--kind", required=True, choices=tuple(CONSTRUCTIONS))
     p_verify.add_argument("--n", type=int, default=2)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=5)
+    p_verify.add_argument("--trials", type=_positive_int, default=5)
 
     p_rewrite = sub.add_parser("rewrite", help="replace Toffoli pairs with temporary ANDs")
     p_rewrite.add_argument("--in", dest="infile", required=True)
@@ -235,7 +77,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         if args.command == "build":
-            _write_circuit(build_circuit(args.kind, args.n, args.carry_out), args.out)
+            _write_circuit(CONSTRUCTIONS[args.kind].build(args.n, args.carry_out), args.out)
             return 0
         if args.command == "count":
             with open(args.infile) as fh:
@@ -243,9 +85,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(serialize_report(count(circuit)))
             return 0
         if args.command == "verify":
-            checks = _verify_kind(args.kind, args.n, args.seed, args.trials)
-            sys.stdout.write("".join(line + "\n" for line in checks.lines))
-            return 1 if checks.failed else 0
+            lines = verify(CONSTRUCTIONS[args.kind], args.n, args.seed, args.trials)
+            for name, ok, worst, branches in lines:
+                status = "PASS" if ok else "FAIL"
+                sys.stdout.write(f"{name} {status} worst_fidelity={worst:.12f} branches={branches}\n")
+            return 0 if all(ok for _, ok, _, _ in lines) else 1
         if args.command == "rewrite":
             with open(args.infile) as fh:
                 circuit = require_valid(from_text(fh.read()))

@@ -1,0 +1,256 @@
+"""The construction table: every buildable construction, stated once.
+
+An entry gives, at width n, how the construction is built, the exact
+resource counts it must measure at (the paper's formulas: Gidney, "Halving
+the cost of quantum addition", arXiv:1709.06648), the ideal map it must
+implement, and the inputs of its exhaustive check.  ``tclean build`` and
+``tclean verify``, the golden corpus and the tests all read this table, so a
+new construction is one new entry.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterable
+
+import numpy as np
+
+from .gadgets import (
+    AdderSpec,
+    and_gadget_circuit,
+    controlled_adder,
+    cuccaro_adder,
+    gidney_adder,
+    hamming_weight,
+    multi_controlled_x,
+    outofplace_adder,
+    outofplace_adder_inverse,
+    phase_gradient_add,
+)
+from .ir import Circuit
+from .resources import count
+from .rewrite import replace_pairs
+from .sim import IdealMap, channel_equiv, enumerate_branches, gradient_state, input_width, permutation_map
+
+#: One check's outcome: passed, worst fidelity, measurement branches simulated.
+Result = tuple[bool, float, int]
+#: A check of an entry built at width n: (entry, circuit, n, seed source, random trials).
+Check = Callable[["Construction", Circuit, int, np.random.Generator, int], Result]
+
+
+# -- checks -----------------------------------------------------------------------
+
+
+def counts(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator,
+           trials: int) -> Result:
+    """The measured report matches ``entry.expected(n)`` field for field."""
+    report = count(circuit)
+    return all(getattr(report, key) == want for key, want in entry.expected(n).items()), 1.0, 0
+
+
+def ideal_map(entry: Construction, circuit: Circuit, n: int, carry_out: bool = False) -> IdealMap:
+    """The entry's ideal as a map on states over the circuit's inputs and outputs."""
+    return permutation_map(entry.ideal(n, carry_out), input_width(circuit),
+                           len(circuit.output_qubits()))
+
+
+def channel(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator,
+            trials: int, carry_out: bool = False) -> Result:
+    """``trials`` random input states, every measurement branch, against the ideal."""
+    res = channel_equiv(circuit, ideal_map(entry, circuit, n, carry_out), trials=trials,
+                        seed=int(rng.integers(1 << 32)))
+    return res.equivalent, res.worst_fidelity, res.branch_count
+
+
+def exhaustive(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator | None = None,
+               trials: int | None = None, carry_out: bool = False) -> Result:
+    """Every input of ``entry.basis_cases(n)``, every measurement branch, against the ideal."""
+    cases = entry.basis_cases(n) if entry.basis_cases else range(1 << input_width(circuit))
+    if entry.readout is None:
+        res = channel_equiv(circuit, ideal_map(entry, circuit, n, carry_out), input_states=cases)
+        return res.equivalent, res.worst_fidelity, res.branch_count
+    want, read = entry.ideal(n, carry_out), entry.readout(circuit, n)
+    ok, branches = True, 0
+    for k in cases:
+        for branch in enumerate_branches(circuit, k):
+            out = int(np.argmax(np.abs(branch.final_state)))
+            ok &= abs(branch.final_state[out]) ** 2 > 1 - 1e-9 and read(out) == want(k)
+            branches += 1
+    return ok, 1.0, branches
+
+
+_STANDARD: tuple[tuple[str, Check], ...] = (("counts", counts), ("channel", channel))
+
+
+def _on(other: Construction, check: Check) -> Check:
+    """``check`` applied to ``other`` built at the same width."""
+    return lambda entry, circuit, n, rng, trials: check(other, other.build(n), n, rng, trials)
+
+
+def _replace_pairs_t(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator,
+                     trials: int) -> Result:
+    """Replacing the Toffoli pairs lands on the AND adder's T-count."""
+    return count(replace_pairs(circuit)).t_count == GIDNEY.expected(n)["t_count"], 1.0, 0
+
+
+def _inverse_t_free(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator,
+                    trials: int) -> Result:
+    """Uncomputing the out-of-place sum costs no T."""
+    return count(outofplace_adder_inverse(AdderSpec(n))).t_count == 0, 1.0, 0
+
+
+@dataclass(frozen=True)
+class Construction:
+    """One construction.
+
+    ``build(n, carry_out)`` emits it at width n; kinds without a carry-out
+    ignore the flag.  ``expected(n)`` maps report fields to the exact values
+    it measures at.  ``ideal(n, carry_out)`` maps an input basis index to the
+    output basis index it must produce or, where ``readout`` is set, to the
+    value ``readout(circuit, n)`` reads out of the output index.
+    ``basis_cases(n)`` yields the inputs of :func:`exhaustive` (every basis
+    input when None).  ``semantics`` is the golden corpus descriptor, and
+    ``checks`` are the lines ``tclean verify`` prints, in order.
+    """
+
+    name: str
+    build: Callable[..., Circuit]
+    expected: Callable[[int], dict[str, int]]
+    ideal: Callable[..., Callable[[int], int]]
+    semantics: str = ""
+    checks: tuple[tuple[str, Check], ...] = _STANDARD
+    basis_cases: Callable[[int], Iterable] | None = None
+    readout: Callable[[Circuit, int], Callable[[int], int]] | None = None
+
+
+# -- ideal maps and readouts ----------------------------------------------------------
+
+
+def _adder(n: int, carry_out: bool = False, *, controlled: bool = False) -> Callable[[int], int]:
+    """(ctrl,) a, b -> (ctrl,) a, a + b, the sum mod 2^n or with its carry bit on top.
+
+    With a control bit that is 0, b is left as it is.
+    """
+    low = n + 1 if controlled else n  # the bits below b: the control, then a
+    mask = (1 << n) - 1
+
+    def fn(k: int) -> int:
+        a, b = (k >> (low - n)) & mask, (k >> low) & mask
+        total = a + b if (k & 1 or not controlled) else b
+        return (k & ((1 << low) - 1)) | ((total if carry_out else total & mask) << low)
+    return fn
+
+
+def _weight_register(circuit: Circuit, n: int) -> Callable[[int], int]:
+    """Reads the popcount register out of an output basis index."""
+    pos = {q: j for j, q in enumerate(circuit.output_qubits())}
+    register = hamming_weight(n).register
+    return lambda out: sum(((out >> pos[q]) & 1) << p for p, q in enumerate(register))
+
+
+def _kickback_inputs(n: int) -> Iterable[np.ndarray]:
+    """Target |k> beside the prepared gradient register, for every k.
+
+    Adding k into the gradient register multiplies it by exp(2*pi*i*k/2^n),
+    so the adder's basis map is the kickback's ideal on these inputs.
+    """
+    grad = gradient_state(n)
+    return (np.kron(grad, np.arange(1 << n) == k) for k in range(1 << n))
+
+
+# -- the table -----------------------------------------------------------------------
+
+_ADD = "add n={n}{carry_out} samples={samples}"
+
+GIDNEY = Construction(
+    "gidney-adder",
+    build=lambda n, carry_out=False: gidney_adder(AdderSpec(n, carry_out=carry_out)),
+    expected=lambda n: {"t_count": 4 * n - 4, "meas_depth": 2 * n - 2, "ancilla_max": n - 1},
+    ideal=_adder,
+    semantics=_ADD,
+)
+
+#: The AND gadget's compute half alone; ``verify --kind and`` checks it first.
+AND_COMPUTE = Construction(
+    "and-compute",
+    build=lambda n, carry_out=False: and_gadget_circuit("compute"),
+    expected=lambda n: {"t_count": 4, "meas_depth": 1, "ancilla_max": 1},
+    ideal=lambda n, carry_out=False: lambda k: k | ((k & 1 & (k >> 1)) << 2),
+)
+
+CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
+    GIDNEY,
+    Construction(
+        "cuccaro-adder",
+        build=lambda n, carry_out=False: cuccaro_adder(AdderSpec(n, carry_out=carry_out)),
+        expected=lambda n: {"t_count": 0, "ccx_count": 2 * n - 2, "meas_depth": 0,
+                            "ancilla_max": n if n > 1 else 0},
+        ideal=_adder,
+        semantics=_ADD,
+        checks=_STANDARD + (("replace-pairs-t", _replace_pairs_t),),
+    ),
+    Construction(
+        "controlled-adder",
+        build=lambda n, carry_out=False: controlled_adder(AdderSpec(n, carry_out=carry_out)),
+        expected=lambda n: {"t_count": 8 * n - 4, "meas_depth": 4 * n - 2, "ancilla_max": n},
+        ideal=lambda n, carry_out=False: _adder(n, carry_out, controlled=True),
+        semantics="add n={n}{carry_out} controlled=1 samples={samples}",
+    ),
+    Construction(
+        "out-of-place-adder",
+        build=lambda n, carry_out=False: outofplace_adder(AdderSpec(n)),
+        expected=lambda n: {"t_count": 4 * n, "meas_depth": n, "ancilla_max": n + 1},
+        ideal=lambda n, carry_out=False: lambda k: k | (((k & ((1 << n) - 1)) + (k >> n)) << (2 * n)),
+        semantics="oop-add n={n} samples={samples}",
+        checks=_STANDARD + (("inverse-t-free", _inverse_t_free),),
+    ),
+    Construction(
+        "and",
+        build=lambda n, carry_out=False: and_gadget_circuit("roundtrip"),
+        expected=lambda n: {"t_count": 4, "meas_depth": 2, "ancilla_max": 1},
+        ideal=lambda n, carry_out=False: lambda k: k,
+        semantics="identity trials={samples}",
+        checks=(("compute-counts", _on(AND_COMPUTE, counts)),
+                ("compute-channel", _on(AND_COMPUTE, channel)),
+                ("roundtrip-counts", counts), ("roundtrip-channel", channel)),
+    ),
+    Construction(
+        "mcx",
+        build=lambda n, carry_out=False: multi_controlled_x(n),
+        expected=lambda n: {"t_count": 4 * n - 4, "meas_depth": 2 * n - 2, "ancilla_max": n - 1},
+        ideal=lambda n, carry_out=False: (
+            lambda k: k ^ (1 << n) if (k & ((1 << n) - 1)) == (1 << n) - 1 else k),
+        semantics="mcx k={n}",
+    ),
+    Construction(
+        "hamming",
+        build=lambda n, carry_out=False: hamming_weight(n).circuit,
+        # One AND per full or half adder, n - popcount(n) of them, none erased.
+        expected=lambda n: {"t_count": 4 * (n - bin(n).count("1")),
+                            "ancilla_max": n - bin(n).count("1")},
+        ideal=lambda n, carry_out=False: lambda k: bin(k).count("1"),
+        semantics="hamming n={n}",
+        checks=(("t-bound", counts), ("popcount", exhaustive)),
+        readout=_weight_register,
+    ),
+    Construction(
+        "phase-gradient",
+        build=lambda n, carry_out=False: phase_gradient_add(n),
+        expected=GIDNEY.expected,
+        ideal=_adder,
+        semantics="phase-gradient n={n}",
+        checks=(("t-equals-adder", counts), ("kickback-phases", exhaustive)),
+        basis_cases=_kickback_inputs,
+    ),
+)}
+
+
+def verify(entry: Construction, n: int, seed: int, trials: int) -> list[tuple[str, bool, float, int]]:
+    """Run ``entry``'s checks at width n: (name, passed, worst fidelity, branches) each.
+
+    Seeds are drawn in check order from ``seed``.  A circuit wider than the
+    simulator fails here, before any ideal table or state is allocated.
+    """
+    circuit = entry.build(n)
+    input_width(circuit)
+    rng = np.random.default_rng(seed)
+    return [(name, *check(entry, circuit, n, rng, trials)) for name, check in entry.checks]

@@ -25,20 +25,15 @@ class DagNode:
 class Dag:
     circuit: Circuit
     nodes: list[DagNode]
-    preds: list[set[int]]
-    succs: list[set[int]]
+    preds: list[set[int]]  # node id -> ids of the earlier nodes it depends on
     node_of: list[int]  # instruction index -> node id
-
-    def topological(self) -> list[int]:
-        # Node ids are assigned in first-instruction order, which is topological.
-        return list(range(len(self.nodes)))
 
     def finish_layers(self, weight: dict[int, int]) -> list[int]:
         """Longest weighted path ending at each node (inclusive of the node)."""
         finish = [0] * len(self.nodes)
-        for nid in self.topological():
-            base = max((finish[p] for p in self.preds[nid]), default=0)
-            finish[nid] = base + weight.get(nid, 0)
+        # Node ids are assigned in first-instruction order, which is topological.
+        for nid, preds in enumerate(self.preds):
+            finish[nid] = max((finish[p] for p in preds), default=0) + weight.get(nid, 0)
         return finish
 
 
@@ -63,11 +58,9 @@ def build_dag(circuit: Circuit) -> Dag:
     node_id = [remap[node_of[i]] for i in range(n)]
 
     preds: list[set[int]] = [set() for _ in nodes]
-    succs: list[set[int]] = [set() for _ in nodes]
 
     def link(a: int, b: int) -> None:
         if a != b:
-            succs[a].add(b)
             preds[b].add(a)
 
     last_qubit_user: dict[int, int] = {}
@@ -84,4 +77,4 @@ def build_dag(circuit: Circuit) -> Dag:
                 link(last_bit_user[b], nid)
             last_bit_user[b] = nid
 
-    return Dag(circuit, nodes, preds, succs, node_id)
+    return Dag(circuit, nodes, preds, node_id)

@@ -33,42 +33,6 @@ class GradientNotPreparedError(Exception):
 
 
 @dataclass(frozen=True)
-class GadgetReportExpectation:
-    """Claimed resource counts for an emitted construction.
-
-    The resources module's measurement of the emitted circuit must land on
-    these numbers exactly; the suite asserts it for every kind and width.
-    """
-
-    t_count: int
-    meas_depth: int
-    ancillae: int
-
-
-def expected_counts(kind: str, n: int = 1) -> GadgetReportExpectation:
-    """Expectation table: headline formulas plus measured boundary constants."""
-    if kind == "gidney-adder":
-        return GadgetReportExpectation(4 * n - 4, 2 * n - 2, max(n - 1, 0))
-    if kind == "gidney-adder-cout":
-        return GadgetReportExpectation(4 * n, 2 * n, n + 1)
-    if kind == "adder-block":  # one full block: carry in, carry out
-        return GadgetReportExpectation(4, 2, 2)
-    if kind == "and-compute":
-        return GadgetReportExpectation(4, 1, 1)
-    if kind == "and-roundtrip":
-        return GadgetReportExpectation(4, 2, 1)
-    if kind == "controlled-adder":
-        return GadgetReportExpectation(8 * n - 4, 4 * n - 2, n)
-    if kind == "cuccaro-adder":
-        return GadgetReportExpectation(0, 0, n if n > 1 else 0)
-    if kind == "out-of-place-adder":
-        return GadgetReportExpectation(4 * n, n, n + 1)
-    if kind == "mcx":
-        return GadgetReportExpectation(4 * n - 4, 2 * n - 2, max(n - 1, 0))
-    raise ValueError(f"no expectation table entry for {kind!r}")
-
-
-@dataclass(frozen=True)
 class AdderSpec:
     """Width and boundary flags for the in-place adders."""
 

@@ -1,42 +1,38 @@
 """Golden-file corpus: stored circuits with expected reports and semantics.
 
 Layout: ``corpus/<name>/{circuit.qc, report.txt, semantics.txt, build_cmd.txt}``.
-Each entry is checked three ways: the build command reproduces the stored
-circuit byte-exactly, the measured resource report matches the stored one,
-and the simulated behaviour matches the semantics descriptor.
+Every file of an entry is rendered fresh and compared byte-for-byte with the
+stored one, and the stored circuit is simulated against its semantics.  An
+entry built by ``tclean build`` takes its semantics from the construction
+table (:mod:`tclean.constructions`); the oracle and canonical-pair entries
+carry one small check each.
 """
 from __future__ import annotations
 
 import io
-import math
 import shlex
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from .constructions import CONSTRUCTIONS, channel, exhaustive
 from .ir import Circuit, require_valid
 from .oracle import evaluate, parse_expression
 from .resources import count, serialize_report
 from .rewrite import find_pairs, lower_ccx, replace_pairs
-from .sim import (
-    channel_equiv,
-    decode_register,
-    diagonal_map,
-    enumerate_branches,
-    gradient_state,
-    register_basis,
-    run,
-)
+from .sim import channel_equiv, diagonal_map, enumerate_branches, run
 from .textfmt import from_text, to_text
 
 
 @dataclass(frozen=True)
 class GoldenSpec:
     name: str
-    build_cmd: str | None  # tclean CLI arguments, or None for hand-written entries
-    semantics: str
+    build_cmd: str | None  # tclean CLI arguments, or None for the hand-written entry
+    semantics: str  # the line stored in semantics.txt
+    check: Callable[[Circuit], None]  # raises AssertionError when the circuit misbehaves
 
 
 #: The canonical compute/uncompute Toffoli-pair pattern (not CLI-buildable).
@@ -51,27 +47,75 @@ ccx 0 1 3
 release 3
 """
 
+def _construction(name: str, kind: str, n: int | None = None, *, carry_out: bool = False,
+                  samples: int | None = None) -> GoldenSpec:
+    """An entry built by ``tclean build --kind kind``, checked against its table entry.
+
+    The check simulates ``samples`` random input states drawn from seed 7, or
+    every basis case of the entry when ``samples`` is None.
+    """
+    entry = CONSTRUCTIONS[kind]
+    cmd = f"build --kind {kind}" + (f" --n {n}" if n else "") + (" --carry-out" if carry_out else "")
+    semantics = entry.semantics.format(n=n, carry_out=" carry_out=1" if carry_out else "",
+                                       samples=samples or "all")
+
+    def check(circuit: Circuit) -> None:
+        run_check = exhaustive if samples is None else channel
+        ok, worst, _ = run_check(entry, circuit, n, np.random.default_rng(7), samples, carry_out)
+        if not ok:
+            raise AssertionError(f"{kind} semantics fail: worst fidelity {worst:.12f}")
+
+    return GoldenSpec(name, cmd, semantics, check)
+
+
+def _oracle(name: str, expr: str) -> GoldenSpec:
+    return GoldenSpec(name, f"oracle --expr '{expr}'", f"phase-oracle {expr}",
+                      lambda circuit: _check_phase_oracle(circuit, expr))
+
+
+def _check_phase_oracle(circuit: Circuit, expr: str) -> None:
+    ast = parse_expression(expr)
+    n = len(circuit.input_qubits())
+    uniform = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
+    ideal = diagonal_map(lambda k: -1.0 if evaluate(ast, k) else 1.0, n)(uniform)
+    for branch in enumerate_branches(circuit, uniform):
+        if abs(np.vdot(ideal, branch.final_state)) ** 2 < 1 - 1e-10:
+            raise AssertionError(f"oracle phases wrong for {expr!r}")
+
+
+def _check_rewrite_canonical(circuit: Circuit) -> None:
+    pairs = find_pairs(circuit)
+    if len(pairs) != 1:
+        raise AssertionError(f"expected one Toffoli pair, found {len(pairs)}")
+    baseline = count(lower_ccx(circuit, "paired4")).t_count
+    replaced = replace_pairs(circuit)
+    after = count(replaced).t_count
+    if (baseline, after) != (8, 4):
+        raise AssertionError(f"expected 8 -> 4 T, got {baseline} -> {after}")
+    res = channel_equiv(replaced, lambda v: run(circuit, v, seed=0).final_state,
+                        trials=5, tol=1e-10, seed=3)
+    if not res.equivalent:
+        raise AssertionError(f"replaced pair not channel-equivalent: {res.worst_fidelity}")
+
+
 ENTRIES: tuple[GoldenSpec, ...] = (
-    GoldenSpec("gidney-adder-n1", "build --kind gidney-adder --n 1", "add n=1 samples=all"),
-    GoldenSpec("gidney-adder-n2", "build --kind gidney-adder --n 2", "add n=2 samples=all"),
-    GoldenSpec("gidney-adder-n3", "build --kind gidney-adder --n 3", "add n=3 samples=all"),
-    GoldenSpec("gidney-adder-n4", "build --kind gidney-adder --n 4", "add n=4 samples=12"),
-    GoldenSpec("gidney-adder-n5", "build --kind gidney-adder --n 5", "add n=5 samples=8"),
-    GoldenSpec("gidney-adder-n6", "build --kind gidney-adder --n 6", "add n=6 samples=6"),
-    GoldenSpec("gidney-adder-n5-carry", "build --kind gidney-adder --n 5 --carry-out",
-               "add n=5 carry_out=1 samples=8"),
-    GoldenSpec("cuccaro-adder-n4", "build --kind cuccaro-adder --n 4", "add n=4 samples=12"),
-    GoldenSpec("controlled-adder-n3", "build --kind controlled-adder --n 3",
-               "add n=3 controlled=1 samples=10"),
-    GoldenSpec("out-of-place-adder-n3", "build --kind out-of-place-adder --n 3",
-               "oop-add n=3 samples=10"),
-    GoldenSpec("and-gadget", "build --kind and", "identity trials=6"),
-    GoldenSpec("mcx-k3", "build --kind mcx --n 3", "mcx k=3"),
-    GoldenSpec("hamming-n5", "build --kind hamming --n 5", "hamming n=5"),
-    GoldenSpec("phase-gradient-n3", "build --kind phase-gradient --n 3", "phase-gradient n=3"),
-    GoldenSpec("oracle-and", "oracle --expr 'x0 & x1'", "phase-oracle x0 & x1"),
-    GoldenSpec("oracle-nested", "oracle --expr 'x0 & (x1 | x2)'", "phase-oracle x0 & (x1 | x2)"),
-    GoldenSpec("canonical-pair", None, "rewrite-canonical"),
+    _construction("gidney-adder-n1", "gidney-adder", 1),
+    _construction("gidney-adder-n2", "gidney-adder", 2),
+    _construction("gidney-adder-n3", "gidney-adder", 3),
+    _construction("gidney-adder-n4", "gidney-adder", 4, samples=12),
+    _construction("gidney-adder-n5", "gidney-adder", 5, samples=8),
+    _construction("gidney-adder-n6", "gidney-adder", 6, samples=6),
+    _construction("gidney-adder-n5-carry", "gidney-adder", 5, carry_out=True, samples=8),
+    _construction("cuccaro-adder-n4", "cuccaro-adder", 4, samples=12),
+    _construction("controlled-adder-n3", "controlled-adder", 3, samples=10),
+    _construction("out-of-place-adder-n3", "out-of-place-adder", 3, samples=10),
+    _construction("and-gadget", "and", samples=6),
+    _construction("mcx-k3", "mcx", 3),
+    _construction("hamming-n5", "hamming", 5),
+    _construction("phase-gradient-n3", "phase-gradient", 3),
+    _oracle("oracle-and", "x0 & x1"),
+    _oracle("oracle-nested", "x0 & (x1 | x2)"),
+    GoldenSpec("canonical-pair", None, "rewrite-canonical", _check_rewrite_canonical),
 )
 
 
@@ -102,148 +146,6 @@ def render_entry(spec: GoldenSpec) -> dict[str, str]:
     }
 
 
-def _parse_kv(tokens: list[str]) -> dict[str, str]:
-    return dict(token.split("=", 1) for token in tokens if "=" in token)
-
-
-def _basis_peak(state: np.ndarray) -> int:
-    idx = int(np.argmax(np.abs(state)))
-    if abs(state[idx]) ** 2 < 1 - 1e-9:
-        raise AssertionError("final state is not a computational basis state")
-    return idx
-
-
-def _check_add(circuit: Circuit, kv: dict[str, str], samples: str) -> None:
-    n = int(kv["n"])
-    controlled = kv.get("controlled") == "1"
-    carry_out = kv.get("carry_out") == "1"
-    carry_in = kv.get("carry_in") == "1"
-    rng = np.random.default_rng(7)
-    if samples == "all":
-        cases = [(a, b) for a in range(1 << n) for b in range(1 << n)]
-    else:
-        cases = [(int(rng.integers(1 << n)), int(rng.integers(1 << n)))
-                 for _ in range(int(samples))]
-    for a, b in cases:
-        for ctrl in ((0, 1) if controlled else (1,)):
-            for cin in ((0, 1) if carry_in else (0,)):
-                values = {"a": a, "b": b}
-                if controlled:
-                    values["ctrl"] = ctrl
-                if carry_in:
-                    values["cin"] = cin
-                idx = register_basis(circuit, values)
-                result = run(circuit, idx, seed=int(rng.integers(1 << 32)))
-                out = _basis_peak(result.final_state)
-                total = a + b + cin if ctrl else b
-                want_b = total % (1 << n) if ctrl else b
-                if decode_register(circuit, out, "a") != a:
-                    raise AssertionError(f"register a changed on input {values}")
-                if decode_register(circuit, out, "b") != want_b:
-                    raise AssertionError(f"wrong sum on input {values}")
-                if carry_out and decode_register(circuit, out, "cout") != (total >> n if ctrl else 0):
-                    raise AssertionError(f"wrong carry on input {values}")
-
-
-def _check_oop_add(circuit: Circuit, kv: dict[str, str], samples: str) -> None:
-    n = int(kv["n"])
-    rng = np.random.default_rng(11)
-    for _ in range(int(samples)):
-        a = int(rng.integers(1 << n))
-        b = int(rng.integers(1 << n))
-        idx = register_basis(circuit, {"a": a, "b": b})
-        out = _basis_peak(run(circuit, idx, seed=int(rng.integers(1 << 32))).final_state)
-        if decode_register(circuit, out, "s") != a + b:
-            raise AssertionError(f"wrong out-of-place sum for a={a} b={b}")
-
-
-def _check_mcx(circuit: Circuit, k: int) -> None:
-    for ctl in range(1 << k):
-        for t in (0, 1):
-            idx = register_basis(circuit, {"c": ctl, "t": t})
-            for branch in enumerate_branches(circuit, idx):
-                out = _basis_peak(branch.final_state)
-                want = t ^ (ctl == (1 << k) - 1)
-                if decode_register(circuit, out, "t") != want:
-                    raise AssertionError(f"mcx wrong for controls={ctl:0{k}b} target={t}")
-
-
-def _check_hamming(circuit: Circuit, n: int) -> None:
-    from .gadgets import hamming_weight
-
-    register = hamming_weight(n).register
-    pos = {q: j for j, q in enumerate(circuit.output_qubits())}
-    for x in range(1 << n):
-        out = _basis_peak(run(circuit, x, seed=13).final_state)
-        val = sum(((out >> pos[q]) & 1) << p for p, q in enumerate(register))
-        if val != bin(x).count("1"):
-            raise AssertionError(f"popcount wrong for input {x:0{n}b}")
-
-
-def _check_phase_gradient(circuit: Circuit, n: int) -> None:
-    grad = gradient_state(n)
-    for k in range(1 << n):
-        vec = np.zeros(1 << n, dtype=complex)
-        vec[k] = 1.0
-        inp = np.kron(grad, vec)
-        expected = np.exp(2j * math.pi * k / (1 << n)) * inp
-        for branch in enumerate_branches(circuit, inp):
-            if abs(np.vdot(expected, branch.final_state)) ** 2 < 1 - 1e-10:
-                raise AssertionError(f"phase wrong on |{k}>")
-
-
-def _check_phase_oracle(circuit: Circuit, expr: str) -> None:
-    ast = parse_expression(expr)
-    n = len(circuit.input_qubits())
-    uniform = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
-    ideal = diagonal_map(lambda k: -1.0 if evaluate(ast, k) else 1.0, n)(uniform)
-    for branch in enumerate_branches(circuit, uniform):
-        if abs(np.vdot(ideal, branch.final_state)) ** 2 < 1 - 1e-10:
-            raise AssertionError(f"oracle phases wrong for {expr!r}")
-
-
-def _check_rewrite_canonical(circuit: Circuit) -> None:
-    pairs = find_pairs(circuit)
-    if len(pairs) != 1:
-        raise AssertionError(f"expected one Toffoli pair, found {len(pairs)}")
-    baseline = count(lower_ccx(circuit, "paired4")).t_count
-    replaced = replace_pairs(circuit)
-    after = count(replaced).t_count
-    if (baseline, after) != (8, 4):
-        raise AssertionError(f"expected 8 -> 4 T, got {baseline} -> {after}")
-    res = channel_equiv(replaced, lambda v: run(circuit, v, seed=0).final_state,
-                        trials=5, tol=1e-10, seed=3)
-    if not res.equivalent:
-        raise AssertionError(f"replaced pair not channel-equivalent: {res.worst_fidelity}")
-
-
-def check_semantics(circuit: Circuit, descriptor: str) -> None:
-    tokens = descriptor.split()
-    kind = tokens[0]
-    kv = _parse_kv(tokens[1:])
-    if kind == "add":
-        _check_add(circuit, kv, kv.get("samples", "all"))
-    elif kind == "oop-add":
-        _check_oop_add(circuit, kv, kv.get("samples", "8"))
-    elif kind == "identity":
-        res = channel_equiv(circuit, lambda v: v, trials=int(kv.get("trials", "5")),
-                            tol=1e-10, seed=5)
-        if not res.equivalent:
-            raise AssertionError(f"not the identity channel: {res.worst_fidelity}")
-    elif kind == "mcx":
-        _check_mcx(circuit, int(kv["k"]))
-    elif kind == "hamming":
-        _check_hamming(circuit, int(kv["n"]))
-    elif kind == "phase-gradient":
-        _check_phase_gradient(circuit, int(kv["n"]))
-    elif kind == "phase-oracle":
-        _check_phase_oracle(circuit, descriptor.split(None, 1)[1])
-    elif kind == "rewrite-canonical":
-        _check_rewrite_canonical(circuit)
-    else:
-        raise AssertionError(f"unknown semantics descriptor {kind!r}")
-
-
 @dataclass(frozen=True)
 class GoldenResult:
     name: str
@@ -258,21 +160,15 @@ def check_goldens(corpus_dir: Path | str | None = None) -> list[GoldenResult]:
     for spec in ENTRIES:
         entry_dir = corpus / spec.name
         try:
-            stored = {f: (entry_dir / f).read_text() for f in
-                      ("circuit.qc", "report.txt", "semantics.txt", "build_cmd.txt")}
-            build_cmd = stored["build_cmd.txt"].strip()
-            if build_cmd != "none":
-                rebuilt = _cli_output(build_cmd)
-                if rebuilt != stored["circuit.qc"]:
-                    raise AssertionError("build command does not reproduce the stored circuit")
-            circuit = require_valid(from_text(stored["circuit.qc"]))
-            if to_text(circuit) != stored["circuit.qc"]:
+            rendered = render_entry(spec)
+            for fname, content in rendered.items():
+                stored = (entry_dir / fname).read_text()
+                if stored != content:
+                    raise AssertionError(f"{fname} mismatch:\nstored:\n{stored}rendered:\n{content}")
+            circuit = from_text(rendered["circuit.qc"])
+            if to_text(circuit) != rendered["circuit.qc"]:
                 raise AssertionError("stored circuit is not in canonical form")
-            report = serialize_report(count(circuit))
-            if report != stored["report.txt"]:
-                raise AssertionError(
-                    f"report mismatch:\nstored:\n{stored['report.txt']}measured:\n{report}")
-            check_semantics(circuit, stored["semantics.txt"].strip())
+            spec.check(circuit)
             results.append(GoldenResult(spec.name, True, "ok"))
         except Exception as exc:  # noqa: BLE001 - every failure becomes a listed mismatch
             results.append(GoldenResult(spec.name, False, str(exc)))

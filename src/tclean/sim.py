@@ -210,8 +210,19 @@ class RunResult:
     classbits: dict[int, int]
 
 
-def _input_vector(circuit: Circuit, state: np.ndarray | str | int | None) -> np.ndarray:
+def input_width(circuit: Circuit) -> int:
+    """Number of declared input qubits; SimulationError past ``MAX_LIVE_QUBITS``.
+
+    Call before allocating anything sized by 2^inputs.
+    """
     n_in = len(circuit.input_qubits())
+    if n_in > MAX_LIVE_QUBITS:
+        raise SimulationError(f"{n_in} input qubits exceed the simulator's {MAX_LIVE_QUBITS}")
+    return n_in
+
+
+def _input_vector(circuit: Circuit, state: np.ndarray | str | int | None) -> np.ndarray:
+    n_in = input_width(circuit)
     dim = 1 << n_in
     if state is None:
         state = 0
@@ -428,7 +439,7 @@ def channel_equiv(circuit: Circuit, ideal: IdealMap | np.ndarray, *, trials: int
     """
     ideal_map = as_ideal_map(ideal)
     rng = np.random.default_rng(seed)
-    n_in = len(circuit.input_qubits())
+    n_in = input_width(circuit)
     if input_states is None:
         input_states = [random_state(n_in, rng) for _ in range(trials)]
 

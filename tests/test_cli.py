@@ -4,7 +4,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from tclean.cli import BUILD_KINDS, main
+from tclean.cli import main
+from tclean.constructions import CONSTRUCTIONS
 from tclean.ir import require_valid
 from tclean.resources import count
 from tclean.textfmt import from_text
@@ -30,7 +31,7 @@ def test_build_then_count_five_bit_adder(tmp_path):
     assert "meas_depth 8" in out
 
 
-@pytest.mark.parametrize("kind", BUILD_KINDS)
+@pytest.mark.parametrize("kind", CONSTRUCTIONS)
 def test_every_build_kind_round_trips(kind):
     code, out, _ = run_cli(["build", "--kind", kind, "--n", "3"])
     assert code == 0
@@ -65,15 +66,84 @@ def test_verify_is_byte_deterministic():
     assert "PASS" in first[1]
 
 
-@pytest.mark.parametrize("kind,n", [
-    ("gidney-adder", 3), ("cuccaro-adder", 3), ("controlled-adder", 2),
-    ("out-of-place-adder", 2), ("and", 2), ("mcx", 3), ("hamming", 3),
-    ("phase-gradient", 2),
-])
+#: ``verify --seed 7 --trials 3`` stdout per (kind, n): check names, order,
+#: fidelities and branch counts.
+VERIFY_SNAPSHOT = {
+    ("gidney-adder", 3): (
+        "counts PASS worst_fidelity=1.000000000000 branches=0\n"
+        "channel PASS worst_fidelity=1.000000000000 branches=12\n"
+    ),
+    ("cuccaro-adder", 3): (
+        "counts PASS worst_fidelity=1.000000000000 branches=0\n"
+        "channel PASS worst_fidelity=1.000000000000 branches=3\n"
+        "replace-pairs-t PASS worst_fidelity=1.000000000000 branches=0\n"
+    ),
+    ("controlled-adder", 2): (
+        "counts PASS worst_fidelity=1.000000000000 branches=0\n"
+        "channel PASS worst_fidelity=1.000000000000 branches=24\n"
+    ),
+    ("out-of-place-adder", 2): (
+        "counts PASS worst_fidelity=1.000000000000 branches=0\n"
+        "channel PASS worst_fidelity=1.000000000000 branches=3\n"
+        "inverse-t-free PASS worst_fidelity=1.000000000000 branches=0\n"
+    ),
+    ("and", 2): (
+        "compute-counts PASS worst_fidelity=1.000000000000 branches=0\n"
+        "compute-channel PASS worst_fidelity=1.000000000000 branches=3\n"
+        "roundtrip-counts PASS worst_fidelity=1.000000000000 branches=0\n"
+        "roundtrip-channel PASS worst_fidelity=1.000000000000 branches=6\n"
+    ),
+    ("mcx", 3): (
+        "counts PASS worst_fidelity=1.000000000000 branches=0\n"
+        "channel PASS worst_fidelity=1.000000000000 branches=12\n"
+    ),
+    ("hamming", 3): (
+        "t-bound PASS worst_fidelity=1.000000000000 branches=0\n"
+        "popcount PASS worst_fidelity=1.000000000000 branches=8\n"
+    ),
+    ("phase-gradient", 2): (
+        "t-equals-adder PASS worst_fidelity=1.000000000000 branches=0\n"
+        "kickback-phases PASS worst_fidelity=1.000000000000 branches=8\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,n", VERIFY_SNAPSHOT)
+def test_verify_stdout_snapshot(kind, n):
+    code, out, err = run_cli(["verify", "--kind", kind, "--n", str(n), "--seed", "7", "--trials", "3"])
+    assert (code, out, err) == (0, VERIFY_SNAPSHOT[kind, n], "")
+
+
+#: A small width per table entry: the snapshot's.
+SMALL_N = dict(VERIFY_SNAPSHOT.keys())
+
+
+def test_snapshot_covers_every_table_entry():
+    assert set(SMALL_N) == set(CONSTRUCTIONS)
+
+
+@pytest.mark.parametrize("kind,n", [(kind, SMALL_N[kind]) for kind in CONSTRUCTIONS])
 def test_verify_all_kinds_pass(kind, n):
     code, out, _ = run_cli(["verify", "--kind", kind, "--n", str(n), "--trials", "3"])
     assert code == 0, out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_rejects_vacuous_trials(trials):
+    code, out, err = run_cli(["verify", "--kind", "gidney-adder", "--n", "3", "--trials", trials])
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err
+
+
+@pytest.mark.parametrize("kind", ["hamming", "gidney-adder"])
+def test_verify_too_wide_for_simulator_fails_cleanly(kind):
+    code, out, err = run_cli(["verify", "--kind", kind, "--n", "40"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("tclean: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_rewrite_command(tmp_path):

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from tclean.ir import CircuitBuilder, Op
 from tclean.sim import (
     GATES_1Q,
+    MAX_LIVE_QUBITS,
     DimensionMismatchError,
     ReleaseEntangledError,
+    SimulationError,
     T_STATE,
     TooManyBranchesError,
     channel_equiv,
@@ -146,6 +148,16 @@ def test_dimension_mismatch():
         run(c, np.ones(8) / math.sqrt(8), seed=0)
     with pytest.raises(DimensionMismatchError):
         run(c, "101", seed=0)
+
+
+def test_too_many_inputs_rejected_before_allocating():
+    b = CircuitBuilder()
+    b.register("q", MAX_LIVE_QUBITS + 1)
+    c = b.build()
+    with pytest.raises(SimulationError, match="input qubits"):
+        run(c, 0, seed=0)
+    with pytest.raises(SimulationError, match="input qubits"):
+        channel_equiv(c, lambda v: v, trials=1)
 
 
 def test_x_is_not_z():
