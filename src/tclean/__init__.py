@@ -22,7 +22,6 @@ from .ir import (
     Violation,
     ViolationCode,
     concatenate,
-    require_valid,
     shift_qubits,
     validate,
 )

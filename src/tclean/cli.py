@@ -11,7 +11,7 @@ import sys
 from typing import Sequence
 
 from .constructions import CONSTRUCTIONS, verify
-from .ir import Circuit, CircuitError, require_valid
+from .ir import Circuit, CircuitError
 from .oracle import OracleParseError, TooManyVariablesError, compile_oracle
 from .resources import CostModel, NoCrossoverError, count, crossover, effective_t_formula, hybrid_cutoff, serialize_report
 from .rewrite import replace_pairs
@@ -81,7 +81,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         if args.command == "count":
             with open(args.infile) as fh:
-                circuit = require_valid(from_text(fh.read()))
+                circuit = from_text(fh.read())
             sys.stdout.write(serialize_report(count(circuit)))
             return 0
         if args.command == "verify":
@@ -92,7 +92,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0 if all(ok for _, ok, _, _ in lines) else 1
         if args.command == "rewrite":
             with open(args.infile) as fh:
-                circuit = require_valid(from_text(fh.read()))
+                circuit = from_text(fh.read())
             rewritten = replace_pairs(circuit)
             _write_circuit(rewritten, args.out)
             if args.report:

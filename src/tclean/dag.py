@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import Circuit, GadgetSpan, Instruction
+from .ir import Circuit, GadgetSpan
 
 
 @dataclass(frozen=True)
@@ -17,13 +17,9 @@ class DagNode:
     indices: tuple[int, ...]
     span: GadgetSpan | None
 
-    def instructions(self, circuit: Circuit) -> tuple[Instruction, ...]:
-        return tuple(circuit.instructions[i] for i in self.indices)
-
 
 @dataclass
 class Dag:
-    circuit: Circuit
     nodes: list[DagNode]
     preds: list[set[int]]  # node id -> ids of the earlier nodes it depends on
     node_of: list[int]  # instruction index -> node id
@@ -77,4 +73,4 @@ def build_dag(circuit: Circuit) -> Dag:
                 link(last_bit_user[b], nid)
             last_bit_user[b] = nid
 
-    return Dag(circuit, nodes, preds, node_id)
+    return Dag(nodes, preds, node_id)

@@ -10,7 +10,6 @@ T-counts are simply four times the number of ANDs they compute.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .ir import (
@@ -203,8 +202,11 @@ def _controlled_xor(b: CircuitBuilder, ctrl: int, source: int, dest: int) -> Non
     and_uncompute(b, ctrl, source, u)
 
 
-def _ripple_adder(spec: AdderSpec, *, impl: str, controlled: bool) -> Circuit:
+def _ripple_adder(spec: AdderSpec, *, impl: str, controlled: bool,
+                  names: tuple[str, str] = ("a", "b")) -> Circuit:
     """Shared skeleton of the in-place adders: b <- a + b (+ carry-in).
+
+    The a and b registers are declared under ``names``.
 
     ``impl="and"``: carries go through temporary ANDs folded directly onto the
     carry ancilla (4 T per carry, peak n-1 ancillae without carry-out).
@@ -215,8 +217,8 @@ def _ripple_adder(spec: AdderSpec, *, impl: str, controlled: bool) -> Circuit:
     n = spec.n
     b = CircuitBuilder()
     ctrl = b.register("ctrl", 1)[0] if controlled else None
-    a = b.register("a", n)
-    bb = b.register("b", n)
+    a = b.register(names[0], n)
+    bb = b.register(names[1], n)
     cin = b.register("cin", 1)[0] if spec.carry_in else None
 
     blocks = list(range(n if spec.carry_out else n - 1))
@@ -291,8 +293,8 @@ def _ripple_adder(spec: AdderSpec, *, impl: str, controlled: bool) -> Circuit:
 
     if controlled:
         b.output("ctrl", (ctrl,))
-    b.output("a", a)
-    b.output("b", bb)
+    b.output(names[0], a)
+    b.output(names[1], bb)
     if cin is not None:
         b.output("cin", (cin,))
     if cout is not None:
@@ -535,10 +537,5 @@ def phase_gradient_add(n: int, gradient_prepared: bool = True) -> Circuit:
     if not gradient_prepared:
         raise GradientNotPreparedError(
             "phase-gradient addition requires the prepared gradient register")
-    adder = gidney_adder(AdderSpec(n))
-    rename = {"a": "target", "b": "gradient"}
-    return dataclasses.replace(
-        adder,
-        inputs=tuple(dataclasses.replace(r, name=rename[r.name]) for r in adder.inputs),
-        outputs=tuple(dataclasses.replace(r, name=rename[r.name]) for r in adder.outputs),
-    )
+    return _ripple_adder(AdderSpec(n), impl="and", controlled=False,
+                         names=("target", "gradient"))

@@ -11,6 +11,11 @@ Contiguous instruction ranges can be tagged as AND-gadget spans.  The spans
 are annotations only: simulation executes the instructions inside them
 normally, while depth accounting collapses each span to a single unit-weight
 event.
+
+Every :class:`Circuit` is valid: constructing one runs :func:`validate` and
+raises :class:`CircuitError` on the first violation.  Builders, the text
+parser and the composition helpers all end in that constructor, so passes
+take their input as checked and never check it again.
 """
 from __future__ import annotations
 
@@ -103,12 +108,19 @@ class Register:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A valid circuit: construction raises :class:`CircuitError` otherwise."""
+
     instructions: tuple[Instruction, ...]
     n_qubits: int
     n_classbits: int
     spans: tuple[GadgetSpan, ...] = ()
     inputs: tuple[Register, ...] = ()
     outputs: tuple[Register, ...] = ()
+
+    def __post_init__(self) -> None:
+        violation = validate(self)
+        if violation is not None:
+            raise CircuitError(violation)
 
     def input_qubits(self) -> tuple[int, ...]:
         return tuple(q for reg in self.inputs for q in reg.qubits)
@@ -150,7 +162,7 @@ class Violation:
 
 
 class CircuitError(Exception):
-    """Raised when an invalid circuit is handed to an operation requiring validity."""
+    """Raised when the contents given for a :class:`Circuit` break an invariant."""
 
     def __init__(self, violation: Violation):
         self.violation = violation
@@ -242,13 +254,6 @@ def validate(circuit: Circuit) -> Violation | None:
         if q not in live:
             return Violation(ViolationCode.OUTPUT_NOT_LIVE, n, f"declared output qubit {q} not live at end")
     return None
-
-
-def require_valid(circuit: Circuit) -> Circuit:
-    violation = validate(circuit)
-    if violation is not None:
-        raise CircuitError(violation)
-    return circuit
 
 
 class CircuitBuilder:
@@ -411,10 +416,10 @@ class CircuitBuilder:
 
     # -- finish ----------------------------------------------------------------
 
-    def build(self, check: bool = True) -> Circuit:
+    def build(self) -> Circuit:
         if self._open_gadgets:
             raise ValueError("unclosed gadget span")
-        circuit = Circuit(
+        return Circuit(
             instructions=tuple(self._instructions),
             n_qubits=self._next_qubit,
             n_classbits=self._next_bit,
@@ -422,9 +427,6 @@ class CircuitBuilder:
             inputs=tuple(self._inputs),
             outputs=tuple(self._outputs),
         )
-        if check:
-            require_valid(circuit)
-        return circuit
 
 
 def concatenate(first: Circuit, second: Circuit) -> Circuit:
@@ -433,7 +435,8 @@ def concatenate(first: Circuit, second: Circuit) -> Circuit:
     The second circuit's classical bits are renumbered to follow the first's.
     An input register of the second circuit is re-declared only when the
     first circuit never touches its qubits (disjoint composition); otherwise
-    those qubits must already be live when the second circuit starts.
+    those qubits must already be live when the second circuit starts, or
+    the composition raises :class:`CircuitError`.
     Outputs are taken from the second circuit if declared, else the first.
     """
     offset = first.n_classbits

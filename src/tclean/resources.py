@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .dag import build_dag
-from .ir import Circuit, MEASUREMENTS, Op, T_FAMILY, require_valid
+from .ir import Circuit, MEASUREMENTS, Op, T_FAMILY
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class NoCrossoverError(Exception):
 
 def count(circuit: Circuit) -> ResourceReport:
     """Measure a circuit.  Unlowered CCX macros are reported, not T-counted."""
-    require_valid(circuit)
     dag = build_dag(circuit)
 
     weights: dict[int, int] = {}

@@ -20,7 +20,6 @@ from .ir import (
     GadgetSpan,
     Instruction,
     Op,
-    require_valid,
 )
 
 
@@ -58,11 +57,6 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
     qubit's use list and write list, and every condition is checked against
     those lists instead of by rescanning the circuit.
     """
-    return _match_pairs(require_valid(circuit))
-
-
-def _match_pairs(circuit: Circuit) -> list[PairMatch]:
-    """:func:`find_pairs` on a circuit the caller has already validated."""
     instrs = circuit.instructions
     uses: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
     writes: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
@@ -153,13 +147,10 @@ def replace_pairs(circuit: Circuit) -> Circuit:
     idempotent.  After lowering, each replaced pair costs 4 T instead of the
     matched-pair baseline's 8.
     """
-    current = require_valid(circuit)
     while True:
-        # `current` is the input or a circuit `_replay` just built, and
-        # building validates, so the matcher need not check it again.
-        matches = _match_pairs(current)
+        matches = find_pairs(circuit)
         if not matches:
-            return current
+            return circuit
         drop = {m.alloc_index for m in matches} | {m.release_index for m in matches}
         first = {m.first_index: m for m in matches}
         second = {m.second_index: m for m in matches}
@@ -177,7 +168,7 @@ def replace_pairs(circuit: Circuit) -> Circuit:
                 return True
             return False
 
-        current = _replay(current, expand)
+        circuit = _replay(circuit, expand)
 
 
 def _emit_textbook_toffoli(b: CircuitBuilder, c1: int, c2: int, t: int) -> None:
@@ -228,8 +219,7 @@ def lower_ccx(circuit: Circuit, mode: str = "textbook7") -> Circuit:
     """
     if mode not in ("textbook7", "paired4"):
         raise ValueError(f"unknown lowering mode {mode!r}")
-    require_valid(circuit)
-    pairs = _match_pairs(circuit) if mode == "paired4" else []
+    pairs = find_pairs(circuit) if mode == "paired4" else []
     first = {m.first_index for m in pairs}
     second = {m.second_index for m in pairs}
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ir import Circuit, Instruction, MEASUREMENTS, Op, require_valid
+from .ir import Circuit, Instruction, MEASUREMENTS, Op
 
 #: Dense simulation is exact but exponential; keep acceptance checks under this.
 MAX_LIVE_QUBITS = 26
@@ -319,7 +319,6 @@ def run(circuit: Circuit, input_state: np.ndarray | str | int | None = None, *,
     outcome has probability zero).  Same seed, same input: identical result.
     `check_norm` asserts unit norm after every instruction.
     """
-    require_valid(circuit)
     rng = np.random.default_rng(seed) if seed is not None else None
     state = _init_state(circuit, input_state)
     for instr in circuit.instructions:
@@ -340,7 +339,6 @@ def enumerate_branches(circuit: Circuit, input_state: np.ndarray | str | int | N
     Zero-probability branches are omitted; the returned probabilities sum
     to 1.  Results are sorted by outcome assignment.
     """
-    require_valid(circuit)
     n_meas = sum(1 for i in circuit.instructions if i.op in MEASUREMENTS)
     if n_meas > max_measurements:
         raise TooManyBranchesError(f"{n_meas} measurements exceeds bound {max_measurements}")

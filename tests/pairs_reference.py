@@ -7,7 +7,7 @@ tests require the production matcher to return exactly its match list.
 """
 from __future__ import annotations
 
-from tclean.ir import Circuit, Instruction, Op, require_valid
+from tclean.ir import Circuit, Instruction, Op
 from tclean.rewrite import PairMatch
 
 
@@ -29,7 +29,6 @@ def reference_find_pairs(circuit: Circuit) -> list[PairMatch]:
     target and the target appears only as a control of other gates, and
     (3) the next reference to the target after the second Toffoli releases it.
     """
-    require_valid(circuit)
     instrs = circuit.instructions
     consumed: set[int] = set()
     matches: list[PairMatch] = []

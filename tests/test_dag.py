@@ -32,7 +32,7 @@ def test_and_span_collapses_to_one_node():
     (x,) = b.register("x", 1)
     (y,) = b.register("y", 1)
     and_compute(b, x, y)
-    c = b.build(check=False)
+    c = b.build()
     span = c.spans[0]
     assert span.end - span.start == 12  # the gadget's instruction count
     dag = build_dag(c)

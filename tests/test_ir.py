@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from tclean.ir import (
+    Circuit,
     CircuitBuilder,
+    CircuitError,
     GadgetSpan,
     GadgetTag,
     Instruction,
@@ -18,8 +20,22 @@ import dataclasses
 from strategies import random_circuit
 
 
+def build_violation(b: CircuitBuilder):
+    """The violation that building `b` raises."""
+    with pytest.raises(CircuitError) as err:
+        b.build()
+    return err.value.violation
+
+
+def test_constructor_rejects_invalid_contents():
+    with pytest.raises(CircuitError) as err:
+        Circuit(instructions=(Instruction(Op.X, (0,)),), n_qubits=1, n_classbits=0)
+    assert err.value.violation.code is ViolationCode.USE_BEFORE_ALLOC
+    assert str(err.value) == "USE_BEFORE_ALLOC at instruction 0: qubit 0 used before allocation"
+
+
 def test_empty_circuit_is_valid():
-    assert validate(CircuitBuilder().build(check=False)) is None
+    assert validate(CircuitBuilder().build()) is None
 
 
 def test_use_after_release():
@@ -27,7 +43,7 @@ def test_use_after_release():
     q = b.alloc0()
     b.release(q)
     b.x(q)
-    v = validate(b.build(check=False))
+    v = build_violation(b)
     assert v.code is ViolationCode.USE_AFTER_RELEASE
     assert v.index == 2
 
@@ -36,8 +52,9 @@ def test_use_before_alloc():
     b = CircuitBuilder()
     b.register("a", 1)
     b.cx(0, 1)
-    v = validate(b.build(check=False))
+    v = build_violation(b)
     assert v.code is ViolationCode.USE_BEFORE_ALLOC
+    assert v.index == 0
 
 
 def test_conditioned_t_is_rejected():
@@ -45,8 +62,9 @@ def test_conditioned_t_is_rejected():
     (q,) = b.register("a", 1)
     bit = b.mz(q)
     b._emit(Op.T, (q,), cond=bit)
-    v = validate(b.build(check=False))
+    v = build_violation(b)
     assert v.code is ViolationCode.NONCLIFFORD_CONDITIONED
+    assert v.index == 1
 
 
 def test_classbit_read_before_write():
@@ -54,8 +72,9 @@ def test_classbit_read_before_write():
     (q,) = b.register("a", 1)
     b.reserve_classbits(1)
     b.x(q, cond=0)
-    v = validate(b.build(check=False))
+    v = build_violation(b)
     assert v.code is ViolationCode.CLASSBIT_READ_BEFORE_WRITE
+    assert v.index == 0
 
 
 def test_classbit_written_twice():
@@ -63,24 +82,27 @@ def test_classbit_written_twice():
     (q,) = b.register("a", 1)
     bit = b.mz(q)
     b._emit(Op.MZ, (q,), result=bit)
-    v = validate(b.build(check=False))
+    v = build_violation(b)
     assert v.code is ViolationCode.CLASSBIT_REWRITE
+    assert v.index == 1
 
 
 def test_bad_arity_duplicate_qubits():
     b = CircuitBuilder()
     b.register("a", 2)
     b._emit(Op.CX, (0, 0))
-    v = validate(b.build(check=False))
+    v = build_violation(b)
     assert v.code is ViolationCode.BAD_ARITY
+    assert v.index == 0
 
 
 def test_alloc_while_live():
     b = CircuitBuilder()
     (q,) = b.register("a", 1)
     b.alloc0(q)
-    v = validate(b.build(check=False))
+    v = build_violation(b)
     assert v.code is ViolationCode.ALLOC_WHILE_LIVE
+    assert v.index == 0
 
 
 def test_overlapping_gadget_spans():
@@ -88,13 +110,14 @@ def test_overlapping_gadget_spans():
     (q,) = b.register("a", 1)
     for _ in range(4):
         b.x(q)
-    circuit = b.build(check=False)
-    bad = dataclasses.replace(circuit, spans=(
-        GadgetSpan(0, 3, GadgetTag.AND_COMPUTE),
-        GadgetSpan(2, 4, GadgetTag.AND_UNCOMPUTE),
-    ))
-    v = validate(bad)
-    assert v.code is ViolationCode.OVERLAPPING_GADGET_SPANS
+    circuit = b.build()
+    with pytest.raises(CircuitError) as err:
+        dataclasses.replace(circuit, spans=(
+            GadgetSpan(0, 3, GadgetTag.AND_COMPUTE),
+            GadgetSpan(2, 4, GadgetTag.AND_UNCOMPUTE),
+        ))
+    assert err.value.violation.code is ViolationCode.OVERLAPPING_GADGET_SPANS
+    assert err.value.violation.index == 2
 
 
 def test_nested_spans_allowed():
@@ -102,7 +125,7 @@ def test_nested_spans_allowed():
     (q,) = b.register("a", 1)
     for _ in range(4):
         b.x(q)
-    circuit = b.build(check=False)
+    circuit = b.build()
     nested = dataclasses.replace(circuit, spans=(
         GadgetSpan(0, 4, GadgetTag.AND_COMPUTE),
         GadgetSpan(1, 3, GadgetTag.AND_UNCOMPUTE),
@@ -116,7 +139,7 @@ def test_released_id_can_be_reallocated():
     b.release(q)
     b.alloc0(q)
     b.release(q)
-    assert validate(b.build(check=False)) is None
+    assert validate(b.build()) is None
 
 
 def test_output_must_be_live():
@@ -124,8 +147,9 @@ def test_output_must_be_live():
     q = b.alloc0()
     b.release(q)
     b.output("dead", (q,))
-    v = validate(b.build(check=False))
+    v = build_violation(b)
     assert v.code is ViolationCode.OUTPUT_NOT_LIVE
+    assert v.index == 2
 
 
 def test_validate_is_deterministic():
@@ -141,7 +165,7 @@ def test_validate_order_independent_of_unrelated_instructions():
     swaps = 0
     for _ in range(80):
         c = random_circuit(rng)
-        if validate(c) is not None or len(c.instructions) < 2:
+        if len(c.instructions) < 2:
             continue
         for i in range(len(c.instructions) - 1):
             a, b = c.instructions[i], c.instructions[i + 1]
@@ -176,3 +200,21 @@ def test_concatenate_offsets_classbits():
     assert combo.n_classbits == 2
     assert combo.instructions[1].result == 1
     assert combo.instructions[2].cond == 1
+
+
+def test_concatenate_rejects_a_dead_shared_register():
+    b1 = CircuitBuilder()
+    q = b1.alloc0()
+    b1.release(q)
+    c1 = b1.build()
+
+    b2 = CircuitBuilder()
+    (q2,) = b2.register("a", 1)
+    b2.x(q2)
+    c2 = b2.build()
+
+    # c1 touches qubit 0, so c2's register is not re-declared and must be live.
+    with pytest.raises(CircuitError) as err:
+        concatenate(c1, c2)
+    assert err.value.violation.code is ViolationCode.USE_AFTER_RELEASE
+    assert err.value.violation.index == 2

@@ -8,7 +8,7 @@ from tclean.gadgets import AdderSpec, cuccaro_adder, gidney_adder
 from tclean.ir import Circuit, CircuitBuilder, CircuitError, Instruction, Op, validate
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
-from tclean.sim import channel_equiv, run
+from tclean.sim import channel_equiv, enumerate_branches, run
 
 from pairs_reference import reference_find_pairs
 from strategies import near_miss_circuit, random_circuit, random_paired_circuit
@@ -214,31 +214,33 @@ def test_random_paired_circuits_replace_equivalently(seed):
 
 
 def test_lower_ccx_rejects_unknown_mode_before_validating():
-    broken = Circuit(instructions=(Instruction(Op.X, (0,)),), n_qubits=1, n_classbits=0)
+    # An invalid circuit cannot reach a pass: constructing it raises.
     with pytest.raises(CircuitError):
-        lower_ccx(broken, "paired4")
+        Circuit(instructions=(Instruction(Op.X, (0,)),), n_qubits=1, n_classbits=0)
     with pytest.raises(ValueError, match="unknown lowering mode 'bogus'"):
-        lower_ccx(broken, "bogus")
-    with pytest.raises(ValueError, match="unknown lowering mode"):
         lower_ccx(canonical_pair(), "bogus")
 
 
 def test_passes_validate_input_once(monkeypatch):
-    # One validation at entry, plus the one each rebuilt circuit gets when
-    # it is built; the matcher itself never revalidates.
+    # A circuit is validated once, when it is made; no pass checks its input.
     c = cuccaro_adder(AdderSpec(4))
+    pair = canonical_pair()
     calls = []
     real = tclean.ir.validate
     monkeypatch.setattr(tclean.ir, "validate",
                         lambda circuit: calls.append(circuit) or real(circuit))
     replace_pairs(c)
-    assert len(calls) == 2  # entry, then the build after the only rewriting round
+    assert len(calls) == 1  # the build after the only rewriting round
     calls.clear()
     lower_ccx(c, "paired4")
-    assert len(calls) == 2  # entry, then the build of the lowered circuit
+    assert len(calls) == 1  # the build of the lowered circuit
     calls.clear()
     find_pairs(c)
-    assert len(calls) == 1
+    count(c)
+    run(c, 0)
+    enumerate_branches(pair, 0)
+    channel_equiv(pair, lambda v: v, trials=2)
+    assert calls == []
 
 
 GENERATORS = {

@@ -3,16 +3,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tclean.ir import CircuitBuilder, Instruction, Op, validate
+from tclean.ir import CircuitBuilder, CircuitError, Instruction, Op, ViolationCode, validate
 from tclean.textfmt import TextFormatError, from_text, to_text
 
 from strategies import random_circuit
 
 
 def test_cx_line_parses():
-    c = from_text("cx 0 1\n")
+    c = from_text("#input q 0 1\ncx 0 1\n")
     assert c.instructions == (Instruction(Op.CX, (0, 1)),)
     assert c.n_qubits == 2
+
+
+def test_invalid_circuit_is_circuit_error_and_malformed_text_is_parse_error():
+    with pytest.raises(CircuitError) as err:
+        from_text("cx 0 1\n")
+    assert err.value.violation.code is ViolationCode.USE_BEFORE_ALLOC
+    assert err.value.violation.index == 0
+    with pytest.raises(TextFormatError):
+        from_text("cx 0 one\n")
 
 
 def test_malformed_arity_is_parse_error():
@@ -32,7 +41,7 @@ def test_unclosed_gadget_is_parse_error():
 
 
 def test_comments_and_blank_lines_are_ignored():
-    c = from_text("# a comment\n\nh 0\n#another\n")
+    c = from_text("#input q 0\n# a comment\n\nh 0\n#another\n")
     assert len(c.instructions) == 1
 
 
