@@ -152,11 +152,37 @@ def test_output_must_be_live():
     assert v.index == 2
 
 
+def _violation(**fields):
+    """The violation that constructing a Circuit from ``fields`` reports, or None."""
+    try:
+        Circuit(**fields)
+    except CircuitError as err:
+        return err.violation
+    return None
+
+
 def test_validate_is_deterministic():
+    # A Circuit is valid once built, so determinism is checked on invalid
+    # contents: a random circuit with one instruction dropped or duplicated.
     rng = np.random.default_rng(0)
-    for _ in range(50):
+    broken = 0
+    for _ in range(200):
         c = random_circuit(rng)
-        assert validate(c) == validate(c)
+        instructions = list(c.instructions)
+        if not instructions:
+            continue
+        i = int(rng.integers(len(instructions)))
+        if rng.random() < 0.5:
+            del instructions[i]
+        else:
+            instructions.insert(i, instructions[i])
+        fields = dict(instructions=tuple(instructions), n_qubits=c.n_qubits,
+                      n_classbits=c.n_classbits, spans=c.spans, inputs=c.inputs,
+                      outputs=c.outputs)
+        first = _violation(**fields)
+        assert _violation(**fields) == first
+        broken += first is not None
+    assert broken > 30  # the edits often break an invariant, so violations are compared
 
 
 def test_validate_order_independent_of_unrelated_instructions():

@@ -1,12 +1,15 @@
 """Statevector simulator: projection, branching, release rules, determinism."""
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tclean.ir import CircuitBuilder, Op
+from tclean import sim
+from tclean.constructions import CONSTRUCTIONS
+from tclean.ir import CircuitBuilder, Op, Register
 from tclean.sim import (
     GATES_1Q,
     MAX_LIVE_QUBITS,
@@ -23,6 +26,7 @@ from tclean.sim import (
     rz_matrix,
 )
 
+import sim_reference as reference
 from strategies import random_circuit
 
 
@@ -140,6 +144,23 @@ def test_release_after_measure_allowed():
         assert abs(np.linalg.norm(br.final_state) - 1) < 1e-12
 
 
+def test_only_an_executed_gate_ends_the_release_exemption():
+    # After MX the ancilla is |+> or |->, so only the just-measured rule lets it go.
+    b = CircuitBuilder()
+    (q,) = b.register("q", 1)
+    anc = b.alloc0()
+    bit = b.mx(anc)
+    b.z(anc, cond=bit)
+    b.release(anc)
+    b.output("q", (q,))
+    c = b.build()
+    assert run(c, 0, force={bit: 0}).classbits[bit] == 0
+    with pytest.raises(ReleaseEntangledError):
+        run(c, 0, force={bit: 1})
+    with pytest.raises(ReleaseEntangledError):
+        reference.run(c, 0, force={bit: 1})
+
+
 def test_dimension_mismatch():
     b = CircuitBuilder()
     b.register("q", 2)
@@ -195,3 +216,137 @@ def test_norm_holds_after_every_instruction(seed):
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, simulable=True)
     run(c, random_state(len(c.input_qubits()), rng), seed=seed % 97, check_norm=True)
+
+
+def _x_on_first_of_two():
+    b = CircuitBuilder()
+    qs = b.register("q", 2)
+    b.x(qs[0])
+    return b.build()
+
+
+@pytest.mark.parametrize("state", [np.zeros(4), np.full(4, np.nan), [1, np.inf, 0, 0]],
+                         ids=["zero", "nan", "inf"])
+def test_degenerate_input_is_rejected(state):
+    c = _x_on_first_of_two()
+    with pytest.raises(DimensionMismatchError, match="norm"):
+        run(c, state)
+    with pytest.raises(DimensionMismatchError, match="norm"):
+        enumerate_branches(c, state)
+    with pytest.raises(DimensionMismatchError, match="norm"):
+        channel_equiv(c, np.eye(4), input_states=[state])
+
+
+def test_nan_fidelity_is_never_equivalent():
+    c = _x_on_first_of_two()
+    res = channel_equiv(c, lambda v: np.full(4, np.nan), trials=2)
+    assert not res.equivalent
+    assert math.isnan(res.worst_fidelity)
+    assert res.branch_count == 2
+
+
+@pytest.mark.parametrize("state", [None, 0, np.int64(0), "", np.array([1.0])],
+                         ids=["none", "int", "np-int", "empty-string", "unit-vector"])
+def test_circuit_without_inputs_takes_every_input_form(state):
+    b = CircuitBuilder()
+    q = b.alloc0()
+    b.x(q)
+    b.output("q", (q,))
+    c = b.build()
+    assert np.allclose(run(c, state).final_state, [0, 1])
+    (branch,) = enumerate_branches(c, state)
+    assert np.allclose(branch.final_state, [0, 1])
+
+
+def test_circuit_without_inputs_rejects_a_wider_state():
+    c = CircuitBuilder().build()
+    with pytest.raises(DimensionMismatchError):
+        run(c, np.ones(2))
+    with pytest.raises(DimensionMismatchError):
+        enumerate_branches(c, np.ones(2))
+
+
+# -- differential tests against the moveaxis engine ----------------------------------
+
+
+def _outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the type of the exception it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as err:  # any type: the two engines must raise the same one
+        return type(err)
+
+
+def assert_engines_agree(circuit, state, seed):
+    new = _outcome(enumerate_branches, circuit, state)
+    old = _outcome(reference.enumerate_branches, circuit, state)
+    if isinstance(new, type) or isinstance(old, type):
+        assert new == old
+    else:
+        assert [b.outcomes for b in new] == [b.outcomes for b in old]
+        for got, want in zip(new, old):
+            assert abs(got.probability - want.probability) <= 1e-12
+            assert np.allclose(got.final_state, want.final_state, rtol=0, atol=1e-12)
+
+    new = _outcome(run, circuit, state, seed=seed)
+    old = _outcome(reference.run, circuit, state, seed=seed)
+    if isinstance(new, type) or isinstance(old, type):
+        assert new == old
+    else:
+        assert new.classbits == old.classbits
+        assert np.allclose(new.final_state, old.final_state, rtol=0, atol=1e-12)
+
+
+def _declare_live_outputs(c):
+    """``c`` with every qubit live at its end declared an output."""
+    live = list(c.input_qubits())
+    for instr in c.instructions:
+        if instr.op in (Op.ALLOC0, Op.ALLOCT):
+            live.append(instr.qubits[0])
+        elif instr.op is Op.RELEASE:
+            live.remove(instr.qubits[0])
+    return dataclasses.replace(c, outputs=(Register("live", tuple(live)),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["simulable", "free", "free-outputs"]),
+       st.booleans())
+def test_engine_agrees_with_moveaxis_reference(seed, kind, basis):
+    # "free" circuits also hold CCX and releases of unmeasured, entangled
+    # ancillae; without declared outputs their final extraction fails.
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, simulable=kind == "simulable")
+    if kind == "free-outputs":
+        c = _declare_live_outputs(c)
+    n_in = len(c.input_qubits())
+    state = int(rng.integers(1 << n_in)) if basis else random_state(n_in, rng)
+    assert_engines_agree(c, state, seed % 1000)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_constructions_agree_with_moveaxis_reference(name, n):
+    c = CONSTRUCTIONS[name].build(n)
+    rng = np.random.default_rng(n)
+    assert_engines_agree(c, random_state(len(c.input_qubits()), rng), n)
+
+
+@pytest.mark.parametrize("entangle_first", (False, True))
+def test_live_qubit_limit_agrees_with_moveaxis_reference(monkeypatch, entangle_first):
+    # The limit is checked when an allocation executes, so a failing release
+    # before it is reported first.
+    for module in (sim, reference):
+        monkeypatch.setattr(module, "MAX_LIVE_QUBITS", 2)
+    b = CircuitBuilder()
+    (q,) = b.register("q", 1)
+    if entangle_first:
+        anc = b.alloc0()
+        b.h(q)
+        b.cx(q, anc)
+        b.release(anc)
+    b.alloc0()
+    b.alloc0()
+    c = b.build()
+    expected = ReleaseEntangledError if entangle_first else SimulationError
+    assert _outcome(run, c, 0) is expected
+    assert_engines_agree(c, 0, 0)
