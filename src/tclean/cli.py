@@ -110,7 +110,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(f"crossover {n_star}\nhybrid_cutoff {cutoff}\n")
             return 0
     except (TextFormatError, OracleParseError, TooManyVariablesError, NoCrossoverError,
-            CircuitError, SimulationError, FileNotFoundError, ValueError) as exc:
+            CircuitError, SimulationError, OSError, ValueError) as exc:
         sys.stderr.write(f"tclean: {exc}\n")
         return 1
     raise AssertionError("unreachable")

@@ -19,8 +19,10 @@ take their input as checked and never check it again.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 
@@ -130,6 +132,11 @@ class Circuit:
             return tuple(q for reg in self.outputs for q in reg.qubits)
         return self.input_qubits()
 
+    @cached_property
+    def output_positions(self) -> dict[int, int]:
+        """Each output qubit's bit in an output basis index, computed once per circuit."""
+        return {q: j for j, q in enumerate(self.output_qubits())}
+
     def register(self, name: str) -> Register:
         for reg in self.inputs + self.outputs:
             if reg.name == name:
@@ -214,6 +221,8 @@ def validate(circuit: Circuit) -> Violation | None:
             return Violation(ViolationCode.BAD_ARITY, i, f"qubit index out of range in {instr.qubits}")
         if (instr.angle is not None) != (instr.op is Op.RZ):
             return Violation(ViolationCode.BAD_ARITY, i, "angle is required for rz and forbidden elsewhere")
+        if instr.angle is not None and not math.isfinite(instr.angle):
+            return Violation(ViolationCode.BAD_ARITY, i, f"rz angle must be finite, got {instr.angle}")
         if (instr.result is not None) != (instr.op in MEASUREMENTS):
             return Violation(ViolationCode.BAD_ARITY, i, "result bit is required for measurements only")
 

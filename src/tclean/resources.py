@@ -39,8 +39,13 @@ class CostModel:
     idle_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.t_state_volume <= 0 or self.ancilla_volume_per_depth <= 0 or self.idle_factor <= 0:
-            raise ValueError("cost model constants must be positive")
+        # An infinite |T> volume or idle factor is the free-ancilla limit, where
+        # hybrid_cutoff is infinite.  NaN fails every comparison, so `c > 0`
+        # rejects it along with nonpositive values.
+        constants = (self.t_state_volume, self.ancilla_volume_per_depth, self.idle_factor)
+        if not all(c > 0 for c in constants) or math.isinf(self.ancilla_volume_per_depth):
+            raise ValueError("cost model constants must be positive numbers, and the ancilla "
+                             f"volume finite; got {constants}")
 
     @property
     def cost_per_ancilla_depth(self) -> float:

@@ -1,19 +1,42 @@
-"""Dense statevector execution with mid-circuit measurement and feedback.
+"""Statevector execution with mid-circuit measurement and feedback, on two engines.
 
-The state is one flat, contiguous complex vector over the live qubits.  Each
-live qubit has a bit position in the vector's index, counted from the most
-significant bit.  The declared inputs hold the top bits, the last declared
-one the most significant, so an input vector is used as it is; allocation
-appends a qubit as the new least significant bit, and release drops a
-qubit's bit.  A gate works on a reshaped view of the vector with one size-2
-axis per gate qubit: qubits at positions p < r of an n-qubit state split it
-as ``(2^p, 2, 2^(r-p-1), 2, 2^(n-1-r))``.
+One executor runs a circuit on either of two state engines, and the form of
+the input state picks which:
 
-Lifetimes do not depend on measurement outcomes, so every instruction's bit
-positions, view shape and kernel are fixed once per call, before anything
-runs.  Measurements either sample from seeded pseudorandomness (:func:`run`)
-or fork the execution (:func:`enumerate_branches`), which is how gadget
-constructions are certified to be outcome-independent.
+* an amplitude array runs the dense engine (:class:`SimState`): one flat
+  complex vector over the live qubits, at most ``MAX_LIVE_QUBITS`` of them;
+* a basis index, a bit string, ``None`` (basis state 0) or a mapping
+  ``{basis index: amplitude}`` runs the sparse engine (:class:`SparseState`):
+  a dict from basis key to nonzero amplitude.  It has no qubit limit, and
+  raises :class:`SimulationError` rather than hold more than ``MAX_TERMS``
+  terms.  A mapping is normalised and rejected exactly as an array is.  On a
+  basis input the adders here hold one or two terms at every step, so they
+  run at thousands of qubits.
+
+Dense layout: each live qubit has a bit position in the vector's index,
+counted from the most significant bit.  The declared inputs hold the top
+bits, the last declared one the most significant, so an input vector is used
+as it is; allocation appends a qubit as the new least significant bit, and
+release drops a qubit's bit.  A gate works on a reshaped view of the vector
+with one size-2 axis per gate qubit: qubits at positions p < r of an n-qubit
+state split it as ``(2^p, 2, 2^(r-p-1), 2, 2^(n-1-r))``.
+
+Sparse layout: each live qubit owns one bit of every key, its slot, from
+allocation to release.  Input j holds bit j, so a basis index over the inputs
+is its own key.  Allocation reuses a freed slot and release clears its bit,
+so no other qubit is ever renumbered.
+
+Lifetimes do not depend on measurement outcomes, so every instruction's
+kernel and the kernel's arguments (view shape or slot masks) are fixed once
+per call, before anything runs.  Measurements either sample from seeded
+pseudorandomness (:func:`run`) or fork the execution
+(:func:`enumerate_branches`), which is how gadget constructions are certified
+to be outcome-independent.
+
+A result's ``final_state`` is a dense vector over the output qubits while
+they number at most ``MAX_LIVE_QUBITS``; a wider sparse result is a dict
+``{output basis index: amplitude}``.  :func:`channel_equiv` always runs
+dense, because its ideal maps are dense.
 
 Conventions: basis index bit ``j`` is the value of the ``j``-th qubit in the
 declared register order (little-endian), and the T-resource state is
@@ -25,18 +48,25 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .ir import Circuit, Instruction, MEASUREMENTS, Op
+from .ir import Circuit, Instruction, Op
 
 #: Dense simulation is exact but exponential; keep acceptance checks under this.
 MAX_LIVE_QUBITS = 26
+#: Most terms the sparse engine holds.  A term (dict slot, int key, complex
+#: value) takes about 120 bytes, eight dense amplitudes, so a full sparse
+#: state weighs about what a dense one does at ``MAX_LIVE_QUBITS``.
+MAX_TERMS = 1 << (MAX_LIVE_QUBITS - 3)
 
 _NORM_TOL = 1e-12
 _ZERO_TOL = 1e-9
 _BRANCH_EPS = 1e-12
+#: Sparse amplitudes at or below this after a cancelling kernel are rounding
+#: residue where the exact value is zero, and are dropped.
+_PRUNE_TOL = 1e-13
 
 T_STATE = np.array([1.0, cmath.exp(1j * math.pi / 4)], dtype=complex) / math.sqrt(2)
 ZERO_STATE = np.array([1.0, 0.0], dtype=complex)
@@ -97,8 +127,95 @@ def _sqnorm(amps: np.ndarray) -> float:
     return float(np.vdot(amps, amps).real)
 
 
+def _release_keep(q: int, n0: float, n1: float, just_measured: set[int]) -> int:
+    """Which value of a released qubit survives, given each value's squared norm."""
+    if q in just_measured:
+        # After a projective measurement the off-outcome half is exactly zero.
+        return 0 if n0 >= n1 else 1
+    if math.sqrt(n1) > _ZERO_TOL:
+        raise ReleaseEntangledError(f"qubit {q} released while not |0> and not just measured")
+    return 0
+
+
+# -- dense engine -----------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=4096)
+def _geometry(n: int, where: tuple[int, ...]) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
+    """How kernels see the qubits at bit positions `where` of an n-qubit state.
+
+    Returns the view shape with one size-2 axis per qubit (positions p < r
+    give ``(2^p, 2, 2^(r-p-1), 2, 2^(n-1-r))``); the index of the slab where
+    every one of the qubits is 1; the index of the slab where every qubit but
+    the last is 1; and the index reversing the last qubit's axis in that slab.
+    """
+    cuts = sorted(where)
+    shape: list[int] = []
+    prev = -1
+    for p in cuts:
+        shape += (1 << (p - prev - 1), 2)
+        prev = p
+    shape.append(1 << (n - 1 - prev))
+    axes = [2 * cuts.index(p) + 1 for p in where]
+    *controls, target = axes
+    reduced = target - sum(a < target for a in controls)
+    return tuple(shape), _select(axes), _select(controls), (_ALL,) * reduced + (_FLIP,)
+
+
+def _select(axes: Sequence[int]) -> tuple:
+    """Index tuple picking value 1 on each of `axes` and everything elsewhere."""
+    index = [_ALL] * (max(axes, default=-1) + 1)
+    for axis in axes:
+        index[axis] = 1
+    return tuple(index)
+
+
+class _DenseLayout:
+    """Each live qubit's bit position in the dense vector, while a circuit compiles.
+
+    Every method returns the kernel arguments for one instruction.  A release
+    renumbers the qubits after it, which is cheap at ``MAX_LIVE_QUBITS``.
+    """
+
+    def __init__(self, inputs: Sequence[int]) -> None:
+        # Input j at position n_in - 1 - j, so the input vector needs no reordering.
+        self.pos = {q: len(inputs) - 1 - j for j, q in enumerate(inputs)}
+
+    @property
+    def overflowed(self) -> bool:
+        """More qubits live than the engine holds: no later instruction runs."""
+        return len(self.pos) > MAX_LIVE_QUBITS
+
+    def _geometry(self, qubits: Sequence[int]) -> tuple:
+        return _geometry(len(self.pos), tuple([self.pos[q] for q in qubits]))
+
+    def alloc(self, q: int, vec: np.ndarray) -> tuple:
+        self.pos[q] = len(self.pos)
+        return (vec,)
+
+    def release(self, q: int) -> tuple:
+        args = self.axis(q) + (q,)
+        gone = self.pos.pop(q)
+        self.pos = {r: p - (p > gone) for r, p in self.pos.items()}
+        return args
+
+    def axis(self, q: int) -> tuple:
+        return (self._geometry((q,))[0],)
+
+    def flip(self, qubits: Sequence[int]) -> tuple:
+        shape, _, controls, flip = self._geometry(qubits)
+        return shape, controls, flip
+
+    def phase(self, qubits: Sequence[int], phase: complex) -> tuple:
+        shape, ones, _, _ = self._geometry(qubits)
+        return shape, ones, phase
+
+    def final(self) -> dict[int, int]:
+        return self.pos
+
+
 class SimState:
-    """One execution's state: a flat amplitude vector, classical bits and weight.
+    """One dense execution's state: a flat amplitude vector, classical bits and weight.
 
     ``amps`` is always a contiguous 1-D vector of 2^n amplitudes over the n
     live qubits.  The qubit at bit position p, counted from the most
@@ -109,6 +226,7 @@ class SimState:
     """
 
     __slots__ = ("amps", "classbits", "weight", "_just_measured")
+    layout = _DenseLayout
 
     def __init__(self, amps: np.ndarray) -> None:
         self.amps = np.array(amps, dtype=complex)  # a copy: kernels write in place
@@ -128,20 +246,16 @@ class SimState:
 
     def alloc(self, vec: np.ndarray) -> None:
         """Append a qubit in state ``vec`` as the least significant bit."""
+        if self.amps.size >> MAX_LIVE_QUBITS:
+            raise SimulationError(f"more than {MAX_LIVE_QUBITS} live qubits")
         self.amps = np.multiply.outer(self.amps, vec).reshape(-1)
 
     def release(self, shape: tuple[int, ...], q: int) -> None:
         """Drop qubit q, split out as axis 1 of ``shape``."""
         view = self.amps.reshape(shape)
-        n0, n1 = _sqnorm(view[:, 0]), _sqnorm(view[:, 1])
-        if q in self._just_measured:
-            # After a projective measurement the off-outcome half is exactly zero.
-            keep = 0 if n0 >= n1 else 1
-        elif math.sqrt(n1) > _ZERO_TOL:
-            raise ReleaseEntangledError(f"qubit {q} released while not |0> and not just measured")
-        else:
-            keep = 0
-        self.amps = (view[:, keep] / math.sqrt((n0, n1)[keep])).reshape(-1)
+        norms = _sqnorm(view[:, 0]), _sqnorm(view[:, 1])
+        keep = _release_keep(q, *norms, self._just_measured)
+        self.amps = (view[:, keep] / math.sqrt(norms[keep])).reshape(-1)
 
     # -- gates ----------------------------------------------------------------
 
@@ -182,6 +296,27 @@ class SimState:
         self.weight *= prob
         self._just_measured.add(q)
 
+    def prob_one_x(self, shape: tuple[int, ...]) -> float:
+        """Probability of |->: half the squared norm of the halves' difference."""
+        view = self.amps.reshape(shape)
+        return _sqnorm(view[:, 0] - view[:, 1]) / 2
+
+    def project_x(self, shape: tuple[int, ...], q: int, outcome: int, prob: float) -> None:
+        """Project onto |+> (outcome 0) or |-> (1): both halves become (a0 +- a1)/2, signed."""
+        view = self.amps.reshape(shape)
+        a0, a1 = view[:, 0], view[:, 1]
+        if outcome:
+            a0 -= a1
+        else:
+            a0 += a1
+        a0 *= 0.5 / math.sqrt(prob)
+        if outcome:
+            np.negative(a0, out=a1)
+        else:
+            a1[...] = a0
+        self.weight *= prob
+        self._just_measured.add(q)
+
     # -- extraction ---------------------------------------------------------------
 
     def norm(self) -> float:
@@ -193,111 +328,311 @@ class SimState:
         ``pos`` gives each live qubit's bit position, counted from the most
         significant bit.
         """
-        if set(qubits) != set(pos):
-            missing = set(qubits) ^ set(pos)
-            raise SimulationError(f"live qubits do not match requested ones: {sorted(missing)}")
+        _check_live(pos, qubits)
         order = [pos[q] for q in reversed(qubits)]
         return np.transpose(self.amps.reshape((2,) * len(pos)), order).reshape(-1).copy()
 
 
-def _over_limit(state: SimState) -> None:
-    raise SimulationError(f"more than {MAX_LIVE_QUBITS} live qubits")
+def _check_live(live: dict[int, int], qubits: Sequence[int]) -> None:
+    if set(qubits) != set(live):
+        missing = set(qubits) ^ set(live)
+        raise SimulationError(f"live qubits do not match requested ones: {sorted(missing)}")
 
 
-class _Step(NamedTuple):
-    """One instruction with its kernel and the kernel's arguments."""
+# -- sparse engine ----------------------------------------------------------------
 
-    instr: Instruction
-    kernel: Callable[..., None] | None  # None for a measurement; the executor runs it
-    args: tuple
+
+class _SparseLayout:
+    """Each live qubit's slot, its bit in every sparse key, while a circuit compiles.
+
+    Every method returns the kernel arguments for one instruction.  Input j
+    holds slot j.  An allocation takes the slot freed last, or a new one, so
+    keys stay as wide as the most qubits live at once; a release frees its
+    slot and moves no other qubit.  ``bit`` maps each live qubit to
+    ``1 << slot``.
+    """
+
+    overflowed = False
+
+    def __init__(self, inputs: Sequence[int]) -> None:
+        self.bit = {q: 1 << j for j, q in enumerate(inputs)}
+        self.free: list[int] = []
+
+    def alloc(self, q: int, vec: np.ndarray) -> tuple:
+        # With no free slot, every slot made so far is live.
+        self.bit[q] = self.free.pop() if self.free else 1 << len(self.bit)
+        return tuple(vec.tolist()), self.bit[q]
+
+    def release(self, q: int) -> tuple:
+        self.free.append(self.bit.pop(q))
+        return self.free[-1], q
+
+    def axis(self, q: int) -> tuple:
+        return (self.bit[q],)
+
+    def flip(self, qubits: Sequence[int]) -> tuple:
+        bit = self.bit
+        controls = 0
+        for q in qubits[:-1]:
+            controls |= bit[q]
+        return controls, bit[qubits[-1]]
+
+    def phase(self, qubits: Sequence[int], phase: complex) -> tuple:
+        bit = self.bit
+        mask = 0
+        for q in qubits:
+            mask |= bit[q]
+        return mask, phase
+
+    def final(self) -> dict[int, int]:
+        return {q: b.bit_length() - 1 for q, b in self.bit.items()}
+
+
+def _capped(terms: dict[int, complex]) -> dict[int, complex]:
+    if len(terms) > MAX_TERMS:
+        raise SimulationError(f"more than {MAX_TERMS} sparse terms")
+    return terms
+
+
+def _gather(slots: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(source slot, width mask, destination bit) for each run of consecutive slots
+    that lands on consecutive output bits, so a key maps to its index run by run."""
+    runs = []
+    start = 0
+    for j in range(1, len(slots) + 1):
+        if j == len(slots) or slots[j] != slots[j - 1] + 1:
+            runs.append((slots[start], (1 << (j - start)) - 1, start))
+            start = j
+    return runs
+
+
+class SparseState:
+    """One sparse execution's state: nonzero terms key -> amplitude, classical bits and weight.
+
+    Bit s of a key is the value of the qubit in slot s.  The slots live in
+    the compiled program (:class:`_SparseLayout`): every kernel gets the
+    bit masks it works on as arguments.  Kernels that can cancel amplitudes
+    (H and the X-basis projection) drop what is left at or below
+    ``_PRUNE_TOL``, so ``terms`` holds the state's support and no rounding
+    residue.  Single owner: :meth:`copy` before handing it to a second branch.
+    """
+
+    __slots__ = ("terms", "classbits", "weight", "_just_measured")
+    layout = _SparseLayout
+
+    def __init__(self, terms: Mapping[int, complex]) -> None:
+        self.terms = dict(terms)
+        self.classbits: dict[int, int] = {}
+        self.weight = 1.0
+        self._just_measured: set[int] = set()
+
+    def copy(self) -> "SparseState":
+        dup = SparseState.__new__(SparseState)
+        dup.terms = dict(self.terms)
+        dup.classbits = dict(self.classbits)
+        dup.weight = self.weight
+        dup._just_measured = set(self._just_measured)
+        return dup
+
+    # -- lifetime -------------------------------------------------------------
+
+    def alloc(self, vec: tuple[complex, complex], bit: int) -> None:
+        """Put the qubit whose slot is ``bit`` (clear in every key) in state ``vec``."""
+        v0, v1 = vec
+        terms = {k: a * v0 for k, a in self.terms.items()}
+        if v1:  # |T>; |0> adds no term
+            terms.update({k | bit: a * v1 for k, a in self.terms.items()})
+        self.terms = _capped(terms)
+
+    def release(self, bit: int, q: int) -> None:
+        """Drop qubit q, whose slot is ``bit``, and clear that bit in every key."""
+        n0 = n1 = 0.0
+        for k, a in self.terms.items():
+            if k & bit:
+                n1 += a.real * a.real + a.imag * a.imag
+            else:
+                n0 += a.real * a.real + a.imag * a.imag
+        keep = _release_keep(q, n0, n1, self._just_measured)
+        scale = math.sqrt(n1 if keep else n0)
+        want = bit if keep else 0
+        self.terms = {k ^ want: a / scale for k, a in self.terms.items() if k & bit == want}
+
+    # -- gates ----------------------------------------------------------------
+
+    def flip(self, controls: int, target: int) -> None:
+        """Flip bit ``target`` of every key holding all of ``controls`` (X, CX, CCX)."""
+        self.terms = {(k ^ target if k & controls == controls else k): a
+                      for k, a in self.terms.items()}
+
+    def phase(self, mask: int, phase: complex) -> None:
+        """Multiply every term whose key holds all of ``mask`` (diagonal gates, CZ)."""
+        terms = self.terms
+        for k, a in terms.items():
+            if k & mask == mask:
+                terms[k] = a * phase  # same keys: safe while iterating
+
+    def h(self, bit: int) -> None:
+        """Hadamard on the qubit whose slot is ``bit``."""
+        terms = self.terms
+        out = {}
+        for k, a in terms.items():
+            if k & bit:
+                k0 = k ^ bit
+                if k0 in terms:
+                    continue  # done with its partner
+                a0, a1 = 0, a
+            else:
+                k0, a0, a1 = k, a, terms.get(k | bit, 0)
+            s, d = (a0 + a1) * _SQ, (a0 - a1) * _SQ
+            if abs(s) > _PRUNE_TOL:
+                out[k0] = s
+            if abs(d) > _PRUNE_TOL:
+                out[k0 | bit] = d
+        self.terms = _capped(out)
+
+    def y(self, bit: int) -> None:
+        """Pauli Y on the qubit whose slot is ``bit``: |0> -> i|1>, |1> -> -i|0>."""
+        self.terms = {k ^ bit: a * (-1j if k & bit else 1j) for k, a in self.terms.items()}
+
+    # -- measurement ------------------------------------------------------------
+
+    def prob_one(self, bit: int) -> float:
+        return sum(a.real * a.real + a.imag * a.imag for k, a in self.terms.items() if k & bit)
+
+    def project(self, bit: int, q: int, outcome: int, prob: float) -> None:
+        want = bit if outcome else 0
+        scale = math.sqrt(prob)
+        self.terms = {k: a / scale for k, a in self.terms.items() if k & bit == want}
+        self.weight *= prob
+        self._just_measured.add(q)
+
+    def _pairs(self, bit: int):
+        """Each (key with ``bit`` clear, its amplitude, its partner's amplitude) once."""
+        terms = self.terms
+        for k, a in terms.items():
+            if k & bit:
+                if k ^ bit not in terms:
+                    yield k ^ bit, 0, a
+            else:
+                yield k, a, terms.get(k | bit, 0)
+
+    def prob_one_x(self, bit: int) -> float:
+        """Probability of |->: half the squared norm of the halves' difference."""
+        total = 0.0
+        for _, a0, a1 in self._pairs(bit):
+            d = a0 - a1
+            total += d.real * d.real + d.imag * d.imag
+        return total / 2
+
+    def project_x(self, bit: int, q: int, outcome: int, prob: float) -> None:
+        """Project onto |+> (outcome 0) or |-> (1): both halves become (a0 +- a1)/2, signed."""
+        scale = 0.5 / math.sqrt(prob)
+        out = {}
+        for k0, a0, a1 in self._pairs(bit):
+            v = ((a0 - a1) if outcome else (a0 + a1)) * scale
+            if abs(v) > _PRUNE_TOL:
+                out[k0] = v
+                out[k0 | bit] = -v if outcome else v
+        self.terms = _capped(out)
+        self.weight *= prob
+        self._just_measured.add(q)
+
+    # -- extraction ---------------------------------------------------------------
+
+    def norm(self) -> float:
+        return math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in self.terms.values()))
+
+    def extract(self, slots: dict[int, int],
+                qubits: Sequence[int]) -> np.ndarray | dict[int, complex]:
+        """State over `qubits` (little-endian), which must be all live qubits.
+
+        A dense vector up to ``MAX_LIVE_QUBITS`` qubits, else a dict
+        ``{index: amplitude}``.  ``slots`` gives each live qubit's slot.
+        """
+        _check_live(slots, qubits)
+        runs = _gather([slots[q] for q in qubits])
+        out = {}
+        for k, a in self.terms.items():
+            index = 0
+            for src, mask, dst in runs:
+                index |= ((k >> src) & mask) << dst
+            out[index] = a
+        if len(qubits) > MAX_LIVE_QUBITS:
+            return out
+        vec = np.zeros(1 << len(qubits), dtype=complex)
+        vec[list(out)] = list(out.values())
+        return vec
+
+
+# -- the executor -----------------------------------------------------------------
+
+Engine = Union[type[SimState], type[SparseState]]
+State = Union[SimState, SparseState]
+
+
+#: One instruction with its kernel and the kernel's arguments; the kernel is
+#: None for a measurement, which the executor runs.  A plain tuple: a circuit
+#: compiles one per instruction.
+_Step = tuple[Instruction, Union[Callable[..., None], None], tuple]
 
 
 class _Program(NamedTuple):
-    """A circuit compiled for one call: its steps and the layout they end in."""
+    """A circuit compiled for one call on one engine: its steps and the layout they end in."""
 
+    engine: Engine
     steps: tuple[_Step, ...]
-    final: dict[int, int]  # bit position of every qubit live at the end
+    final: dict[int, int]  # where every qubit live at the end sits: bit position or slot
     outputs: tuple[int, ...]
     measurements: int
 
 
-def _select(axes: Sequence[int]) -> tuple:
-    """Index tuple picking value 1 on each of `axes` and everything elsewhere."""
-    index = [_ALL] * (max(axes, default=-1) + 1)
-    for axis in axes:
-        index[axis] = 1
-    return tuple(index)
+#: What each op does, as :func:`_compile` dispatches on it.
+_KIND: dict[Op, str] = {op: "flip" for op in _FLIPS}
+_KIND.update({op: "phase" for op in _PHASES})
+_KIND.update({Op.ALLOC0: "alloc", Op.ALLOCT: "alloc", Op.RELEASE: "release", Op.MZ: "measure",
+              Op.MX: "measure", Op.RZ: "rz", Op.H: "h", Op.Y: "y"})
 
 
-@functools.lru_cache(maxsize=4096)
-def _geometry(n: int, where: tuple[int, ...]) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
-    """How kernels see the qubits at bit positions `where` of an n-qubit state.
-
-    Returns the view shape with one size-2 axis per qubit (positions p < r
-    give ``(2^p, 2, 2^(r-p-1), 2, 2^(n-1-r))``); the index of the slab where
-    every one of the qubits is 1; the index of the slab where every qubit but
-    the last is 1; and the index reversing the last qubit's axis in that slab.
-    """
-    cuts = sorted(where)
-    shape: list[int] = []
-    prev = -1
-    for p in cuts:
-        shape += (1 << (p - prev - 1), 2)
-        prev = p
-    shape.append(1 << (n - 1 - prev))
-    axes = [2 * cuts.index(p) + 1 for p in where]
-    *controls, target = axes
-    reduced = target - sum(a < target for a in controls)
-    return tuple(shape), _select(axes), _select(controls), (_ALL,) * reduced + (_FLIP,)
-
-
-def _compile(circuit: Circuit) -> _Program:
-    """Pick every instruction's kernel and fix its view shape, once per call.
-
-    Inputs take the most significant bits, input j at position n_in - 1 - j,
-    so the input vector needs no reordering.
-    """
-    inputs = circuit.input_qubits()
-    pos = {q: len(inputs) - 1 - j for j, q in enumerate(inputs)}
+def _compile(circuit: Circuit, engine: Engine) -> _Program:
+    """Pick every instruction's kernel and fix its arguments, once per call."""
+    layout = engine.layout(circuit.input_qubits())
     steps = []
     for instr in circuit.instructions:
-        if len(pos) > MAX_LIVE_QUBITS:
-            break  # nothing past here runs: the input check or an over-limit step raises first
+        if layout.overflowed:
+            break  # nothing past here runs: the input check or an over-limit alloc raises first
         op, qubits = instr.op, instr.qubits
-        if op is Op.ALLOC0 or op is Op.ALLOCT:
-            if len(pos) >= MAX_LIVE_QUBITS:
-                kernel, args = _over_limit, ()
-            else:
-                kernel, args = SimState.alloc, (ZERO_STATE if op is Op.ALLOC0 else T_STATE,)
-            pos[qubits[0]] = len(pos)
+        kind = _KIND[op]
+        if kind == "flip":
+            kernel, args = engine.flip, layout.flip(qubits)
+        elif kind == "phase":
+            kernel, args = engine.phase, layout.phase(qubits, _PHASES[op])
+        elif kind == "alloc":
+            kernel = engine.alloc
+            args = layout.alloc(qubits[0], ZERO_STATE if op is Op.ALLOC0 else T_STATE)
+        elif kind == "release":
+            kernel, args = engine.release, layout.release(qubits[0])
+        elif kind == "measure":
+            kernel, args = None, layout.axis(qubits[0])
+        elif kind == "rz":
+            kernel, args = engine.phase, layout.phase(qubits, cmath.exp(1j * instr.angle))
+        elif kind == "h":
+            kernel, args = engine.h, layout.axis(qubits[0])
         else:
-            shape, ones, controls, flip = _geometry(len(pos), tuple([pos[q] for q in qubits]))
-            if op is Op.RELEASE:
-                kernel, args = SimState.release, (shape, qubits[0])
-                gone = pos.pop(qubits[0])
-                pos = {q: p - (p > gone) for q, p in pos.items()}
-            elif op in MEASUREMENTS:
-                kernel, args = None, (shape,)
-            elif op in _FLIPS:
-                kernel, args = SimState.flip, (shape, controls, flip)
-            elif op in _PHASES:
-                kernel, args = SimState.phase, (shape, ones, _PHASES[op])
-            elif op is Op.RZ:
-                kernel, args = SimState.phase, (shape, ones, cmath.exp(1j * instr.angle))
-            elif op is Op.H:
-                kernel, args = SimState.h, (shape,)
-            else:
-                kernel, args = SimState.y, (shape,)
-        steps.append(_Step(instr, kernel, args))
-    measurements = sum(instr.op in MEASUREMENTS for instr in circuit.instructions)
-    return _Program(tuple(steps), pos, circuit.output_qubits(), measurements)
+            kernel, args = engine.y, layout.axis(qubits[0])
+        steps.append((instr, kernel, args))
+    # A valid circuit gives a result bit to its measurements and nothing else.
+    measurements = sum(instr.result is not None for instr in circuit.instructions)
+    return _Program(engine, tuple(steps), layout.final(), circuit.output_qubits(), measurements)
+
+
+FinalState = Union[np.ndarray, dict[int, complex]]
 
 
 @dataclass(frozen=True)
 class BranchResult:
     outcomes: tuple[tuple[int, int], ...]  # sorted (classbit, value) pairs
     probability: float
-    final_state: np.ndarray
+    final_state: FinalState
 
     def outcome_of(self, bit: int) -> int:
         return dict(self.outcomes)[bit]
@@ -305,8 +640,11 @@ class BranchResult:
 
 @dataclass(frozen=True)
 class RunResult:
-    final_state: np.ndarray
+    final_state: FinalState
     classbits: dict[int, int]
+
+
+InputState = Union[np.ndarray, Sequence[complex], Mapping[int, complex], str, int, None]
 
 
 def input_width(circuit: Circuit) -> int:
@@ -320,38 +658,71 @@ def input_width(circuit: Circuit) -> int:
     return n_in
 
 
-def _input_vector(circuit: Circuit, state: np.ndarray | str | int | None) -> np.ndarray:
-    """The input as a unit vector over the declared inputs (dimension 1 when there are none).
-
-    A basis index, a bit string (qubit j is character j) or amplitudes; raises
-    DimensionMismatchError on a wrong size or a zero or non-finite norm.
-    """
-    n_in = input_width(circuit)
-    dim = 1 << n_in
-    if state is None:
-        state = 0
+def _basis_key(state: str | int, n_in: int) -> int:
+    """A basis index, or a bit string (qubit j is character j), checked against n_in qubits."""
     if isinstance(state, str):
         if len(state) != n_in or any(ch not in "01" for ch in state):
             raise DimensionMismatchError(f"basis string must be {n_in} bits of 0/1")
-        state = sum(1 << j for j, ch in enumerate(state) if ch == "1")
-    if isinstance(state, (int, np.integer)):
-        if not 0 <= state < dim:
-            raise DimensionMismatchError(f"basis index {state} out of range for {n_in} qubits")
+        return int(state[::-1] or "0", 2)
+    if not 0 <= state < 1 << n_in:
+        raise DimensionMismatchError(f"basis index {state} out of range for {n_in} qubits")
+    return int(state)
+
+
+def _checked_norm(norm: float) -> float:
+    if not (math.isfinite(norm) and norm > 0):
+        raise DimensionMismatchError(f"input state has norm {norm}; it must be finite and nonzero")
+    return norm
+
+
+def _input_vector(circuit: Circuit, state: InputState) -> np.ndarray:
+    """The input as a unit vector over the declared inputs (dimension 1 when there are none).
+
+    A basis index, a bit string or amplitudes; raises DimensionMismatchError
+    on a wrong size or a zero or non-finite norm.
+    """
+    n_in = input_width(circuit)
+    dim = 1 << n_in
+    if state is None or isinstance(state, (str, int, np.integer)):
         vec = np.zeros(dim, dtype=complex)
-        vec[state] = 1.0
+        vec[_basis_key(0 if state is None else state, n_in)] = 1.0
         return vec
     vec = np.asarray(state, dtype=complex).reshape(-1)
     if vec.shape[0] != dim:
         raise DimensionMismatchError(f"input dimension {vec.shape[0]} != 2^{n_in}")
-    norm = float(np.linalg.norm(vec))
-    if not (math.isfinite(norm) and norm > 0):
-        raise DimensionMismatchError(f"input state has norm {norm}; it must be finite and nonzero")
+    norm = _checked_norm(float(np.linalg.norm(vec)))
     if abs(norm - 1.0) > 1e-6:
         vec = vec / norm
     return vec
 
 
-def _advance(state: SimState, steps: Sequence[_Step], i: int, check_norm: bool = False) -> int:
+def _input_terms(circuit: Circuit, state: Mapping[int, complex] | str | int | None
+                 ) -> dict[int, complex]:
+    """The input as unit-norm sparse terms over the declared inputs, rejected as
+    :func:`_input_vector` rejects arrays: a key out of range stands for a wrong size."""
+    n_in = len(circuit.input_qubits())
+    if not isinstance(state, Mapping):
+        return {_basis_key(0 if state is None else state, n_in): 1 + 0j}
+    terms = {}
+    for key, amp in state.items():
+        if not isinstance(key, (int, np.integer)) or not 0 <= key < 1 << n_in:
+            raise DimensionMismatchError(f"basis index {key!r} out of range for {n_in} qubits")
+        if amp:
+            terms[int(key)] = complex(amp)
+    norm = _checked_norm(math.hypot(*map(abs, terms.values())))
+    if abs(norm - 1.0) > 1e-6:
+        terms = {k: a / norm for k, a in terms.items()}
+    return _capped(terms)
+
+
+def _engine(input_state: InputState) -> tuple[Engine, Callable]:
+    """The engine the input's form picks, and the reader of its initial state."""
+    if input_state is None or isinstance(input_state, (int, np.integer, str, Mapping)):
+        return SparseState, _input_terms
+    return SimState, _input_vector
+
+
+def _advance(state: State, steps: Sequence[_Step], i: int, check_norm: bool = False) -> int:
     """Execute steps from i up to the next measurement; return its index (or len(steps)).
 
     An executed instruction ends the just-measured state of its qubits.
@@ -370,28 +741,29 @@ def _advance(state: SimState, steps: Sequence[_Step], i: int, check_norm: bool =
     return i
 
 
-def _check_norm(state: SimState, instr: Instruction) -> None:
+def _check_norm(state: State, instr: Instruction) -> None:
     if abs(state.norm() - 1.0) > _NORM_TOL:
         raise SimulationError(f"norm drifted to {state.norm()!r} after {instr.op.value}")
 
 
-def _finish(state: SimState, instr: Instruction, shape: tuple[int, ...], outcome: int,
-            prob: float) -> None:
-    """Project onto ``outcome``, undo MX's basis change and record the bit."""
-    q = instr.qubits[0]
-    state.project(shape, q, outcome, prob)
-    if instr.op is Op.MX:
-        state.h(shape)
+def _prob_one(state: State, step: _Step) -> float:
+    """Probability of outcome 1; MX measures in the X basis."""
+    instr, _, args = step
+    return (state.prob_one_x if instr.op is Op.MX else state.prob_one)(*args)
+
+
+def _finish(state: State, step: _Step, outcome: int, prob: float) -> None:
+    """Project onto ``outcome`` in the measurement's basis and record the bit."""
+    instr, _, args = step
+    project = state.project_x if instr.op is Op.MX else state.project
+    project(*args, instr.qubits[0], outcome, prob)
     state.classbits[instr.result] = outcome
 
 
-def _measure(state: SimState, step: _Step, outcome: int | None,
+def _measure(state: State, step: _Step, outcome: int | None,
              rng: np.random.Generator | None) -> None:
-    """Projective measurement; MX measures in the X basis via H conjugation."""
-    instr, _, (shape,) = step
-    if instr.op is Op.MX:
-        state.h(shape)
-    p1 = state.prob_one(shape)
+    """Projective measurement, forced, drawn from ``rng`` or (without one) the likelier outcome."""
+    p1 = _prob_one(state, step)
     if outcome is None:
         if rng is None:
             outcome = int(p1 >= 0.5)  # deterministic tie-break for seedless runs
@@ -399,36 +771,33 @@ def _measure(state: SimState, step: _Step, outcome: int | None,
             outcome = int(rng.random() < p1)
     prob = p1 if outcome == 1 else 1.0 - p1
     if prob <= _BRANCH_EPS:
-        raise SimulationError(f"forced outcome {outcome} for c{instr.result} has probability 0")
-    _finish(state, instr, shape, outcome, prob)
+        raise SimulationError(f"forced outcome {outcome} for c{step[0].result} has probability 0")
+    _finish(state, step, outcome, prob)
 
 
-def _fork(state: SimState, step: _Step) -> list[SimState]:
+def _fork(state: State, step: _Step) -> list[State]:
     """One state per outcome of nonzero probability, in outcome order.
 
     The last one is ``state`` itself, so a measurement copies the state at
     most once.
     """
-    instr, _, (shape,) = step
-    if instr.op is Op.MX:
-        state.h(shape)
-    p1 = state.prob_one(shape)
+    p1 = _prob_one(state, step)
     # Skip exactly the outcomes a forced run() rejects (probability <= eps).
     outcomes = [(o, p) for o, p in ((0, 1.0 - p1), (1, p1)) if not p <= _BRANCH_EPS]
     forks = [state.copy() for _ in outcomes[1:]] + [state]
     for branch, (outcome, prob) in zip(forks, outcomes):
-        _finish(branch, instr, shape, outcome, prob)
+        _finish(branch, step, outcome, prob)
     return forks
 
 
-def _sample(program: _Program, vec: np.ndarray, rng: np.random.Generator | None,
+def _sample(program: _Program, initial, rng: np.random.Generator | None,
             force: dict[int, int] | None, check_norm: bool) -> RunResult:
-    """One execution of ``program`` on ``vec``, as :func:`run` describes it."""
-    state = SimState(vec)
+    """One execution of ``program`` from ``initial``, as :func:`run` describes it."""
+    state = program.engine(initial)
     steps = program.steps
     i = _advance(state, steps, 0, check_norm)
     while i < len(steps):
-        instr = steps[i].instr
+        instr = steps[i][0]
         _measure(state, steps[i], force.get(instr.result) if force else None, rng)
         if check_norm:
             _check_norm(state, instr)
@@ -442,11 +811,11 @@ def _check_bound(program: _Program, max_measurements: int) -> None:
             f"{program.measurements} measurements exceeds bound {max_measurements}")
 
 
-def _branches(program: _Program, vec: np.ndarray) -> list[BranchResult]:
-    """Every branch of ``program`` on ``vec``, as :func:`enumerate_branches` describes them."""
+def _branches(program: _Program, initial) -> list[BranchResult]:
+    """Every branch of ``program`` from ``initial``, as :func:`enumerate_branches` describes them."""
     steps = program.steps
     results: list[BranchResult] = []
-    stack: list[tuple[SimState, int]] = [(SimState(vec), 0)]
+    stack: list[tuple[State, int]] = [(program.engine(initial), 0)]
     while stack:
         state, i = stack.pop()
         i = _advance(state, steps, i)
@@ -460,7 +829,7 @@ def _branches(program: _Program, vec: np.ndarray) -> list[BranchResult]:
     return results
 
 
-def run(circuit: Circuit, input_state: np.ndarray | str | int | None = None, *,
+def run(circuit: Circuit, input_state: InputState = None, *,
         seed: int | None = 0, force: dict[int, int] | None = None,
         check_norm: bool = False) -> RunResult:
     """Execute the circuit once, sampling measurements from `seed`.
@@ -470,20 +839,22 @@ def run(circuit: Circuit, input_state: np.ndarray | str | int | None = None, *,
     `check_norm` asserts unit norm after every instruction.
     """
     rng = np.random.default_rng(seed) if seed is not None else None
-    vec = _input_vector(circuit, input_state)
-    return _sample(_compile(circuit), vec, rng, force, check_norm)
+    engine, read = _engine(input_state)
+    initial = read(circuit, input_state)
+    return _sample(_compile(circuit, engine), initial, rng, force, check_norm)
 
 
-def enumerate_branches(circuit: Circuit, input_state: np.ndarray | str | int | None = None,
+def enumerate_branches(circuit: Circuit, input_state: InputState = None,
                        *, max_measurements: int = 16) -> list[BranchResult]:
     """All reachable measurement branches, by projection and renormalization.
 
     Zero-probability branches are omitted; the returned probabilities sum
     to 1.  Results are sorted by outcome assignment.
     """
-    program = _compile(circuit)
+    engine, read = _engine(input_state)
+    program = _compile(circuit, engine)
     _check_bound(program, max_measurements)
-    return _branches(program, _input_vector(circuit, input_state))
+    return _branches(program, read(circuit, input_state))
 
 
 # -- equivalence checking -------------------------------------------------------
@@ -556,7 +927,7 @@ def channel_equiv(circuit: Circuit, ideal: IdealMap | np.ndarray, *, trials: int
     if input_states is None:
         input_states = [random_state(n_in, rng) for _ in range(trials)]
 
-    program = _compile(circuit)
+    program = _compile(circuit, SimState)
     fidelities: list[float] = []
     for state in input_states:
         vec = _input_vector(circuit, state)
@@ -595,8 +966,7 @@ def register_basis(circuit: Circuit, values: dict[str, int]) -> int:
 
 def decode_register(circuit: Circuit, basis_index: int, name: str) -> int:
     """Read one output register's integer value out of an output basis index."""
-    outputs = circuit.output_qubits()
-    pos_of = {q: j for j, q in enumerate(outputs)}
+    pos_of = circuit.output_positions
     value = 0
     for bit, q in enumerate(circuit.register(name).qubits):
         value |= ((basis_index >> pos_of[q]) & 1) << bit

@@ -183,6 +183,20 @@ def test_missing_file_is_failure_not_crash():
 
 
 @pytest.mark.parametrize("command", ["count", "rewrite"])
+def test_unreadable_path_fails_with_one_line(tmp_path, command):
+    code, out, err = run_cli([command, "--in", str(tmp_path)])  # a directory
+    assert (code, out) == (1, "")
+    assert err.startswith("tclean: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--t-volume", "--idle-factor"])
+def test_crossover_rejects_nan(flag):
+    code, out, err = run_cli(["crossover", flag, "nan"])
+    assert (code, out) == (1, "")
+    assert err.startswith("tclean: cost model constants must be positive numbers")
+
+
+@pytest.mark.parametrize("command", ["count", "rewrite"])
 def test_invalid_circuit_file_fails_with_one_line(tmp_path, command):
     path = tmp_path / "bad.qc"
     path.write_text("cx 0 1\n")  # parses, but qubit 0 was never declared

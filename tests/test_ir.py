@@ -17,6 +17,8 @@ from tclean.ir import (
 
 import dataclasses
 
+from tclean.textfmt import from_text
+
 from strategies import random_circuit
 
 
@@ -118,6 +120,18 @@ def test_overlapping_gadget_spans():
         ))
     assert err.value.violation.code is ViolationCode.OVERLAPPING_GADGET_SPANS
     assert err.value.violation.index == 2
+
+
+@pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+def test_non_finite_rz_angle_is_rejected(angle):
+    with pytest.raises(CircuitError) as err:
+        from_text(f"#input a 0\nh 0\nrz {angle} 0\n")
+    assert err.value.violation.code is ViolationCode.BAD_ARITY
+    assert err.value.violation.message == f"rz angle must be finite, got {float(angle)}"
+    b = CircuitBuilder()
+    (q,) = b.register("a", 1)
+    b.rz(float(angle), q)
+    assert build_violation(b).code is ViolationCode.BAD_ARITY
 
 
 def test_nested_spans_allowed():

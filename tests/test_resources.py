@@ -133,6 +133,14 @@ def test_cost_model_rejects_nonpositive():
         CostModel(t_state_volume=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t_state_volume", math.nan), ("ancilla_volume_per_depth", math.nan), ("idle_factor", math.nan),
+    ("ancilla_volume_per_depth", math.inf)])
+def test_cost_model_rejects_nan_and_infinite_ancilla_volume(field, value):
+    with pytest.raises(ValueError, match="positive numbers"):
+        CostModel(**{field: value})
+
+
 def test_t_count_additive_over_concatenation():
     from tclean.ir import shift_qubits
 

@@ -172,11 +172,11 @@ def test_dimension_mismatch():
 
 
 def test_too_many_inputs_rejected_before_allocating():
+    # A basis input runs on the sparse engine, which has no qubit limit.
     b = CircuitBuilder()
     b.register("q", MAX_LIVE_QUBITS + 1)
     c = b.build()
-    with pytest.raises(SimulationError, match="input qubits"):
-        run(c, 0, seed=0)
+    assert run(c, 0, seed=0).final_state == {0: 1}
     with pytest.raises(SimulationError, match="input qubits"):
         channel_equiv(c, lambda v: v, trials=1)
 
@@ -348,5 +348,6 @@ def test_live_qubit_limit_agrees_with_moveaxis_reference(monkeypatch, entangle_f
     b.alloc0()
     c = b.build()
     expected = ReleaseEntangledError if entangle_first else SimulationError
-    assert _outcome(run, c, 0) is expected
-    assert_engines_agree(c, 0, 0)
+    one_hot = np.array([1.0, 0.0])  # an amplitude array runs the dense engine and its limit
+    assert _outcome(run, c, one_hot) is expected
+    assert_engines_agree(c, one_hot, 0)
