@@ -29,7 +29,8 @@ from .gadgets import (
 from .ir import Circuit
 from .resources import count
 from .rewrite import replace_pairs
-from .sim import IdealMap, channel_equiv, enumerate_branches, gradient_state, input_width, permutation_map
+from .sim import (IdealMap, channel_equiv, enumerate_branches, gradient_state, input_width,
+                  live_width, permutation_map)
 
 #: One check's outcome: passed, worst fidelity, measurement branches simulated.
 Result = tuple[bool, float, int]
@@ -248,9 +249,11 @@ def verify(entry: Construction, n: int, seed: int, trials: int) -> list[tuple[st
     """Run ``entry``'s checks at width n: (name, passed, worst fidelity, branches) each.
 
     Seeds are drawn in check order from ``seed``.  A circuit wider than the
-    simulator fails here, before any ideal table or state is allocated.
+    dense simulator fails here, before any ideal table or state is allocated:
+    :func:`exhaustive` runs basis inputs on the sparse engine, which would
+    otherwise go on past ``MAX_LIVE_QUBITS`` and hand it a dict state.
     """
     circuit = entry.build(n)
-    input_width(circuit)
+    live_width(circuit)
     rng = np.random.default_rng(seed)
     return [(name, *check(entry, circuit, n, rng, trials)) for name, check in entry.checks]

@@ -189,18 +189,18 @@ class _DenseLayout:
     def _geometry(self, qubits: Sequence[int]) -> tuple:
         return _geometry(len(self.pos), tuple([self.pos[q] for q in qubits]))
 
-    def alloc(self, q: int, vec: np.ndarray) -> tuple:
-        self.pos[q] = len(self.pos)
+    def alloc(self, qubits: Sequence[int], vec: np.ndarray) -> tuple:
+        self.pos[qubits[0]] = len(self.pos)
         return (vec,)
 
-    def release(self, q: int) -> tuple:
-        args = self.axis(q) + (q,)
-        gone = self.pos.pop(q)
+    def release(self, qubits: Sequence[int]) -> tuple:
+        args = self.axis(qubits) + (qubits[0],)
+        gone = self.pos.pop(qubits[0])
         self.pos = {r: p - (p > gone) for r, p in self.pos.items()}
         return args
 
-    def axis(self, q: int) -> tuple:
-        return (self._geometry((q,))[0],)
+    def axis(self, qubits: Sequence[int]) -> tuple:
+        return (self._geometry(qubits)[0],)
 
     def flip(self, qubits: Sequence[int]) -> tuple:
         shape, _, controls, flip = self._geometry(qubits)
@@ -358,17 +358,17 @@ class _SparseLayout:
         self.bit = {q: 1 << j for j, q in enumerate(inputs)}
         self.free: list[int] = []
 
-    def alloc(self, q: int, vec: np.ndarray) -> tuple:
+    def alloc(self, qubits: Sequence[int], vec: np.ndarray) -> tuple:
         # With no free slot, every slot made so far is live.
-        self.bit[q] = self.free.pop() if self.free else 1 << len(self.bit)
-        return tuple(vec.tolist()), self.bit[q]
+        bit = self.bit[qubits[0]] = self.free.pop() if self.free else 1 << len(self.bit)
+        return tuple(vec.tolist()), bit
 
-    def release(self, q: int) -> tuple:
-        self.free.append(self.bit.pop(q))
-        return self.free[-1], q
+    def release(self, qubits: Sequence[int]) -> tuple:
+        self.free.append(self.bit.pop(qubits[0]))
+        return self.free[-1], qubits[0]
 
-    def axis(self, q: int) -> tuple:
-        return (self.bit[q],)
+    def axis(self, qubits: Sequence[int]) -> tuple:
+        return (self.bit[qubits[0]],)
 
     def flip(self, qubits: Sequence[int]) -> tuple:
         bit = self.bit
@@ -586,40 +586,36 @@ class _Program(NamedTuple):
     measurements: int
 
 
-#: What each op does, as :func:`_compile` dispatches on it.
-_KIND: dict[Op, str] = {op: "flip" for op in _FLIPS}
-_KIND.update({op: "phase" for op in _PHASES})
-_KIND.update({Op.ALLOC0: "alloc", Op.ALLOCT: "alloc", Op.RELEASE: "release", Op.MZ: "measure",
-              Op.MX: "measure", Op.RZ: "rz", Op.H: "h", Op.Y: "y"})
+#: Each op's engine kernel (None for a measurement, which the executor runs),
+#: the layout method that gives the kernel's arguments, and that method's
+#: arguments after the qubits.  RZ's phase comes from the instruction's angle.
+_DISPATCH: dict[Op, tuple[str | None, str, tuple]] = {
+    **{op: ("flip", "flip", ()) for op in _FLIPS},
+    **{op: ("phase", "phase", (phase,)) for op, phase in _PHASES.items()},
+    Op.RZ: ("phase", "phase", ()),
+    Op.H: ("h", "axis", ()),
+    Op.Y: ("y", "axis", ()),
+    Op.ALLOC0: ("alloc", "alloc", (ZERO_STATE,)),
+    Op.ALLOCT: ("alloc", "alloc", (T_STATE,)),
+    Op.RELEASE: ("release", "release", ()),
+    Op.MZ: (None, "axis", ()),
+    Op.MX: (None, "axis", ()),
+}
 
 
 def _compile(circuit: Circuit, engine: Engine) -> _Program:
     """Pick every instruction's kernel and fix its arguments, once per call."""
     layout = engine.layout(circuit.input_qubits())
+    table = {op: (kernel and getattr(engine, kernel), getattr(layout, method), extra)
+             for op, (kernel, method, extra) in _DISPATCH.items()}
     steps = []
     for instr in circuit.instructions:
         if layout.overflowed:
             break  # nothing past here runs: the input check or an over-limit alloc raises first
-        op, qubits = instr.op, instr.qubits
-        kind = _KIND[op]
-        if kind == "flip":
-            kernel, args = engine.flip, layout.flip(qubits)
-        elif kind == "phase":
-            kernel, args = engine.phase, layout.phase(qubits, _PHASES[op])
-        elif kind == "alloc":
-            kernel = engine.alloc
-            args = layout.alloc(qubits[0], ZERO_STATE if op is Op.ALLOC0 else T_STATE)
-        elif kind == "release":
-            kernel, args = engine.release, layout.release(qubits[0])
-        elif kind == "measure":
-            kernel, args = None, layout.axis(qubits[0])
-        elif kind == "rz":
-            kernel, args = engine.phase, layout.phase(qubits, cmath.exp(1j * instr.angle))
-        elif kind == "h":
-            kernel, args = engine.h, layout.axis(qubits[0])
-        else:
-            kernel, args = engine.y, layout.axis(qubits[0])
-        steps.append((instr, kernel, args))
+        kernel, method, extra = table[instr.op]
+        if instr.op is Op.RZ:
+            extra = (cmath.exp(1j * instr.angle),)
+        steps.append((instr, kernel, method(instr.qubits, *extra)))
     # A valid circuit gives a result bit to its measurements and nothing else.
     measurements = sum(instr.result is not None for instr in circuit.instructions)
     return _Program(engine, tuple(steps), layout.final(), circuit.output_qubits(), measurements)
@@ -656,6 +652,25 @@ def input_width(circuit: Circuit) -> int:
     if n_in > MAX_LIVE_QUBITS:
         raise SimulationError(f"{n_in} input qubits exceed the simulator's {MAX_LIVE_QUBITS}")
     return n_in
+
+
+def live_width(circuit: Circuit) -> int:
+    """Most qubits live at once, the width the dense engine runs the circuit at.
+
+    Raises SimulationError where running it on that engine would: past
+    ``MAX_LIVE_QUBITS`` inputs (:func:`input_width`), then past
+    ``MAX_LIVE_QUBITS`` live qubits.  Allocates nothing.
+    """
+    live = peak = input_width(circuit)
+    for instr in circuit.instructions:
+        if instr.op is Op.RELEASE:
+            live -= 1
+        elif instr.op in (Op.ALLOC0, Op.ALLOCT):
+            live += 1
+            peak = max(peak, live)
+    if peak > MAX_LIVE_QUBITS:
+        raise SimulationError(f"more than {MAX_LIVE_QUBITS} live qubits")
+    return peak
 
 
 def _basis_key(state: str | int, n_in: int) -> int:

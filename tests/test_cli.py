@@ -7,6 +7,7 @@ import pytest
 from tclean.cli import main
 from tclean.constructions import CONSTRUCTIONS
 from tclean.resources import count
+from tclean.sim import MAX_LIVE_QUBITS
 from tclean.textfmt import from_text
 
 
@@ -143,6 +144,12 @@ def test_verify_too_wide_for_simulator_fails_cleanly(kind):
     assert out == ""
     assert err.startswith("tclean: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_verify_refuses_more_live_qubits_than_the_simulator_holds():
+    # 16 inputs fit, but with its carries the popcount ends on 31 live qubits.
+    code, out, err = run_cli(["verify", "--kind", "hamming", "--n", "16"])
+    assert (code, out, err) == (1, "", f"tclean: more than {MAX_LIVE_QUBITS} live qubits\n")
 
 
 def test_rewrite_command(tmp_path):

@@ -171,14 +171,23 @@ def test_dimension_mismatch():
         run(c, "101", seed=0)
 
 
-def test_too_many_inputs_rejected_before_allocating():
-    # A basis input runs on the sparse engine, which has no qubit limit.
+def _too_many_inputs():
     b = CircuitBuilder()
     b.register("q", MAX_LIVE_QUBITS + 1)
-    c = b.build()
-    assert run(c, 0, seed=0).final_state == {0: 1}
+    return b.build()
+
+
+def test_too_many_inputs_rejected_before_allocating():
+    # The dense engine's refusals; a basis input runs sparse (next test).
+    c = _too_many_inputs()
+    with pytest.raises(SimulationError, match="input qubits"):
+        run(c, np.ones(1), seed=0)
     with pytest.raises(SimulationError, match="input qubits"):
         channel_equiv(c, lambda v: v, trials=1)
+
+
+def test_basis_input_past_the_dense_limit_runs_sparse():
+    assert run(_too_many_inputs(), 0, seed=0).final_state == {0: 1}
 
 
 def test_x_is_not_z():

@@ -195,6 +195,23 @@ def test_term_cap_raises(monkeypatch):
     run(b.build(), np.eye(8)[0])  # the dense engine has no term cap
 
 
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_live_width_refuses_where_the_dense_engine_does(monkeypatch, name):
+    c = CONSTRUCTIONS[name].build(3)
+    n_in = len(c.input_qubits())
+    peak = sim.live_width(c)
+    for limit in range(n_in, peak + 1):
+        monkeypatch.setattr(sim, "MAX_LIVE_QUBITS", limit)
+        dense = _outcome(run, c, np.eye(1 << n_in)[0])
+        if limit < peak:
+            with pytest.raises(SimulationError, match="live qubits"):
+                sim.live_width(c)
+            assert dense is SimulationError
+        else:
+            assert sim.live_width(c) == peak and not isinstance(dense, type)
+        assert not isinstance(_outcome(run, c, 0), type)  # the sparse engine has no such limit
+
+
 # -- adder semantics at n = 64, 256 and 1024 -----------------------------------------
 
 SIZES = (64, 256, 1024)
