@@ -25,7 +25,6 @@ from .ir import (
     shift_qubits,
     validate,
 )
-from .dag import Dag, DagNode, build_dag
 from .textfmt import TextFormatError, from_text, to_text
 from .sim import (
     BranchResult,

@@ -180,6 +180,7 @@ def emit_inverse(b: CircuitBuilder, instructions: tuple[Instruction, ...],
 
 
 def _emit_carry(b: CircuitBuilder, x: int, y: int, impl: str) -> int:
+    """A fresh ancilla holding x AND y: a temporary AND, or a CCX onto |0> for ``impl="ccx"``."""
     if impl == "and":
         return and_compute(b, x, y)
     t = b.alloc0()

@@ -9,8 +9,8 @@ conditioned on one of those bits (the measure-and-fixup idiom).
 
 Contiguous instruction ranges can be tagged as AND-gadget spans.  The spans
 are annotations only: simulation executes the instructions inside them
-normally, while depth accounting collapses each span to a single unit-weight
-event.
+normally, while depth accounting counts each maximal span (one inside no
+other) as a single unit-weight event on every wire it touches.
 
 Every :class:`Circuit` is valid: constructing one runs :func:`validate` and
 raises :class:`CircuitError` on the first violation.  Builders, the text

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ir import Circuit, CircuitBuilder
-from .gadgets import and_compute, emit_inverse
+from .gadgets import _emit_carry, emit_inverse
 
 MAX_VARIABLES = 12
 
@@ -200,14 +200,6 @@ class _Wire:
     inverted: bool  # logical value = qubit bit XOR inverted
 
 
-def _emit_conjunction(b: CircuitBuilder, q1: int, q2: int, impl: str) -> int:
-    if impl == "and":
-        return and_compute(b, q1, q2)
-    t = b.alloc0()
-    b.ccx(q1, q2, t)
-    return t
-
-
 def _materialize(b: CircuitBuilder, wire: _Wire, want_inverted: bool,
                  avoid: set[int]) -> int:
     """A qubit whose bit equals the wire's value (or its negation).
@@ -240,7 +232,7 @@ def _emit_node(b: CircuitBuilder, node, x: tuple[int, ...], impl: str) -> _Wire:
     wr = _emit_node(b, node.right, x, impl)
     q1 = _materialize(b, wl, want, avoid=set())
     q2 = _materialize(b, wr, want, avoid={q1})
-    return _Wire(_emit_conjunction(b, q1, q2, impl), want)
+    return _Wire(_emit_carry(b, q1, q2, impl), want)
 
 
 def compile_oracle(expr: str, impl: str = "and") -> Circuit:

@@ -1,9 +1,11 @@
 """Resource accounting: T-count, measurement depth, and ancilla opportunity cost.
 
-Measurement depth is the longest path in the gadget-collapsed dependency DAG
-where AND gadget spans, bare measurements, and bare T-type instructions each
-weigh 1 and Clifford operations weigh 0 (a T gate applied by teleportation is
-one measurement event, which is why a whole AND computation weighs 1).
+Measurement depth is the longest weighted chain of instructions linked
+through shared qubit and classical-bit wires.  Bare measurements and bare
+T-type instructions each weigh 1 and Clifford operations weigh 0; a maximal
+gadget span (one inside no other) is one unit event on every wire it touches
+(a T gate applied by teleportation is one measurement event, which is why a
+whole AND computation weighs 1).
 
 Ancillae are priced as opportunity cost: a held ancilla is surface-code area
 that is not distilling |T> states.  With the default constants (960 spacetime
@@ -16,8 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .dag import build_dag
-from .ir import Circuit, MEASUREMENTS, Op, T_FAMILY
+from .ir import Circuit, Instruction, MEASUREMENTS, Op, T_FAMILY
 
 
 @dataclass(frozen=True)
@@ -58,29 +59,51 @@ class NoCrossoverError(Exception):
 
 
 def count(circuit: Circuit) -> ResourceReport:
-    """Measure a circuit.  Unlowered CCX macros are reported, not T-counted."""
-    dag = build_dag(circuit)
+    """Measure a circuit in one forward walk.  Unlowered CCX macros are reported, not T-counted.
 
-    weights: dict[int, int] = {}
-    for node in dag.nodes:
-        if node.span is not None:
-            weights[node.id] = 1
-            continue
-        op = circuit.instructions[node.indices[0]].op
-        weights[node.id] = 1 if (op in T_FAMILY or op in MEASUREMENTS) else 0
-    finish = dag.finish_layers(weights)
-    meas_depth = max(finish, default=0)
+    Every qubit and classical bit keeps the layer its last user finished at.
+    Every instruction in an outermost span, nested spans included, finishes
+    one layer after the latest of the wires the span touches.
+    """
+    instrs = circuit.instructions
+    qubit_layer = [0] * circuit.n_qubits
+    bit_layer = [0] * circuit.n_classbits
 
-    t_count = 0
-    ccx_count = 0
-    rotation_bucket = 0
+    def latest(instr: Instruction) -> int:
+        layer = max(map(qubit_layer.__getitem__, instr.qubits))
+        for bit in (instr.result, instr.cond):
+            if bit is not None and bit_layer[bit] > layer:
+                layer = bit_layer[bit]
+        return layer
+
+    # An outermost span is met first and covers the spans nested in it.
+    span_end: dict[int, int] = {}
+    for span in circuit.spans:
+        span_end[span.start] = max(span.end, span_end.get(span.start, 0))
+    span_stop = span_layer = 0
+    meas_depth = t_count = ccx_count = rotation_bucket = 0
     declared = set(circuit.input_qubits())
     live_ancillae: set[int] = set()
     ancilla_max = 0
     ancilla_depth = 0
     alloc_layer: dict[int, int] = {}
-    for i, instr in enumerate(circuit.instructions):
+    for i, instr in enumerate(instrs):
         op = instr.op
+        if i < span_stop:
+            layer = span_layer
+        elif i in span_end:
+            span_stop = span_end[i]
+            span_layer = layer = 1 + max(map(latest, instrs[i:span_stop]))
+        else:
+            layer = latest(instr) + (op in T_FAMILY or op in MEASUREMENTS)
+        for q in instr.qubits:
+            qubit_layer[q] = layer
+        for bit in (instr.result, instr.cond):
+            if bit is not None:
+                bit_layer[bit] = layer
+        if layer > meas_depth:
+            meas_depth = layer
+
         if op in T_FAMILY:
             t_count += 1
         elif op is Op.CCX:
@@ -91,12 +114,12 @@ def count(circuit: Circuit) -> ResourceReport:
             q = instr.qubits[0]
             live_ancillae.add(q)
             ancilla_max = max(ancilla_max, len(live_ancillae))
-            alloc_layer[q] = finish[dag.node_of[i]]
+            alloc_layer[q] = layer
         elif op is Op.RELEASE:
             q = instr.qubits[0]
             if q in live_ancillae:
                 live_ancillae.discard(q)
-                ancilla_depth += finish[dag.node_of[i]] - alloc_layer.pop(q) + 1
+                ancilla_depth += layer - alloc_layer.pop(q) + 1
     for q in live_ancillae:
         if q not in declared:
             ancilla_depth += meas_depth - alloc_layer[q] + 1

@@ -65,10 +65,13 @@ def basis_outcome(state):
 def inplace_add_map(circuit, n, *, controlled=False, carry_out=False):
     """Ideal in-place addition as a statevector map over the declared inputs."""
     regs = {reg.name: reg.qubits for reg in circuit.inputs}
-    n_in = len(circuit.input_qubits())
-    pos = {q: j for j, q in enumerate(circuit.input_qubits())}
+    inputs = circuit.input_qubits()
+    n_in = len(inputs)
+    pos = {q: j for j, q in enumerate(inputs)}
     out_pos = {q: j for j, q in enumerate(circuit.output_qubits())}
     n_out = len(circuit.output_qubits())
+    if carry_out:
+        (cq,) = circuit.register("cout").qubits
 
     def field(k, name):
         return sum(((k >> pos[q]) & 1) << i for i, q in enumerate(regs[name]))
@@ -82,14 +85,13 @@ def inplace_add_map(circuit, n, *, controlled=False, carry_out=False):
             total = a + b if ctrl else b
             sum_bits = total % (1 << n)
             j = 0
-            for q in circuit.input_qubits():
+            for q in inputs:
                 bit = (k >> pos[q]) & 1
                 j |= bit << out_pos[q]
             for i, q in enumerate(regs["b"]):
                 j &= ~(1 << out_pos[q])
                 j |= ((sum_bits >> i) & 1) << out_pos[q]
             if carry_out:
-                (cq,) = circuit.register("cout").qubits
                 j |= ((total >> n) & 1 if ctrl else 0) << out_pos[cq]
             out[j] += vec[k]
         return out

