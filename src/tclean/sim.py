@@ -286,8 +286,10 @@ class SimState:
 
     # -- measurement ------------------------------------------------------------
 
-    def prob_one(self, shape: tuple[int, ...]) -> float:
-        return _sqnorm(self.amps.reshape(shape)[:, 1])
+    def probs(self, shape: tuple[int, ...]) -> tuple[float, float]:
+        """Probabilities of outcomes 0 and 1: the halves' squared norms."""
+        view = self.amps.reshape(shape)
+        return _sqnorm(view[:, 0]), _sqnorm(view[:, 1])
 
     def project(self, shape: tuple[int, ...], q: int, outcome: int, prob: float) -> None:
         view = self.amps.reshape(shape)
@@ -296,10 +298,11 @@ class SimState:
         self.weight *= prob
         self._just_measured.add(q)
 
-    def prob_one_x(self, shape: tuple[int, ...]) -> float:
-        """Probability of |->: half the squared norm of the halves' difference."""
+    def probs_x(self, shape: tuple[int, ...]) -> tuple[float, float]:
+        """Probabilities of |+> and |->: half the squared norms of the halves' sum and difference."""
         view = self.amps.reshape(shape)
-        return _sqnorm(view[:, 0] - view[:, 1]) / 2
+        a0, a1 = view[:, 0], view[:, 1]
+        return _sqnorm(a0 + a1) / 2, _sqnorm(a0 - a1) / 2
 
     def project_x(self, shape: tuple[int, ...], q: int, outcome: int, prob: float) -> None:
         """Project onto |+> (outcome 0) or |-> (1): both halves become (a0 +- a1)/2, signed."""
@@ -496,8 +499,15 @@ class SparseState:
 
     # -- measurement ------------------------------------------------------------
 
-    def prob_one(self, bit: int) -> float:
-        return sum(a.real * a.real + a.imag * a.imag for k, a in self.terms.items() if k & bit)
+    def probs(self, bit: int) -> tuple[float, float]:
+        """Probabilities of outcomes 0 and 1: the squared norms of the terms with ``bit`` clear and set."""
+        p0 = p1 = 0.0
+        for k, a in self.terms.items():
+            if k & bit:
+                p1 += a.real * a.real + a.imag * a.imag
+            else:
+                p0 += a.real * a.real + a.imag * a.imag
+        return p0, p1
 
     def project(self, bit: int, q: int, outcome: int, prob: float) -> None:
         want = bit if outcome else 0
@@ -516,13 +526,14 @@ class SparseState:
             else:
                 yield k, a, terms.get(k | bit, 0)
 
-    def prob_one_x(self, bit: int) -> float:
-        """Probability of |->: half the squared norm of the halves' difference."""
-        total = 0.0
+    def probs_x(self, bit: int) -> tuple[float, float]:
+        """Probabilities of |+> and |->: half the squared norms of the halves' sum and difference."""
+        p0 = p1 = 0.0
         for _, a0, a1 in self._pairs(bit):
-            d = a0 - a1
-            total += d.real * d.real + d.imag * d.imag
-        return total / 2
+            s, d = a0 + a1, a0 - a1
+            p0 += s.real * s.real + s.imag * s.imag
+            p1 += d.real * d.real + d.imag * d.imag
+        return p0 / 2, p1 / 2
 
     def project_x(self, bit: int, q: int, outcome: int, prob: float) -> None:
         """Project onto |+> (outcome 0) or |-> (1): both halves become (a0 +- a1)/2, signed."""
@@ -761,10 +772,15 @@ def _check_norm(state: State, instr: Instruction) -> None:
         raise SimulationError(f"norm drifted to {state.norm()!r} after {instr.op.value}")
 
 
-def _prob_one(state: State, step: _Step) -> float:
-    """Probability of outcome 1; MX measures in the X basis."""
+def _probs(state: State, step: _Step) -> tuple[float, float]:
+    """Probabilities of outcomes 0 and 1; MX measures in the X basis.
+
+    Each is summed from its own half of the state, not taken as one minus
+    the other: ``1 - p1`` loses every digit of a small ``p0`` that the
+    rounding of ``p1`` covers, and the projection divides by its root.
+    """
     instr, _, args = step
-    return (state.prob_one_x if instr.op is Op.MX else state.prob_one)(*args)
+    return (state.probs_x if instr.op is Op.MX else state.probs)(*args)
 
 
 def _finish(state: State, step: _Step, outcome: int, prob: float) -> None:
@@ -778,13 +794,13 @@ def _finish(state: State, step: _Step, outcome: int, prob: float) -> None:
 def _measure(state: State, step: _Step, outcome: int | None,
              rng: np.random.Generator | None) -> None:
     """Projective measurement, forced, drawn from ``rng`` or (without one) the likelier outcome."""
-    p1 = _prob_one(state, step)
+    p0, p1 = _probs(state, step)
     if outcome is None:
         if rng is None:
             outcome = int(p1 >= 0.5)  # deterministic tie-break for seedless runs
         else:
             outcome = int(rng.random() < p1)
-    prob = p1 if outcome == 1 else 1.0 - p1
+    prob = p1 if outcome == 1 else p0
     if prob <= _BRANCH_EPS:
         raise SimulationError(f"forced outcome {outcome} for c{step[0].result} has probability 0")
     _finish(state, step, outcome, prob)
@@ -796,9 +812,8 @@ def _fork(state: State, step: _Step) -> list[State]:
     The last one is ``state`` itself, so a measurement copies the state at
     most once.
     """
-    p1 = _prob_one(state, step)
     # Skip exactly the outcomes a forced run() rejects (probability <= eps).
-    outcomes = [(o, p) for o, p in ((0, 1.0 - p1), (1, p1)) if not p <= _BRANCH_EPS]
+    outcomes = [(o, p) for o, p in enumerate(_probs(state, step)) if not p <= _BRANCH_EPS]
     forks = [state.copy() for _ in outcomes[1:]] + [state]
     for branch, (outcome, prob) in zip(forks, outcomes):
         _finish(branch, step, outcome, prob)

@@ -139,9 +139,10 @@ class SimState:
 
     # -- measurement ------------------------------------------------------------
 
-    def prob_one(self, q: int) -> float:
+    def probs(self, q: int) -> tuple[float, float]:
+        """Probabilities of outcomes 0 and 1, each summed from its own half."""
         a = np.moveaxis(self.amps, self.pos[q], 0)
-        return float(np.sum(np.abs(a[1]) ** 2))
+        return float(np.sum(np.abs(a[0]) ** 2)), float(np.sum(np.abs(a[1]) ** 2))
 
     def project(self, q: int, outcome: int, prob: float) -> None:
         a = np.moveaxis(self.amps, self.pos[q], 0)
@@ -237,13 +238,13 @@ def _measure(state: SimState, instr: Instruction, outcome: int | None,
     q = instr.qubits[0]
     if instr.op is Op.MX:
         state.apply_1q(GATES_1Q[Op.H], q)
-    p1 = state.prob_one(q)
+    p0, p1 = state.probs(q)
     if outcome is None:
         if rng is None:
             outcome = int(p1 >= 0.5)  # deterministic tie-break for seedless runs
         else:
             outcome = int(rng.random() < p1)
-    prob = p1 if outcome == 1 else 1.0 - p1
+    prob = p1 if outcome == 1 else p0
     if prob <= _BRANCH_EPS:
         raise SimulationError(f"forced outcome {outcome} for c{instr.result} has probability 0")
     state.project(q, outcome, prob)

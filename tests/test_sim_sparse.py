@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tclean import sim
 from tclean.constructions import CONSTRUCTIONS
@@ -79,6 +79,7 @@ def assert_sparse_matches_dense(circuit, state, seed: int) -> None:
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["simulable", "free", "free-outputs"]),
        st.booleans())
+@example(131, "free-outputs", True)  # branches of probability 1e-5 and 2e-6
 def test_sparse_engine_agrees_with_dense(seed, kind, two_terms):
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, simulable=kind == "simulable")
@@ -136,6 +137,23 @@ def test_x_basis_measurement_agrees_with_moveaxis_reference(seed):
                      _outcome(reference.enumerate_branches, c, state))
         _assert_same(_outcome(run, c, state, seed=seed),
                      _outcome(reference.run, c, state, seed=seed))
+
+
+@pytest.mark.parametrize("basis", ["z", "x"])
+@pytest.mark.parametrize("engine", ["dense", "sparse"])
+def test_unlikely_outcome_is_summed_not_subtracted(engine, basis):
+    # p0 = 1e-9: as 1 - p1 it keeps only ~7 digits, and its root scales the branch.
+    small, big = math.sqrt(1e-9), math.sqrt(1 - 1e-9)
+    b = CircuitBuilder()
+    (q,) = b.register("q", 1)
+    (b.mx if basis == "x" else b.mz)(q)
+    c = b.build()
+    terms = {0: small, 1: big} if basis == "z" else {0: (small + big) * _SQ, 1: (small - big) * _SQ}
+    state = terms if engine == "sparse" else _dense(terms, 1)
+    low = enumerate_branches(c, state)[0]
+    assert low.outcomes == ((0, 0),)
+    assert abs(low.probability - 1e-9) <= 1e-9 * 1e-9  # x: the input's own rounding is ~1e-12
+    assert abs(np.linalg.norm(low.final_state) - 1) <= 1e-14
 
 
 # -- inputs, results and limits -------------------------------------------------------
