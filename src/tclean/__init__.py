@@ -8,8 +8,6 @@ register, phase gradients by addition, a Toffoli-pair replacement pass, and
 an opportunity-cost model pricing held ancillae against |T>-state production.
 """
 from .ir import (
-    ARITY,
-    CLIFFORD_GATES,
     Circuit,
     CircuitBuilder,
     CircuitError,
@@ -18,7 +16,6 @@ from .ir import (
     Instruction,
     Op,
     Register,
-    T_FAMILY,
     Violation,
     ViolationCode,
     concatenate,

@@ -5,7 +5,10 @@ classical bit ids.  Ancilla lifetimes are explicit: qubits either belong to a
 declared input register (live for the whole circuit) or are created by an
 ``alloc0``/``alloct`` instruction and destroyed by ``release``.  Measurement
 outcomes land in write-once classical bits, and Clifford instructions may be
-conditioned on one of those bits (the measure-and-fixup idiom).
+conditioned on one of those bits (the measure-and-fixup idiom).  Each
+instruction kind's properties (arity, read-only controls, Clifford, T-type,
+measurement, diagonal, allocation lifetime) are stated once, as attributes of
+its :class:`Op` member, and every pass reads them there.
 
 Contiguous instruction ranges can be tagged as AND-gadget spans.  The spans
 are annotations only: simulation executes the instructions inside them
@@ -27,40 +30,42 @@ from typing import Sequence
 
 
 class Op(Enum):
-    """Instruction alphabet (value doubles as the text-format mnemonic)."""
+    """Instruction alphabet: each kind's text-format mnemonic (its value) and properties.
 
-    X = "x"
-    Y = "y"
-    Z = "z"
-    H = "h"
-    S = "s"
-    SDG = "sdg"
-    T = "t"
-    TDG = "tdg"
-    RZ = "rz"
-    CX = "cx"
-    CZ = "cz"
-    CCX = "ccx"
-    ALLOC0 = "alloc0"
-    ALLOCT = "alloct"
-    RELEASE = "release"
-    MZ = "mz"
-    MX = "mx"
+    ``arity`` is the number of qubits and ``controls`` how many leading ones
+    are only read.  A ``clifford`` kind is cheap in the surface code and the
+    only kind a classical condition may guard.  Each ``t_type`` kind costs one
+    T: T, T-dagger and the injected |T> state.  A ``measures`` kind writes a
+    classical bit.  A ``diagonal`` kind never changes a computational-basis
+    value.  ``lifetime`` is +1 for a kind that allocates its qubit, -1 for
+    one that releases it and 0 otherwise.
+    """
 
+    X = "x", 1, 0, "clifford"
+    Y = "y", 1, 0, "clifford"
+    Z = "z", 1, 0, "clifford diagonal"
+    H = "h", 1, 0, "clifford"
+    S = "s", 1, 0, "clifford diagonal"
+    SDG = "sdg", 1, 0, "clifford diagonal"
+    T = "t", 1, 0, "t_type diagonal"
+    TDG = "tdg", 1, 0, "t_type diagonal"
+    RZ = "rz", 1, 0, "diagonal"
+    CX = "cx", 2, 1, "clifford"
+    CZ = "cz", 2, 2, "clifford diagonal"
+    CCX = "ccx", 3, 2, ""
+    ALLOC0 = "alloc0", 1, 0, "", +1
+    ALLOCT = "alloct", 1, 0, "t_type", +1
+    RELEASE = "release", 1, 0, "", -1
+    MZ = "mz", 1, 0, "measures"
+    MX = "mx", 1, 0, "measures"
 
-ARITY = {Op.CX: 2, Op.CZ: 2, Op.CCX: 3}
-ARITY.update({op: 1 for op in Op if op not in ARITY})
-
-#: T-count contributors: T, T-dagger, and injected |T> resource states.
-T_FAMILY = frozenset({Op.T, Op.TDG, Op.ALLOCT})
-
-#: Gates cheap in the surface code; the only kinds a classical condition may guard.
-CLIFFORD_GATES = frozenset({Op.X, Op.Y, Op.Z, Op.H, Op.S, Op.SDG, Op.CX, Op.CZ})
-
-#: Kinds that never change computational-basis values (phase-only).
-DIAGONAL_GATES = frozenset({Op.Z, Op.S, Op.SDG, Op.T, Op.TDG, Op.RZ, Op.CZ})
-
-MEASUREMENTS = frozenset({Op.MZ, Op.MX})
+    def __new__(cls, mnemonic: str, arity: int, controls: int, flags: str, lifetime: int = 0) -> Op:
+        op = object.__new__(cls)
+        op._value_ = mnemonic
+        op.arity, op.controls, op.lifetime = arity, controls, lifetime
+        op.clifford, op.t_type, op.measures, op.diagonal = (
+            flag in flags.split() for flag in ("clifford", "t_type", "measures", "diagonal"))
+        return op
 
 
 class GadgetTag(Enum):
@@ -68,7 +73,7 @@ class GadgetTag(Enum):
     AND_UNCOMPUTE = "and_uncompute"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One gate, measurement, or allocation event.
 
@@ -82,15 +87,9 @@ class Instruction:
     result: int | None = None
     cond: int | None = None
 
-    def writes(self) -> frozenset[int]:
+    def writes(self) -> tuple[int, ...]:
         """Qubits whose computational-basis value this instruction may change."""
-        if self.op in DIAGONAL_GATES:
-            return frozenset()
-        if self.op is Op.CX:
-            return frozenset({self.qubits[1]})
-        if self.op is Op.CCX:
-            return frozenset({self.qubits[2]})
-        return frozenset(self.qubits)
+        return () if self.op.diagonal else self.qubits[self.op.controls:]
 
 
 @dataclass(frozen=True)
@@ -214,33 +213,34 @@ def validate(circuit: Circuit) -> Violation | None:
         return Violation(ViolationCode.USE_BEFORE_ALLOC, i, f"qubit {q} used before allocation")
 
     for i, instr in enumerate(circuit.instructions):
-        if len(instr.qubits) != ARITY[instr.op] or len(set(instr.qubits)) != len(instr.qubits):
+        op = instr.op
+        if len(instr.qubits) != op.arity or len(set(instr.qubits)) != len(instr.qubits):
             return Violation(ViolationCode.BAD_ARITY, i,
-                             f"{instr.op.value} expects {ARITY[instr.op]} distinct qubits, got {instr.qubits}")
+                             f"{op.value} expects {op.arity} distinct qubits, got {instr.qubits}")
         if any(q < 0 or q >= circuit.n_qubits for q in instr.qubits):
             return Violation(ViolationCode.BAD_ARITY, i, f"qubit index out of range in {instr.qubits}")
-        if (instr.angle is not None) != (instr.op is Op.RZ):
+        if (instr.angle is not None) != (op is Op.RZ):
             return Violation(ViolationCode.BAD_ARITY, i, "angle is required for rz and forbidden elsewhere")
         if instr.angle is not None and not math.isfinite(instr.angle):
             return Violation(ViolationCode.BAD_ARITY, i, f"rz angle must be finite, got {instr.angle}")
-        if (instr.result is not None) != (instr.op in MEASUREMENTS):
+        if (instr.result is not None) != op.measures:
             return Violation(ViolationCode.BAD_ARITY, i, "result bit is required for measurements only")
 
         if instr.cond is not None:
-            if instr.op not in CLIFFORD_GATES:
+            if not op.clifford:
                 return Violation(ViolationCode.NONCLIFFORD_CONDITIONED, i,
-                                 f"conditioned {instr.op.value} is not a Clifford fixup")
+                                 f"conditioned {op.value} is not a Clifford fixup")
             if instr.cond not in written_bits:
                 return Violation(ViolationCode.CLASSBIT_READ_BEFORE_WRITE, i,
                                  f"classical bit c{instr.cond} read before any measurement wrote it")
 
-        if instr.op in (Op.ALLOC0, Op.ALLOCT):
+        if op.lifetime > 0:
             q = instr.qubits[0]
             if q in live:
                 return Violation(ViolationCode.ALLOC_WHILE_LIVE, i, f"qubit {q} allocated while live")
             live.add(q)
             ever_released.discard(q)
-        elif instr.op is Op.RELEASE:
+        elif op.lifetime < 0:
             q = instr.qubits[0]
             if q not in live:
                 return liveness_error(q, i)
@@ -250,7 +250,7 @@ def validate(circuit: Circuit) -> Violation | None:
             for q in instr.qubits:
                 if q not in live:
                     return liveness_error(q, i)
-            if instr.op in MEASUREMENTS:
+            if op.measures:
                 bit = instr.result
                 if bit is None or bit < 0 or bit >= circuit.n_classbits:
                     return Violation(ViolationCode.BAD_ARITY, i, f"classical bit {bit} out of range")

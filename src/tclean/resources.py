@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .ir import Circuit, Instruction, MEASUREMENTS, Op, T_FAMILY
+from .ir import Circuit, Instruction, Op
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def count(circuit: Circuit) -> ResourceReport:
             span_stop = span_end[i]
             span_layer = layer = 1 + max(map(latest, instrs[i:span_stop]))
         else:
-            layer = latest(instr) + (op in T_FAMILY or op in MEASUREMENTS)
+            layer = latest(instr) + (op.t_type or op.measures)
         for q in instr.qubits:
             qubit_layer[q] = layer
         for bit in (instr.result, instr.cond):
@@ -104,18 +104,18 @@ def count(circuit: Circuit) -> ResourceReport:
         if layer > meas_depth:
             meas_depth = layer
 
-        if op in T_FAMILY:
+        if op.t_type:
             t_count += 1
         elif op is Op.CCX:
             ccx_count += 1
         elif op is Op.RZ:
             rotation_bucket += 1
-        if op in (Op.ALLOC0, Op.ALLOCT):
+        if op.lifetime > 0:
             q = instr.qubits[0]
             live_ancillae.add(q)
             ancilla_max = max(ancilla_max, len(live_ancillae))
             alloc_layer[q] = layer
-        elif op is Op.RELEASE:
+        elif op.lifetime < 0:
             q = instr.qubits[0]
             if q in live_ancillae:
                 live_ancillae.discard(q)

@@ -35,16 +35,6 @@ class PairMatch:
     release_index: int
 
 
-def _reads_as_control(instr: Instruction, q: int) -> bool:
-    if instr.op is Op.CX:
-        return instr.qubits[0] == q
-    if instr.op is Op.CZ:
-        return q in instr.qubits
-    if instr.op is Op.CCX:
-        return q in instr.qubits[:2]
-    return False
-
-
 def find_pairs(circuit: Circuit) -> list[PairMatch]:
     """Non-overlapping Toffoli pairs, matched greedily earliest-first.
 
@@ -94,7 +84,7 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
                     and set(cur.qubits[:2]) == {c1, c2}):
                 second_pos = k
                 break
-            if not _reads_as_control(cur, target):
+            if target not in cur.qubits[:cur.op.controls]:
                 break
         if second_pos is None or second_pos + 1 == len(t_uses):
             continue

@@ -674,11 +674,8 @@ def live_width(circuit: Circuit) -> int:
     """
     live = peak = input_width(circuit)
     for instr in circuit.instructions:
-        if instr.op is Op.RELEASE:
-            live -= 1
-        elif instr.op in (Op.ALLOC0, Op.ALLOCT):
-            live += 1
-            peak = max(peak, live)
+        live += instr.op.lifetime
+        peak = max(peak, live)
     if peak > MAX_LIVE_QUBITS:
         raise SimulationError(f"more than {MAX_LIVE_QUBITS} live qubits")
     return peak

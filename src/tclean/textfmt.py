@@ -19,15 +19,7 @@ doubles exactly.  Lines starting with '#' that are not one of the
 """
 from __future__ import annotations
 
-from .ir import (
-    ARITY,
-    Circuit,
-    GadgetSpan,
-    GadgetTag,
-    Instruction,
-    Op,
-    Register,
-)
+from .ir import Circuit, GadgetSpan, GadgetTag, Instruction, Op, Register
 
 _MNEMONIC = {op.value: op for op in Op}
 
@@ -172,15 +164,15 @@ def from_text(text: str) -> Circuit:
             rest = rest[1:]
 
         result: int | None = None
-        if op in (Op.MZ, Op.MX):
+        if op.measures:
             if len(rest) != 3 or rest[1] != "->":
                 raise TextFormatError(line_no, f"{op.value} form is '{op.value} q -> c<k>'")
             result = _parse_classbit(rest[2], line_no)
             max_bit = max(max_bit, result)
             rest = rest[:1]
 
-        if len(rest) != ARITY[op]:
-            raise TextFormatError(line_no, f"{op.value} expects {ARITY[op]} qubits, got {len(rest)}")
+        if len(rest) != op.arity:
+            raise TextFormatError(line_no, f"{op.value} expects {op.arity} qubits, got {len(rest)}")
         qubits = tuple(_parse_qubit(t, line_no) for t in rest)
         note_qubits(qubits)
         instructions.append(Instruction(op, qubits, angle=angle, result=result, cond=cond))

@@ -13,8 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tclean.ir import Circuit, GadgetSpan, MEASUREMENTS, Op, T_FAMILY
+from tclean.ir import Circuit, GadgetSpan, Op
 from tclean.resources import ResourceReport
+
+#: T-count contributors: T, T-dagger and the injected |T> state.
+T_FAMILY = frozenset({Op.T, Op.TDG, Op.ALLOCT})
+MEASUREMENTS = frozenset({Op.MZ, Op.MX})
 
 
 @dataclass(frozen=True)

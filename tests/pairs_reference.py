@@ -4,6 +4,10 @@ This is the matcher ``tclean.rewrite.find_pairs`` used before it moved to
 per-qubit use lists.  It rescans the circuit from every CCX, so it takes
 quadratic time, but each rule reads directly as a scan.  The differential
 tests require the production matcher to return exactly its match list.
+Its write rule (the body ``Instruction.writes`` had then) and its
+control-read rule are local copies rather than calls into ``tclean``, so a
+change to the production rules shows up as a difference instead of moving
+the reference with it.
 """
 from __future__ import annotations
 
@@ -11,7 +15,22 @@ from tclean.ir import Circuit, Instruction, Op
 from tclean.rewrite import PairMatch
 
 
-def _reads_as_control(instr: Instruction, q: int) -> bool:
+#: Kinds that never change computational-basis values (phase-only).
+DIAGONAL_GATES = frozenset({Op.Z, Op.S, Op.SDG, Op.T, Op.TDG, Op.RZ, Op.CZ})
+
+
+def reference_writes(instr: Instruction) -> frozenset[int]:
+    """Qubits whose computational-basis value this instruction may change."""
+    if instr.op in DIAGONAL_GATES:
+        return frozenset()
+    if instr.op is Op.CX:
+        return frozenset({instr.qubits[1]})
+    if instr.op is Op.CCX:
+        return frozenset({instr.qubits[2]})
+    return frozenset(instr.qubits)
+
+
+def reference_reads_as_control(instr: Instruction, q: int) -> bool:
     if instr.op is Op.CX:
         return instr.qubits[0] == q
     if instr.op is Op.CZ:
@@ -54,10 +73,10 @@ def reference_find_pairs(circuit: Circuit) -> list[PairMatch]:
                     and set(cur.qubits[:2]) == {c1, c2}):
                 second = j
                 break
-            if cur.writes() & {c1, c2, target}:
+            if reference_writes(cur) & {c1, c2, target}:
                 blocked = True
                 break
-            if target in cur.qubits and not _reads_as_control(cur, target):
+            if target in cur.qubits and not reference_reads_as_control(cur, target):
                 blocked = True
                 break
         if blocked or second is None:

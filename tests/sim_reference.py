@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from tclean.ir import Circuit, Instruction, MEASUREMENTS, Op
+from tclean.ir import Circuit, Instruction, Op
 from tclean.sim import (
     GATES_1Q,
     MAX_LIVE_QUBITS,
@@ -33,6 +33,8 @@ from tclean.sim import (
 _NORM_TOL = 1e-12
 _ZERO_TOL = 1e-9
 _BRANCH_EPS = 1e-12
+
+MEASUREMENTS = frozenset({Op.MZ, Op.MX})
 
 _DIAG_PHASE: dict[Op, complex] = {
     Op.Z: -1.0,

@@ -24,7 +24,7 @@ from tclean.gadgets import (
     outofplace_adder,
     phase_gradient_add,
 )
-from tclean.ir import CircuitBuilder, GadgetTag, T_FAMILY, validate
+from tclean.ir import CircuitBuilder, GadgetTag, Op, validate
 from tclean.oracle import binary_node_count, compile_oracle, evaluate, parse_expression
 from tclean.resources import CostModel, count, crossover, effective_t_formula, hybrid_cutoff
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
@@ -41,6 +41,9 @@ from tclean.sim import (
 )
 
 FIDELITY_TOL = 1e-10
+
+#: T-count contributors: T, T-dagger and the injected |T> state.
+T_FAMILY = frozenset({Op.T, Op.TDG, Op.ALLOCT})
 
 
 @contextmanager
@@ -63,7 +66,11 @@ def basis_outcome(state):
 
 
 def inplace_add_map(circuit, n, *, controlled=False, carry_out=False):
-    """Ideal in-place addition as a statevector map over the declared inputs."""
+    """Ideal in-place addition as a statevector map over the declared inputs.
+
+    Each input basis index's output index is computed once per circuit; a
+    call only moves amplitudes.
+    """
     regs = {reg.name: reg.qubits for reg in circuit.inputs}
     inputs = circuit.input_qubits()
     n_in = len(inputs)
@@ -76,24 +83,28 @@ def inplace_add_map(circuit, n, *, controlled=False, carry_out=False):
     def field(k, name):
         return sum(((k >> pos[q]) & 1) << i for i, q in enumerate(regs[name]))
 
+    def target(k):
+        a = field(k, "a")
+        b = field(k, "b")
+        ctrl = field(k, "ctrl") if controlled else 1
+        total = a + b if ctrl else b
+        sum_bits = total % (1 << n)
+        j = 0
+        for q in inputs:
+            bit = (k >> pos[q]) & 1
+            j |= bit << out_pos[q]
+        for i, q in enumerate(regs["b"]):
+            j &= ~(1 << out_pos[q])
+            j |= ((sum_bits >> i) & 1) << out_pos[q]
+        if carry_out:
+            j |= ((total >> n) & 1 if ctrl else 0) << out_pos[cq]
+        return j
+
+    targets = np.array([target(k) for k in range(1 << n_in)], dtype=np.intp)
+
     def apply(vec):
         out = np.zeros(1 << n_out, dtype=complex)
-        for k in range(1 << n_in):
-            a = field(k, "a")
-            b = field(k, "b")
-            ctrl = field(k, "ctrl") if controlled else 1
-            total = a + b if ctrl else b
-            sum_bits = total % (1 << n)
-            j = 0
-            for q in inputs:
-                bit = (k >> pos[q]) & 1
-                j |= bit << out_pos[q]
-            for i, q in enumerate(regs["b"]):
-                j &= ~(1 << out_pos[q])
-                j |= ((sum_bits >> i) & 1) << out_pos[q]
-            if carry_out:
-                j |= ((total >> n) & 1 if ctrl else 0) << out_pos[cq]
-            out[j] += vec[k]
+        np.add.at(out, targets, vec)
         return out
 
     return apply

@@ -10,7 +10,7 @@ from tclean.gadgets import (
     outofplace_adder,
     outofplace_adder_inverse,
 )
-from tclean.ir import Op, T_FAMILY, concatenate, validate
+from tclean.ir import Op, concatenate, validate
 from tclean.resources import CostModel, count, effective_t
 from tclean.rewrite import lower_ccx
 from tclean.sim import (
@@ -20,6 +20,9 @@ from tclean.sim import (
     permutation_map,
     register_basis,
 )
+
+#: T-count contributors: T, T-dagger and the injected |T> state.
+T_FAMILY = frozenset({Op.T, Op.TDG, Op.ALLOCT})
 
 
 def assert_basis_add(circuit, n, a, b, *, cin=0, ctrl=None, carry_out=False):

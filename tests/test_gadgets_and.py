@@ -7,7 +7,7 @@ from tclean.gadgets import (
     AND_T_COUNT,
     and_gadget_circuit,
 )
-from tclean.ir import GadgetTag, Op, T_FAMILY, validate
+from tclean.ir import GadgetTag, Op, validate
 from tclean.resources import count
 from tclean.sim import (
     T_STATE,
@@ -18,6 +18,9 @@ from tclean.sim import (
     random_state,
     run,
 )
+
+#: T-count contributors: T, T-dagger and the injected |T> state.
+T_FAMILY = frozenset({Op.T, Op.TDG, Op.ALLOCT})
 
 
 def and_isometry(vec):

@@ -19,6 +19,7 @@ import dataclasses
 
 from tclean.textfmt import from_text
 
+from pairs_reference import reference_reads_as_control, reference_writes
 from strategies import random_circuit
 
 
@@ -258,3 +259,38 @@ def test_concatenate_rejects_a_dead_shared_register():
         concatenate(c1, c2)
     assert err.value.violation.code is ViolationCode.USE_AFTER_RELEASE
     assert err.value.violation.index == 2
+
+
+#: Every kind as the tables it replaced stated it: mnemonic, arity, controls,
+#: clifford, t_type, measures, diagonal and lifetime.
+OP_TABLE = {
+    Op.X: ("x", 1, 0, True, False, False, False, 0),
+    Op.Y: ("y", 1, 0, True, False, False, False, 0),
+    Op.Z: ("z", 1, 0, True, False, False, True, 0),
+    Op.H: ("h", 1, 0, True, False, False, False, 0),
+    Op.S: ("s", 1, 0, True, False, False, True, 0),
+    Op.SDG: ("sdg", 1, 0, True, False, False, True, 0),
+    Op.T: ("t", 1, 0, False, True, False, True, 0),
+    Op.TDG: ("tdg", 1, 0, False, True, False, True, 0),
+    Op.RZ: ("rz", 1, 0, False, False, False, True, 0),
+    Op.CX: ("cx", 2, 1, True, False, False, False, 0),
+    Op.CZ: ("cz", 2, 2, True, False, False, True, 0),
+    Op.CCX: ("ccx", 3, 2, False, False, False, False, 0),
+    Op.ALLOC0: ("alloc0", 1, 0, False, False, False, False, 1),
+    Op.ALLOCT: ("alloct", 1, 0, False, True, False, False, 1),
+    Op.RELEASE: ("release", 1, 0, False, False, False, False, -1),
+    Op.MZ: ("mz", 1, 0, False, False, True, False, 0),
+    Op.MX: ("mx", 1, 0, False, False, True, False, 0),
+}
+
+
+def test_op_table_states_every_kind():
+    assert list(OP_TABLE) == list(Op)
+    for op, row in OP_TABLE.items():
+        assert (op.value, op.arity, op.controls, op.clifford, op.t_type, op.measures,
+                op.diagonal, op.lifetime) == row, op
+        assert Op(op.value) is op
+        instr = Instruction(op, tuple(range(5, 5 + op.arity)))
+        assert frozenset(instr.writes()) == reference_writes(instr), op
+        for q in instr.qubits + (0,):
+            assert (q in instr.qubits[:op.controls]) == reference_reads_as_control(instr, q), (op, q)

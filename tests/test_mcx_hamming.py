@@ -10,7 +10,7 @@ from tclean.gadgets import (
     hamming_weight,
     multi_controlled_x,
 )
-from tclean.ir import Op, T_FAMILY, validate
+from tclean.ir import Op, validate
 from tclean.resources import count
 from tclean.sim import (
     channel_equiv,
@@ -20,6 +20,9 @@ from tclean.sim import (
     register_basis,
     run,
 )
+
+#: T-count contributors: T, T-dagger and the injected |T> state.
+T_FAMILY = frozenset({Op.T, Op.TDG, Op.ALLOCT})
 
 
 @pytest.mark.parametrize("k", list(range(1, 17)) + [32, 64])
