@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Instructions per second of each symbolic layer, best of k, at n = 64, 256 and 1024.
+
+Build, ``validate``, ``to_text``, ``from_text`` and ``count`` run on
+``gidney_adder(AdderSpec(n))``; ``find_pairs``, ``replace_pairs`` and
+``lower_ccx("paired4")`` run on ``cuccaro_adder(AdderSpec(n))``, whose
+Toffoli pairs they match.  A layer's rate is the instructions it reads (for
+build, the instructions it makes) divided by the fastest of k timed calls.
+Prints one JSON object ``{layer: {n: instructions_per_s}}``.
+
+    PYTHONPATH=src python scripts/layer_rates.py --repeat 5
+"""
+import argparse
+import json
+import sys
+import time
+
+from tclean.gadgets import AdderSpec, cuccaro_adder, gidney_adder
+from tclean.ir import validate
+from tclean.resources import count
+from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
+from tclean.textfmt import from_text, to_text
+
+SIZES = (64, 256, 1024)
+
+
+def best_time(call, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def layer_rates(sizes=SIZES, repeat: int = 5) -> dict[str, dict[int, float]]:
+    rates: dict[str, dict[int, float]] = {}
+    for n in sizes:
+        gidney = gidney_adder(AdderSpec(n))
+        text = to_text(gidney)
+        cuccaro = cuccaro_adder(AdderSpec(n))
+        layers = {
+            "build": (gidney, lambda: gidney_adder(AdderSpec(n))),
+            "validate": (gidney, lambda: validate(gidney)),
+            "to_text": (gidney, lambda: to_text(gidney)),
+            "from_text": (gidney, lambda: from_text(text)),
+            "count": (gidney, lambda: count(gidney)),
+            "find_pairs": (cuccaro, lambda: find_pairs(cuccaro)),
+            "replace_pairs": (cuccaro, lambda: replace_pairs(cuccaro)),
+            "lower_ccx": (cuccaro, lambda: lower_ccx(cuccaro, "paired4")),
+        }
+        for name, (circuit, call) in layers.items():
+            rates.setdefault(name, {})[n] = round(len(circuit) / best_time(call, repeat))
+    return rates
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=5, help="timed calls per layer and size")
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    args = parser.parse_args(argv)
+    print(json.dumps(layer_rates(args.sizes, args.repeat)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,10 +23,10 @@ take their input as checked and never check it again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class Op(Enum):
@@ -39,6 +39,9 @@ class Op(Enum):
     classical bit.  A ``diagonal`` kind never changes a computational-basis
     value.  ``lifetime`` is +1 for a kind that allocates its qubit, -1 for
     one that releases it and 0 otherwise.
+
+    Members hash by identity, in C, instead of by name as ``Enum`` does:
+    each member is a singleton, so equal members are the same object.
     """
 
     X = "x", 1, 0, "clifford"
@@ -67,18 +70,21 @@ class Op(Enum):
             flag in flags.split() for flag in ("clifford", "t_type", "measures", "diagonal"))
         return op
 
+    __hash__ = object.__hash__
+
 
 class GadgetTag(Enum):
     AND_COMPUTE = "and_compute"
     AND_UNCOMPUTE = "and_uncompute"
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
+class Instruction(NamedTuple):
     """One gate, measurement, or allocation event.
 
     ``result`` names the classical bit written by a measurement; ``cond``
-    names the classical bit guarding a conditioned Clifford.
+    names the classical bit guarding a conditioned Clifford.  A named tuple:
+    immutable, compared and hashed field by field as a tuple, and copied
+    with fields replaced by ``_replace``.
     """
 
     op: Op
@@ -89,7 +95,8 @@ class Instruction:
 
     def writes(self) -> tuple[int, ...]:
         """Qubits whose computational-basis value this instruction may change."""
-        return () if self.op.diagonal else self.qubits[self.op.controls:]
+        op = self.op
+        return () if op.diagonal else self.qubits[op.controls:]
 
 
 @dataclass(frozen=True)
@@ -212,52 +219,53 @@ def validate(circuit: Circuit) -> Violation | None:
             return Violation(ViolationCode.USE_AFTER_RELEASE, i, f"qubit {q} used after release")
         return Violation(ViolationCode.USE_BEFORE_ALLOC, i, f"qubit {q} used before allocation")
 
-    for i, instr in enumerate(circuit.instructions):
-        op = instr.op
-        if len(instr.qubits) != op.arity or len(set(instr.qubits)) != len(instr.qubits):
+    n_qubits, n_classbits, rz = circuit.n_qubits, circuit.n_classbits, Op.RZ
+    for i, (op, qubits, angle, result, cond) in enumerate(circuit.instructions):
+        arity = op.arity
+        if len(qubits) != arity or (arity > 1 and len(set(qubits)) != arity):
             return Violation(ViolationCode.BAD_ARITY, i,
-                             f"{op.value} expects {op.arity} distinct qubits, got {instr.qubits}")
-        if any(q < 0 or q >= circuit.n_qubits for q in instr.qubits):
-            return Violation(ViolationCode.BAD_ARITY, i, f"qubit index out of range in {instr.qubits}")
-        if (instr.angle is not None) != (op is Op.RZ):
+                             f"{op.value} expects {arity} distinct qubits, got {qubits}")
+        if min(qubits) < 0 or max(qubits) >= n_qubits:
+            return Violation(ViolationCode.BAD_ARITY, i, f"qubit index out of range in {qubits}")
+        if (angle is not None) != (op is rz):
             return Violation(ViolationCode.BAD_ARITY, i, "angle is required for rz and forbidden elsewhere")
-        if instr.angle is not None and not math.isfinite(instr.angle):
-            return Violation(ViolationCode.BAD_ARITY, i, f"rz angle must be finite, got {instr.angle}")
-        if (instr.result is not None) != op.measures:
+        if angle is not None and not math.isfinite(angle):
+            return Violation(ViolationCode.BAD_ARITY, i, f"rz angle must be finite, got {angle}")
+        measures = op.measures
+        if (result is not None) != measures:
             return Violation(ViolationCode.BAD_ARITY, i, "result bit is required for measurements only")
 
-        if instr.cond is not None:
+        if cond is not None:
             if not op.clifford:
                 return Violation(ViolationCode.NONCLIFFORD_CONDITIONED, i,
                                  f"conditioned {op.value} is not a Clifford fixup")
-            if instr.cond not in written_bits:
+            if cond not in written_bits:
                 return Violation(ViolationCode.CLASSBIT_READ_BEFORE_WRITE, i,
-                                 f"classical bit c{instr.cond} read before any measurement wrote it")
+                                 f"classical bit c{cond} read before any measurement wrote it")
 
-        if op.lifetime > 0:
-            q = instr.qubits[0]
+        lifetime = op.lifetime
+        if lifetime > 0:
+            q = qubits[0]
             if q in live:
                 return Violation(ViolationCode.ALLOC_WHILE_LIVE, i, f"qubit {q} allocated while live")
             live.add(q)
             ever_released.discard(q)
-        elif op.lifetime < 0:
-            q = instr.qubits[0]
+        elif lifetime < 0:
+            q = qubits[0]
             if q not in live:
                 return liveness_error(q, i)
             live.discard(q)
             ever_released.add(q)
         else:
-            for q in instr.qubits:
-                if q not in live:
-                    return liveness_error(q, i)
-            if op.measures:
-                bit = instr.result
-                if bit is None or bit < 0 or bit >= circuit.n_classbits:
-                    return Violation(ViolationCode.BAD_ARITY, i, f"classical bit {bit} out of range")
-                if bit in written_bits:
+            if not live.issuperset(qubits):
+                return liveness_error(next(q for q in qubits if q not in live), i)
+            if measures:
+                if result < 0 or result >= n_classbits:
+                    return Violation(ViolationCode.BAD_ARITY, i, f"classical bit {result} out of range")
+                if result in written_bits:
                     return Violation(ViolationCode.CLASSBIT_REWRITE, i,
-                                     f"classical bit c{bit} written twice")
-                written_bits.add(bit)
+                                     f"classical bit c{result} written twice")
+                written_bits.add(result)
 
     for q in circuit.output_qubits():
         if q not in live:
@@ -305,9 +313,10 @@ class CircuitBuilder:
 
     def _emit(self, op: Op, qubits: tuple[int, ...], *, angle: float | None = None,
               result: int | None = None, cond: int | None = None) -> None:
-        if qubits:
-            self._next_qubit = max(self._next_qubit, max(qubits) + 1)
-        self._instructions.append(Instruction(op, qubits, angle=angle, result=result, cond=cond))
+        top = max(qubits) + 1
+        if top > self._next_qubit:
+            self._next_qubit = top
+        self._instructions.append(Instruction(op, qubits, angle, result, cond))
 
     def _fresh_or(self, q: int | None) -> int:
         if q is None:
@@ -453,7 +462,7 @@ def concatenate(first: Circuit, second: Circuit) -> Circuit:
     def shift(instr: Instruction) -> Instruction:
         result = instr.result + offset if instr.result is not None else None
         cond = instr.cond + offset if instr.cond is not None else None
-        return replace(instr, result=result, cond=cond)
+        return instr._replace(result=result, cond=cond)
 
     instrs = first.instructions + tuple(shift(i) for i in second.instructions)
     base = len(first.instructions)
@@ -492,7 +501,7 @@ def shift_qubits(circuit: Circuit, offset: int) -> Circuit:
         return Register(reg.name, tuple(q + offset for q in reg.qubits))
 
     return Circuit(
-        instructions=tuple(replace(i, qubits=tuple(q + offset for q in i.qubits))
+        instructions=tuple(i._replace(qubits=tuple(q + offset for q in i.qubits))
                            for i in circuit.instructions),
         n_qubits=circuit.n_qubits + offset,
         n_classbits=circuit.n_classbits,

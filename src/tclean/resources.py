@@ -68,9 +68,10 @@ def count(circuit: Circuit) -> ResourceReport:
     instrs = circuit.instructions
     qubit_layer = [0] * circuit.n_qubits
     bit_layer = [0] * circuit.n_classbits
+    layer_of = qubit_layer.__getitem__
 
     def latest(instr: Instruction) -> int:
-        layer = max(map(qubit_layer.__getitem__, instr.qubits))
+        layer = max(map(layer_of, instr.qubits))
         for bit in (instr.result, instr.cond):
             if bit is not None and bit_layer[bit] > layer:
                 layer = bit_layer[bit]
@@ -87,8 +88,9 @@ def count(circuit: Circuit) -> ResourceReport:
     ancilla_max = 0
     ancilla_depth = 0
     alloc_layer: dict[int, int] = {}
+    ccx, rz = Op.CCX, Op.RZ  # an Op member read costs ~100 ns
     for i, instr in enumerate(instrs):
-        op = instr.op
+        op, qubits, _, result, cond = instr
         if i < span_stop:
             layer = span_layer
         elif i in span_end:
@@ -96,27 +98,28 @@ def count(circuit: Circuit) -> ResourceReport:
             span_layer = layer = 1 + max(map(latest, instrs[i:span_stop]))
         else:
             layer = latest(instr) + (op.t_type or op.measures)
-        for q in instr.qubits:
+        for q in qubits:
             qubit_layer[q] = layer
-        for bit in (instr.result, instr.cond):
-            if bit is not None:
-                bit_layer[bit] = layer
+        if result is not None:
+            bit_layer[result] = layer
+        if cond is not None:
+            bit_layer[cond] = layer
         if layer > meas_depth:
             meas_depth = layer
 
         if op.t_type:
             t_count += 1
-        elif op is Op.CCX:
+        elif op is ccx:
             ccx_count += 1
-        elif op is Op.RZ:
+        elif op is rz:
             rotation_bucket += 1
         if op.lifetime > 0:
-            q = instr.qubits[0]
+            q = qubits[0]
             live_ancillae.add(q)
             ancilla_max = max(ancilla_max, len(live_ancillae))
             alloc_layer[q] = layer
         elif op.lifetime < 0:
-            q = instr.qubits[0]
+            q = qubits[0]
             if q in live_ancillae:
                 live_ancillae.discard(q)
                 ancilla_depth += layer - alloc_layer.pop(q) + 1

@@ -52,10 +52,12 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
     writes: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
     # position of each CCX in its target's use list
     target_pos: dict[int, int] = {}
+    ccx, alloc0, release = Op.CCX, Op.ALLOC0, Op.RELEASE  # an Op member read costs ~100 ns
     for i, instr in enumerate(instrs):
-        if instr.op is Op.CCX:
-            target_pos[i] = len(uses[instr.qubits[2]])
-        for q in instr.qubits:
+        qubits = instr.qubits
+        if instr.op is ccx:
+            target_pos[i] = len(uses[qubits[2]])
+        for q in qubits:
             uses[q].append(i)
         for q in instr.writes():
             writes[q].append(i)
@@ -67,7 +69,7 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
             continue
         c1, c2, target = instrs[i].qubits
         t_uses = uses[target]
-        if pos == 0 or instrs[t_uses[pos - 1]].op is not Op.ALLOC0:
+        if pos == 0 or instrs[t_uses[pos - 1]].op is not alloc0:
             continue
 
         # Every reference to the target up to the matching second CCX must
@@ -80,7 +82,7 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
         for k in range(pos + 1, len(t_uses)):
             j = t_uses[k]
             cur = instrs[j]
-            if (cur.op is Op.CCX and cur.qubits[2] == target
+            if (cur.op is ccx and cur.qubits[2] == target
                     and set(cur.qubits[:2]) == {c1, c2}):
                 second_pos = k
                 break
@@ -92,7 +94,7 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
         if any(_written_between(writes[c], i, j) for c in (c1, c2)):
             continue
         release_index = t_uses[second_pos + 1]
-        if instrs[release_index].op is not Op.RELEASE:
+        if instrs[release_index].op is not release:
             continue
 
         matches.append(PairMatch(i, j, (c1, c2), target, t_uses[pos - 1], release_index))

@@ -95,7 +95,7 @@ _PHASES: dict[Op, complex] = {
 }
 
 #: Gates that flip their last qubit where all the others are 1.
-_FLIPS = frozenset({Op.X, Op.CX, Op.CCX})
+_FLIPS = (Op.X, Op.CX, Op.CCX)
 
 
 def rz_matrix(theta: float) -> np.ndarray:

@@ -13,15 +13,37 @@ One instruction per line, lowercase, space-separated:
     ...
     #end and_compute
 
-Angles are printed with 17 significant digits, which round-trips IEEE
-doubles exactly.  Lines starting with '#' that are not one of the
-#input/#output/#begin/#end directives are comments.
+A line's form is its kind's row of the mnemonic table ``_ROWS``, which both
+directions read: plain ``op q...``, ``rz angle q`` or ``mz|mx q -> c<k>``,
+after an optional condition ``? c<k> :``.  Ids are ASCII decimal digits, at
+most ``MAX_INDEX``.  Angles are printed with 17 significant digits, which
+round-trips IEEE doubles exactly.  Lines starting with '#' that are not one
+of the #input/#output/#begin/#end directives are comments.
 """
 from __future__ import annotations
 
 from .ir import Circuit, GadgetSpan, GadgetTag, Instruction, Op, Register
 
-_MNEMONIC = {op.value: op for op in Op}
+#: Largest qubit or classical-bit id a text may name: passes keep per-wire
+#: state up to the largest id, so a larger one is refused before that is allocated.
+MAX_INDEX = (1 << 20) - 1
+
+_PLAIN, _ANGLE, _MEASURE = "plain", "angle", "measure"
+
+
+def _row(op: Op) -> tuple[Op, str, str]:
+    """A kind's row of the mnemonic table: the kind, its text form and its line template."""
+    if op is Op.RZ:
+        return op, _ANGLE, "rz %.17g %d"
+    if op.measures:
+        return op, _MEASURE, op.value + " %d -> c%d"
+    return op, _PLAIN, " ".join([op.value] + ["%d"] * op.arity)
+
+
+#: The mnemonic table, by mnemonic for the parser and by kind for the formatter.
+_ROWS = {op.value: _row(op) for op in Op}
+_ROW_OF = {row[0]: row for row in _ROWS.values()}
+_TAGS = {tag.value: tag for tag in GadgetTag}
 
 
 class TextFormatError(Exception):
@@ -30,19 +52,6 @@ class TextFormatError(Exception):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
-
-
-def _format_instruction(instr: Instruction) -> str:
-    parts: list[str] = []
-    if instr.cond is not None:
-        parts.extend(["?", f"c{instr.cond}", ":"])
-    parts.append(instr.op.value)
-    if instr.op is Op.RZ:
-        parts.append("%.17g" % instr.angle)
-    parts.extend(str(q) for q in instr.qubits)
-    if instr.result is not None:
-        parts.extend(["->", f"c{instr.result}"])
-    return " ".join(parts)
 
 
 def to_text(circuit: Circuit) -> str:
@@ -57,36 +66,47 @@ def to_text(circuit: Circuit) -> str:
     for span in circuit.spans:
         begins.setdefault(span.start, []).append(span)
         ends.setdefault(span.end, []).append(span)
-    for i in range(len(circuit.instructions) + 1):
+    instructions = circuit.instructions
+    done = 0
+    # Lines of the instructions between span boundaries, then the markers at the boundary.
+    for i in sorted(begins.keys() | ends.keys() | {len(instructions)}):
+        for op, qubits, angle, result, cond in instructions[done:i]:
+            _, form, template = _ROW_OF[op]
+            if form is _PLAIN:
+                line = template % qubits
+            elif form is _ANGLE:
+                line = template % (angle, qubits[0])
+            else:
+                line = template % (qubits[0], result)
+            lines.append(line if cond is None else "? c%d : %s" % (cond, line))
+        done = i
         for span in sorted(ends.get(i, []), key=lambda s: s.start, reverse=True):
             lines.append(f"#end {span.tag.value}")
         for span in sorted(begins.get(i, []), key=lambda s: s.end, reverse=True):
             lines.append(f"#begin {span.tag.value}")
-        if i < len(circuit.instructions):
-            lines.append(_format_instruction(circuit.instructions[i]))
     return "\n".join(lines) + "\n"
 
 
-def _parse_qubit(token: str, line_no: int) -> int:
-    try:
-        q = int(token)
-    except ValueError:
-        raise TextFormatError(line_no, f"expected qubit index, got {token!r}") from None
-    if q < 0:
-        raise TextFormatError(line_no, f"negative qubit index {q}")
-    return q
+def _parse_index(token: str, digits: str, line_no: int, kind: str, expected: str) -> int:
+    """The id that `token` spells as `digits`; `kind` and `expected` word its errors."""
+    if not (digits.isdecimal() and digits.isascii()):
+        magnitude = digits[1:]
+        if digits[:1] == "-" and magnitude.isdecimal() and magnitude.isascii() and int(magnitude):
+            raise TextFormatError(line_no, f"negative {kind} {int(digits)}")
+        raise TextFormatError(line_no, f"expected {expected}, got {token!r}")
+    value = int(digits)
+    if value > MAX_INDEX:
+        raise TextFormatError(line_no, f"{kind} {value} exceeds the limit {MAX_INDEX}")
+    return value
+
+
+def _parse_qubits(tokens: list[str], line_no: int) -> tuple[int, ...]:
+    return tuple(_parse_index(t, t, line_no, "qubit index", "qubit index") for t in tokens)
 
 
 def _parse_classbit(token: str, line_no: int) -> int:
-    if not token.startswith("c"):
-        raise TextFormatError(line_no, f"expected classical bit like c0, got {token!r}")
-    try:
-        bit = int(token[1:])
-    except ValueError:
-        raise TextFormatError(line_no, f"expected classical bit like c0, got {token!r}") from None
-    if bit < 0:
-        raise TextFormatError(line_no, f"negative classical bit {bit}")
-    return bit
+    digits = token[1:] if token[:1] == "c" else ""
+    return _parse_index(token, digits, line_no, "classical bit", "classical bit like c0")
 
 
 def from_text(text: str) -> Circuit:
@@ -98,46 +118,36 @@ def from_text(text: str) -> Circuit:
     max_qubit = -1
     max_bit = -1
 
-    def note_qubits(qs: tuple[int, ...]) -> None:
-        nonlocal max_qubit
-        for q in qs:
-            max_qubit = max(max_qubit, q)
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
+        if not tokens:
+            continue
         head = tokens[0]
 
-        if head == "#input" or head == "#output":
-            if len(tokens) < 2:
-                raise TextFormatError(line_no, f"{head} needs a register name")
-            qubits = tuple(_parse_qubit(t, line_no) for t in tokens[2:])
-            note_qubits(qubits)
-            (inputs if head == "#input" else outputs).append(Register(tokens[1], qubits))
-            continue
-        if head == "#begin":
-            if len(tokens) != 2:
-                raise TextFormatError(line_no, "#begin needs a gadget tag")
-            try:
-                tag = GadgetTag(tokens[1])
-            except ValueError:
-                raise TextFormatError(line_no, f"unknown gadget tag {tokens[1]!r}") from None
-            open_spans.append((len(instructions), tag, line_no))
-            continue
-        if head == "#end":
-            if len(tokens) != 2:
-                raise TextFormatError(line_no, "#end needs a gadget tag")
-            if not open_spans:
-                raise TextFormatError(line_no, "#end without matching #begin")
-            start, tag, _ = open_spans.pop()
-            if tag.value != tokens[1]:
-                raise TextFormatError(line_no, f"#end {tokens[1]} does not match #begin {tag.value}")
-            spans.append(GadgetSpan(start, len(instructions), tag))
-            continue
-        if head.startswith("#"):
-            continue  # comment
+        if head[0] == "#":
+            if head == "#input" or head == "#output":
+                if len(tokens) < 2:
+                    raise TextFormatError(line_no, f"{head} needs a register name")
+                qubits = _parse_qubits(tokens[2:], line_no)
+                max_qubit = max(max_qubit, max(qubits, default=-1))
+                (inputs if head == "#input" else outputs).append(Register(tokens[1], qubits))
+            elif head == "#begin":
+                if len(tokens) != 2:
+                    raise TextFormatError(line_no, "#begin needs a gadget tag")
+                tag = _TAGS.get(tokens[1])
+                if tag is None:
+                    raise TextFormatError(line_no, f"unknown gadget tag {tokens[1]!r}")
+                open_spans.append((len(instructions), tag, line_no))
+            elif head == "#end":
+                if len(tokens) != 2:
+                    raise TextFormatError(line_no, "#end needs a gadget tag")
+                if not open_spans:
+                    raise TextFormatError(line_no, "#end without matching #begin")
+                start, tag, _ = open_spans.pop()
+                if _TAGS.get(tokens[1]) is not tag:
+                    raise TextFormatError(line_no, f"#end {tokens[1]} does not match #begin {tag.value}")
+                spans.append(GadgetSpan(start, len(instructions), tag))
+            continue  # any other '#' line is a comment
 
         cond: int | None = None
         if head == "?":
@@ -145,37 +155,45 @@ def from_text(text: str) -> Circuit:
                 raise TextFormatError(line_no, "conditioned form is '? c<k> : <gate...>'")
             cond = _parse_classbit(tokens[1], line_no)
             max_bit = max(max_bit, cond)
-            tokens = tokens[3:]
+            del tokens[:3]
             head = tokens[0]
-
-        op = _MNEMONIC.get(head)
-        if op is None:
+        row = _ROWS.get(head)
+        if row is None:
             raise TextFormatError(line_no, f"unknown instruction {head!r}")
 
+        op, form, _ = row
+        args = tokens[1:]
         angle: float | None = None
-        rest = tokens[1:]
-        if op is Op.RZ:
-            if not rest:
+        result: int | None = None
+        if form is _ANGLE:
+            if not args:
                 raise TextFormatError(line_no, "rz needs an angle")
             try:
-                angle = float(rest[0])
+                angle = float(args[0])
             except ValueError:
-                raise TextFormatError(line_no, f"bad angle {rest[0]!r}") from None
-            rest = rest[1:]
-
-        result: int | None = None
-        if op.measures:
-            if len(rest) != 3 or rest[1] != "->":
+                raise TextFormatError(line_no, f"bad angle {args[0]!r}") from None
+            del args[0]
+        elif form is _MEASURE:
+            if len(args) != 3 or args[1] != "->":
                 raise TextFormatError(line_no, f"{op.value} form is '{op.value} q -> c<k>'")
-            result = _parse_classbit(rest[2], line_no)
+            result = _parse_classbit(args[2], line_no)
             max_bit = max(max_bit, result)
-            rest = rest[:1]
+            del args[1:]
 
-        if len(rest) != op.arity:
-            raise TextFormatError(line_no, f"{op.value} expects {op.arity} qubits, got {len(rest)}")
-        qubits = tuple(_parse_qubit(t, line_no) for t in rest)
-        note_qubits(qubits)
-        instructions.append(Instruction(op, qubits, angle=angle, result=result, cond=cond))
+        if len(args) != op.arity:
+            raise TextFormatError(line_no, f"{op.value} expects {op.arity} qubits, got {len(args)}")
+        # One conversion for the whole line; the per-token parse only words its error.
+        digits = "".join(args)
+        if digits.isdecimal() and digits.isascii():
+            qubits = tuple(map(int, args))
+        else:
+            qubits = _parse_qubits(args, line_no)  # raises: some token is not an id
+        top = max(qubits)
+        if top > max_qubit:
+            if top > MAX_INDEX:
+                _parse_qubits(args, line_no)  # raises: names the first id past the limit
+            max_qubit = top
+        instructions.append(Instruction(op, qubits, angle, result, cond))
 
     if open_spans:
         raise TextFormatError(open_spans[-1][2], f"unclosed #begin {open_spans[-1][1].value}")
@@ -188,3 +206,4 @@ def from_text(text: str) -> Circuit:
         inputs=tuple(inputs),
         outputs=tuple(outputs),
     )
+

@@ -1,6 +1,11 @@
 """Command-line interface: flags, determinism, exit codes."""
 import io
+import os
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +223,30 @@ def test_bad_expression_reports_parse_error():
     code, _, err = run_cli(["oracle", "--expr", "x0 &"])
     assert code == 1
     assert "column" in err
+
+
+HUGE_ID_FILES = {
+    "qubit": "#input a 1000000000000000\nx 1000000000000000\n",
+    "classical-bit": "#input a 0\nmz 0 -> c1000000000000000\n",
+    "register": "#input a 1000000000000000\n",
+}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command", ["count", "rewrite"])
+@pytest.mark.parametrize("kind", HUGE_ID_FILES)
+def test_huge_id_fails_with_one_line_inside_one_gib(tmp_path, command, kind):
+    """Per-wire state is sized by the largest id: a huge one is a parse error, not a MemoryError."""
+    path = tmp_path / "huge.qc"
+    path.write_text(HUGE_ID_FILES[kind])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "tclean.cli", command, "--in", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("tclean: line ") and proc.stderr.count("\n") == 1
+    assert "exceeds the limit" in proc.stderr

@@ -1,0 +1,173 @@
+"""The text codec and ``validate`` against the versions they replaced.
+
+``tests/textfmt_reference.py`` and ``tests/validate_reference.py`` hold the
+old code.  The production codec must format the same text and parse the
+same circuit, or raise the same error, on generated circuits and on
+mutated corpus lines; the one allowed difference is a line with an id token
+that the production parser now refuses (see :func:`refused_id`).  Both
+``validate`` functions must return the same first violation on circuits
+with one instruction dropped or duplicated.
+"""
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from tclean.goldens import default_corpus_dir
+from tclean.ir import Circuit, GadgetSpan, validate
+from tclean.textfmt import MAX_INDEX, TextFormatError, from_text, to_text
+
+from strategies import near_miss_circuit, random_circuit, random_paired_circuit
+from textfmt_reference import reference_from_text, reference_to_text
+from validate_reference import reference_validate
+
+CORPUS = {path.parent.name: path.read_text()
+          for path in sorted(Path(default_corpus_dir()).glob("*/circuit.qc"))}
+
+GENERATORS = {
+    "random": random_circuit,
+    "paired": random_paired_circuit,
+    "near_miss": near_miss_circuit,
+}
+
+#: Tokens a mutation may put in place of another, besides every corpus token.
+EXTRA_TOKENS = ["-1", "-3", "-0", "-1_0", "1_0", "+3", "٣", "０", "007", "c-1", "c-0", "c1_0",
+                "c+1", "c٣", "c", "cc1", "->", ":", "?", "#begin", "#end", "#input", "#output",
+                "#", "and_compute", "and_uncompute", "and_other", "nan", "inf", "1e400", "0.5",
+                str(MAX_INDEX), str(MAX_INDEX + 1), f"c{MAX_INDEX + 1}", "99999999999", "X", "rz"]
+TOKENS = sorted({tok for text in CORPUS.values() for tok in text.split()} | set(EXTRA_TOKENS))
+
+
+def outcome(parse, text):
+    """What parsing `text` gives: the circuit, or the error's type, line and message."""
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - every exception type is compared
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
+def _decimal(token: str) -> bool:
+    return token.isdecimal() and token.isascii()
+
+
+def refused_id(token: str) -> bool:
+    """An id the old parser's ``int()`` read and the new parser refuses.
+
+    It is not ASCII decimal digits (``1_0``, ``+3``, ``٣``, ``-0``, ``-1_0``)
+    or it is past ``MAX_INDEX``.  A negative ``-<digits>`` is not one: both
+    parsers refuse it with the same message.
+    """
+    body = token[1:] if token[:1] == "c" else token
+    try:
+        value = int(body)
+    except ValueError:
+        return False
+    if body[:1] == "-" and _decimal(body[1:]) and value < 0:
+        return False
+    return not _decimal(body) or value > MAX_INDEX
+
+
+def assert_same_parse(text: str, changed_line: int) -> None:
+    new, old = outcome(from_text, text), outcome(reference_from_text, text)
+    if new == old:
+        return
+    # The one difference allowed: the new parser refuses an id on the changed line.
+    refused = any(map(refused_id, text.splitlines()[changed_line - 1].split()))
+    assert refused and new[:2] == (TextFormatError, changed_line), (text, new, old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32 - 1))
+def test_generated_circuits_format_and_parse_as_before(kind, seed):
+    circuit = GENERATORS[kind](np.random.default_rng(seed))
+    text = to_text(circuit)
+    assert text == reference_to_text(circuit)
+    assert from_text(text) == reference_from_text(text) == circuit
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_formats_and_parses_as_before(name):
+    text = CORPUS[name]
+    circuit = from_text(text)
+    assert circuit == reference_from_text(text)
+    assert to_text(circuit) == reference_to_text(circuit) == text
+
+
+MUTATIONS = ("drop", "duplicate", "swap", "replace")
+
+
+@st.composite
+def mutated_corpus_text(draw):
+    """A corpus file with one token of one line dropped, duplicated, swapped or replaced."""
+    lines = CORPUS[draw(st.sampled_from(sorted(CORPUS)))].splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[k].split()
+    i = draw(st.integers(0, len(tokens) - 1))
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "drop":
+        del tokens[i]
+    elif kind == "duplicate":
+        tokens.insert(i, tokens[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    else:
+        tokens[i] = draw(st.sampled_from(TOKENS))
+    lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n", k + 1
+
+
+@settings(max_examples=1500, deadline=None)
+@given(mutated_corpus_text())
+def test_mutated_corpus_lines_parse_or_fail_as_before(mutated):
+    text, line_no = mutated
+    assert_same_parse(text, line_no)
+
+
+def test_refused_ids_are_the_only_listed_difference():
+    # the old parser read these; the new one names the token instead
+    for token in ("1_0", "+3", "٣", "０", "-0", "-1_0", str(MAX_INDEX + 1)):
+        assert refused_id(token) and refused_id("c" + token)
+    for token in ("0", "007", str(MAX_INDEX), "-3", "x", "->", "0.5", "c"):
+        assert not refused_id(token)
+
+
+def unchecked_circuit(circuit: Circuit, instructions, spans) -> Circuit:
+    """`circuit` with other instructions and spans, built without running ``validate``."""
+    out = object.__new__(Circuit)
+    for name in ("n_qubits", "n_classbits", "inputs", "outputs"):
+        object.__setattr__(out, name, getattr(circuit, name))
+    object.__setattr__(out, "instructions", tuple(instructions))
+    object.__setattr__(out, "spans", tuple(spans))
+    return out
+
+
+def edited(circuit: Circuit, index: int, duplicate: bool) -> Circuit:
+    """`circuit` with instruction `index` dropped or duplicated, its spans shifted to match."""
+    instrs = list(circuit.instructions)
+    shift = 1 if duplicate else -1
+    if duplicate:
+        instrs.insert(index, instrs[index])
+    else:
+        del instrs[index]
+
+    def moved(pos: int) -> int:
+        return pos + shift if pos > index else pos
+
+    spans = [GadgetSpan(moved(s.start), moved(s.end), s.tag) for s in circuit.spans]
+    return unchecked_circuit(circuit, instrs, spans)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS) + sorted(CORPUS)), st.integers(0, 2**32 - 1),
+       st.booleans(), st.data())
+def test_validate_reports_the_same_first_violation(source, seed, duplicate, data):
+    if source in GENERATORS:
+        circuit = GENERATORS[source](np.random.default_rng(seed))
+    else:
+        circuit = from_text(CORPUS[source])
+    assume(circuit.instructions)
+    index = data.draw(st.integers(0, len(circuit.instructions) - 1))
+    broken = edited(circuit, index, duplicate)
+    assert validate(broken) == reference_validate(broken)

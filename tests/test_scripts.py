@@ -1,0 +1,61 @@
+"""The committed scripts: the output digest stays pinned and the layer-rate report runs."""
+import ast
+import hashlib
+import importlib.util
+from pathlib import Path
+
+from tclean.ir import Op
+from tclean.resources import count, serialize_report
+from tclean.textfmt import to_text
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: sha256 over the text and ``count`` report of every circuit of ``scripts/report_digest.py``.
+DIGEST = "ff805d7a234a9fba26d6471c875aa5db6e525ec6ade00f4eed37083a6a362607"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_digest_is_pinned():
+    """A changed byte of ``to_text`` or of a ``count`` report changes the digest."""
+    digest = hashlib.sha256()
+    for circuit in load_script("report_digest").circuits():
+        digest.update(to_text(circuit).encode())
+        digest.update(serialize_report(count(circuit)).encode())
+    assert digest.hexdigest() == DIGEST
+
+
+def test_layer_rates_reports_every_layer():
+    rates = load_script("layer_rates").layer_rates(sizes=(4,), repeat=1)
+    assert sorted(rates) == sorted(["build", "validate", "to_text", "from_text", "count",
+                                    "find_pairs", "replace_pairs", "lower_ccx"])
+    assert all(rate[4] > 0 for rate in rates.values())
+
+
+def test_ops_hash_by_identity():
+    for op in Op:
+        assert hash(op) == object.__hash__(op)
+        assert {op: 1}[Op(op.value)] == 1
+
+
+def test_no_set_of_ops_in_the_package():
+    """Ops hash by address, so a set of them iterates in an order that changes per process.
+
+    No set display, set comprehension or ``set``/``frozenset`` call in ``tclean``
+    names ``Op``: its fixed collections of kinds are tuples and dicts, which
+    keep their written order.
+    """
+    def names_op(node) -> bool:
+        return any(isinstance(n, ast.Name) and n.id == "Op" for n in ast.walk(node))
+
+    for path in sorted((ROOT / "src" / "tclean").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            is_set = isinstance(node, (ast.Set, ast.SetComp)) or (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("set", "frozenset"))
+            assert not (is_set and names_op(node)), f"{path.name}:{node.lineno}"

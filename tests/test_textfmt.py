@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tclean.ir import CircuitBuilder, CircuitError, Instruction, Op, ViolationCode, validate
-from tclean.textfmt import TextFormatError, from_text, to_text
+from tclean.textfmt import MAX_INDEX, TextFormatError, from_text, to_text
 
 from strategies import random_circuit
 
@@ -82,3 +82,48 @@ def test_round_trip_property(seed):
     c = random_circuit(np.random.default_rng(seed))
     assert validate(c) is None
     assert from_text(to_text(c)) == c
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("#input q 0\nx 1_0\n", 2, "expected qubit index, got '1_0'"),
+    ("#input q 0\nx +0\n", 2, "expected qubit index, got '+0'"),
+    ("#input q 0\nx ٠\n", 2, "expected qubit index, got '٠'"),   # Arabic-Indic zero
+    ("#input q 0\nx ０\n", 2, "expected qubit index, got '０'"),   # fullwidth zero
+    ("#input q 0\nx -0\n", 2, "expected qubit index, got '-0'"),
+    ("#input q 0 +1\n", 1, "expected qubit index, got '+1'"),
+    ("#input q 0\nmz 0 -> c1_0\n", 2, "expected classical bit like c0, got 'c1_0'"),
+    ("#input q 0\nmz 0 -> c+0\n", 2, "expected classical bit like c0, got 'c+0'"),
+    ("#input q 0\nmz 0 -> c٠\n", 2, "expected classical bit like c0, got 'c٠'"),
+    ("#input q 0\nmz 0 -> c0\n? c-0 : x 0\n", 3, "expected classical bit like c0, got 'c-0'"),
+])
+def test_ids_are_ascii_decimal_digits(text, line_no, message):
+    with pytest.raises(TextFormatError) as err:
+        from_text(text)
+    assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#input q 0\nx -3\n", "line 2: negative qubit index -3"),
+    ("#input q 0\ncx 0 -03\n", "line 2: negative qubit index -3"),
+    ("#input q 0\nmz 0 -> c-2\n", "line 2: negative classical bit -2"),
+    ("#input q 0 -1\n", "line 1: negative qubit index -1"),
+])
+def test_negative_ids_keep_their_messages(text, message):
+    with pytest.raises(TextFormatError, match=f"^{message}$"):
+        from_text(text)
+
+
+def test_ids_up_to_the_limit_parse_and_past_it_fail():
+    top = MAX_INDEX
+    c = from_text(f"#input q {top}\nx {top}\nmz {top} -> c{top}\n")
+    assert (c.n_qubits, c.n_classbits) == (top + 1, top + 1)
+    for text, message in [
+        (f"#input q 0 {top + 1}\n", f"line 1: qubit index {top + 1} exceeds the limit {top}"),
+        (f"#input q 0\ncx 0 {top + 1}\n", f"line 2: qubit index {top + 1} exceeds the limit {top}"),
+        (f"#input q 0\nmz 0 -> c{top + 1}\n",
+         f"line 2: classical bit {top + 1} exceeds the limit {top}"),
+        # the first offending token is named, as a token-by-token parse would
+        (f"#input q 0\nccx 0 {top + 5} {top + 9}\n", f"line 2: qubit index {top + 5} exceeds the limit {top}"),
+    ]:
+        with pytest.raises(TextFormatError, match=f"^{message}$"):
+            from_text(text)

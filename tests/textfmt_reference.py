@@ -1,0 +1,176 @@
+"""The text codec ``tclean.textfmt`` used before its mnemonic table, kept as the reference for tests.
+
+This parser branches on each line's op and converts every qubit token on
+its own with ``int()``; this formatter checks the span boundaries at every
+instruction index and joins each line from a generator.  It is slower, but
+each rule reads directly as a branch.  The differential tests require the
+production codec to format the same text, and to parse the same circuit or
+raise the same error (type, line number and message), on every input
+except the token cases the production parser now refuses: ids that are not
+ASCII decimal digits (``1_0``, ``+9``, non-ASCII digits, ``-0``) or that
+exceed ``tclean.textfmt.MAX_INDEX``.
+"""
+from __future__ import annotations
+
+from tclean.ir import Circuit, GadgetSpan, GadgetTag, Instruction, Op, Register
+from tclean.textfmt import TextFormatError
+
+_MNEMONIC = {op.value: op for op in Op}
+
+
+def _format_instruction(instr: Instruction) -> str:
+    parts: list[str] = []
+    if instr.cond is not None:
+        parts.extend(["?", f"c{instr.cond}", ":"])
+    parts.append(instr.op.value)
+    if instr.op is Op.RZ:
+        parts.append("%.17g" % instr.angle)
+    parts.extend(str(q) for q in instr.qubits)
+    if instr.result is not None:
+        parts.extend(["->", f"c{instr.result}"])
+    return " ".join(parts)
+
+
+def reference_to_text(circuit: Circuit) -> str:
+    lines: list[str] = []
+    for reg in circuit.inputs:
+        lines.append("#input " + " ".join([reg.name] + [str(q) for q in reg.qubits]))
+    for reg in circuit.outputs:
+        lines.append("#output " + " ".join([reg.name] + [str(q) for q in reg.qubits]))
+
+    begins: dict[int, list[GadgetSpan]] = {}
+    ends: dict[int, list[GadgetSpan]] = {}
+    for span in circuit.spans:
+        begins.setdefault(span.start, []).append(span)
+        ends.setdefault(span.end, []).append(span)
+    for i in range(len(circuit.instructions) + 1):
+        for span in sorted(ends.get(i, []), key=lambda s: s.start, reverse=True):
+            lines.append(f"#end {span.tag.value}")
+        for span in sorted(begins.get(i, []), key=lambda s: s.end, reverse=True):
+            lines.append(f"#begin {span.tag.value}")
+        if i < len(circuit.instructions):
+            lines.append(_format_instruction(circuit.instructions[i]))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_qubit(token: str, line_no: int) -> int:
+    try:
+        q = int(token)
+    except ValueError:
+        raise TextFormatError(line_no, f"expected qubit index, got {token!r}") from None
+    if q < 0:
+        raise TextFormatError(line_no, f"negative qubit index {q}")
+    return q
+
+
+def _parse_classbit(token: str, line_no: int) -> int:
+    if not token.startswith("c"):
+        raise TextFormatError(line_no, f"expected classical bit like c0, got {token!r}")
+    try:
+        bit = int(token[1:])
+    except ValueError:
+        raise TextFormatError(line_no, f"expected classical bit like c0, got {token!r}") from None
+    if bit < 0:
+        raise TextFormatError(line_no, f"negative classical bit {bit}")
+    return bit
+
+
+def reference_from_text(text: str) -> Circuit:
+    instructions: list[Instruction] = []
+    spans: list[GadgetSpan] = []
+    open_spans: list[tuple[int, GadgetTag, int]] = []
+    inputs: list[Register] = []
+    outputs: list[Register] = []
+    max_qubit = -1
+    max_bit = -1
+
+    def note_qubits(qs: tuple[int, ...]) -> None:
+        nonlocal max_qubit
+        for q in qs:
+            max_qubit = max(max_qubit, q)
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        head = tokens[0]
+
+        if head == "#input" or head == "#output":
+            if len(tokens) < 2:
+                raise TextFormatError(line_no, f"{head} needs a register name")
+            qubits = tuple(_parse_qubit(t, line_no) for t in tokens[2:])
+            note_qubits(qubits)
+            (inputs if head == "#input" else outputs).append(Register(tokens[1], qubits))
+            continue
+        if head == "#begin":
+            if len(tokens) != 2:
+                raise TextFormatError(line_no, "#begin needs a gadget tag")
+            try:
+                tag = GadgetTag(tokens[1])
+            except ValueError:
+                raise TextFormatError(line_no, f"unknown gadget tag {tokens[1]!r}") from None
+            open_spans.append((len(instructions), tag, line_no))
+            continue
+        if head == "#end":
+            if len(tokens) != 2:
+                raise TextFormatError(line_no, "#end needs a gadget tag")
+            if not open_spans:
+                raise TextFormatError(line_no, "#end without matching #begin")
+            start, tag, _ = open_spans.pop()
+            if tag.value != tokens[1]:
+                raise TextFormatError(line_no, f"#end {tokens[1]} does not match #begin {tag.value}")
+            spans.append(GadgetSpan(start, len(instructions), tag))
+            continue
+        if head.startswith("#"):
+            continue  # comment
+
+        cond: int | None = None
+        if head == "?":
+            if len(tokens) < 4 or tokens[2] != ":":
+                raise TextFormatError(line_no, "conditioned form is '? c<k> : <gate...>'")
+            cond = _parse_classbit(tokens[1], line_no)
+            max_bit = max(max_bit, cond)
+            tokens = tokens[3:]
+            head = tokens[0]
+
+        op = _MNEMONIC.get(head)
+        if op is None:
+            raise TextFormatError(line_no, f"unknown instruction {head!r}")
+
+        angle: float | None = None
+        rest = tokens[1:]
+        if op is Op.RZ:
+            if not rest:
+                raise TextFormatError(line_no, "rz needs an angle")
+            try:
+                angle = float(rest[0])
+            except ValueError:
+                raise TextFormatError(line_no, f"bad angle {rest[0]!r}") from None
+            rest = rest[1:]
+
+        result: int | None = None
+        if op.measures:
+            if len(rest) != 3 or rest[1] != "->":
+                raise TextFormatError(line_no, f"{op.value} form is '{op.value} q -> c<k>'")
+            result = _parse_classbit(rest[2], line_no)
+            max_bit = max(max_bit, result)
+            rest = rest[:1]
+
+        if len(rest) != op.arity:
+            raise TextFormatError(line_no, f"{op.value} expects {op.arity} qubits, got {len(rest)}")
+        qubits = tuple(_parse_qubit(t, line_no) for t in rest)
+        note_qubits(qubits)
+        instructions.append(Instruction(op, qubits, angle=angle, result=result, cond=cond))
+
+    if open_spans:
+        raise TextFormatError(open_spans[-1][2], f"unclosed #begin {open_spans[-1][1].value}")
+
+    return Circuit(
+        instructions=tuple(instructions),
+        n_qubits=max_qubit + 1,
+        n_classbits=max_bit + 1,
+        spans=tuple(sorted(spans, key=lambda s: (s.start, s.end))),
+        inputs=tuple(inputs),
+        outputs=tuple(outputs),
+    )
