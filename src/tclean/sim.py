@@ -137,6 +137,37 @@ def _release_keep(q: int, n0: float, n1: float, just_measured: set[int]) -> int:
     return 0
 
 
+# -- the branch record ------------------------------------------------------------
+
+
+class _Branch:
+    """One execution branch on either engine: its amplitudes and its bookkeeping.
+
+    ``amps`` is the engine's state, which only the engine's kernels move.
+    The walk (:func:`_walk`) keeps the rest: the classical bits measured so
+    far, the weight (the product of the branch's outcome probabilities) and
+    the qubits measured with nothing executed on them since, which a release
+    may drop whatever their value.  Single owner: :meth:`copy` before handing
+    it to a second branch.
+    """
+
+    __slots__ = ("amps", "classbits", "weight", "_just_measured")
+
+    def __init__(self, amps: np.ndarray | dict[int, complex]) -> None:
+        self.amps = amps.copy()  # kernels write in place
+        self.classbits: dict[int, int] = {}
+        self.weight = 1.0
+        self._just_measured: set[int] = set()
+
+    def copy(self) -> "_Branch":
+        dup = object.__new__(type(self))
+        dup.amps = self.amps.copy()
+        dup.classbits = dict(self.classbits)
+        dup.weight = self.weight
+        dup._just_measured = set(self._just_measured)
+        return dup
+
+
 # -- dense engine -----------------------------------------------------------------
 
 
@@ -214,33 +245,18 @@ class _DenseLayout:
         return self.pos
 
 
-class SimState:
-    """One dense execution's state: a flat amplitude vector, classical bits and weight.
+class SimState(_Branch):
+    """The dense engine: ``amps`` is a flat amplitude vector.
 
     ``amps`` is always a contiguous 1-D vector of 2^n amplitudes over the n
     live qubits.  The qubit at bit position p, counted from the most
     significant bit, is bit n-1-p of the index.  The positions live in the
     compiled program (:func:`_compile`), not here: every kernel gets the
-    view shape and index tuples it works on as arguments.  Single owner:
-    :meth:`copy` before handing it to a second branch.
+    view shape and index tuples it works on as arguments.
     """
 
-    __slots__ = ("amps", "classbits", "weight", "_just_measured")
+    __slots__ = ()
     layout = _DenseLayout
-
-    def __init__(self, amps: np.ndarray) -> None:
-        self.amps = np.array(amps, dtype=complex)  # a copy: kernels write in place
-        self.classbits: dict[int, int] = {}
-        self.weight = 1.0
-        self._just_measured: set[int] = set()
-
-    def copy(self) -> "SimState":
-        dup = SimState.__new__(SimState)
-        dup.amps = self.amps.copy()
-        dup.classbits = dict(self.classbits)
-        dup.weight = self.weight
-        dup._just_measured = set(self._just_measured)
-        return dup
 
     # -- lifetime -------------------------------------------------------------
 
@@ -252,10 +268,9 @@ class SimState:
 
     def release(self, shape: tuple[int, ...], q: int) -> None:
         """Drop qubit q, split out as axis 1 of ``shape``."""
-        view = self.amps.reshape(shape)
-        norms = _sqnorm(view[:, 0]), _sqnorm(view[:, 1])
+        norms = self.probs(shape)
         keep = _release_keep(q, *norms, self._just_measured)
-        self.amps = (view[:, keep] / math.sqrt(norms[keep])).reshape(-1)
+        self.amps = (self.amps.reshape(shape)[:, keep] / math.sqrt(norms[keep])).reshape(-1)
 
     # -- gates ----------------------------------------------------------------
 
@@ -291,12 +306,10 @@ class SimState:
         view = self.amps.reshape(shape)
         return _sqnorm(view[:, 0]), _sqnorm(view[:, 1])
 
-    def project(self, shape: tuple[int, ...], q: int, outcome: int, prob: float) -> None:
+    def project(self, shape: tuple[int, ...], outcome: int, prob: float) -> None:
         view = self.amps.reshape(shape)
         view[:, 1 - outcome] = 0
         view[:, outcome] /= math.sqrt(prob)
-        self.weight *= prob
-        self._just_measured.add(q)
 
     def probs_x(self, shape: tuple[int, ...]) -> tuple[float, float]:
         """Probabilities of |+> and |->: half the squared norms of the halves' sum and difference."""
@@ -304,7 +317,7 @@ class SimState:
         a0, a1 = view[:, 0], view[:, 1]
         return _sqnorm(a0 + a1) / 2, _sqnorm(a0 - a1) / 2
 
-    def project_x(self, shape: tuple[int, ...], q: int, outcome: int, prob: float) -> None:
+    def project_x(self, shape: tuple[int, ...], outcome: int, prob: float) -> None:
         """Project onto |+> (outcome 0) or |-> (1): both halves become (a0 +- a1)/2, signed."""
         view = self.amps.reshape(shape)
         a0, a1 = view[:, 0], view[:, 1]
@@ -317,8 +330,6 @@ class SimState:
             np.negative(a0, out=a1)
         else:
             a1[...] = a0
-        self.weight *= prob
-        self._just_measured.add(q)
 
     # -- extraction ---------------------------------------------------------------
 
@@ -409,74 +420,55 @@ def _gather(slots: Sequence[int]) -> list[tuple[int, int, int]]:
     return runs
 
 
-class SparseState:
-    """One sparse execution's state: nonzero terms key -> amplitude, classical bits and weight.
+class SparseState(_Branch):
+    """The sparse engine: ``amps`` is a dict of nonzero terms, basis key -> amplitude.
 
     Bit s of a key is the value of the qubit in slot s.  The slots live in
     the compiled program (:class:`_SparseLayout`): every kernel gets the
     bit masks it works on as arguments.  Kernels that can cancel amplitudes
     (H and the X-basis projection) drop what is left at or below
-    ``_PRUNE_TOL``, so ``terms`` holds the state's support and no rounding
-    residue.  Single owner: :meth:`copy` before handing it to a second branch.
+    ``_PRUNE_TOL``, so ``amps`` holds the state's support and no rounding
+    residue.
     """
 
-    __slots__ = ("terms", "classbits", "weight", "_just_measured")
+    __slots__ = ()
     layout = _SparseLayout
-
-    def __init__(self, terms: Mapping[int, complex]) -> None:
-        self.terms = dict(terms)
-        self.classbits: dict[int, int] = {}
-        self.weight = 1.0
-        self._just_measured: set[int] = set()
-
-    def copy(self) -> "SparseState":
-        dup = SparseState.__new__(SparseState)
-        dup.terms = dict(self.terms)
-        dup.classbits = dict(self.classbits)
-        dup.weight = self.weight
-        dup._just_measured = set(self._just_measured)
-        return dup
 
     # -- lifetime -------------------------------------------------------------
 
     def alloc(self, vec: tuple[complex, complex], bit: int) -> None:
         """Put the qubit whose slot is ``bit`` (clear in every key) in state ``vec``."""
         v0, v1 = vec
-        terms = {k: a * v0 for k, a in self.terms.items()}
+        terms = {k: a * v0 for k, a in self.amps.items()}
         if v1:  # |T>; |0> adds no term
-            terms.update({k | bit: a * v1 for k, a in self.terms.items()})
-        self.terms = _capped(terms)
+            terms.update({k | bit: a * v1 for k, a in self.amps.items()})
+        self.amps = _capped(terms)
 
     def release(self, bit: int, q: int) -> None:
         """Drop qubit q, whose slot is ``bit``, and clear that bit in every key."""
-        n0 = n1 = 0.0
-        for k, a in self.terms.items():
-            if k & bit:
-                n1 += a.real * a.real + a.imag * a.imag
-            else:
-                n0 += a.real * a.real + a.imag * a.imag
-        keep = _release_keep(q, n0, n1, self._just_measured)
-        scale = math.sqrt(n1 if keep else n0)
+        norms = self.probs(bit)
+        keep = _release_keep(q, *norms, self._just_measured)
+        scale = math.sqrt(norms[keep])
         want = bit if keep else 0
-        self.terms = {k ^ want: a / scale for k, a in self.terms.items() if k & bit == want}
+        self.amps = {k ^ want: a / scale for k, a in self.amps.items() if k & bit == want}
 
     # -- gates ----------------------------------------------------------------
 
     def flip(self, controls: int, target: int) -> None:
         """Flip bit ``target`` of every key holding all of ``controls`` (X, CX, CCX)."""
-        self.terms = {(k ^ target if k & controls == controls else k): a
-                      for k, a in self.terms.items()}
+        self.amps = {(k ^ target if k & controls == controls else k): a
+                     for k, a in self.amps.items()}
 
     def phase(self, mask: int, phase: complex) -> None:
         """Multiply every term whose key holds all of ``mask`` (diagonal gates, CZ)."""
-        terms = self.terms
+        terms = self.amps
         for k, a in terms.items():
             if k & mask == mask:
                 terms[k] = a * phase  # same keys: safe while iterating
 
     def h(self, bit: int) -> None:
         """Hadamard on the qubit whose slot is ``bit``."""
-        terms = self.terms
+        terms = self.amps
         out = {}
         for k, a in terms.items():
             if k & bit:
@@ -491,34 +483,32 @@ class SparseState:
                 out[k0] = s
             if abs(d) > _PRUNE_TOL:
                 out[k0 | bit] = d
-        self.terms = _capped(out)
+        self.amps = _capped(out)
 
     def y(self, bit: int) -> None:
         """Pauli Y on the qubit whose slot is ``bit``: |0> -> i|1>, |1> -> -i|0>."""
-        self.terms = {k ^ bit: a * (-1j if k & bit else 1j) for k, a in self.terms.items()}
+        self.amps = {k ^ bit: a * (-1j if k & bit else 1j) for k, a in self.amps.items()}
 
     # -- measurement ------------------------------------------------------------
 
     def probs(self, bit: int) -> tuple[float, float]:
         """Probabilities of outcomes 0 and 1: the squared norms of the terms with ``bit`` clear and set."""
         p0 = p1 = 0.0
-        for k, a in self.terms.items():
+        for k, a in self.amps.items():
             if k & bit:
                 p1 += a.real * a.real + a.imag * a.imag
             else:
                 p0 += a.real * a.real + a.imag * a.imag
         return p0, p1
 
-    def project(self, bit: int, q: int, outcome: int, prob: float) -> None:
+    def project(self, bit: int, outcome: int, prob: float) -> None:
         want = bit if outcome else 0
         scale = math.sqrt(prob)
-        self.terms = {k: a / scale for k, a in self.terms.items() if k & bit == want}
-        self.weight *= prob
-        self._just_measured.add(q)
+        self.amps = {k: a / scale for k, a in self.amps.items() if k & bit == want}
 
     def _pairs(self, bit: int):
         """Each (key with ``bit`` clear, its amplitude, its partner's amplitude) once."""
-        terms = self.terms
+        terms = self.amps
         for k, a in terms.items():
             if k & bit:
                 if k ^ bit not in terms:
@@ -535,7 +525,7 @@ class SparseState:
             p1 += d.real * d.real + d.imag * d.imag
         return p0 / 2, p1 / 2
 
-    def project_x(self, bit: int, q: int, outcome: int, prob: float) -> None:
+    def project_x(self, bit: int, outcome: int, prob: float) -> None:
         """Project onto |+> (outcome 0) or |-> (1): both halves become (a0 +- a1)/2, signed."""
         scale = 0.5 / math.sqrt(prob)
         out = {}
@@ -544,14 +534,12 @@ class SparseState:
             if abs(v) > _PRUNE_TOL:
                 out[k0] = v
                 out[k0 | bit] = -v if outcome else v
-        self.terms = _capped(out)
-        self.weight *= prob
-        self._just_measured.add(q)
+        self.amps = _capped(out)
 
     # -- extraction ---------------------------------------------------------------
 
     def norm(self) -> float:
-        return math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in self.terms.values()))
+        return math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in self.amps.values()))
 
     def extract(self, slots: dict[int, int],
                 qubits: Sequence[int]) -> np.ndarray | dict[int, complex]:
@@ -563,7 +551,7 @@ class SparseState:
         _check_live(slots, qubits)
         runs = _gather([slots[q] for q in qubits])
         out = {}
-        for k, a in self.terms.items():
+        for k, a in self.amps.items():
             index = 0
             for src, mask, dst in runs:
                 index |= ((k >> src) & mask) << dst
@@ -578,12 +566,12 @@ class SparseState:
 # -- the executor -----------------------------------------------------------------
 
 Engine = Union[type[SimState], type[SparseState]]
-State = Union[SimState, SparseState]
 
 
-#: One instruction with its kernel and the kernel's arguments; the kernel is
-#: None for a measurement, which the executor runs.  A plain tuple: a circuit
-#: compiles one per instruction.
+#: One instruction with its kernel and the kernel's arguments.  A measurement,
+#: which the walk runs, has kernel None and arguments ``(probs, project,
+#: args)``: its basis's two kernels and their arguments.  A plain tuple: a
+#: circuit compiles one per instruction.
 _Step = tuple[Instruction, Union[Callable[..., None], None], tuple]
 
 
@@ -613,12 +601,18 @@ _DISPATCH: dict[Op, tuple[str | None, str, tuple]] = {
     Op.MX: (None, "axis", ()),
 }
 
+#: Each measurement's engine kernels in its basis: the outcomes' probabilities
+#: and the projection onto one of them.
+_BASES: dict[Op, tuple[str, str]] = {Op.MZ: ("probs", "project"), Op.MX: ("probs_x", "project_x")}
+
 
 def _compile(circuit: Circuit, engine: Engine) -> _Program:
     """Pick every instruction's kernel and fix its arguments, once per call."""
     layout = engine.layout(circuit.input_qubits())
     table = {op: (kernel and getattr(engine, kernel), getattr(layout, method), extra)
              for op, (kernel, method, extra) in _DISPATCH.items()}
+    bases = {op: (getattr(engine, probs), getattr(engine, project))
+             for op, (probs, project) in _BASES.items()}
     steps = []
     for instr in circuit.instructions:
         if layout.overflowed:
@@ -626,7 +620,8 @@ def _compile(circuit: Circuit, engine: Engine) -> _Program:
         kernel, method, extra = table[instr.op]
         if instr.op is Op.RZ:
             extra = (cmath.exp(1j * instr.angle),)
-        steps.append((instr, kernel, method(instr.qubits, *extra)))
+        args = method(instr.qubits, *extra)
+        steps.append((instr, kernel, (*bases[instr.op], args) if kernel is None else args))
     # A valid circuit gives a result bit to its measurements and nothing else.
     measurements = sum(instr.result is not None for instr in circuit.instructions)
     return _Program(engine, tuple(steps), layout.final(), circuit.output_qubits(), measurements)
@@ -745,7 +740,7 @@ def _engine(input_state: InputState) -> tuple[Engine, Callable]:
     return SimState, _input_vector
 
 
-def _advance(state: State, steps: Sequence[_Step], i: int, check_norm: bool = False) -> int:
+def _advance(branch: _Branch, steps: Sequence[_Step], i: int, check_norm: bool = False) -> int:
     """Execute steps from i up to the next measurement; return its index (or len(steps)).
 
     An executed instruction ends the just-measured state of its qubits.
@@ -754,106 +749,87 @@ def _advance(state: State, steps: Sequence[_Step], i: int, check_norm: bool = Fa
         instr, kernel, args = steps[i]
         if kernel is None:
             return i
-        if instr.cond is None or state.classbits[instr.cond] == 1:
-            kernel(state, *args)
-            if state._just_measured:
-                state._just_measured.difference_update(instr.qubits)
+        if instr.cond is None or branch.classbits[instr.cond] == 1:
+            kernel(branch, *args)
+            if branch._just_measured:
+                branch._just_measured.difference_update(instr.qubits)
         if check_norm:
-            _check_norm(state, instr)
+            _check_norm(branch, instr)
         i += 1
     return i
 
 
-def _check_norm(state: State, instr: Instruction) -> None:
-    if abs(state.norm() - 1.0) > _NORM_TOL:
-        raise SimulationError(f"norm drifted to {state.norm()!r} after {instr.op.value}")
+def _check_norm(branch: _Branch, instr: Instruction) -> None:
+    if abs(branch.norm() - 1.0) > _NORM_TOL:
+        raise SimulationError(f"norm drifted to {branch.norm()!r} after {instr.op.value}")
 
 
-def _probs(state: State, step: _Step) -> tuple[float, float]:
-    """Probabilities of outcomes 0 and 1; MX measures in the X basis.
+#: Picks the outcomes a walk follows at a measurement, from the measurement
+#: and its outcomes' probabilities: ``(outcome, probability)`` pairs in outcome order.
+Choose = Callable[[Instruction, float, float], Sequence[tuple[int, float]]]
 
-    Each is summed from its own half of the state, not taken as one minus
-    the other: ``1 - p1`` loses every digit of a small ``p0`` that the
-    rounding of ``p1`` covers, and the projection divides by its root.
+
+def _every(instr: Instruction, p0: float, p1: float) -> list[tuple[int, float]]:
+    """Every outcome a forced :func:`run` accepts; written so that a NaN passes."""
+    return [(outcome, p) for outcome, p in enumerate((p0, p1)) if not p <= _BRANCH_EPS]
+
+
+def _sampled(rng: np.random.Generator | None, force: dict[int, int] | None) -> Choose:
+    """One outcome per measurement: forced, drawn from ``rng`` or (without one) the likelier."""
+    def choose(instr: Instruction, p0: float, p1: float) -> tuple[tuple[int, float]]:
+        outcome = force.get(instr.result) if force else None
+        if outcome is None:
+            if rng is None:
+                outcome = int(p1 >= 0.5)  # deterministic tie-break for seedless runs
+            else:
+                outcome = int(rng.random() < p1)
+        prob = p1 if outcome == 1 else p0
+        if prob <= _BRANCH_EPS:
+            raise SimulationError(f"forced outcome {outcome} for c{instr.result} has probability 0")
+        return ((outcome, prob),)
+
+    return choose
+
+
+def _walk(program: _Program, initial, choose: Choose, check_norm: bool = False):
+    """Run ``program`` from ``initial`` depth first along the outcomes ``choose`` picks.
+
+    Yields each branch as soon as it ends, so a caller that extracts every
+    branch it is given meets an error in an earlier branch before any later
+    one.  The last outcome picked is followed first, and every other one gets
+    a copy of the branch, so a measurement copies the state once per extra
+    outcome.  The walk alone records an outcome, scales the weight and marks
+    the measured qubit; the engines' projections only move amplitudes.
     """
-    instr, _, args = step
-    return (state.probs_x if instr.op is Op.MX else state.probs)(*args)
-
-
-def _finish(state: State, step: _Step, outcome: int, prob: float) -> None:
-    """Project onto ``outcome`` in the measurement's basis and record the bit."""
-    instr, _, args = step
-    project = state.project_x if instr.op is Op.MX else state.project
-    project(*args, instr.qubits[0], outcome, prob)
-    state.classbits[instr.result] = outcome
-
-
-def _measure(state: State, step: _Step, outcome: int | None,
-             rng: np.random.Generator | None) -> None:
-    """Projective measurement, forced, drawn from ``rng`` or (without one) the likelier outcome."""
-    p0, p1 = _probs(state, step)
-    if outcome is None:
-        if rng is None:
-            outcome = int(p1 >= 0.5)  # deterministic tie-break for seedless runs
-        else:
-            outcome = int(rng.random() < p1)
-    prob = p1 if outcome == 1 else p0
-    if prob <= _BRANCH_EPS:
-        raise SimulationError(f"forced outcome {outcome} for c{step[0].result} has probability 0")
-    _finish(state, step, outcome, prob)
-
-
-def _fork(state: State, step: _Step) -> list[State]:
-    """One state per outcome of nonzero probability, in outcome order.
-
-    The last one is ``state`` itself, so a measurement copies the state at
-    most once.
-    """
-    # Skip exactly the outcomes a forced run() rejects (probability <= eps).
-    outcomes = [(o, p) for o, p in enumerate(_probs(state, step)) if not p <= _BRANCH_EPS]
-    forks = [state.copy() for _ in outcomes[1:]] + [state]
-    for branch, (outcome, prob) in zip(forks, outcomes):
-        _finish(branch, step, outcome, prob)
-    return forks
-
-
-def _sample(program: _Program, initial, rng: np.random.Generator | None,
-            force: dict[int, int] | None, check_norm: bool) -> RunResult:
-    """One execution of ``program`` from ``initial``, as :func:`run` describes it."""
-    state = program.engine(initial)
     steps = program.steps
-    i = _advance(state, steps, 0, check_norm)
-    while i < len(steps):
-        instr = steps[i][0]
-        _measure(state, steps[i], force.get(instr.result) if force else None, rng)
-        if check_norm:
-            _check_norm(state, instr)
-        i = _advance(state, steps, i + 1, check_norm)
-    return RunResult(state.extract(program.final, program.outputs), dict(state.classbits))
+    stack = [(program.engine(initial), 0)]
+    while stack:
+        branch, i = stack.pop()
+        i = _advance(branch, steps, i, check_norm)
+        if i == len(steps):
+            yield branch
+            continue
+        instr, _, (probs, project, args) = steps[i]
+        # Each probability is summed from its own half of the state, not taken
+        # as one minus the other: ``1 - p1`` loses every digit of a small
+        # ``p0`` that the rounding of ``p1`` covers, and projection divides by its root.
+        picked = choose(instr, *probs(branch, *args))
+        last = len(picked) - 1
+        for k, (outcome, prob) in enumerate(picked):
+            fork = branch if k == last else branch.copy()
+            project(fork, *args, outcome, prob)
+            fork.classbits[instr.result] = outcome
+            fork.weight *= prob
+            fork._just_measured.add(instr.qubits[0])
+            if check_norm:
+                _check_norm(fork, instr)
+            stack.append((fork, i + 1))
 
 
 def _check_bound(program: _Program, max_measurements: int) -> None:
     if program.measurements > max_measurements:
         raise TooManyBranchesError(
             f"{program.measurements} measurements exceeds bound {max_measurements}")
-
-
-def _branches(program: _Program, initial) -> list[BranchResult]:
-    """Every branch of ``program`` from ``initial``, as :func:`enumerate_branches` describes them."""
-    steps = program.steps
-    results: list[BranchResult] = []
-    stack: list[tuple[State, int]] = [(program.engine(initial), 0)]
-    while stack:
-        state, i = stack.pop()
-        i = _advance(state, steps, i)
-        if i < len(steps):
-            stack += [(branch, i + 1) for branch in _fork(state, steps[i])]
-        else:
-            items = tuple(sorted(state.classbits.items()))
-            results.append(BranchResult(items, state.weight,
-                                        state.extract(program.final, program.outputs)))
-    results.sort(key=lambda b: b.outcomes)
-    return results
 
 
 def run(circuit: Circuit, input_state: InputState = None, *,
@@ -868,7 +844,9 @@ def run(circuit: Circuit, input_state: InputState = None, *,
     rng = np.random.default_rng(seed) if seed is not None else None
     engine, read = _engine(input_state)
     initial = read(circuit, input_state)
-    return _sample(_compile(circuit, engine), initial, rng, force, check_norm)
+    program = _compile(circuit, engine)
+    (leaf,) = _walk(program, initial, _sampled(rng, force), check_norm)
+    return RunResult(leaf.extract(program.final, program.outputs), leaf.classbits)
 
 
 def enumerate_branches(circuit: Circuit, input_state: InputState = None,
@@ -881,7 +859,10 @@ def enumerate_branches(circuit: Circuit, input_state: InputState = None,
     engine, read = _engine(input_state)
     program = _compile(circuit, engine)
     _check_bound(program, max_measurements)
-    return _branches(program, read(circuit, input_state))
+    leaves = _walk(program, read(circuit, input_state), _every)
+    return sorted((BranchResult(tuple(sorted(leaf.classbits.items())), leaf.weight,
+                                leaf.extract(program.final, program.outputs)) for leaf in leaves),
+                  key=lambda b: b.outcomes)
 
 
 # -- equivalence checking -------------------------------------------------------
@@ -961,12 +942,13 @@ def channel_equiv(circuit: Circuit, ideal: IdealMap | np.ndarray, *, trials: int
         expected = ideal_map(vec)
         if branches == "all":
             _check_bound(program, 16)
-            fidelities += [fidelity(expected, b.final_state) for b in _branches(program, vec)]
+            walks = [_every]
         else:
-            for k in range(int(branches)):
-                sample_rng = np.random.default_rng(int(rng.integers(1 << 63)) if k else 0)
-                result = _sample(program, vec, sample_rng, None, False)
-                fidelities.append(fidelity(expected, result.final_state))
+            walks = [_sampled(np.random.default_rng(int(rng.integers(1 << 63)) if k else 0), None)
+                     for k in range(int(branches))]
+        for choose in walks:
+            fidelities += [fidelity(expected, leaf.extract(program.final, program.outputs))
+                           for leaf in _walk(program, vec, choose)]
     # np.min propagates a NaN fidelity, and NaN >= 1 - tol is False: NaN never passes.
     worst = float(np.min(fidelities, initial=1.0))
     return EquivalenceResult(worst >= 1.0 - tol, worst, len(fidelities))
