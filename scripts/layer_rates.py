@@ -1,27 +1,39 @@
 #!/usr/bin/env python3
-"""Instructions per second of each symbolic layer, best of k, at n = 64, 256 and 1024.
+"""Instructions per second of each layer, best of k: symbolic layers and the simulator.
 
 Build, ``validate``, ``to_text``, ``from_text`` and ``count`` run on
 ``gidney_adder(AdderSpec(n))``; ``find_pairs``, ``replace_pairs`` and
 ``lower_ccx("paired4")`` run on ``cuccaro_adder(AdderSpec(n))``, whose
-Toffoli pairs they match.  A layer's rate is the instructions it reads (for
-build, the instructions it makes) divided by the fastest of k timed calls.
-Prints one JSON object ``{layer: {n: instructions_per_s}}``.
+Toffoli pairs they match; all at n = 64, 256 and 1024.  The simulator runs
+``gidney_adder(AdderSpec(n))`` too: ``run`` on the sparse engine from one
+seeded basis input at n = 64, 256 and 1024, and ``enumerate_branches`` on
+the dense engine from one seeded random state at n = 2, 3 and 4.  A layer's
+rate is the instructions it reads (for build, the instructions it makes;
+for the simulator, the circuit's instructions once, however many branches
+run them) divided by the fastest of k timed calls.  Prints one JSON object
+``{layer: {n: instructions_per_s}}``.
 
     PYTHONPATH=src python scripts/layer_rates.py --repeat 5
 """
 import argparse
 import json
+import random
 import sys
 import time
+
+import numpy as np
 
 from tclean.gadgets import AdderSpec, cuccaro_adder, gidney_adder
 from tclean.ir import validate
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
+from tclean.sim import enumerate_branches, random_state, run
 from tclean.textfmt import from_text, to_text
 
 SIZES = (64, 256, 1024)
+#: Sizes of the sparse ``run`` and the dense ``enumerate_branches``.
+RUN_SIZES = (64, 256, 1024)
+BRANCH_SIZES = (2, 3, 4)
 
 
 def best_time(call, repeat: int) -> float:
@@ -54,12 +66,28 @@ def layer_rates(sizes=SIZES, repeat: int = 5) -> dict[str, dict[int, float]]:
     return rates
 
 
+def sim_rates(run_sizes=RUN_SIZES, branch_sizes=BRANCH_SIZES,
+              repeat: int = 5) -> dict[str, dict[int, float]]:
+    rates: dict[str, dict[int, float]] = {"run": {}, "enumerate_branches": {}}
+    for n in run_sizes:
+        adder = gidney_adder(AdderSpec(n))
+        basis = random.Random(n).getrandbits(len(adder.input_qubits()))  # sparse engine
+        rates["run"][n] = round(len(adder) / best_time(lambda: run(adder, basis, seed=1), repeat))
+    for n in branch_sizes:
+        adder = gidney_adder(AdderSpec(n))
+        state = random_state(len(adder.input_qubits()), np.random.default_rng(n))  # dense engine
+        rates["enumerate_branches"][n] = round(
+            len(adder) / best_time(lambda: enumerate_branches(adder, state), repeat))
+    return rates
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5, help="timed calls per layer and size")
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES),
+                        help="sizes of the symbolic layers")
     args = parser.parse_args(argv)
-    print(json.dumps(layer_rates(args.sizes, args.repeat)))
+    print(json.dumps({**layer_rates(args.sizes, args.repeat), **sim_rates(repeat=args.repeat)}))
     return 0
 
 

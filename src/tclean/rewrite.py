@@ -6,7 +6,8 @@ T gates per pair versus the best paired lowering.  The match conditions here
 are deliberately conservative (sound, incomplete): the semantic requirement
 is that intermediate operations not be sensitive to the entangled ancilla,
 and the syntactic conditions below imply it. A missed match only costs
-optimality, never correctness.
+optimality, never correctness.  Replacement takes one round: it adds no
+Toffoli, so it cannot unblock a pair (see :func:`replace_pairs`).
 """
 from __future__ import annotations
 
@@ -43,24 +44,30 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
     target and the target appears only as a control of other gates, and
     (3) the next reference to the target after the second Toffoli releases it.
 
-    Matching takes time linear in the instruction count: one pass builds each
-    qubit's use list and write list, and every condition is checked against
-    those lists instead of by rescanning the circuit.
+    Matching takes time linear in the instruction count: one pass builds the
+    use list of every CCX target and the write list of every CCX control,
+    the only lists the conditions read, and every condition is checked
+    against those lists instead of by rescanning the circuit.
     """
     instrs = circuit.instructions
-    uses: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
-    writes: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
+    ccx, alloc0, release = Op.CCX, Op.ALLOC0, Op.RELEASE  # an Op member read costs ~100 ns
+    ccx_at = [i for i, instr in enumerate(instrs) if instr.op is ccx]
+    if not ccx_at:
+        return []
+    uses = {instrs[i].qubits[2]: [] for i in ccx_at}
+    writes = {c: [] for i in ccx_at for c in instrs[i].qubits[:2]}
     # position of each CCX in its target's use list
     target_pos: dict[int, int] = {}
-    ccx, alloc0, release = Op.CCX, Op.ALLOC0, Op.RELEASE  # an Op member read costs ~100 ns
     for i, instr in enumerate(instrs):
         qubits = instr.qubits
         if instr.op is ccx:
             target_pos[i] = len(uses[qubits[2]])
         for q in qubits:
-            uses[q].append(i)
+            if q in uses:
+                uses[q].append(i)
         for q in instr.writes():
-            writes[q].append(i)
+            if q in writes:
+                writes[q].append(i)
 
     seconds: set[int] = set()  # a CCX matched as a second cannot start a pair
     matches: list[PairMatch] = []
@@ -119,9 +126,11 @@ def _replay(circuit: Circuit, expand) -> Circuit:
         b.adopt_register(reg.name, reg.qubits)
     b.reserve_qubits(circuit.n_qubits)
     b.reserve_classbits(circuit.n_classbits)
+    bounds = {i for span in circuit.spans for i in (span.start, span.end)}
     newpos: dict[int, int] = {}
     for i, instr in enumerate(circuit.instructions):
-        newpos[i] = b.next_index
+        if i in bounds:
+            newpos[i] = b.next_index
         if not expand(i, instr, b):
             b.append(instr)
     newpos[len(circuit.instructions)] = b.next_index
@@ -135,32 +144,36 @@ def _replay(circuit: Circuit, expand) -> Circuit:
 def replace_pairs(circuit: Circuit) -> Circuit:
     """Replace every matched Toffoli pair with an AND compute/erase gadget.
 
-    Channel-equivalent to the input; iterated to a fixpoint so the pass is
-    idempotent.  After lowering, each replaced pair costs 4 T instead of the
-    matched-pair baseline's 8.
+    Channel-equivalent to the input.  After lowering, each replaced pair
+    costs 4 T instead of the matched-pair baseline's 8.
+
+    One round leaves no pair to match, so the pass is idempotent: a
+    replacement adds no CCX, and on the wires it touches (the pair's controls
+    and target) it adds only writes and uses other than as a control, since
+    the AND gadget writes its controls and its ancilla.  A pair blocked
+    before the round therefore stays blocked after it.
     """
-    while True:
-        matches = find_pairs(circuit)
-        if not matches:
-            return circuit
-        drop = {m.alloc_index for m in matches} | {m.release_index for m in matches}
-        first = {m.first_index: m for m in matches}
-        second = {m.second_index: m for m in matches}
+    matches = find_pairs(circuit)
+    if not matches:
+        return circuit
+    drop = {m.alloc_index for m in matches} | {m.release_index for m in matches}
+    first = {m.first_index: m for m in matches}
+    second = {m.second_index: m for m in matches}
 
-        def expand(i: int, instr: Instruction, b: CircuitBuilder) -> bool:
-            if i in drop:
-                return True
-            if i in first:
-                m = first[i]
-                and_compute(b, m.controls[0], m.controls[1], anc=m.target)
-                return True
-            if i in second:
-                m = second[i]
-                and_uncompute(b, m.controls[0], m.controls[1], m.target)
-                return True
-            return False
+    def expand(i: int, instr: Instruction, b: CircuitBuilder) -> bool:
+        if i in drop:
+            return True
+        if i in first:
+            m = first[i]
+            and_compute(b, m.controls[0], m.controls[1], anc=m.target)
+            return True
+        if i in second:
+            m = second[i]
+            and_uncompute(b, m.controls[0], m.controls[1], m.target)
+            return True
+        return False
 
-        circuit = _replay(circuit, expand)
+    return _replay(circuit, expand)
 
 
 def _emit_textbook_toffoli(b: CircuitBuilder, c1: int, c2: int, t: int) -> None:

@@ -27,11 +27,15 @@ is its own key.  Allocation reuses a freed slot and release clears its bit,
 so no other qubit is ever renumbered.
 
 Lifetimes do not depend on measurement outcomes, so every instruction's
-kernel and the kernel's arguments (view shape or slot masks) are fixed once
-per call, before anything runs.  Measurements either sample from seeded
-pseudorandomness (:func:`run`) or fork the execution
-(:func:`enumerate_branches`), which is how gadget constructions are certified
-to be outcome-independent.
+kernel and the kernel's arguments (view shape or slot masks, and a
+measurement's basis) are fixed once per call, before anything runs.  One
+depth-first walk of the measurement tree (:func:`_walk`) serves :func:`run`,
+:func:`enumerate_branches` and :func:`channel_equiv`.  It follows every
+outcome of nonzero probability, which is how gadget constructions are
+certified to be outcome-independent, or one outcome per measurement, forced
+or sampled from seeded pseudorandomness.  Both engines share one branch
+record (:class:`_Branch`) for the classical bits, weight and just-measured
+qubits, which only the walk writes; the engines' kernels move amplitudes.
 
 A result's ``final_state`` is a dense vector over the output qubits while
 they number at most ``MAX_LIVE_QUBITS``; a wider sparse result is a dict
@@ -778,11 +782,8 @@ def _sampled(rng: np.random.Generator | None, force: dict[int, int] | None) -> C
     """One outcome per measurement: forced, drawn from ``rng`` or (without one) the likelier."""
     def choose(instr: Instruction, p0: float, p1: float) -> tuple[tuple[int, float]]:
         outcome = force.get(instr.result) if force else None
-        if outcome is None:
-            if rng is None:
-                outcome = int(p1 >= 0.5)  # deterministic tie-break for seedless runs
-            else:
-                outcome = int(rng.random() < p1)
+        if outcome is None:  # without an rng: the likelier, and 1 on a tie
+            outcome = int(p1 >= 0.5) if rng is None else int(rng.random() < p1)
         prob = p1 if outcome == 1 else p0
         if prob <= _BRANCH_EPS:
             raise SimulationError(f"forced outcome {outcome} for c{instr.result} has probability 0")

@@ -1,4 +1,6 @@
 """Pair matching, AND replacement, and Toffoli lowering."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 import tclean.ir
 from tclean.gadgets import AdderSpec, cuccaro_adder, gidney_adder
 from tclean.ir import Circuit, CircuitBuilder, CircuitError, Instruction, Op, validate
+from tclean.oracle import compile_oracle
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
 from tclean.sim import channel_equiv, enumerate_branches, run
+from tclean.textfmt import from_text
 
 from pairs_reference import reference_find_pairs
 from strategies import near_miss_circuit, random_circuit, random_paired_circuit
@@ -267,6 +271,48 @@ def test_near_miss_rules_each_block_exactly_their_pair(seed):
     assert 2 * len(find_pairs(clean)) == n_ccx
     broken = near_miss_circuit(np.random.default_rng(seed), break_prob=1.0)
     assert find_pairs(broken) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32 - 1))
+def test_one_round_leaves_no_pair(kind, seed):
+    # A replacement adds no CCX, and on its own wires only writes and
+    # non-control uses, so a pair blocked before the round stays blocked.
+    c = GENERATORS[kind](np.random.default_rng(seed))
+    assert find_pairs(replace_pairs(c)) == []
+
+
+@pytest.mark.parametrize("carry_out", (False, True))
+@pytest.mark.parametrize("carry_in", (False, True))
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_round_leaves_no_pair_in_cuccaro_adders(n, carry_in, carry_out):
+    c = cuccaro_adder(AdderSpec(n, carry_in=carry_in, carry_out=carry_out))
+    assert find_pairs(replace_pairs(c)) == []
+
+
+@pytest.mark.parametrize("expr", ["x0 & x1", "x0 & (x1 | x2)", "(x0 ^ x1) & x2",
+                                  "!x0 & (x1 | (x2 & x3))"])
+def test_one_round_leaves_no_pair_in_ccx_oracles(expr):
+    c = compile_oracle(expr, "ccx")
+    assert find_pairs(c)
+    assert find_pairs(replace_pairs(c)) == []
+
+
+@pytest.mark.parametrize("body", [
+    "alloc0 3\nccx 0 1 3\ncx 3 2\nccx 0 1 3\nrelease 3\n",  # the canonical pair
+    "x 1048575\n",  # no CCX at all
+])
+def test_find_pairs_memory_does_not_grow_with_the_largest_id(body):
+    # Ids up to 2^20 - 1 parse; the matcher indexes only CCX wires, not every id.
+    c = from_text("#input a 0\n#input b 1\n#input x 2 1048575\n" + body)
+    tracemalloc.start()
+    try:
+        pairs = find_pairs(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == body.count("ccx") // 2
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("carry_out", (False, True))

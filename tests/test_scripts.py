@@ -37,6 +37,12 @@ def test_layer_rates_reports_every_layer():
     assert all(rate[4] > 0 for rate in rates.values())
 
 
+def test_layer_rates_reports_the_simulator():
+    rates = load_script("layer_rates").sim_rates(run_sizes=(4,), branch_sizes=(2,), repeat=1)
+    assert sorted(rates) == ["enumerate_branches", "run"]
+    assert rates["run"][4] > 0 and rates["enumerate_branches"][2] > 0
+
+
 def test_ops_hash_by_identity():
     for op in Op:
         assert hash(op) == object.__hash__(op)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tclean import sim
 from tclean.constructions import CONSTRUCTIONS
@@ -320,6 +320,7 @@ def _declare_live_outputs(c):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["simulable", "free", "free-outputs"]),
        st.booleans())
+@example(seed=305325, kind="free", basis=False)  # an early leaf fails before a later release
 def test_engine_agrees_with_moveaxis_reference(seed, kind, basis):
     # "free" circuits also hold CCX and releases of unmeasured, entangled
     # ancillae; without declared outputs their final extraction fails.
@@ -330,6 +331,35 @@ def test_engine_agrees_with_moveaxis_reference(seed, kind, basis):
     n_in = len(c.input_qubits())
     state = int(rng.integers(1 << n_in)) if basis else random_state(n_in, rng)
     assert_engines_agree(c, state, seed % 1000)
+
+
+def _random_case(seed, kind, basis):
+    """A random circuit of ``kind`` and an input: a basis index (sparse) or amplitudes (dense)."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, simulable=kind == "simulable")
+    if kind == "free-outputs":
+        c = _declare_live_outputs(c)
+    n_in = len(c.input_qubits())
+    return c, int(rng.integers(1 << n_in)) if basis else random_state(n_in, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["simulable", "free", "free-outputs"]),
+       st.booleans())
+def test_run_follows_one_branch_of_the_walk(seed, kind, basis):
+    # run and enumerate_branches walk the same tree: forcing a branch's
+    # outcomes reproduces it, and a seeded run ends on one of the branches.
+    c, state = _random_case(seed, kind, basis)
+    branches = _outcome(enumerate_branches, c, state)
+    if isinstance(branches, type):
+        return  # the error itself is compared with the reference above
+    for branch in branches:
+        forced = run(c, state, force=dict(branch.outcomes))
+        assert forced.classbits == dict(branch.outcomes)
+        assert np.allclose(forced.final_state, branch.final_state, rtol=0, atol=1e-12)
+    sampled = run(c, state, seed=seed % 1000)
+    (branch,) = [b for b in branches if dict(b.outcomes) == sampled.classbits]
+    assert np.allclose(sampled.final_state, branch.final_state, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
