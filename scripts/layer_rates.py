@@ -31,8 +31,7 @@ from tclean.sim import enumerate_branches, random_state, run
 from tclean.textfmt import from_text, to_text
 
 SIZES = (64, 256, 1024)
-#: Sizes of the sparse ``run`` and the dense ``enumerate_branches``.
-RUN_SIZES = (64, 256, 1024)
+#: Sizes of the dense ``enumerate_branches``; the sparse ``run`` uses ``SIZES``.
 BRANCH_SIZES = (2, 3, 4)
 
 
@@ -66,7 +65,7 @@ def layer_rates(sizes=SIZES, repeat: int = 5) -> dict[str, dict[int, float]]:
     return rates
 
 
-def sim_rates(run_sizes=RUN_SIZES, branch_sizes=BRANCH_SIZES,
+def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES,
               repeat: int = 5) -> dict[str, dict[int, float]]:
     rates: dict[str, dict[int, float]] = {"run": {}, "enumerate_branches": {}}
     for n in run_sizes:
