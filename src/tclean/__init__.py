@@ -16,6 +16,7 @@ from .ir import (
     Instruction,
     Op,
     Register,
+    Template,
     Violation,
     ViolationCode,
     concatenate,
@@ -43,8 +44,10 @@ from .sim import (
     run,
 )
 from .gadgets import (
+    AND_COMPUTE,
     AND_REVERSE_NET_T,
     AND_T_COUNT,
+    AND_UNCOMPUTE,
     AdderSpec,
     GradientNotPreparedError,
     HammingConstruction,
@@ -75,7 +78,15 @@ from .resources import (
     hybrid_cutoff,
     serialize_report,
 )
-from .rewrite import PairMatch, find_pairs, lower_ccx, replace_pairs
+from .rewrite import (
+    PHASE_TOFFOLI,
+    PHASE_TOFFOLI_DAGGER,
+    TEXTBOOK_TOFFOLI,
+    PairMatch,
+    find_pairs,
+    lower_ccx,
+    replace_pairs,
+)
 from .oracle import (
     OracleParseError,
     TooManyVariablesError,

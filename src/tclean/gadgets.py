@@ -19,6 +19,7 @@ from .ir import (
     GadgetTag,
     Instruction,
     Op,
+    Template,
 )
 
 #: T-count of one AND computation (the injected |T> state counts as one).
@@ -47,36 +48,43 @@ class AdderSpec:
 # -- the temporary logical-AND -----------------------------------------------------
 
 
-def and_compute(b: CircuitBuilder, x: int, y: int, anc: int | None = None) -> int:
-    """Compute x AND y into a fresh ancilla; exactly |x,y,0> -> |x,y,x&y|.
+#: x AND y into a fresh ancilla: exactly |x,y,0> -> |x,y,x&y>.  T-count 4:
+#: the injected |T> state plus three T-type gates.  One AND_COMPUTE span, so
+#: depth accounting treats it as one event.
+AND_COMPUTE = Template(GadgetTag.AND_COMPUTE, "x y anc", """
+    alloct anc
+    cx x anc
+    cx y anc
+    cx anc x
+    cx anc y
+    tdg x
+    tdg y
+    t anc
+    cx anc x
+    cx anc y
+    h anc
+    s anc
+""")
 
-    T-count 4: the injected |T> state plus three T-type gates.  Wrapped in an
-    AND_COMPUTE span so depth accounting treats it as one event.
-    """
-    b.begin_gadget(GadgetTag.AND_COMPUTE)
-    anc = b.alloct(anc)
-    b.cx(x, anc)
-    b.cx(y, anc)
-    b.cx(anc, x)
-    b.cx(anc, y)
-    b.tdg(x)
-    b.tdg(y)
-    b.t(anc)
-    b.cx(anc, x)
-    b.cx(anc, y)
-    b.h(anc)
-    b.s(anc)
-    b.end_gadget()
+#: Erasure of an ancilla holding x AND y: measure it in X, fix the phase up
+#: with a CZ conditioned on the outcome, release it.  T-count 0.
+AND_UNCOMPUTE = Template(GadgetTag.AND_UNCOMPUTE, "x y anc", """
+    mx anc
+    ? cz x y
+    release anc
+""")
+
+
+def and_compute(b: CircuitBuilder, x: int, y: int, anc: int | None = None) -> int:
+    """Compute x AND y into `anc` (a fresh ancilla when None) by :data:`AND_COMPUTE`."""
+    anc = b.fresh_qubit(anc)
+    b.emit_template(AND_COMPUTE, (x, y, anc))
     return anc
 
 
 def and_uncompute(b: CircuitBuilder, x: int, y: int, anc: int) -> None:
-    """Erase an ancilla holding x AND y: measure in X, fix up with CZ.  T-count 0."""
-    b.begin_gadget(GadgetTag.AND_UNCOMPUTE)
-    bit = b.mx(anc)
-    b.cz(x, y, cond=bit)
-    b.release(anc)
-    b.end_gadget()
+    """Erase an ancilla holding x AND y by :data:`AND_UNCOMPUTE`."""
+    b.emit_template(AND_UNCOMPUTE, (x, y, anc))
 
 
 def and_uncompute_reverse(b: CircuitBuilder, x: int, y: int, anc: int) -> None:
@@ -128,6 +136,11 @@ def and_gadget_circuit(variant: str = "roundtrip") -> Circuit:
 # -- fragment inversion --------------------------------------------------------------
 
 _DAGGER = {Op.S: Op.SDG, Op.SDG: Op.S, Op.T: Op.TDG, Op.TDG: Op.T}
+#: Each AND span's template and the template that undoes it, on the same wires.
+_AND_INVERSE = {
+    GadgetTag.AND_COMPUTE: (AND_COMPUTE, AND_UNCOMPUTE),
+    GadgetTag.AND_UNCOMPUTE: (AND_UNCOMPUTE, AND_COMPUTE),
+}
 
 
 def emit_inverse(b: CircuitBuilder, instructions: tuple[Instruction, ...],
@@ -137,7 +150,8 @@ def emit_inverse(b: CircuitBuilder, instructions: tuple[Instruction, ...],
     AND_COMPUTE spans invert to measure-and-fixup erasures (this is what makes
     uncomputation T-free), AND_UNCOMPUTE spans invert back to computations,
     allocations swap with releases, and plain gates are daggered in reverse
-    order.
+    order.  An AND span's operands are read by matching it against its
+    template, and a span that is no instance of it raises ValueError.
     """
     span_at: dict[int, GadgetSpan] = {}
     for span in spans:
@@ -148,16 +162,12 @@ def emit_inverse(b: CircuitBuilder, instructions: tuple[Instruction, ...],
     while i >= 0:
         span = span_at.get(i)
         if span is not None:
-            ops = instructions[span.start:span.end]
-            if span.tag is GadgetTag.AND_COMPUTE:
-                anc = ops[0].qubits[0]
-                x = ops[1].qubits[0]
-                y = ops[2].qubits[0]
-                and_uncompute(b, x, y, anc)
-            else:
-                anc = ops[0].qubits[0]
-                x, y = ops[1].qubits
-                and_compute(b, x, y, anc=anc)
+            template, inverse = _AND_INVERSE[span.tag]
+            wires = template.match(instructions[span.start:span.end])
+            if wires is None:
+                raise ValueError(f"{span.tag.value} span [{span.start},{span.end}) "
+                                 "is not an instance of its template")
+            b.emit_template(inverse, wires)
             i = span.start - 1
             continue
         instr = instructions[i]

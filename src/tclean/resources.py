@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable
 
-from .ir import Circuit, Instruction, Op
+from .ir import Circuit, Op
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,11 @@ class CostModel:
         return self.ancilla_volume_per_depth / (self.t_state_volume * self.idle_factor)
 
 
+#: Each kind's weight in measurement depth outside a span: 1 for T-type and measuring kinds.
+_DEPTH_WEIGHT = {op: int(op.t_type or op.measures) for op in Op}
+_QUBITS = itemgetter(1)  # an instruction's qubits
+
+
 class NoCrossoverError(Exception):
     """NO_CROSSOVER: the first cost function never exceeds the second within the bound."""
 
@@ -70,13 +77,6 @@ def count(circuit: Circuit) -> ResourceReport:
     bit_layer = [0] * circuit.n_classbits
     layer_of = qubit_layer.__getitem__
 
-    def latest(instr: Instruction) -> int:
-        layer = max(map(layer_of, instr.qubits))
-        for bit in (instr.result, instr.cond):
-            if bit is not None and bit_layer[bit] > layer:
-                layer = bit_layer[bit]
-        return layer
-
     # An outermost span is met first and covers the spans nested in it.
     span_end: dict[int, int] = {}
     for span in circuit.spans:
@@ -89,15 +89,29 @@ def count(circuit: Circuit) -> ResourceReport:
     ancilla_depth = 0
     alloc_layer: dict[int, int] = {}
     ccx, rz = Op.CCX, Op.RZ  # an Op member read costs ~100 ns
+    weight = _DEPTH_WEIGHT
     for i, instr in enumerate(instrs):
         op, qubits, _, result, cond = instr
         if i < span_stop:
             layer = span_layer
         elif i in span_end:
+            # The latest layer of every wire the span touches, plus one.
             span_stop = span_end[i]
-            span_layer = layer = 1 + max(map(latest, instrs[i:span_stop]))
+            span = instrs[i:span_stop]
+            layer = max(map(layer_of, chain.from_iterable(map(_QUBITS, span))))
+            for _, _, _, span_result, span_cond in span:
+                if span_result is not None and bit_layer[span_result] > layer:
+                    layer = bit_layer[span_result]
+                if span_cond is not None and bit_layer[span_cond] > layer:
+                    layer = bit_layer[span_cond]
+            span_layer = layer = layer + 1
         else:
-            layer = latest(instr) + (op.t_type or op.measures)
+            layer = qubit_layer[qubits[0]] if len(qubits) == 1 else max(map(layer_of, qubits))
+            if result is not None and bit_layer[result] > layer:
+                layer = bit_layer[result]
+            if cond is not None and bit_layer[cond] > layer:
+                layer = bit_layer[cond]
+            layer += weight[op]
         for q in qubits:
             qubit_layer[q] = layer
         if result is not None:

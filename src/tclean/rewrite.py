@@ -8,20 +8,23 @@ is that intermediate operations not be sensitive to the entangled ancilla,
 and the syntactic conditions below imply it. A missed match only costs
 optimality, never correctness.  Replacement takes one round: it adds no
 Toffoli, so it cannot unblock a pair (see :func:`replace_pairs`).
+
+Both passes splice rather than rebuild.  The output is the input's
+instruction tuple cut at each rewritten index: the runs between those
+indices are copied as slices, and each rewritten index gets an instance of
+a fixed :class:`~tclean.ir.Template`.  The AND templates
+(``gadgets.AND_COMPUTE``, ``gadgets.AND_UNCOMPUTE``) are the ones the
+builder emits; the two Toffoli lowerings are templates here.  Existing
+spans shift by the length change before them, and the result is an
+ordinary, validated :class:`~tclean.ir.Circuit`.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .gadgets import and_compute, and_uncompute
-from .ir import (
-    Circuit,
-    CircuitBuilder,
-    GadgetSpan,
-    Instruction,
-    Op,
-)
+from .gadgets import AND_COMPUTE, AND_UNCOMPUTE
+from .ir import Circuit, GadgetSpan, Instruction, Op, Template
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,11 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
         for q in qubits:
             if q in uses:
                 uses[q].append(i)
-        for q in instr.writes():
-            if q in writes:
-                writes[q].append(i)
+        op = instr.op
+        if not op.diagonal:  # the qubits Instruction.writes names, without the call
+            for q in qubits[op.controls:]:
+                if q in writes:
+                    writes[q].append(i)
 
     seconds: set[int] = set()  # a CCX matched as a second cannot start a pair
     matches: list[PairMatch] = []
@@ -115,37 +120,64 @@ def _written_between(write_list: list[int], lo: int, hi: int) -> bool:
     return k < len(write_list) and write_list[k] < hi
 
 
-def _replay(circuit: Circuit, expand) -> Circuit:
-    """Rebuild a circuit, letting `expand(index, instr, builder)` rewrite instructions.
+#: An edit: the template placed at an index and the qubit ids of its wires,
+#: or None to delete the instruction there.
+Edit = tuple[Template, tuple[int, ...]] | None
 
-    `expand` returns True when it handled the instruction (including dropping
-    it); existing gadget spans are carried over with shifted indices.
+
+def _splice(circuit: Circuit, edits: dict[int, Edit]) -> Circuit:
+    """The circuit with the instruction at each index of `edits` replaced by its edit.
+
+    Runs between edited indices are copied as slices.  A tagged template's
+    instance becomes a gadget span, and a measuring one writes the next new
+    classical bit, numbered from ``circuit.n_classbits`` in instruction
+    order.  An existing span moves by the length change of the edits before
+    each of its ends.  New spans precede existing ones that start and end
+    at the same indices.
     """
-    b = CircuitBuilder()
-    for reg in circuit.inputs:
-        b.adopt_register(reg.name, reg.qubits)
-    b.reserve_qubits(circuit.n_qubits)
-    b.reserve_classbits(circuit.n_classbits)
-    bounds = {i for span in circuit.spans for i in (span.start, span.end)}
-    newpos: dict[int, int] = {}
-    for i, instr in enumerate(circuit.instructions):
-        if i in bounds:
-            newpos[i] = b.next_index
-        if not expand(i, instr, b):
-            b.append(instr)
-    newpos[len(circuit.instructions)] = b.next_index
+    instrs = circuit.instructions
+    out: list[Instruction] = []
+    spans: list[GadgetSpan] = []
+    at = sorted(edits)
+    shift = [0]  # shift[k]: how far the first k edits move the instructions after them
+    bit = circuit.n_classbits
+    last = 0
+    for i in at:
+        out += instrs[last:i]
+        last = i + 1
+        edit = edits[i]
+        if edit is not None:
+            template, wires = edit
+            start = len(out)
+            out += template.instantiate(wires, bit)
+            bit += template.measures
+            if template.tag is not None:
+                spans.append(GadgetSpan(start, len(out), template.tag))
+        shift.append(len(out) - last)
+    out += instrs[last:]
     for span in circuit.spans:
-        b.add_span(GadgetSpan(newpos[span.start], newpos[span.end], span.tag))
-    for reg in circuit.outputs:
-        b.output(reg.name, reg.qubits)
-    return b.build()
+        start, end = span.start, span.end
+        spans.append(GadgetSpan(start + shift[bisect_left(at, start)],
+                                end + shift[bisect_left(at, end)], span.tag))
+    return Circuit(
+        instructions=tuple(out),
+        n_qubits=circuit.n_qubits,
+        n_classbits=bit,
+        spans=tuple(sorted(spans, key=lambda s: (s.start, s.end))),
+        inputs=circuit.inputs,
+        outputs=circuit.outputs,
+    )
 
 
 def replace_pairs(circuit: Circuit) -> Circuit:
     """Replace every matched Toffoli pair with an AND compute/erase gadget.
 
     Channel-equivalent to the input.  After lowering, each replaced pair
-    costs 4 T instead of the matched-pair baseline's 8.
+    costs 4 T instead of the matched-pair baseline's 8.  The pair's first
+    Toffoli becomes an instance of ``gadgets.AND_COMPUTE`` and its second
+    one of ``gadgets.AND_UNCOMPUTE``, both on (controls, target); the
+    target's ``alloc0`` and ``release`` are deleted, since the gadgets
+    allocate and release it.  See :func:`_splice` for how the output is made.
 
     One round leaves no pair to match, so the pass is idempotent: a
     replacement adds no CCX, and on the wires it touches (the pair's controls
@@ -156,88 +188,74 @@ def replace_pairs(circuit: Circuit) -> Circuit:
     matches = find_pairs(circuit)
     if not matches:
         return circuit
-    drop = {m.alloc_index for m in matches} | {m.release_index for m in matches}
-    first = {m.first_index: m for m in matches}
-    second = {m.second_index: m for m in matches}
-
-    def expand(i: int, instr: Instruction, b: CircuitBuilder) -> bool:
-        if i in drop:
-            return True
-        if i in first:
-            m = first[i]
-            and_compute(b, m.controls[0], m.controls[1], anc=m.target)
-            return True
-        if i in second:
-            m = second[i]
-            and_uncompute(b, m.controls[0], m.controls[1], m.target)
-            return True
-        return False
-
-    return _replay(circuit, expand)
+    edits: dict[int, Edit] = {}
+    for m in matches:
+        wires = (*m.controls, m.target)
+        edits[m.alloc_index] = edits[m.release_index] = None
+        edits[m.first_index] = (AND_COMPUTE, wires)
+        edits[m.second_index] = (AND_UNCOMPUTE, wires)
+    return _splice(circuit, edits)
 
 
-def _emit_textbook_toffoli(b: CircuitBuilder, c1: int, c2: int, t: int) -> None:
-    """Exact Toffoli in Clifford+T: seven T gates."""
-    b.h(t)
-    b.cx(c2, t)
-    b.tdg(t)
-    b.cx(c1, t)
-    b.t(t)
-    b.cx(c2, t)
-    b.tdg(t)
-    b.cx(c1, t)
-    b.t(c2)
-    b.t(t)
-    b.h(t)
-    b.cx(c1, c2)
-    b.t(c1)
-    b.tdg(c2)
-    b.cx(c1, c2)
+#: Exact Toffoli on (c1, c2, t) in Clifford+T: seven T gates.
+TEXTBOOK_TOFFOLI = Template(None, "c1 c2 t", """
+    h t
+    cx c2 t
+    tdg t
+    cx c1 t
+    t t
+    cx c2 t
+    tdg t
+    cx c1 t
+    t c2
+    t t
+    h t
+    cx c1 c2
+    t c1
+    tdg c2
+    cx c1 c2
+""")
 
 
-def _emit_phase_toffoli(b: CircuitBuilder, c1: int, c2: int, t: int, dagger: bool) -> None:
-    """Four-T Toffoli with a diagonal phase error on the controls.
+def _phase_toffoli(pos: str, neg: str) -> Template:
+    return Template(None, "c1 c2 t", f"""
+        h t
+        {pos} t
+        cx c2 t
+        {neg} t
+        cx c1 t
+        {pos} t
+        cx c2 t
+        {neg} t
+        cx c1 t
+        h t
+    """)
 
-    Equals CCX times a controlled-S^(-1) (or controlled-S for the dagger
-    variant) on the controls, so a pair with matched variants cancels its
-    phase errors as long as nothing between them writes the controls.
-    """
-    pos, neg = (b.t, b.tdg) if not dagger else (b.tdg, b.t)
-    b.h(t)
-    pos(t)
-    b.cx(c2, t)
-    neg(t)
-    b.cx(c1, t)
-    pos(t)
-    b.cx(c2, t)
-    neg(t)
-    b.cx(c1, t)
-    b.h(t)
+
+#: Four-T Toffoli with a diagonal phase error on the controls: CCX times a
+#: controlled-S^(-1) on them.  Its dagger variant carries a controlled-S, so
+#: a matched pair lowered as the two cancels its phase errors as long as
+#: nothing between them writes the controls.
+PHASE_TOFFOLI = _phase_toffoli("t", "tdg")
+PHASE_TOFFOLI_DAGGER = _phase_toffoli("tdg", "t")
 
 
 def lower_ccx(circuit: Circuit, mode: str = "textbook7") -> Circuit:
     """Expand CCX macros into Clifford+T.
 
-    ``textbook7``: every Toffoli costs 7 T, exactly.
-    ``paired4``: Toffolis in matched compute/uncompute pairs cost 4 T each
-    with cancelling phase errors; unpaired ones fall back to textbook7.
+    ``textbook7``: every Toffoli becomes :data:`TEXTBOOK_TOFFOLI`, 7 T
+    exactly.  ``paired4``: the first Toffoli of each matched compute/uncompute
+    pair becomes :data:`PHASE_TOFFOLI` and the second
+    :data:`PHASE_TOFFOLI_DAGGER`, 4 T each with cancelling phase errors;
+    unpaired ones fall back to textbook7.  See :func:`_splice` for how the
+    output is made.
     """
     if mode not in ("textbook7", "paired4"):
         raise ValueError(f"unknown lowering mode {mode!r}")
-    pairs = find_pairs(circuit) if mode == "paired4" else []
-    first = {m.first_index for m in pairs}
-    second = {m.second_index for m in pairs}
-
-    def expand(i: int, instr: Instruction, b: CircuitBuilder) -> bool:
-        if instr.op is not Op.CCX:
-            return False
-        c1, c2, t = instr.qubits
-        if i in first:
-            _emit_phase_toffoli(b, c1, c2, t, dagger=False)
-        elif i in second:
-            _emit_phase_toffoli(b, c1, c2, t, dagger=True)
-        else:
-            _emit_textbook_toffoli(b, c1, c2, t)
-        return True
-
-    return _replay(circuit, expand)
+    templates: dict[int, Template] = {}
+    for m in find_pairs(circuit) if mode == "paired4" else ():
+        templates[m.first_index] = PHASE_TOFFOLI
+        templates[m.second_index] = PHASE_TOFFOLI_DAGGER
+    ccx = Op.CCX  # an Op member read costs ~100 ns
+    return _splice(circuit, {i: (templates.get(i, TEXTBOOK_TOFFOLI), instr.qubits)
+                             for i, instr in enumerate(circuit.instructions) if instr.op is ccx})

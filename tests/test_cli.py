@@ -1,6 +1,7 @@
 """Command-line interface: flags, determinism, exit codes."""
 import io
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from tclean.cli import main
 from tclean.constructions import CONSTRUCTIONS
+from tclean.goldens import default_corpus_dir
 from tclean.resources import count
 from tclean.sim import MAX_LIVE_QUBITS
 from tclean.textfmt import from_text
@@ -250,3 +252,49 @@ def test_huge_id_fails_with_one_line_inside_one_gib(tmp_path, command, kind):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("tclean: line ") and proc.stderr.count("\n") == 1
     assert "exceeds the limit" in proc.stderr
+
+
+# -- mutated corpus files through the rewriter -------------------------------------
+
+CORPUS_TEXTS = [path.read_text() for path in sorted(Path(default_corpus_dir()).glob("*/circuit.qc"))]
+STRAY_MARKERS = ("#begin and_compute", "#end and_compute", "#begin and_uncompute", "#end and_uncompute")
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """`text` with one to three lines dropped, pairs of ids swapped or stray span markers added."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("drop", "swap", "marker"))
+        if kind == "drop" and lines:
+            del lines[rng.randrange(len(lines))]
+        elif kind == "swap":
+            # two qubit ids, or two classical bits, anywhere in the text
+            bits = rng.random() < 0.3
+            ids = [(k, j) for k, tokens in enumerate(lines) for j, token in enumerate(tokens)
+                   if (token[1:] if bits and token[:1] == "c" else token).isdecimal()
+                   and (token[:1] == "c") == bits]
+            if len(ids) >= 2:
+                (k1, j1), (k2, j2) = rng.sample(ids, 2)
+                lines[k1][j1], lines[k2][j2] = lines[k2][j2], lines[k1][j1]
+        else:
+            lines.insert(rng.randint(0, len(lines)), rng.choice(STRAY_MARKERS).split())
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+def test_rewrite_and_count_survive_mutated_corpus_files(tmp_path):
+    rng = random.Random(11)
+    path = tmp_path / "mutated.qc"
+    codes = {0: 0, 1: 0}
+    for _ in range(300):
+        text = mutate(rng.choice(CORPUS_TEXTS), rng)
+        path.write_text(text)
+        for argv in (["rewrite", "--in", str(path), "--report"], ["count", "--in", str(path)]):
+            try:
+                code, out, err = run_cli(argv)
+            except Exception as exc:  # noqa: BLE001 - on the command line this is a traceback
+                pytest.fail(f"{argv[0]} raised {exc!r} on:\n{text}")
+            assert code in (0, 1, 2) and "Traceback" not in out + err, (argv, text, code, err)
+            if code == 1:
+                assert out == "" and err.startswith("tclean: ") and err.count("\n") == 1, err
+            codes[code] = codes.get(code, 0) + 1
+    assert codes[0] and codes[1]  # the mutations both keep and break circuits

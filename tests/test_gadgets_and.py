@@ -1,13 +1,19 @@
 """The temporary logical-AND: counts, exactness, outcome independence."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tclean.gadgets import (
+    AND_COMPUTE,
     AND_REVERSE_NET_T,
     AND_T_COUNT,
+    AND_UNCOMPUTE,
     and_gadget_circuit,
+    emit_inverse,
 )
-from tclean.ir import GadgetTag, Op, validate
+from tclean.goldens import default_corpus_dir
+from tclean.ir import CircuitBuilder, GadgetSpan, GadgetTag, Op, validate
 from tclean.resources import count
 from tclean.sim import (
     T_STATE,
@@ -18,6 +24,7 @@ from tclean.sim import (
     random_state,
     run,
 )
+from tclean.textfmt import from_text
 
 #: T-count contributors: T, T-dagger and the injected |T> state.
 T_FAMILY = frozenset({Op.T, Op.TDG, Op.ALLOCT})
@@ -110,3 +117,50 @@ def test_reverse_variant_restores_state_and_recovers_t():
 def test_all_variants_validate():
     for variant in ("compute", "roundtrip", "reverse"):
         assert validate(and_gadget_circuit(variant)) is None
+
+
+# -- inversion reads AND operands from the templates ---------------------------------
+
+#: Corpus circuits with gadget spans, by entry name.
+CORPUS_WITH_SPANS = {
+    path.parent.name: circuit
+    for path in sorted(Path(default_corpus_dir()).glob("*/circuit.qc"))
+    if (circuit := from_text(path.read_text())).spans
+}
+TEMPLATE = {GadgetTag.AND_COMPUTE: AND_COMPUTE, GadgetTag.AND_UNCOMPUTE: AND_UNCOMPUTE}
+
+
+def invert(fragment, tag, bit):
+    """emit_inverse of one whole-span fragment; a fresh classical bit is numbered `bit`."""
+    b = CircuitBuilder()
+    b.reserve_classbits(bit)
+    emit_inverse(b, fragment, (GadgetSpan(0, len(fragment), tag),))
+    return b.fragment_since((0, 0))
+
+
+def test_corpus_has_both_and_spans():
+    tags = {span.tag for circuit in CORPUS_WITH_SPANS.values() for span in circuit.spans}
+    assert tags == set(TEMPLATE)
+
+
+@pytest.mark.parametrize("name", CORPUS_WITH_SPANS)
+def test_inverting_every_corpus_and_span_round_trips(name):
+    circuit = CORPUS_WITH_SPANS[name]
+    for span in circuit.spans:
+        fragment = circuit.instructions[span.start:span.end]
+        wires = TEMPLATE[span.tag].match(fragment)
+        assert wires is not None, span
+        bit = next((i.result for i in fragment if i.result is not None), 0)
+        (inverse, (inverse_span,)) = invert(fragment, span.tag, bit)
+        # The inverse is the other template on the same wires, as one span.
+        assert TEMPLATE[inverse_span.tag].match(inverse) == wires
+        assert inverse_span.tag is not span.tag
+        assert invert(inverse, inverse_span.tag, bit) == (fragment, (GadgetSpan(0, len(fragment), span.tag),))
+
+
+@pytest.mark.parametrize("tag", TEMPLATE)
+def test_inverting_an_and_span_that_is_no_template_instance_raises(tag):
+    fragment = TEMPLATE[tag].instantiate((0, 1, 2), 0)
+    swapped = (fragment[1], fragment[0]) + fragment[2:]
+    with pytest.raises(ValueError, match="not an instance of its template"):
+        invert(swapped, tag, 0)

@@ -1,4 +1,5 @@
 """Pair matching, AND replacement, and Toffoli lowering."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tclean.ir
-from tclean.gadgets import AdderSpec, cuccaro_adder, gidney_adder
-from tclean.ir import Circuit, CircuitBuilder, CircuitError, Instruction, Op, validate
+from tclean.gadgets import AdderSpec, and_compute, and_uncompute, cuccaro_adder, gidney_adder
+from tclean.ir import Circuit, CircuitBuilder, CircuitError, GadgetSpan, GadgetTag, Instruction, Op, validate
 from tclean.oracle import compile_oracle
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
@@ -15,6 +16,7 @@ from tclean.sim import channel_equiv, enumerate_branches, run
 from tclean.textfmt import from_text
 
 from pairs_reference import reference_find_pairs
+from rewrite_reference import reference_lower_ccx, reference_replace_pairs
 from strategies import near_miss_circuit, random_circuit, random_paired_circuit
 
 
@@ -325,3 +327,78 @@ def test_cuccaro_rewrite_at_n_1024(carry_out):
     assert count(lower_ccx(c, "paired4")).t_count == 8 * pairs
     small = cuccaro_adder(AdderSpec(256, carry_out=carry_out))
     assert find_pairs(small) == reference_find_pairs(small)
+
+
+# -- the splice against the replaying reference ------------------------------------
+
+LOWERINGS = ("textbook7", "paired4")
+
+
+def outcome(rewrite, circuit, *args):
+    """The pass's output circuit, or the violation its output circuit raised."""
+    try:
+        return rewrite(circuit, *args)
+    except CircuitError as exc:
+        return exc.violation
+
+
+def assert_passes_agree_with_reference(c):
+    for got, want in [(outcome(replace_pairs, c), outcome(reference_replace_pairs, c))] + [
+            (outcome(lower_ccx, c, mode), outcome(reference_lower_ccx, c, mode)) for mode in LOWERINGS]:
+        if isinstance(want, Circuit):
+            assert got.instructions == want.instructions
+            assert got.spans == want.spans
+        assert got == want  # instructions, spans, ids, registers or the violation
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32 - 1))
+def test_splice_agrees_with_replay_reference(kind, seed):
+    assert_passes_agree_with_reference(GENERATORS[kind](np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("carry_out", (False, True))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 32, 91, 256))
+def test_splice_agrees_with_replay_reference_on_cuccaro_adders(n, carry_out):
+    assert_passes_agree_with_reference(cuccaro_adder(AdderSpec(n, carry_out=carry_out)))
+
+
+def spans_beside_a_pair() -> Circuit:
+    """A replaceable pair with an AND span ending at its alloc0 and one starting after its release.
+
+    Indices: AND compute 0-11, alloc0 12, CCX 13, cx 14, CCX 15, release 16, AND erase 17-19.
+    """
+    b = CircuitBuilder()
+    a, c, x = (b.register(name, 1)[0] for name in "abx")
+    anc = and_compute(b, a, x)
+    t = b.alloc0()
+    b.ccx(a, c, t)
+    b.cx(t, x)
+    b.ccx(c, a, t)
+    b.release(t)
+    and_uncompute(b, a, x, anc)
+    return b.build()
+
+
+@pytest.mark.parametrize("extra", [
+    None,
+    (12, 13),  # the deleted alloc0 alone: empty after the splice, so invalid
+    (12, 14),  # alloc0 and the first CCX: the same range as the new compute span
+    (13, 14),  # the first CCX alone: likewise
+    (13, 15),  # the first CCX and the gate after it: encloses the new compute span
+    (14, 15),  # the gate between the Toffolis
+    (15, 17),  # the second CCX and the release: the same range as the new erase span
+    (16, 17),  # the deleted release alone
+    (12, 17),  # the whole pair
+    (0, 17),   # the AND compute before it and the pair
+    (0, 20),   # everything
+])
+def test_splice_shifts_spans_beside_and_around_a_pair(extra):
+    c = spans_beside_a_pair()
+    assert len(find_pairs(c)) == 1
+    if extra is not None:
+        c = dataclasses.replace(c, spans=c.spans + (GadgetSpan(*extra, GadgetTag.AND_COMPUTE),))
+    assert_passes_agree_with_reference(c)
+    if extra is None:
+        starts = [span.start for span in replace_pairs(c).spans]
+        assert starts == [0, 12, 25, 28]  # AND compute, new compute, new erase, AND erase
