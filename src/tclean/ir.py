@@ -15,19 +15,26 @@ are annotations only: simulation executes the instructions inside them
 normally, while depth accounting counts each maximal span (one inside no
 other) as a single unit-weight event on every wire it touches.
 
-Every :class:`Circuit` is valid: constructing one runs :func:`validate` and
-raises :class:`CircuitError` on the first violation.  Builders, the text
-parser and the composition helpers all end in that constructor, so passes
-take their input as checked and never check it again.
+Every :class:`Circuit` is valid: constructing one makes the walk that
+:func:`validate` makes and raises :class:`CircuitError` on the first
+violation.  The same walk derives the circuit's widths from its contents, no
+id exceeds ``MAX_INDEX``, and the spans are stored in one canonical order, so
+the text format carries every circuit exactly.  Builders, the text parser
+and the composition helpers all end in that constructor, so passes take
+their input as checked and never check it again.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Sequence
+
+#: Largest qubit or classical-bit id a circuit may name: passes keep per-wire
+#: state up to the largest id, and the text format writes no larger one.
+MAX_INDEX = (1 << 20) - 1
 
 
 class Op(Enum):
@@ -84,6 +91,9 @@ _ALLOC0, _ALLOCT, _RELEASE, _MZ, _MX = Op.ALLOC0, Op.ALLOCT, Op.RELEASE, Op.MZ, 
 class GadgetTag(Enum):
     AND_COMPUTE = "and_compute"
     AND_UNCOMPUTE = "and_uncompute"
+
+    def __lt__(self, other: GadgetTag) -> bool:
+        return self.value < other.value
 
 
 class Instruction(NamedTuple):
@@ -168,9 +178,8 @@ class Template:
         return wires if self.instantiate(wires, bit) == tuple(instrs) else None
 
 
-@dataclass(frozen=True)
-class GadgetSpan:
-    """Half-open instruction range [start, end) tagged as one gadget."""
+class GadgetSpan(NamedTuple):
+    """Half-open instruction range [start, end) tagged as one gadget; spans sort by (start, end, tag)."""
 
     start: int
     end: int
@@ -185,19 +194,29 @@ class Register:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A valid circuit: construction raises :class:`CircuitError` otherwise."""
+    """A valid circuit: construction raises :class:`CircuitError` otherwise.
+
+    ``n_qubits`` and ``n_classbits`` are not arguments: they are one more
+    than the largest qubit id the registers and instructions name and one
+    more than the largest result bit, found in the validating walk.  The
+    spans are stored sorted by (start, end, tag), so circuits that differ
+    only in the order their spans were given are equal.
+    """
 
     instructions: tuple[Instruction, ...]
-    n_qubits: int
-    n_classbits: int
     spans: tuple[GadgetSpan, ...] = ()
     inputs: tuple[Register, ...] = ()
     outputs: tuple[Register, ...] = ()
+    n_qubits: int = field(init=False)
+    n_classbits: int = field(init=False)
 
     def __post_init__(self) -> None:
-        violation = validate(self)
-        if violation is not None:
-            raise CircuitError(violation)
+        object.__setattr__(self, "spans", tuple(sorted(self.spans)))
+        found = _check(self)
+        if isinstance(found, Violation):
+            raise CircuitError(found)
+        object.__setattr__(self, "n_qubits", found[0])
+        object.__setattr__(self, "n_classbits", found[1])
 
     def input_qubits(self) -> tuple[int, ...]:
         return tuple(q for reg in self.inputs for q in reg.qubits)
@@ -234,6 +253,7 @@ class ViolationCode(Enum):
     CLASSBIT_REWRITE = "CLASSBIT_REWRITE"
     OUTPUT_NOT_LIVE = "OUTPUT_NOT_LIVE"
     REGISTER_OVERLAP = "REGISTER_OVERLAP"
+    BAD_REGISTER_NAME = "BAD_REGISTER_NAME"
 
 
 @dataclass(frozen=True)
@@ -252,11 +272,17 @@ class CircuitError(Exception):
 
 
 def validate(circuit: Circuit) -> Violation | None:
-    """Check every lifetime, arity, classical-bit, and span invariant.
+    """Check every lifetime, arity, classical-bit, id-limit, register-name and span invariant.
 
     Returns the first violation in instruction order, or None if the circuit
     is valid.  Deterministic: depends only on the circuit contents.
     """
+    found = _check(circuit)
+    return found if isinstance(found, Violation) else None
+
+
+def _check(circuit: Circuit) -> Violation | tuple[int, int]:
+    """The first violation :func:`validate` reports, or else the widths ``(n_qubits, n_classbits)``."""
     n = len(circuit.instructions)
     for span in circuit.spans:
         if not (0 <= span.start < span.end <= n):
@@ -272,9 +298,18 @@ def validate(circuit: Circuit) -> Violation | None:
                              f"span [{span.start},{span.end}) partially overlaps another span")
         open_ends.append(span.end)
 
+    for reg in circuit.inputs + circuit.outputs:
+        if reg.name.split() != [reg.name]:
+            return Violation(ViolationCode.BAD_REGISTER_NAME, 0,
+                             f"register name {reg.name!r} is empty or holds whitespace")
     live: set[int] = set()
     ever_released: set[int] = set()
+    max_qubit = max_bit = -1
     for reg in circuit.inputs:
+        top = max(reg.qubits, default=-1)
+        if top > MAX_INDEX or min(reg.qubits, default=0) < 0:
+            return Violation(ViolationCode.BAD_ARITY, 0, f"qubit index out of range in {reg.qubits}")
+        max_qubit = max(max_qubit, top)
         for q in reg.qubits:
             if q in live:
                 return Violation(ViolationCode.REGISTER_OVERLAP, 0,
@@ -288,13 +323,18 @@ def validate(circuit: Circuit) -> Violation | None:
             return Violation(ViolationCode.USE_AFTER_RELEASE, i, f"qubit {q} used after release")
         return Violation(ViolationCode.USE_BEFORE_ALLOC, i, f"qubit {q} used before allocation")
 
-    n_qubits, n_classbits, rz = circuit.n_qubits, circuit.n_classbits, Op.RZ
+    rz = Op.RZ
     for i, (op, qubits, angle, result, cond) in enumerate(circuit.instructions):
         arity = op.arity
         if len(qubits) != arity or (arity > 1 and len(set(qubits)) != arity):
             return Violation(ViolationCode.BAD_ARITY, i,
                              f"{op.value} expects {arity} distinct qubits, got {qubits}")
-        if min(qubits) < 0 or max(qubits) >= n_qubits:
+        top = max(qubits)
+        if top > max_qubit:
+            if top > MAX_INDEX:
+                return Violation(ViolationCode.BAD_ARITY, i, f"qubit index out of range in {qubits}")
+            max_qubit = top
+        if min(qubits) < 0:
             return Violation(ViolationCode.BAD_ARITY, i, f"qubit index out of range in {qubits}")
         if (angle is not None) != (op is rz):
             return Violation(ViolationCode.BAD_ARITY, i, "angle is required for rz and forbidden elsewhere")
@@ -329,7 +369,11 @@ def validate(circuit: Circuit) -> Violation | None:
             if not live.issuperset(qubits):
                 return liveness_error(next(q for q in qubits if q not in live), i)
             if measures:
-                if result < 0 or result >= n_classbits:
+                if result > max_bit:
+                    if result > MAX_INDEX:
+                        return Violation(ViolationCode.BAD_ARITY, i, f"classical bit {result} out of range")
+                    max_bit = result
+                if result < 0:
                     return Violation(ViolationCode.BAD_ARITY, i, f"classical bit {result} out of range")
                 if result in written_bits:
                     return Violation(ViolationCode.CLASSBIT_REWRITE, i,
@@ -339,7 +383,7 @@ def validate(circuit: Circuit) -> Violation | None:
     for q in circuit.output_qubits():
         if q not in live:
             return Violation(ViolationCode.OUTPUT_NOT_LIVE, n, f"declared output qubit {q} not live at end")
-    return None
+    return max_qubit + 1, max_bit + 1
 
 
 class CircuitBuilder:
@@ -509,14 +553,8 @@ class CircuitBuilder:
     # -- finish ----------------------------------------------------------------
 
     def build(self) -> Circuit:
-        return Circuit(
-            instructions=tuple(self._instructions),
-            n_qubits=self._next_qubit,
-            n_classbits=self._next_bit,
-            spans=tuple(sorted(self._spans, key=lambda s: (s.start, s.end))),
-            inputs=tuple(self._inputs),
-            outputs=tuple(self._outputs),
-        )
+        return Circuit(tuple(self._instructions), spans=tuple(self._spans),
+                       inputs=tuple(self._inputs), outputs=tuple(self._outputs))
 
 
 def concatenate(first: Circuit, second: Circuit) -> Circuit:
@@ -554,14 +592,7 @@ def concatenate(first: Circuit, second: Circuit) -> Circuit:
             name += "'"
         names.add(name)
         inputs.append(Register(name, reg.qubits))
-    return Circuit(
-        instructions=instrs,
-        n_qubits=max(first.n_qubits, second.n_qubits),
-        n_classbits=first.n_classbits + second.n_classbits,
-        spans=spans,
-        inputs=tuple(inputs),
-        outputs=second.outputs or first.outputs,
-    )
+    return Circuit(instrs, spans=spans, inputs=tuple(inputs), outputs=second.outputs or first.outputs)
 
 
 def shift_qubits(circuit: Circuit, offset: int) -> Circuit:
@@ -572,12 +603,8 @@ def shift_qubits(circuit: Circuit, offset: int) -> Circuit:
     def shift_reg(reg: Register) -> Register:
         return Register(reg.name, tuple(q + offset for q in reg.qubits))
 
-    return Circuit(
-        instructions=tuple(i._replace(qubits=tuple(q + offset for q in i.qubits))
-                           for i in circuit.instructions),
-        n_qubits=circuit.n_qubits + offset,
-        n_classbits=circuit.n_classbits,
-        spans=circuit.spans,
-        inputs=tuple(shift_reg(r) for r in circuit.inputs),
-        outputs=tuple(shift_reg(r) for r in circuit.outputs),
-    )
+    return Circuit(tuple(i._replace(qubits=tuple(q + offset for q in i.qubits))
+                         for i in circuit.instructions),
+                   spans=circuit.spans,
+                   inputs=tuple(shift_reg(r) for r in circuit.inputs),
+                   outputs=tuple(shift_reg(r) for r in circuit.outputs))

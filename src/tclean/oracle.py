@@ -1,7 +1,8 @@
 """Boolean expressions compiled to compute/Z/uncompute phase oracles.
 
-Grammar: variables ``x<k>``, operators ``& | ^ !``, parentheses, with
-precedence ``!`` > ``&`` > ``^`` > ``|``.  Every binary AND/OR node costs one
+Grammar: variables ``x<k>`` (``k`` in ASCII decimal digits), operators
+``& | ^ !``, parentheses, with precedence ``!`` > ``&`` > ``^`` > ``|``, nested
+at most ``MAX_DEPTH`` deep.  Every binary AND/OR node costs one
 temporary logical-AND (4 T); XOR and NOT are free.  The uncomputation half of
 the oracle is T-free, so the whole oracle costs half of what the same tree
 costs when each conjunction is a textbook-paired Toffoli pair.
@@ -18,6 +19,9 @@ from .ir import Circuit, CircuitBuilder
 from .gadgets import _emit_carry, emit_inverse
 
 MAX_VARIABLES = 12
+#: Deepest an expression may nest: each parenthesis, negation and binary
+#: operator on the way from the whole expression down to a variable counts one.
+MAX_DEPTH = 100
 
 
 class OracleParseError(Exception):
@@ -67,9 +71,17 @@ Node = Var | Not | And | Or | Xor
 
 
 class _Parser:
+    """Recursive descent that returns each subexpression with its height.
+
+    ``level`` counts the parentheses and negations open at the cursor.  An
+    expression nests ``level + height`` deep at each node, and nesting past
+    ``MAX_DEPTH`` is refused before the parser or a tree walk recurses that far.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.level = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -84,51 +96,59 @@ class _Parser:
             raise OracleParseError(self.pos + 1, f"expected {ch!r}")
         self.pos += 1
 
+    def nest(self, depth: int, column: int) -> None:
+        if depth > MAX_DEPTH:
+            raise OracleParseError(column, f"expression nests deeper than {MAX_DEPTH}")
+
     def parse(self) -> Node:
-        node = self.or_expr()
+        node, _ = self.or_expr()
         if self.peek():
             raise OracleParseError(self.pos + 1, f"unexpected {self.peek()!r}")
         return node
 
-    def or_expr(self) -> Node:
-        node = self.xor_expr()
-        while self.peek() == "|":
-            self.take("|")
-            node = Or(node, self.xor_expr())
-        return node
+    def binary(self, symbol: str, kind, operand) -> tuple[Node, int]:
+        """A left-associative chain of `operand`s joined by `symbol`."""
+        node, height = operand()
+        while self.peek() == symbol:
+            column = self.pos + 1
+            self.pos += 1
+            right, right_height = operand()
+            height = max(height, right_height) + 1
+            self.nest(self.level + height, column)
+            node = kind(node, right)
+        return node, height
 
-    def xor_expr(self) -> Node:
-        node = self.and_expr()
-        while self.peek() == "^":
-            self.take("^")
-            node = Xor(node, self.and_expr())
-        return node
+    def or_expr(self) -> tuple[Node, int]:
+        return self.binary("|", Or, self.xor_expr)
 
-    def and_expr(self) -> Node:
-        node = self.unary()
-        while self.peek() == "&":
-            self.take("&")
-            node = And(node, self.unary())
-        return node
+    def xor_expr(self) -> tuple[Node, int]:
+        return self.binary("^", Xor, self.and_expr)
 
-    def unary(self) -> Node:
+    def and_expr(self) -> tuple[Node, int]:
+        return self.binary("&", And, self.unary)
+
+    def unary(self) -> tuple[Node, int]:
         ch = self.peek()
-        if ch == "!":
-            self.take("!")
-            return Not(self.unary())
-        if ch == "(":
-            self.take("(")
-            node = self.or_expr()
-            self.take(")")
-            return node
+        if ch == "!" or ch == "(":
+            self.level += 1
+            self.nest(self.level, self.pos + 1)
+            self.pos += 1
+            if ch == "!":
+                child, height = self.unary()
+                node = Not(child)
+            else:
+                node, height = self.or_expr()
+                self.take(")")
+            self.level -= 1
+            return node, height + 1
         if ch == "x":
             self.pos += 1
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
                 self.pos += 1
             if self.pos == start:
                 raise OracleParseError(start + 1, "variable needs an index, like x0")
-            return Var(int(self.text[start:self.pos]))
+            return Var(int(self.text[start:self.pos])), 0
         raise OracleParseError(self.pos + 1, f"unexpected {ch!r}" if ch else "unexpected end of input")
 
 

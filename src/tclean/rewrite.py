@@ -132,8 +132,8 @@ def _splice(circuit: Circuit, edits: dict[int, Edit]) -> Circuit:
     instance becomes a gadget span, and a measuring one writes the next new
     classical bit, numbered from ``circuit.n_classbits`` in instruction
     order.  An existing span moves by the length change of the edits before
-    each of its ends.  New spans precede existing ones that start and end
-    at the same indices.
+    each of its ends.  The constructor orders the spans and derives the
+    output's widths.
     """
     instrs = circuit.instructions
     out: list[Instruction] = []
@@ -159,14 +159,7 @@ def _splice(circuit: Circuit, edits: dict[int, Edit]) -> Circuit:
         start, end = span.start, span.end
         spans.append(GadgetSpan(start + shift[bisect_left(at, start)],
                                 end + shift[bisect_left(at, end)], span.tag))
-    return Circuit(
-        instructions=tuple(out),
-        n_qubits=circuit.n_qubits,
-        n_classbits=bit,
-        spans=tuple(sorted(spans, key=lambda s: (s.start, s.end))),
-        inputs=circuit.inputs,
-        outputs=circuit.outputs,
-    )
+    return Circuit(tuple(out), spans=tuple(spans), inputs=circuit.inputs, outputs=circuit.outputs)
 
 
 def replace_pairs(circuit: Circuit) -> Circuit:

@@ -64,6 +64,9 @@ MAX_LIVE_QUBITS = 26
 #: value) takes about 120 bytes, eight dense amplitudes, so a full sparse
 #: state weighs about what a dense one does at ``MAX_LIVE_QUBITS``.
 MAX_TERMS = 1 << (MAX_LIVE_QUBITS - 3)
+#: Most measurements a circuit may make for every branch to be followed (in
+#: ``enumerate_branches`` and ``channel_equiv``): 2^16 branches at most.
+MAX_MEASUREMENTS = 16
 
 _NORM_TOL = 1e-12
 _ZERO_TOL = 1e-9
@@ -641,9 +644,6 @@ class BranchResult:
     probability: float
     final_state: FinalState
 
-    def outcome_of(self, bit: int) -> int:
-        return dict(self.outcomes)[bit]
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -828,10 +828,10 @@ def _walk(program: _Program, initial, choose: Choose, check_norm: bool = False):
             stack.append((fork, i + 1))
 
 
-def _check_bound(program: _Program, max_measurements: int) -> None:
-    if program.measurements > max_measurements:
+def _check_bound(program: _Program) -> None:
+    if program.measurements > MAX_MEASUREMENTS:
         raise TooManyBranchesError(
-            f"{program.measurements} measurements exceeds bound {max_measurements}")
+            f"{program.measurements} measurements exceeds bound {MAX_MEASUREMENTS}")
 
 
 def run(circuit: Circuit, input_state: InputState = None, *,
@@ -851,16 +851,16 @@ def run(circuit: Circuit, input_state: InputState = None, *,
     return RunResult(leaf.extract(program.final, program.outputs), leaf.classbits)
 
 
-def enumerate_branches(circuit: Circuit, input_state: InputState = None,
-                       *, max_measurements: int = 16) -> list[BranchResult]:
+def enumerate_branches(circuit: Circuit, input_state: InputState = None) -> list[BranchResult]:
     """All reachable measurement branches, by projection and renormalization.
 
     Zero-probability branches are omitted; the returned probabilities sum
-    to 1.  Results are sorted by outcome assignment.
+    to 1.  Results are sorted by outcome assignment.  A circuit with more
+    than ``MAX_MEASUREMENTS`` measurements raises :class:`TooManyBranchesError`.
     """
     engine, read = _engine(input_state)
     program = _compile(circuit, engine)
-    _check_bound(program, max_measurements)
+    _check_bound(program)
     leaves = _walk(program, read(circuit, input_state), _every)
     return sorted((BranchResult(tuple(sorted(leaf.classbits.items())), leaf.weight,
                                 leaf.extract(program.final, program.outputs)) for leaf in leaves),
@@ -943,7 +943,7 @@ def channel_equiv(circuit: Circuit, ideal: IdealMap | np.ndarray, *, trials: int
         vec = _input_vector(circuit, state)
         expected = ideal_map(vec)
         if branches == "all":
-            _check_bound(program, 16)
+            _check_bound(program)
             walks = [_every]
         else:
             walks = [_sampled(np.random.default_rng(int(rng.integers(1 << 63)) if k else 0), None)

@@ -22,11 +22,7 @@ of the #input/#output/#begin/#end directives are comments.
 """
 from __future__ import annotations
 
-from .ir import Circuit, GadgetSpan, GadgetTag, Instruction, Op, Register
-
-#: Largest qubit or classical-bit id a text may name: passes keep per-wire
-#: state up to the largest id, so a larger one is refused before that is allocated.
-MAX_INDEX = (1 << 20) - 1
+from .ir import MAX_INDEX, Circuit, GadgetSpan, GadgetTag, Instruction, Op, Register
 
 _PLAIN, _ANGLE, _MEASURE = "plain", "angle", "measure"
 
@@ -80,9 +76,11 @@ def to_text(circuit: Circuit) -> str:
                 line = template % (qubits[0], result)
             lines.append(line if cond is None else "? c%d : %s" % (cond, line))
         done = i
+        # The spans are stored sorted by (start, end, tag).  Innermost closes first and
+        # outermost opens first; spans over one range open in reverse and close in order.
         for span in sorted(ends.get(i, []), key=lambda s: s.start, reverse=True):
             lines.append(f"#end {span.tag.value}")
-        for span in sorted(begins.get(i, []), key=lambda s: s.end, reverse=True):
+        for span in reversed(begins.get(i, [])):
             lines.append(f"#begin {span.tag.value}")
     return "\n".join(lines) + "\n"
 
@@ -115,8 +113,6 @@ def from_text(text: str) -> Circuit:
     open_spans: list[tuple[int, GadgetTag, int]] = []
     inputs: list[Register] = []
     outputs: list[Register] = []
-    max_qubit = -1
-    max_bit = -1
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -129,7 +125,6 @@ def from_text(text: str) -> Circuit:
                 if len(tokens) < 2:
                     raise TextFormatError(line_no, f"{head} needs a register name")
                 qubits = _parse_qubits(tokens[2:], line_no)
-                max_qubit = max(max_qubit, max(qubits, default=-1))
                 (inputs if head == "#input" else outputs).append(Register(tokens[1], qubits))
             elif head == "#begin":
                 if len(tokens) != 2:
@@ -154,7 +149,6 @@ def from_text(text: str) -> Circuit:
             if len(tokens) < 4 or tokens[2] != ":":
                 raise TextFormatError(line_no, "conditioned form is '? c<k> : <gate...>'")
             cond = _parse_classbit(tokens[1], line_no)
-            max_bit = max(max_bit, cond)
             del tokens[:3]
             head = tokens[0]
         row = _ROWS.get(head)
@@ -177,7 +171,6 @@ def from_text(text: str) -> Circuit:
             if len(args) != 3 or args[1] != "->":
                 raise TextFormatError(line_no, f"{op.value} form is '{op.value} q -> c<k>'")
             result = _parse_classbit(args[2], line_no)
-            max_bit = max(max_bit, result)
             del args[1:]
 
         if len(args) != op.arity:
@@ -188,22 +181,12 @@ def from_text(text: str) -> Circuit:
             qubits = tuple(map(int, args))
         else:
             qubits = _parse_qubits(args, line_no)  # raises: some token is not an id
-        top = max(qubits)
-        if top > max_qubit:
-            if top > MAX_INDEX:
-                _parse_qubits(args, line_no)  # raises: names the first id past the limit
-            max_qubit = top
+        if max(qubits) > MAX_INDEX:
+            _parse_qubits(args, line_no)  # raises: names the first id past the limit
         instructions.append(Instruction(op, qubits, angle, result, cond))
 
     if open_spans:
         raise TextFormatError(open_spans[-1][2], f"unclosed #begin {open_spans[-1][1].value}")
 
-    return Circuit(
-        instructions=tuple(instructions),
-        n_qubits=max_qubit + 1,
-        n_classbits=max_bit + 1,
-        spans=tuple(sorted(spans, key=lambda s: (s.start, s.end))),
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-    )
+    return Circuit(tuple(instructions), spans=tuple(spans), inputs=tuple(inputs), outputs=tuple(outputs))
 

@@ -13,6 +13,8 @@ import pytest
 from tclean.cli import main
 from tclean.constructions import CONSTRUCTIONS
 from tclean.goldens import default_corpus_dir
+from tclean.ir import Op
+from tclean.oracle import MAX_DEPTH
 from tclean.resources import count
 from tclean.sim import MAX_LIVE_QUBITS
 from tclean.textfmt import from_text
@@ -298,3 +300,90 @@ def test_rewrite_and_count_survive_mutated_corpus_files(tmp_path):
                 assert out == "" and err.startswith("tclean: ") and err.count("\n") == 1, err
             codes[code] = codes.get(code, 0) + 1
     assert codes[0] and codes[1]  # the mutations both keep and break circuits
+
+
+# -- arbitrary input: no traceback ---------------------------------------------------
+
+
+def assert_clean_exit(argv, given):
+    """`argv` exits 0, 1 or 2 without a traceback, and exit 1 prints one ``tclean:`` line and nothing else."""
+    shown = given if len(given) < 200 else given[:200] + f"... ({len(given)} characters)"
+    try:
+        code, out, err = run_cli(argv)
+    except Exception as exc:  # noqa: BLE001 - on the command line this is a traceback
+        pytest.fail(f"{argv[0]} raised {exc!r} on {shown!r}")
+    assert code in (0, 1, 2) and "Traceback" not in out + err, (argv[0], shown, code, err)
+    if code == 1:
+        assert out == "" and err.startswith("tclean: ") and err.count("\n") == 1, (shown, err)
+    return code
+
+
+EXPR_PIECES = ("x0", "x1", "x2", "x11", "x12", "x", "x99999999999999999999", "&", "|", "^", "!", "(", ")",
+               " ", "\t", "\u00a0", "²", "x٣", "x０", "$", "é", "\x00", "0", "-1", "&&", "x0x1")
+
+
+def arbitrary_expression(rng: random.Random) -> str:
+    """Seeded grammar pieces and junk characters, or nesting up to and far past ``MAX_DEPTH``."""
+    depth = rng.choice((2, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 3000))
+    roll = rng.random()
+    if roll < 0.1:
+        return "(" * depth + "x0" + ")" * rng.choice((depth, depth - 1))
+    if roll < 0.2:
+        return "!" * depth + rng.choice(("x1", ""))
+    if roll < 0.3:
+        return rng.choice((" ^ ", " & ", " | ", "&")).join(f"x{rng.randrange(4)}" for _ in range(depth))
+    if roll < 0.35:
+        return "!(x0 & " * depth + "x1" + ")" * depth
+    return "".join(rng.choice(EXPR_PIECES) for _ in range(rng.randrange(25)))
+
+
+def test_oracle_survives_arbitrary_expressions():
+    rng = random.Random(12)
+    codes = {}
+    for _ in range(400):
+        expr = arbitrary_expression(rng)
+        code = assert_clean_exit(["oracle", "--expr", expr], expr)
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(0) and codes.get(1)
+
+
+@pytest.mark.parametrize("expr", ["(" * 3000 + "x0" + ")" * 3000, " ^ ".join(["x0"] * 3000), "x²"])
+def test_oracle_command_fails_deep_and_non_ascii_expressions_with_one_line(expr):
+    """The installed entry point, with no test frames on the stack: one ``tclean:`` line, no traceback."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "tclean.cli", "oracle", "--expr", expr],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("tclean: column ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+TEXT_TOKENS = tuple(op.value for op in Op) + (
+    "#input", "#output", "#begin", "#end", "and_compute", "and_uncompute", "#", "?", ":", "->",
+    "c0", "c1", "c7", "c-1", "c", "0", "1", "2", "3", "7", "-1", "1048575", "1048576",
+    "99999999999999999999", "nan", "inf", "-inf", "1e999", "0.5", "a", "q", "٣", "x²", "\u00a0", "\x0b")
+
+
+def token_soup(rng: random.Random) -> str:
+    """Seeded lines of text-format tokens in any order, sometimes after a register, or deeply nested spans."""
+    if rng.random() < 0.05:
+        depth = rng.choice((2, 3000))
+        closes = rng.choice((depth, depth - 1))
+        return "#input a 0\n" + "#begin and_compute\n" * depth + "x 0\n" + "#end and_compute\n" * closes
+    lines = ["#input a 0 1 2 3"] if rng.random() < 0.5 else []
+    for _ in range(rng.randrange(12)):
+        lines.append(" ".join(rng.choice(TEXT_TOKENS) for _ in range(rng.randrange(1, 6))))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_count_and_rewrite_survive_token_soup(tmp_path):
+    rng = random.Random(13)
+    path = tmp_path / "soup.qc"
+    codes = {}
+    for _ in range(300):
+        text = token_soup(rng)
+        path.write_text(text)
+        for argv in (["rewrite", "--in", str(path), "--report"], ["count", "--in", str(path)]):
+            code = assert_clean_exit(argv, text)
+            codes[code] = codes.get(code, 0) + 1
+    assert codes.get(0) and codes.get(1)

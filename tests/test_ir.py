@@ -8,8 +8,10 @@ from tclean.ir import (
     CircuitError,
     GadgetSpan,
     GadgetTag,
+    MAX_INDEX,
     Instruction,
     Op,
+    Register,
     ViolationCode,
     concatenate,
     validate,
@@ -17,6 +19,7 @@ from tclean.ir import (
 
 import dataclasses
 
+from tclean.gadgets import and_compute, and_uncompute
 from tclean.textfmt import from_text
 
 from pairs_reference import reference_reads_as_control, reference_writes
@@ -32,7 +35,7 @@ def build_violation(b: CircuitBuilder):
 
 def test_constructor_rejects_invalid_contents():
     with pytest.raises(CircuitError) as err:
-        Circuit(instructions=(Instruction(Op.X, (0,)),), n_qubits=1, n_classbits=0)
+        Circuit(instructions=(Instruction(Op.X, (0,)),))
     assert err.value.violation.code is ViolationCode.USE_BEFORE_ALLOC
     assert str(err.value) == "USE_BEFORE_ALLOC at instruction 0: qubit 0 used before allocation"
 
@@ -191,8 +194,7 @@ def test_validate_is_deterministic():
             del instructions[i]
         else:
             instructions.insert(i, instructions[i])
-        fields = dict(instructions=tuple(instructions), n_qubits=c.n_qubits,
-                      n_classbits=c.n_classbits, spans=c.spans, inputs=c.inputs,
+        fields = dict(instructions=tuple(instructions), spans=c.spans, inputs=c.inputs,
                       outputs=c.outputs)
         first = _violation(**fields)
         assert _violation(**fields) == first
@@ -259,6 +261,71 @@ def test_concatenate_rejects_a_dead_shared_register():
         concatenate(c1, c2)
     assert err.value.violation.code is ViolationCode.USE_AFTER_RELEASE
     assert err.value.violation.index == 2
+
+
+# -- widths, id limit and register names ---------------------------------------
+
+
+def test_widths_are_derived_not_given():
+    with pytest.raises(TypeError):
+        Circuit(instructions=(), n_qubits=9, n_classbits=4)
+    c = Circuit((Instruction(Op.X, (0,)),), inputs=(Register("a", (0, 5)),))
+    assert (c.n_qubits, c.n_classbits) == (6, 0)
+    assert (CircuitBuilder().build().n_qubits, CircuitBuilder().build().n_classbits) == (0, 0)
+
+
+def test_span_order_is_canonical():
+    b = CircuitBuilder()
+    (x, y) = b.register("a", 2)
+    anc = and_compute(b, x, y)
+    and_uncompute(b, x, y, anc)
+    c = b.build()
+    assert len(c.spans) == 2
+    flipped = Circuit(c.instructions, spans=c.spans[::-1], inputs=c.inputs)
+    assert flipped == c and flipped.spans == c.spans
+    same_range = (GadgetSpan(0, 4, GadgetTag.AND_UNCOMPUTE), GadgetSpan(0, 4, GadgetTag.AND_COMPUTE))
+    assert (Circuit(c.instructions, spans=same_range, inputs=c.inputs)
+            == Circuit(c.instructions, spans=same_range[::-1], inputs=c.inputs))
+
+
+def one_gate(instr, register=(0,)):
+    """The violation constructing `instr` on input register `register` reports, or None."""
+    return _violation(instructions=(instr,), inputs=(Register("a", register),))
+
+
+TOO_BIG = MAX_INDEX + 1
+
+
+@pytest.mark.parametrize("instr, register, message", [
+    (Instruction(Op.X, (TOO_BIG,)), (0,), f"qubit index out of range in ({TOO_BIG},)"),
+    (Instruction(Op.CX, (0, TOO_BIG)), (0,), f"qubit index out of range in (0, {TOO_BIG})"),
+    (Instruction(Op.X, (0,)), (0, TOO_BIG), f"qubit index out of range in (0, {TOO_BIG})"),
+    (Instruction(Op.MZ, (0,), result=TOO_BIG), (0,), f"classical bit {TOO_BIG} out of range"),
+    # negative ids keep their messages, and a register's are refused too
+    (Instruction(Op.X, (-1,)), (0,), "qubit index out of range in (-1,)"),
+    (Instruction(Op.MZ, (0,), result=-2), (0,), "classical bit -2 out of range"),
+    (Instruction(Op.X, (0,)), (0, -1), "qubit index out of range in (0, -1)"),
+])
+def test_ids_the_text_cannot_carry_are_refused(instr, register, message):
+    violation = one_gate(instr, register)
+    assert (violation.code, violation.index, violation.message) == (ViolationCode.BAD_ARITY, 0, message)
+
+
+def test_ids_at_the_limit_are_accepted():
+    top = MAX_INDEX
+    c = Circuit((Instruction(Op.X, (top,)), Instruction(Op.MZ, (top,), result=top)),
+                inputs=(Register("a", (top,)),))
+    assert (c.n_qubits, c.n_classbits) == (top + 1, top + 1)
+
+
+@pytest.mark.parametrize("name", ["", " ", "a b", " a", "a\t", "a\n", "a\u00a0b"])
+@pytest.mark.parametrize("where", ["inputs", "outputs"])
+def test_register_names_the_text_cannot_carry_are_refused(name, where):
+    reg = Register(name, (0,))
+    fields = dict(inputs=(reg,)) if where == "inputs" else dict(inputs=(Register("a", (0,)),), outputs=(reg,))
+    violation = _violation(instructions=(Instruction(Op.X, (0,)),), **fields)
+    assert violation.code is ViolationCode.BAD_REGISTER_NAME
+    assert violation.message == f"register name {name!r} is empty or holds whitespace"
 
 
 #: Every kind as the tables it replaced stated it: mnemonic, arity, controls,

@@ -4,6 +4,7 @@ import pytest
 
 from tclean.ir import Op, validate
 from tclean.oracle import (
+    MAX_DEPTH,
     OracleParseError,
     TooManyVariablesError,
     binary_node_count,
@@ -43,6 +44,30 @@ def test_parse_errors():
     for bad in ("", "x", "x0 &", "(x0", "x0 ) x1", "x0 $ x1", "0x1"):
         with pytest.raises(OracleParseError):
             parse_expression(bad)
+
+
+@pytest.mark.parametrize("expr, column, message", [
+    ("x²", 2, "variable needs an index, like x0"),
+    ("x0 & x٣", 7, "variable needs an index, like x0"),   # Arabic-Indic three
+    ("x0 | x１", 7, "variable needs an index, like x0"),  # fullwidth one
+    ("(" * 3000 + "x0" + ")" * 3000, MAX_DEPTH + 1, f"expression nests deeper than {MAX_DEPTH}"),
+    ("!" * 3000 + "x0", MAX_DEPTH + 1, f"expression nests deeper than {MAX_DEPTH}"),
+    (" ^ ".join(["x0"] * 3000), 5 * MAX_DEPTH + 4, f"expression nests deeper than {MAX_DEPTH}"),
+    ("x0" + " & x1" * MAX_DEPTH + " | x2", 5 * MAX_DEPTH + 4, f"expression nests deeper than {MAX_DEPTH}"),
+    # the innermost & nests 81 deep and each enclosing !( ... & one more: the 20th & is the first too deep
+    ("!(x0 & " * 40 + "x1" + ")" * 40, 7 * 19 + 6, f"expression nests deeper than {MAX_DEPTH}"),
+])
+def test_parse_errors_name_the_column(expr, column, message):
+    with pytest.raises(OracleParseError) as err:
+        parse_expression(expr)
+    assert str(err.value) == f"column {column}: {message}"
+
+
+def test_nesting_up_to_the_bound_compiles():
+    for expr in ("(" * MAX_DEPTH + "x0" + ")" * MAX_DEPTH, "!" * MAX_DEPTH + "x0",
+                 " ^ ".join(["x0", "x1"] * (MAX_DEPTH // 2) + ["x0"])):
+        circuit = compile_oracle(expr)
+        assert count(circuit).t_count == 4 * binary_node_count(parse_expression(expr))
 
 
 def test_too_many_variables():

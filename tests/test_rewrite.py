@@ -222,7 +222,7 @@ def test_random_paired_circuits_replace_equivalently(seed):
 def test_lower_ccx_rejects_unknown_mode_before_validating():
     # An invalid circuit cannot reach a pass: constructing it raises.
     with pytest.raises(CircuitError):
-        Circuit(instructions=(Instruction(Op.X, (0,)),), n_qubits=1, n_classbits=0)
+        Circuit(instructions=(Instruction(Op.X, (0,)),))
     with pytest.raises(ValueError, match="unknown lowering mode 'bogus'"):
         lower_ccx(canonical_pair(), "bogus")
 
@@ -232,8 +232,8 @@ def test_passes_validate_input_once(monkeypatch):
     c = cuccaro_adder(AdderSpec(4))
     pair = canonical_pair()
     calls = []
-    real = tclean.ir.validate
-    monkeypatch.setattr(tclean.ir, "validate",
+    real = tclean.ir._check  # the constructor's validating walk
+    monkeypatch.setattr(tclean.ir, "_check",
                         lambda circuit: calls.append(circuit) or real(circuit))
     replace_pairs(c)
     assert len(calls) == 1  # the build after the only rewriting round

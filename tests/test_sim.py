@@ -13,6 +13,7 @@ from tclean.ir import CircuitBuilder, Op, Register
 from tclean.sim import (
     GATES_1Q,
     MAX_LIVE_QUBITS,
+    MAX_MEASUREMENTS,
     DimensionMismatchError,
     ReleaseEntangledError,
     SimulationError,
@@ -112,11 +113,15 @@ def test_zero_probability_branches_omitted():
 def test_too_many_branches():
     b = CircuitBuilder()
     (q,) = b.register("q", 1)
-    for _ in range(17):
+    for _ in range(MAX_MEASUREMENTS + 1):
         b.h(q)
         b.mz(q)
-    with pytest.raises(TooManyBranchesError):
-        enumerate_branches(b.build(), 0, max_measurements=16)
+    c = b.build()
+    message = f"^{MAX_MEASUREMENTS + 1} measurements exceeds bound {MAX_MEASUREMENTS}$"
+    with pytest.raises(TooManyBranchesError, match=message):
+        enumerate_branches(c, 0)
+    with pytest.raises(TooManyBranchesError, match=message):
+        channel_equiv(c, lambda v: v, trials=1)
 
 
 def test_release_entangled_rejected():

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tclean.ir import CircuitBuilder, CircuitError, Instruction, Op, ViolationCode, validate
+from tclean.ir import (Circuit, CircuitBuilder, CircuitError, GadgetTag, Instruction, Op, Register,
+                       ViolationCode, validate)
 from tclean.textfmt import MAX_INDEX, TextFormatError, from_text, to_text
 
 from strategies import random_circuit
@@ -82,6 +83,51 @@ def test_round_trip_property(seed):
     c = random_circuit(np.random.default_rng(seed))
     assert validate(c) is None
     assert from_text(to_text(c)) == c
+
+
+def with_contents_the_builder_never_makes(c, data):
+    """`c` built directly, with extra input registers on ids it never names, its result bits
+    renumbered to sparse ids and its spans given in a shuffled order."""
+    named = set(c.input_qubits()) | {q for instr in c.instructions for q in instr.qubits}
+    unused = data.draw(st.lists(st.integers(0, MAX_INDEX).filter(lambda q: q not in named),
+                                max_size=6, unique=True))
+    cut = data.draw(st.integers(0, len(unused)))
+    extra = (Register("pad", tuple(unused[:cut])), Register("pad2", tuple(unused[cut:])))
+    bits = sorted(instr.result for instr in c.instructions if instr.result is not None)
+    sparse = dict(zip(bits, data.draw(st.lists(st.integers(0, MAX_INDEX), min_size=len(bits),
+                                               max_size=len(bits), unique=True))))
+    instructions = tuple(instr._replace(result=sparse.get(instr.result), cond=sparse.get(instr.cond))
+                         for instr in c.instructions)
+    spans = data.draw(st.permutations(c.spans))
+    return Circuit(instructions, spans=tuple(spans), inputs=c.inputs + extra, outputs=c.outputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_round_trip_of_directly_built_circuits(seed, data):
+    c = with_contents_the_builder_never_makes(random_circuit(np.random.default_rng(seed)), data)
+    assert from_text(to_text(c)) == c
+    qubits = c.input_qubits() + tuple(q for instr in c.instructions for q in instr.qubits)
+    results = [instr.result for instr in c.instructions if instr.result is not None]
+    assert (c.n_qubits, c.n_classbits) == (max(qubits, default=-1) + 1, max(results, default=-1) + 1)
+    reordered = Circuit(c.instructions, spans=c.spans[::-1], inputs=c.inputs, outputs=c.outputs)
+    assert reordered == c and to_text(reordered) == to_text(c)
+
+
+def test_round_trip_keeps_registers_on_unused_ids():
+    c = Circuit((Instruction(Op.X, (0,)),), inputs=(Register("a", (0, 5)),))
+    assert c.n_qubits == 6
+    assert from_text(to_text(c)) == c
+
+
+def test_round_trip_of_spans_over_one_range():
+    text = ("#input a 0\n#begin and_uncompute\n#begin and_compute\n#begin and_compute\nx 0\n"
+            "#end and_compute\nz 0\n#end and_compute\n#end and_uncompute\n")
+    c = from_text(text)
+    assert [(s.start, s.end, s.tag) for s in c.spans] == [
+        (0, 1, GadgetTag.AND_COMPUTE), (0, 2, GadgetTag.AND_COMPUTE), (0, 2, GadgetTag.AND_UNCOMPUTE)]
+    assert to_text(c) == text
+    assert Circuit(c.instructions, spans=c.spans[::-1], inputs=c.inputs) == c
 
 
 @pytest.mark.parametrize("text, line_no, message", [

@@ -8,7 +8,7 @@ production codec to format the same text, and to parse the same circuit or
 raise the same error (type, line number and message), on every input
 except the token cases the production parser now refuses: ids that are not
 ASCII decimal digits (``1_0``, ``+9``, non-ASCII digits, ``-0``) or that
-exceed ``tclean.textfmt.MAX_INDEX``.
+exceed ``tclean.ir.MAX_INDEX``.
 """
 from __future__ import annotations
 
@@ -81,14 +81,6 @@ def reference_from_text(text: str) -> Circuit:
     open_spans: list[tuple[int, GadgetTag, int]] = []
     inputs: list[Register] = []
     outputs: list[Register] = []
-    max_qubit = -1
-    max_bit = -1
-
-    def note_qubits(qs: tuple[int, ...]) -> None:
-        nonlocal max_qubit
-        for q in qs:
-            max_qubit = max(max_qubit, q)
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -100,7 +92,6 @@ def reference_from_text(text: str) -> Circuit:
             if len(tokens) < 2:
                 raise TextFormatError(line_no, f"{head} needs a register name")
             qubits = tuple(_parse_qubit(t, line_no) for t in tokens[2:])
-            note_qubits(qubits)
             (inputs if head == "#input" else outputs).append(Register(tokens[1], qubits))
             continue
         if head == "#begin":
@@ -130,7 +121,6 @@ def reference_from_text(text: str) -> Circuit:
             if len(tokens) < 4 or tokens[2] != ":":
                 raise TextFormatError(line_no, "conditioned form is '? c<k> : <gate...>'")
             cond = _parse_classbit(tokens[1], line_no)
-            max_bit = max(max_bit, cond)
             tokens = tokens[3:]
             head = tokens[0]
 
@@ -154,23 +144,15 @@ def reference_from_text(text: str) -> Circuit:
             if len(rest) != 3 or rest[1] != "->":
                 raise TextFormatError(line_no, f"{op.value} form is '{op.value} q -> c<k>'")
             result = _parse_classbit(rest[2], line_no)
-            max_bit = max(max_bit, result)
             rest = rest[:1]
 
         if len(rest) != op.arity:
             raise TextFormatError(line_no, f"{op.value} expects {op.arity} qubits, got {len(rest)}")
         qubits = tuple(_parse_qubit(t, line_no) for t in rest)
-        note_qubits(qubits)
         instructions.append(Instruction(op, qubits, angle=angle, result=result, cond=cond))
 
     if open_spans:
         raise TextFormatError(open_spans[-1][2], f"unclosed #begin {open_spans[-1][1].value}")
 
-    return Circuit(
-        instructions=tuple(instructions),
-        n_qubits=max_qubit + 1,
-        n_classbits=max_bit + 1,
-        spans=tuple(sorted(spans, key=lambda s: (s.start, s.end))),
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-    )
+    return Circuit(instructions=tuple(instructions), spans=tuple(spans), inputs=tuple(inputs),
+                   outputs=tuple(outputs))
