@@ -3,14 +3,14 @@
 An entry gives, at width n, how the construction is built, the exact
 resource counts it must measure at (the paper's formulas: Gidney, "Halving
 the cost of quantum addition", arXiv:1709.06648), the ideal map it must
-implement, and the inputs of its exhaustive check.  ``tclean build`` and
+implement, and the checks ``tclean verify`` runs.  ``tclean build`` and
 ``tclean verify``, the golden corpus and the tests all read this table, so a
 new construction is one new entry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .gadgets import (
 from .ir import Circuit
 from .resources import count
 from .rewrite import replace_pairs
-from .sim import (IdealMap, channel_equiv, enumerate_branches, gradient_state, input_width,
-                  live_width, permutation_map)
+from .sim import IdealMap, basis_equiv, channel_equiv, input_width, live_width, permutation_map
 
 #: One check's outcome: passed, worst fidelity, measurement branches simulated.
 Result = tuple[bool, float, int]
@@ -64,19 +63,10 @@ def channel(entry: Construction, circuit: Circuit, n: int, rng: np.random.Genera
 
 def exhaustive(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator | None = None,
                trials: int | None = None, carry_out: bool = False) -> Result:
-    """Every input of ``entry.basis_cases(n)``, every measurement branch, against the ideal."""
-    cases = entry.basis_cases(n) if entry.basis_cases else range(1 << input_width(circuit))
-    if entry.readout is None:
-        res = channel_equiv(circuit, ideal_map(entry, circuit, n, carry_out), input_states=cases)
-        return res.equivalent, res.worst_fidelity, res.branch_count
-    want, read = entry.ideal(n, carry_out), entry.readout(circuit, n)
-    ok, branches = True, 0
-    for k in cases:
-        for branch in enumerate_branches(circuit, k):
-            out = int(np.argmax(np.abs(branch.final_state)))
-            ok &= abs(branch.final_state[out]) ** 2 > 1 - 1e-9 and read(out) == want(k)
-            branches += 1
-    return ok, 1.0, branches
+    """Every basis input, branch and relative phase against the ideal, in one walk."""
+    read = entry.readout(circuit, n) if entry.readout else None
+    res = basis_equiv(circuit, entry.ideal(n, carry_out), read)
+    return res.equivalent, res.worst_fidelity, res.branch_count
 
 
 _STANDARD: tuple[tuple[str, Check], ...] = (("counts", counts), ("channel", channel))
@@ -107,10 +97,9 @@ class Construction:
     ignore the flag.  ``expected(n)`` maps report fields to the exact values
     it measures at.  ``ideal(n, carry_out)`` maps an input basis index to the
     output basis index it must produce or, where ``readout`` is set, to the
-    value ``readout(circuit, n)`` reads out of the output index.
-    ``basis_cases(n)`` yields the inputs of :func:`exhaustive` (every basis
-    input when None).  ``semantics`` is the golden corpus descriptor, and
-    ``checks`` are the lines ``tclean verify`` prints, in order.
+    value ``readout(circuit, n)`` reads out of the output index.  ``semantics``
+    is the golden corpus descriptor, and ``checks`` are the lines ``tclean
+    verify`` prints, in order.
     """
 
     name: str
@@ -119,7 +108,6 @@ class Construction:
     ideal: Callable[..., Callable[[int], int]]
     semantics: str = ""
     checks: tuple[tuple[str, Check], ...] = _STANDARD
-    basis_cases: Callable[[int], Iterable] | None = None
     readout: Callable[[Circuit, int], Callable[[int], int]] | None = None
 
 
@@ -143,19 +131,9 @@ def _adder(n: int, carry_out: bool = False, *, controlled: bool = False) -> Call
 
 def _weight_register(circuit: Circuit, n: int) -> Callable[[int], int]:
     """Reads the popcount register out of an output basis index."""
-    pos = {q: j for j, q in enumerate(circuit.output_qubits())}
+    pos = circuit.output_positions
     register = hamming_weight(n).register
     return lambda out: sum(((out >> pos[q]) & 1) << p for p, q in enumerate(register))
-
-
-def _kickback_inputs(n: int) -> Iterable[np.ndarray]:
-    """Target |k> beside the prepared gradient register, for every k.
-
-    Adding k into the gradient register multiplies it by exp(2*pi*i*k/2^n),
-    so the adder's basis map is the kickback's ideal on these inputs.
-    """
-    grad = gradient_state(n)
-    return (np.kron(grad, np.arange(1 << n) == k) for k in range(1 << n))
 
 
 # -- the table -----------------------------------------------------------------------
@@ -239,8 +217,8 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
         expected=GIDNEY.expected,
         ideal=_adder,
         semantics="phase-gradient n={n}",
+        # The exact adder map on every input; on the gradient eigenstate it is the kickback.
         checks=(("t-equals-adder", counts), ("kickback-phases", exhaustive)),
-        basis_cases=_kickback_inputs,
     ),
 )}
 
@@ -249,9 +227,9 @@ def verify(entry: Construction, n: int, seed: int, trials: int) -> list[tuple[st
     """Run ``entry``'s checks at width n: (name, passed, worst fidelity, branches) each.
 
     Seeds are drawn in check order from ``seed``.  A circuit wider than the
-    dense simulator fails here, before any ideal table or state is allocated:
-    :func:`exhaustive` runs basis inputs on the sparse engine, which would
-    otherwise go on past ``MAX_LIVE_QUBITS`` and hand it a dict state.
+    dense simulator fails here, before any check runs: :func:`channel` needs
+    an ideal table over the inputs and at most ``MAX_LIVE_QUBITS`` live qubits,
+    and every kind is refused at that one width.
     """
     circuit = entry.build(n)
     live_width(circuit)

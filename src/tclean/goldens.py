@@ -48,34 +48,24 @@ release 3
 """
 
 
-#: Random states each basis-checked construction entry also runs on.
-PHASE_TRIALS = 4
-
-
 def _construction(name: str, kind: str, n: int | None = None, *, carry_out: bool = False,
                   samples: int | None = None) -> GoldenSpec:
     """An entry built by ``tclean build --kind kind``, checked against its table entry.
 
-    The check simulates ``samples`` random input states drawn from seed 7, or
-    every basis case of the entry when ``samples`` is None.  A basis input
-    sees a missing phase fixup only as a global phase per branch, so an entry
-    checked on basis cases against a basis map (no ``readout``) is also run
-    on :data:`PHASE_TRIALS` random states from seed 7.
+    The check simulates ``samples`` random input states drawn from seed 7 or,
+    when ``samples`` is None, every basis input with every relative phase in
+    one walk (:func:`~tclean.constructions.exhaustive`).
     """
     entry = CONSTRUCTIONS[kind]
     cmd = f"build --kind {kind}" + (f" --n {n}" if n else "") + (" --carry-out" if carry_out else "")
     semantics = entry.semantics.format(n=n, carry_out=" carry_out=1" if carry_out else "",
                                        samples=samples or "all")
-    runs = [(channel, samples)] if samples else [(exhaustive, None)]
-    if samples is None and entry.readout is None:
-        runs.append((channel, PHASE_TRIALS))
+    run_check = channel if samples else exhaustive
 
     def check(circuit: Circuit) -> None:
-        rng = np.random.default_rng(7)
-        for run_check, trials in runs:
-            ok, worst, _ = run_check(entry, circuit, n, rng, trials, carry_out)
-            if not ok:
-                raise AssertionError(f"{kind} semantics fail: worst fidelity {worst:.12f}")
+        ok, worst, _ = run_check(entry, circuit, n, np.random.default_rng(7), samples, carry_out)
+        if not ok:
+            raise AssertionError(f"{kind} semantics fail: worst fidelity {worst:.12f}")
 
     return GoldenSpec(name, cmd, semantics, check)
 

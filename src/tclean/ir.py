@@ -288,15 +288,18 @@ def _check(circuit: Circuit) -> Violation | tuple[int, int]:
         if not (0 <= span.start < span.end <= n):
             return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, span.start,
                              f"span [{span.start},{span.end}) out of bounds")
-    ordered = sorted(circuit.spans, key=lambda s: (s.start, -s.end))
-    open_ends: list[int] = []
-    for span in ordered:
-        while open_ends and open_ends[-1] <= span.start:
-            open_ends.pop()
-        if open_ends and span.end > open_ends[-1]:
-            return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, span.start,
-                             f"span [{span.start},{span.end}) partially overlaps another span")
-        open_ends.append(span.end)
+    chain: list[int] = []  # the open spans' ends, each span inside the one before it
+    prev = -1
+    for start, end, _ in circuit.spans:
+        if start != prev:  # stored order: at one start the shorter first, inside the next
+            while chain and chain[-1] <= start:
+                chain.pop()
+            base, prev = len(chain), start
+        if base and end > chain[base - 1]:
+            end = max(e for s, e, _ in circuit.spans if s == start)  # the longest overlaps too: name it
+            return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, start,
+                             f"span [{start},{end}) partially overlaps another span")
+        chain.insert(base, end)
 
     for reg in circuit.inputs + circuit.outputs:
         if reg.name.split() != [reg.name]:

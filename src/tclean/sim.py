@@ -30,17 +30,17 @@ Lifetimes do not depend on measurement outcomes, so every instruction's
 kernel and the kernel's arguments (view shape or slot masks, and a
 measurement's basis) are fixed once per call, before anything runs.  One
 depth-first walk of the measurement tree (:func:`_walk`) serves :func:`run`,
-:func:`enumerate_branches` and :func:`channel_equiv`.  It follows every
-outcome of nonzero probability, which is how gadget constructions are
-certified to be outcome-independent, or one outcome per measurement, forced
-or sampled from seeded pseudorandomness.  Both engines share one branch
-record (:class:`_Branch`) for the classical bits, weight and just-measured
-qubits, which only the walk writes; the engines' kernels move amplitudes.
+:func:`enumerate_branches`, :func:`channel_equiv` and :func:`basis_equiv`.
+It follows every outcome of nonzero probability, which is how gadget
+constructions are certified to be outcome-independent, or one outcome per
+measurement, forced or sampled from seeded pseudorandomness.  Both engines
+share one branch record (:class:`_Branch`) for the classical bits, weight and
+just-measured qubits, which only the walk writes; the kernels move amplitudes.
 
 A result's ``final_state`` is a dense vector over the output qubits while
 they number at most ``MAX_LIVE_QUBITS``; a wider sparse result is a dict
 ``{output basis index: amplitude}``.  :func:`channel_equiv` always runs
-dense, because its ideal maps are dense.
+dense, because its ideal maps are dense, and :func:`basis_equiv` sparse.
 
 Conventions: basis index bit ``j`` is the value of the ``j``-th qubit in the
 declared register order (little-endian), and the T-resource state is
@@ -65,7 +65,7 @@ MAX_LIVE_QUBITS = 26
 #: state weighs about what a dense one does at ``MAX_LIVE_QUBITS``.
 MAX_TERMS = 1 << (MAX_LIVE_QUBITS - 3)
 #: Most measurements a circuit may make for every branch to be followed (in
-#: ``enumerate_branches`` and ``channel_equiv``): 2^16 branches at most.
+#: ``enumerate_branches``, ``channel_equiv`` and ``basis_equiv``): 2^16 branches at most.
 MAX_MEASUREMENTS = 16
 
 _NORM_TOL = 1e-12
@@ -779,12 +779,12 @@ def _every(instr: Instruction, p0: float, p1: float) -> list[tuple[int, float]]:
     return [(outcome, p) for outcome, p in enumerate((p0, p1)) if not p <= _BRANCH_EPS]
 
 
-def _sampled(rng: np.random.Generator | None, force: dict[int, int] | None) -> Choose:
-    """One outcome per measurement: forced, drawn from ``rng`` or (without one) the likelier."""
+def _sampled(rng: np.random.Generator, force: dict[int, int] | None) -> Choose:
+    """One outcome per measurement: forced, or drawn from ``rng``."""
     def choose(instr: Instruction, p0: float, p1: float) -> tuple[tuple[int, float]]:
         outcome = force.get(instr.result) if force else None
-        if outcome is None:  # without an rng: the likelier, and 1 on a tie
-            outcome = int(p1 >= 0.5) if rng is None else int(rng.random() < p1)
+        if outcome is None:
+            outcome = int(rng.random() < p1)
         prob = p1 if outcome == 1 else p0
         if prob <= _BRANCH_EPS:
             raise SimulationError(f"forced outcome {outcome} for c{instr.result} has probability 0")
@@ -835,7 +835,7 @@ def _check_bound(program: _Program) -> None:
 
 
 def run(circuit: Circuit, input_state: InputState = None, *,
-        seed: int | None = 0, force: dict[int, int] | None = None,
+        seed: int = 0, force: dict[int, int] | None = None,
         check_norm: bool = False) -> RunResult:
     """Execute the circuit once, sampling measurements from `seed`.
 
@@ -843,11 +843,10 @@ def run(circuit: Circuit, input_state: InputState = None, *,
     outcome has probability zero).  Same seed, same input: identical result.
     `check_norm` asserts unit norm after every instruction.
     """
-    rng = np.random.default_rng(seed) if seed is not None else None
     engine, read = _engine(input_state)
     initial = read(circuit, input_state)
     program = _compile(circuit, engine)
-    (leaf,) = _walk(program, initial, _sampled(rng, force), check_norm)
+    (leaf,) = _walk(program, initial, _sampled(np.random.default_rng(seed), force), check_norm)
     return RunResult(leaf.extract(program.final, program.outputs), leaf.classbits)
 
 
@@ -954,6 +953,40 @@ def channel_equiv(circuit: Circuit, ideal: IdealMap | np.ndarray, *, trials: int
     # np.min propagates a NaN fidelity, and NaN >= 1 - tol is False: NaN never passes.
     worst = float(np.min(fidelities, initial=1.0))
     return EquivalenceResult(worst >= 1.0 - tol, worst, len(fidelities))
+
+
+def basis_equiv(circuit: Circuit, want: Callable[[int], int],
+                read: Callable[[int], int] | None = None) -> EquivalenceResult:
+    """Check the circuit maps each basis input i to ``want(i)``, relative phases included.
+
+    One walk from sum_i |i>|i>_ref / sqrt(N) over the N inputs (Choi 1975), the
+    ref copy of i in key bits from ``circuit.n_qubits`` up, where no slot reaches.
+    A branch's fidelity to sum_i |want(i)>|i>_ref / sqrt(N) is |sum a / sqrt(N)|^2
+    over one term per ref, the largest whose output index (through ``read`` where
+    given) is ``want(ref)``.  ``branch_count`` counts the (input, branch) pairs.
+    """
+    n_in = len(circuit.input_qubits())
+    if 1 << n_in > MAX_TERMS:
+        raise SimulationError(f"{n_in} input qubits need more than {MAX_TERMS} sparse terms")
+    program = _compile(circuit, SparseState)
+    _check_bound(program)
+    _check_live(program.final, program.outputs)
+    runs = _gather([program.final[q] for q in program.outputs])
+    shift, scale = circuit.n_qubits, (1 << n_in) ** -0.5
+    fidelities, pairs = [], 0
+    for leaf in _walk(program, {i | i << shift: scale for i in range(1 << n_in)}, _every):
+        picked: dict[int, complex] = {}  # ref -> its term's amplitude, 0 where none reads right
+        for key, a in leaf.amps.items():
+            ref, out = key >> shift, 0
+            for src, mask, dst in runs:
+                out |= ((key >> src) & mask) << dst
+            hit = a if (read(out) if read else out) == want(ref) else 0
+            if abs(hit) >= abs(picked.get(ref, 0)):
+                picked[ref] = hit
+        fidelities.append(abs(sum(picked.values()) * scale) ** 2)
+        pairs += len(picked)
+    worst = float(np.min(fidelities, initial=1.0))  # a NaN propagates and fails
+    return EquivalenceResult(worst >= 1.0 - 1e-10, worst, pairs)
 
 
 def gradient_state(n: int) -> np.ndarray:

@@ -1,0 +1,69 @@
+"""The per-input basis checks that ``sim.basis_equiv`` replaced, kept as the reference for tests.
+
+``reference_exhaustive`` is ``constructions.exhaustive`` as it was: one dense
+``channel_equiv`` per basis input, or for a construction with a readout one
+sparse ``enumerate_branches`` per input, and phase-gradient's kickback
+inputs in place of basis inputs.  ``reference_corpus_check`` is the golden
+corpus check built on it, which ran ``PHASE_TRIALS`` random states after a
+basis check against a basis map, since a basis input cannot see a phase
+that differs between inputs.  The differential tests require the one-walk
+check to fail every circuit these fail.
+"""
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from tclean.constructions import Construction, channel, ideal_map
+from tclean.ir import Circuit
+from tclean.sim import channel_equiv, enumerate_branches, gradient_state, input_width
+
+#: Random states each basis-checked construction entry also ran on.
+PHASE_TRIALS = 4
+
+
+def _kickback_inputs(n: int) -> Iterable[np.ndarray]:
+    """Target |k> beside the prepared gradient register, for every k.
+
+    Adding k into the gradient register multiplies it by exp(2*pi*i*k/2^n),
+    so the adder's basis map is the kickback's ideal on these inputs.
+    """
+    grad = gradient_state(n)
+    return (np.kron(grad, np.arange(1 << n) == k) for k in range(1 << n))
+
+
+#: Each kind's inputs of the exhaustive check, where not every basis input.
+BASIS_CASES = {"phase-gradient": _kickback_inputs}
+
+
+def reference_exhaustive(entry: Construction, circuit: Circuit, n: int,
+                         rng: np.random.Generator | None = None, trials: int | None = None,
+                         carry_out: bool = False) -> tuple[bool, float, int]:
+    """Every input of the entry's basis cases, every measurement branch, against the ideal."""
+    basis_cases = BASIS_CASES.get(entry.name)
+    cases = basis_cases(n) if basis_cases else range(1 << input_width(circuit))
+    if entry.readout is None:
+        res = channel_equiv(circuit, ideal_map(entry, circuit, n, carry_out), input_states=cases)
+        return res.equivalent, res.worst_fidelity, res.branch_count
+    want, read = entry.ideal(n, carry_out), entry.readout(circuit, n)
+    ok, branches = True, 0
+    for k in cases:
+        for branch in enumerate_branches(circuit, k):
+            out = int(np.argmax(np.abs(branch.final_state)))
+            ok &= abs(branch.final_state[out]) ** 2 > 1 - 1e-9 and read(out) == want(k)
+            branches += 1
+    return ok, 1.0, branches
+
+
+def reference_corpus_check(entry: Construction, circuit: Circuit, n: int | None,
+                           carry_out: bool = False) -> None:
+    """A corpus entry's check with every basis case (``samples=all``); AssertionError on a failure."""
+    runs = [(reference_exhaustive, None)]
+    if entry.readout is None:
+        runs.append((channel, PHASE_TRIALS))
+    rng = np.random.default_rng(7)
+    for run_check, trials in runs:
+        ok, worst, _ = run_check(entry, circuit, n, rng, trials, carry_out)
+        if not ok:
+            raise AssertionError(f"{entry.name} semantics fail: worst fidelity {worst:.12f}")

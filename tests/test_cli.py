@@ -112,7 +112,7 @@ VERIFY_SNAPSHOT = {
     ),
     ("phase-gradient", 2): (
         "t-equals-adder PASS worst_fidelity=1.000000000000 branches=0\n"
-        "kickback-phases PASS worst_fidelity=1.000000000000 branches=8\n"
+        "kickback-phases PASS worst_fidelity=1.000000000000 branches=32\n"
     ),
 }
 

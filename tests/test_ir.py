@@ -18,12 +18,14 @@ from tclean.ir import (
 )
 
 import dataclasses
+from types import SimpleNamespace
 
 from tclean.gadgets import and_compute, and_uncompute
 from tclean.textfmt import from_text
 
 from pairs_reference import reference_reads_as_control, reference_writes
 from strategies import random_circuit
+from validate_reference import reference_validate
 
 
 def build_violation(b: CircuitBuilder):
@@ -149,6 +151,32 @@ def test_nested_spans_allowed():
         GadgetSpan(1, 3, GadgetTag.AND_UNCOMPUTE),
     ))
     assert validate(nested) is None
+
+
+def test_span_nesting_matches_the_reference_on_random_span_sets():
+    # The constructor tests nesting over the stored (start, end, tag) order;
+    # the reference sorts by (start, -end).  Every verdict and message agrees.
+    instructions = (Instruction(Op.X, (0,)),) * 6
+    rng = np.random.default_rng(12)
+    seen = set()
+    for _ in range(3000):
+        spans = []
+        for _ in range(rng.integers(1, 6)):
+            start = int(rng.integers(0, 6))
+            spans.append(GadgetSpan(start, int(rng.integers(start + 1, 7)), GadgetTag(rng.choice(
+                [tag.value for tag in GadgetTag]))))
+        ref = reference_validate(SimpleNamespace(instructions=instructions, spans=tuple(spans),
+                                                 inputs=(Register("a", (0,)),), outputs=(),
+                                                 n_qubits=1, n_classbits=0,
+                                                 output_qubits=lambda: (0,)))
+        try:
+            Circuit(instructions, spans=tuple(spans), inputs=(Register("a", (0,)),))
+            got = None
+        except CircuitError as err:
+            got = err.violation
+        assert got == ref, spans
+        seen.add(ref is None)
+    assert seen == {True, False}
 
 
 def test_released_id_can_be_reallocated():
