@@ -22,8 +22,6 @@ from .ir import (
     Template,
 )
 
-#: T-count of one AND computation (the injected |T> state counts as one).
-AND_T_COUNT = 4
 #: Net T-count of erasing by reversing the computation (a |T> state is recovered).
 AND_REVERSE_NET_T = 2
 
@@ -65,6 +63,8 @@ AND_COMPUTE = Template(GadgetTag.AND_COMPUTE, "x y anc", """
     h anc
     s anc
 """)
+#: T-count of one AND computation (the injected |T> state counts as one).
+AND_T_COUNT = sum(op.t_type for op in AND_COMPUTE.ops)
 
 #: Erasure of an ancilla holding x AND y: measure it in X, fix the phase up
 #: with a CZ conditioned on the outcome, release it.  T-count 0.
@@ -93,17 +93,7 @@ def and_uncompute_reverse(b: CircuitBuilder, x: int, y: int, anc: int) -> None:
     Leaves the ancilla live again in the |T> state, so the recorded net
     T-count is 2: three T-type gates minus one recovered |T> state.
     """
-    b.sdg(anc)
-    b.h(anc)
-    b.cx(anc, y)
-    b.cx(anc, x)
-    b.tdg(anc)
-    b.t(y)
-    b.t(x)
-    b.cx(anc, y)
-    b.cx(anc, x)
-    b.cx(y, anc)
-    b.cx(x, anc)
+    emit_inverse(b, AND_COMPUTE.instantiate((x, y, anc))[1:], ())
 
 
 def and_gadget_circuit(variant: str = "roundtrip") -> Circuit:

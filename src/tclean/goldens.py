@@ -5,7 +5,9 @@ Every file of an entry is rendered fresh and compared byte-for-byte with the
 stored one, and the stored circuit is simulated against its semantics.  An
 entry built by ``tclean build`` takes its semantics from the construction
 table (:mod:`tclean.constructions`); the oracle and canonical-pair entries
-carry one small check each.
+carry one small check each.  Every check but the seeded ``samples=N`` trials
+is one :func:`~tclean.sim.basis_equiv` walk: an oracle against its phase per
+input, the canonical pair and its replacement against x ^= a & b.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .ir import Circuit
 from .oracle import evaluate, parse_expression
 from .resources import count, serialize_report
 from .rewrite import find_pairs, lower_ccx, replace_pairs
-from .sim import channel_equiv, diagonal_map, run
+from .sim import basis_equiv
 from .textfmt import from_text, to_text
 
 
@@ -77,10 +79,7 @@ def _oracle(name: str, expr: str) -> GoldenSpec:
 
 def _check_phase_oracle(circuit: Circuit, expr: str) -> None:
     ast = parse_expression(expr)
-    n = len(circuit.input_qubits())
-    uniform = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
-    ideal = diagonal_map(lambda k: -1.0 if evaluate(ast, k) else 1.0, n)
-    if not channel_equiv(circuit, ideal, input_states=[uniform], tol=1e-10):
+    if not basis_equiv(circuit, lambda k: (k, -1 if evaluate(ast, k) else 1)):
         raise AssertionError(f"oracle phases wrong for {expr!r}")
 
 
@@ -93,10 +92,10 @@ def _check_rewrite_canonical(circuit: Circuit) -> None:
     after = count(replaced).t_count
     if (baseline, after) != (8, 4):
         raise AssertionError(f"expected 8 -> 4 T, got {baseline} -> {after}")
-    res = channel_equiv(replaced, lambda v: run(circuit, v, seed=0).final_state,
-                        trials=5, tol=1e-10, seed=3)
-    if not res.equivalent:
-        raise AssertionError(f"replaced pair not channel-equivalent: {res.worst_fidelity}")
+    for pair in (circuit, replaced):  # x ^= a & b, with a, b, x at input bits 0, 1, 2
+        res = basis_equiv(pair, lambda k: k ^ (k & k >> 1 & 1) << 2)
+        if not res:
+            raise AssertionError(f"pair does not map x to x ^ (a & b): {res.worst_fidelity}")
 
 
 ENTRIES: tuple[GoldenSpec, ...] = (

@@ -69,6 +69,7 @@ def count(circuit: Circuit) -> ResourceReport:
     """Measure a circuit in one forward walk.  Unlowered CCX macros are reported, not T-counted.
 
     Every qubit and classical bit keeps the layer its last user finished at.
+    Only a bit's readers wait on it: a bit is written once, before any read.
     Every instruction in an outermost span, nested spans included, finishes
     one layer after the latest of the wires the span touches.
     """
@@ -99,16 +100,12 @@ def count(circuit: Circuit) -> ResourceReport:
             span_stop = span_end[i]
             span = instrs[i:span_stop]
             layer = max(map(layer_of, chain.from_iterable(map(_QUBITS, span))))
-            for _, _, _, span_result, span_cond in span:
-                if span_result is not None and bit_layer[span_result] > layer:
-                    layer = bit_layer[span_result]
+            for _, _, _, _, span_cond in span:
                 if span_cond is not None and bit_layer[span_cond] > layer:
                     layer = bit_layer[span_cond]
             span_layer = layer = layer + 1
         else:
             layer = qubit_layer[qubits[0]] if len(qubits) == 1 else max(map(layer_of, qubits))
-            if result is not None and bit_layer[result] > layer:
-                layer = bit_layer[result]
             if cond is not None and bit_layer[cond] > layer:
                 layer = bit_layer[cond]
             layer += weight[op]
@@ -164,7 +161,7 @@ def effective_t_formula(n: int, kind: str = "temporary-and",
     ~n layers (n^2/480 with default constants); the inline ripple baseline
     consumes ~8n with negligible ancilla cost.
     """
-    if kind in ("temporary-and", "gidney"):
+    if kind == "temporary-and":
         return n * n * model.cost_per_ancilla_depth + 4.0 * n
     if kind == "cuccaro":
         return 8.0 * n

@@ -40,7 +40,9 @@ just-measured qubits, which only the walk writes; the kernels move amplitudes.
 A result's ``final_state`` is a dense vector over the output qubits while
 they number at most ``MAX_LIVE_QUBITS``; a wider sparse result is a dict
 ``{output basis index: amplitude}``.  :func:`channel_equiv` always runs
-dense, because its ideal maps are dense, and :func:`basis_equiv` sparse.
+dense, because its ideal maps are dense, and :func:`basis_equiv` sparse: its
+ideal sends each basis input to one output index, times a phase where given,
+which covers permutations, readouts and diagonal (oracle) maps.
 
 Conventions: basis index bit ``j`` is the value of the ``j``-th qubit in the
 declared register order (little-endian), and the T-resource state is
@@ -955,15 +957,18 @@ def channel_equiv(circuit: Circuit, ideal: IdealMap | np.ndarray, *, trials: int
     return EquivalenceResult(worst >= 1.0 - tol, worst, len(fidelities))
 
 
-def basis_equiv(circuit: Circuit, want: Callable[[int], int],
+def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex]],
                 read: Callable[[int], int] | None = None) -> EquivalenceResult:
     """Check the circuit maps each basis input i to ``want(i)``, relative phases included.
 
-    One walk from sum_i |i>|i>_ref / sqrt(N) over the N inputs (Choi 1975), the
-    ref copy of i in key bits from ``circuit.n_qubits`` up, where no slot reaches.
-    A branch's fidelity to sum_i |want(i)>|i>_ref / sqrt(N) is |sum a / sqrt(N)|^2
-    over one term per ref, the largest whose output index (through ``read`` where
-    given) is ``want(ref)``.  ``branch_count`` counts the (input, branch) pairs.
+    ``want(i)`` is an output index, or a pair (output index, phase) whose phase,
+    of unit modulus (else ValueError), the ideal multiplies input i by.  One walk
+    from sum_i |i>|i>_ref / sqrt(N) over the N inputs (Choi 1975), the ref copy
+    of i in key bits from ``circuit.n_qubits`` up, where no slot reaches.  A
+    branch's fidelity to sum_i phase_i |want(i)>|i>_ref / sqrt(N) is
+    |sum conj(phase) a / sqrt(N)|^2 over one term per ref, the largest whose
+    output index (through ``read`` where given) is want's.  ``branch_count``
+    counts the (input, branch) pairs.
     """
     n_in = len(circuit.input_qubits())
     if 1 << n_in > MAX_TERMS:
@@ -980,7 +985,13 @@ def basis_equiv(circuit: Circuit, want: Callable[[int], int],
             ref, out = key >> shift, 0
             for src, mask, dst in runs:
                 out |= ((key >> src) & mask) << dst
-            hit = a if (read(out) if read else out) == want(ref) else 0
+            index = want(ref)
+            if type(index) is tuple:
+                index, phase = index
+                if abs(abs(phase) - 1) > _ZERO_TOL:  # a longer phase could pass a wrong branch
+                    raise ValueError(f"phase {phase!r} for input {ref} is not of unit modulus")
+                a *= phase.conjugate()
+            hit = a if (read(out) if read else out) == index else 0
             if abs(hit) >= abs(picked.get(ref, 0)):
                 picked[ref] = hit
         fidelities.append(abs(sum(picked.values()) * scale) ** 2)

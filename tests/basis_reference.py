@@ -6,8 +6,11 @@ sparse ``enumerate_branches`` per input, and phase-gradient's kickback
 inputs in place of basis inputs.  ``reference_corpus_check`` is the golden
 corpus check built on it, which ran ``PHASE_TRIALS`` random states after a
 basis check against a basis map, since a basis input cannot see a phase
-that differs between inputs.  The differential tests require the one-walk
-check to fail every circuit these fail.
+that differs between inputs.  ``reference_phase_oracle_check`` is the
+corpus oracle check as it was: one dense ``channel_equiv`` on the uniform
+state, which no basis permutation that fixes the signed uniform state can
+fail.  The differential tests require the one-walk check to fail every
+circuit these fail.
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ import numpy as np
 
 from tclean.constructions import Construction, channel, ideal_map
 from tclean.ir import Circuit
-from tclean.sim import channel_equiv, enumerate_branches, gradient_state, input_width
+from tclean.oracle import evaluate, parse_expression
+from tclean.sim import channel_equiv, diagonal_map, enumerate_branches, gradient_state, input_width
 
 #: Random states each basis-checked construction entry also ran on.
 PHASE_TRIALS = 4
@@ -67,3 +71,13 @@ def reference_corpus_check(entry: Construction, circuit: Circuit, n: int | None,
         ok, worst, _ = run_check(entry, circuit, n, rng, trials, carry_out)
         if not ok:
             raise AssertionError(f"{entry.name} semantics fail: worst fidelity {worst:.12f}")
+
+
+def reference_phase_oracle_check(circuit: Circuit, expr: str) -> None:
+    """The oracle's phases on the uniform state over its inputs; AssertionError on a failure."""
+    ast = parse_expression(expr)
+    n = len(circuit.input_qubits())
+    uniform = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
+    ideal = diagonal_map(lambda k: -1.0 if evaluate(ast, k) else 1.0, n)
+    if not channel_equiv(circuit, ideal, input_states=[uniform], tol=1e-10):
+        raise AssertionError(f"oracle phases wrong for {expr!r}")

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run as ``pytest tests/test_acceptance.py -v -s`` (or scripts/run_acceptance.py)
-to see the per-criterion lines and timings.  Every tolerance is pinned here;
+Run as ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
+lines and timings.  Every tolerance is pinned here;
 nothing is deferred to later calibration.
 """
 import math
@@ -29,6 +29,7 @@ from tclean.oracle import binary_node_count, compile_oracle, evaluate, parse_exp
 from tclean.resources import CostModel, count, crossover, effective_t_formula, hybrid_cutoff
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
 from tclean.sim import (
+    basis_equiv,
     channel_equiv,
     decode_register,
     diagonal_map,
@@ -343,6 +344,8 @@ def test_criterion_09_oracle_compiler():
             uniform = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
             ideal = diagonal_map(lambda k: -1.0 if evaluate(ast, k) else 1.0, n)
             res = channel_equiv(c_and, ideal, input_states=[uniform], tol=FIDELITY_TOL)
+            assert res.equivalent, (expr, res.worst_fidelity)
+            res = basis_equiv(c_and, lambda k: (k, -1 if evaluate(ast, k) else 1))
             assert res.equivalent, (expr, res.worst_fidelity)
 
             c_ccx = compile_oracle(expr, "ccx")

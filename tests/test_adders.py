@@ -1,4 +1,6 @@
 """Adder constructions: exact counts and exhaustive/branch-complete semantics."""
+import re
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,16 @@ from tclean.gadgets import (
     AdderSpec,
     controlled_adder,
     cuccaro_adder,
+    emit_inverse,
     gidney_adder,
     outofplace_adder,
     outofplace_adder_inverse,
 )
-from tclean.ir import Op, concatenate, validate
+from tclean.ir import CircuitBuilder, Instruction, Op, concatenate, validate
 from tclean.resources import CostModel, count, effective_t
 from tclean.rewrite import lower_ccx
 from tclean.sim import (
+    basis_equiv,
     channel_equiv,
     decode_register,
     enumerate_branches,
@@ -217,6 +221,41 @@ def test_outofplace_roundtrip_identity(n):
     assert validate(combo) is None
     res = channel_equiv(combo, lambda v: v, trials=8, tol=1e-10, seed=4)
     assert res.equivalent
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_outofplace_carry_in(n):
+    # inputs a, b, cin from bit 0 up; outputs a, b, cin, then the n+1-bit sum
+    mask = (1 << n) - 1
+    add = lambda k: k | ((k & mask) + (k >> n & mask) + (k >> 2 * n)) << (2 * n + 1)
+    assert basis_equiv(outofplace_adder(AdderSpec(n, carry_in=True)), add)
+
+
+def test_emit_inverse_swaps_lifetimes_and_negates_angles():
+    fragment = (Instruction(Op.ALLOC0, (1,)), Instruction(Op.CX, (0, 1)),
+                Instruction(Op.RZ, (0,), 0.25), Instruction(Op.S, (1,)),
+                Instruction(Op.CX, (0, 1)), Instruction(Op.RELEASE, (1,)))
+    b = CircuitBuilder()
+    b.register("a", 1)
+    for instr in fragment:
+        b.append(instr)
+    emit_inverse(b, fragment, ())
+    c = b.build()
+    assert c.instructions[len(fragment):] == (
+        Instruction(Op.ALLOC0, (1,)), Instruction(Op.CX, (0, 1)), Instruction(Op.SDG, (1,)),
+        Instruction(Op.RZ, (0,), -0.25), Instruction(Op.CX, (0, 1)), Instruction(Op.RELEASE, (1,)))
+    assert basis_equiv(c, lambda k: k)
+
+
+@pytest.mark.parametrize("instr, message", [
+    (Instruction(Op.MZ, (0,), result=0), "cannot invert measurement or feedback outside a gadget span"),
+    (Instruction(Op.ALLOCT, (1,)), "cannot invert a bare |T> injection"),
+])
+def test_emit_inverse_refuses_bare_measurements_and_injections(instr, message):
+    b = CircuitBuilder()
+    b.register("a", 1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        emit_inverse(b, (instr,), ())
 
 
 def test_all_adders_validate():

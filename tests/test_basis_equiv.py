@@ -1,15 +1,20 @@
 """The one-walk basis check (``sim.basis_equiv``) against the per-input checks it replaced."""
+import cmath
+
+import numpy as np
 import pytest
 
 import tclean.sim as sim
 from tclean.constructions import CONSTRUCTIONS, exhaustive
 from tclean.goldens import ENTRIES, default_corpus_dir
 from tclean.ir import Circuit, CircuitError, Instruction, Op, Register
+from tclean.oracle import compile_oracle, evaluate, parse_expression
 from tclean.sim import (MAX_MEASUREMENTS, MAX_TERMS, SimulationError, TooManyBranchesError,
                         basis_equiv)
 from tclean.textfmt import from_text, to_text
 
-from basis_reference import reference_corpus_check, reference_exhaustive
+from basis_reference import reference_corpus_check, reference_exhaustive, reference_phase_oracle_check
+from test_acceptance import _random_expression
 
 
 def _middle(text: str, pick, change):
@@ -145,3 +150,94 @@ def test_too_many_starting_terms_is_refused_before_allocating():
     circuit = Circuit((), inputs=(Register("a", tuple(range(width))),))
     with pytest.raises(SimulationError, match=f"more than {MAX_TERMS} sparse terms"):
         basis_equiv(circuit, lambda k: k)
+
+
+# -- phased ideals -------------------------------------------------------------------
+
+
+def _oracle_phases(expr: str):
+    """The phase oracle's ideal: input k stays k, times -1 where the expression holds."""
+    ast = parse_expression(expr)
+    return lambda k: (k, -1 if evaluate(ast, k) else 1)
+
+
+def test_a_phase_is_conjugated_against_the_amplitude():
+    # s takes |1> to i|1>: the ideal (1, i) matches it, (1, -i) is orthogonal
+    # to it, and the int ideal sees only the basis map.
+    s = from_text("#input a 0\ns 0\n")
+    assert basis_equiv(s, lambda k: (k, 1j if k else 1)).worst_fidelity == pytest.approx(1)
+    assert basis_equiv(s, lambda k: (k, -1j if k else 1)).worst_fidelity == pytest.approx(0)
+    assert basis_equiv(s, lambda k: k).worst_fidelity == pytest.approx(0.5)
+    t = from_text("#input a 0\nt 0\n")
+    assert basis_equiv(t, lambda k: (k, cmath.exp(1j * cmath.pi / 4) if k else 1))
+
+
+def test_one_flipped_sign_fails_a_phase_oracle():
+    circuit = compile_oracle("x0 & x1")
+    want = _oracle_phases("x0 & x1")
+    assert basis_equiv(circuit, want)
+    assert basis_equiv(circuit, lambda k: (k, 1j * want(k)[1]))  # a global phase is no error
+    for flipped in range(4):
+        res = basis_equiv(circuit, lambda k: (k, -want(k)[1] if k == flipped else want(k)[1]))
+        # one of four terms against its ideal: |(3 - 1) / 4|^2
+        assert not res.equivalent and res.worst_fidelity == pytest.approx(0.25)
+
+
+def test_a_phase_off_the_unit_circle_is_refused():
+    # Phase 2 would lift the measured input's fidelity from 0.5 to 1.
+    measured = from_text("#input a 0 1\nmz 0 -> c0\n")
+    with pytest.raises(ValueError, match=r"phase 2 for input \d is not of unit modulus"):
+        basis_equiv(measured, lambda k: (k, 2))
+
+
+#: ``exhaustive`` results of int ideals as the walk gave them before phased
+#: ideals were accepted: (kind, n, mutant or None, (ok, worst fidelity, branches)).
+INT_IDEAL_RESULTS = [
+    ("gidney-adder", 2, None, (True, 1.0, 32)),
+    ("gidney-adder", 3, "drop-cz-fixup", (False, 0.24999999999999994, 256)),
+    ("hamming", 3, None, (True, 1.0, 8)),
+    ("hamming", 3, "drop-s", (False, 0.6250000000000001, 8)),
+    ("phase-gradient", 2, None, (True, 1.0, 32)),
+    ("mcx", 3, "drop-t", (False, 0.8535533905932733, 64)),
+    ("and", None, "swap-cx", (False, 0.12500000000000003, 8)),
+]
+
+
+@pytest.mark.parametrize("kind,n,mutant,expected", INT_IDEAL_RESULTS)
+def test_an_int_ideal_gives_the_same_result(kind, n, mutant, expected):
+    entry = CONSTRUCTIONS[kind]
+    circuit = entry.build(n) if mutant is None else _mutant(entry.build(n), mutant)
+    assert exhaustive(entry, circuit, n) == expected
+    if entry.readout is None:  # the same ideal with phase 1 everywhere
+        want = entry.ideal(n, False)
+        assert basis_equiv(circuit, lambda k: (want(k), 1)) == basis_equiv(circuit, want)
+
+
+def _criterion_09_expressions():
+    """The 50 seeded expressions acceptance criterion 09 checks, in its order."""
+    rng = np.random.default_rng(99)
+    exprs = []
+    while len(exprs) < 50:
+        expr = _random_expression(rng, n_vars=int(rng.integers(2, 7)), max_binary=4)
+        if compile_oracle(expr, "and").n_qubits <= 16:
+            exprs.append(expr)
+    return exprs
+
+
+def _dense_passes(circuit: Circuit, expr: str) -> bool:
+    try:
+        reference_phase_oracle_check(circuit, expr)
+    except AssertionError:
+        return False
+    return True
+
+
+def test_the_walk_passes_every_oracle_the_dense_check_passes():
+    passed = 0
+    for expr in _criterion_09_expressions():
+        for impl in ("and", "ccx"):
+            circuit = compile_oracle(expr, impl)
+            if _dense_passes(circuit, expr):
+                passed += 1
+                assert basis_equiv(circuit, _oracle_phases(expr)), (expr, impl)
+    assert passed == 100

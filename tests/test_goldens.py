@@ -1,11 +1,15 @@
 """The stored corpus is self-verifying on a clean checkout."""
+import itertools
 import re
 import shutil
 
 import pytest
 
 from tclean.goldens import ENTRIES, check_goldens, default_corpus_dir
+from tclean.oracle import evaluate, parse_expression
 from tclean.textfmt import from_text
+
+from basis_reference import reference_phase_oracle_check
 
 #: A measure-and-fixup erasure's conditioned CZ, as a whole line.
 CZ_FIXUP = re.compile(r"^\? c\d+ : cz .*\n", re.MULTILINE)
@@ -50,3 +54,30 @@ def test_check_fails_without_phase_fixups(spec):
     stripped = from_text(CZ_FIXUP.sub("", _stored_circuit(spec)))
     with pytest.raises(AssertionError):
         spec.check(stripped)
+
+
+def _symmetric_pair(expr: str, n: int) -> tuple[int, int]:
+    """The first two inputs whose swap never changes the expression's value."""
+    ast = parse_expression(expr)
+    for a, b in itertools.combinations(range(n), 2):
+        swap = lambda k: k ^ ((k >> a ^ k >> b) & 1) * (1 << a | 1 << b)
+        if all(evaluate(ast, k) == evaluate(ast, swap(k)) for k in range(1 << n)):
+            return a, b
+    raise AssertionError(f"no two inputs of {expr!r} are symmetric")
+
+
+ORACLES = [spec for spec in ENTRIES if spec.semantics.startswith("phase-oracle ")]
+
+
+@pytest.mark.parametrize("spec", ORACLES, ids=lambda spec: spec.name)
+def test_oracle_check_fails_an_oracle_followed_by_a_symmetric_swap(spec):
+    # The swap fixes the signed uniform state, so a check on that state alone
+    # passes it; as a map on the inputs it is no oracle.
+    expr = spec.semantics.removeprefix("phase-oracle ")
+    text = _stored_circuit(spec)
+    inputs = from_text(text).input_qubits()
+    a, b = (inputs[j] for j in _symmetric_pair(expr, len(inputs)))
+    swapped = from_text(text + f"cx {a} {b}\ncx {b} {a}\ncx {a} {b}\n")
+    reference_phase_oracle_check(swapped, expr)
+    with pytest.raises(AssertionError, match="oracle phases wrong"):
+        spec.check(swapped)

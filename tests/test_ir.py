@@ -140,6 +140,19 @@ def test_non_finite_rz_angle_is_rejected(angle):
     assert build_violation(b).code is ViolationCode.BAD_ARITY
 
 
+@pytest.mark.parametrize("instr, message", [
+    (Instruction(Op.RZ, (0,)), "angle is required for rz and forbidden elsewhere"),
+    (Instruction(Op.H, (0,), angle=0.5), "angle is required for rz and forbidden elsewhere"),
+    (Instruction(Op.MZ, (0,)), "result bit is required for measurements only"),
+    (Instruction(Op.X, (0,), result=0), "result bit is required for measurements only"),
+])
+def test_angle_and_result_bit_belong_to_their_kinds(instr, message):
+    with pytest.raises(CircuitError) as err:
+        Circuit((instr,), inputs=(Register("a", (0,)),))
+    assert err.value.violation.code is ViolationCode.BAD_ARITY
+    assert err.value.violation.message == message
+
+
 def test_nested_spans_allowed():
     b = CircuitBuilder()
     (q,) = b.register("a", 1)

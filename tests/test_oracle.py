@@ -15,7 +15,7 @@ from tclean.oracle import (
 )
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx
-from tclean.sim import channel_equiv, diagonal_map, enumerate_branches
+from tclean.sim import basis_equiv, channel_equiv, diagonal_map, enumerate_branches
 
 
 def phase_check(expr, impl="and"):
@@ -26,6 +26,8 @@ def phase_check(expr, impl="and"):
     uniform = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
     ideal = diagonal_map(lambda k: -1.0 if evaluate(ast, k) else 1.0, n)
     res = channel_equiv(circuit, ideal, input_states=[uniform], tol=1e-10)
+    assert res.equivalent, (expr, res)
+    res = basis_equiv(circuit, lambda k: (k, -1 if evaluate(ast, k) else 1))
     assert res.equivalent, (expr, res)
     return circuit
 

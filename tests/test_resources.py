@@ -273,3 +273,13 @@ def test_count_agrees_with_dag_reference_on_corpus():
     for path in paths:
         c = from_text(path.read_text())
         assert count(c) == reference_count(c), path.parent.name
+
+
+def test_a_span_waits_on_a_condition_bit_measured_before_it():
+    # c0 is written at layer 3; the span's qubits are at layer 0, so the span
+    # lands at layer 4, where the same fixup outside a span weighs 0 and lands at 3.
+    bare = "#input a 0 1 2\nt 2\nt 2\nmz 2 -> c0\n? c0 : cz 0 1\n"
+    spanned = bare.replace("? c0", "#begin and_uncompute\n? c0") + "#end and_uncompute\n"
+    assert count(from_text(bare)).meas_depth == 3
+    assert count(from_text(spanned)).meas_depth == 4
+    assert reference_count(from_text(spanned)).meas_depth == 4

@@ -166,6 +166,30 @@ def test_only_an_executed_gate_ends_the_release_exemption():
         reference.run(c, 0, force={bit: 1})
 
 
+@pytest.mark.parametrize("state", [0, np.array([1, 0], dtype=complex)], ids=["sparse", "dense"])
+def test_forcing_an_impossible_outcome_is_refused(state):
+    b = CircuitBuilder()
+    (q,) = b.register("q", 1)
+    bit = b.mz(q)
+    c = b.build()
+    with pytest.raises(SimulationError, match=f"forced outcome 1 for c{bit} has probability 0"):
+        run(c, state, force={bit: 1})
+
+
+@pytest.mark.parametrize("state", [5, {1: 1.0, 6: 1j}], ids=["basis", "mapping"])
+def test_norm_check_runs_on_the_sparse_engine(state, monkeypatch):
+    c = CONSTRUCTIONS["gidney-adder"].build(2)
+    norms = []
+    norm = sim.SparseState.norm
+    monkeypatch.setattr(sim.SparseState, "norm", lambda self: norms.append(norm(self)) or norms[-1])
+    checked = run(c, state, seed=3, check_norm=True)
+    assert len(norms) >= len(c.instructions)
+    assert norms == pytest.approx([1.0] * len(norms), abs=1e-12)
+    unchecked = run(c, state, seed=3)
+    assert checked.classbits == unchecked.classbits
+    assert np.array_equal(checked.final_state, unchecked.final_state)
+
+
 def test_dimension_mismatch():
     b = CircuitBuilder()
     b.register("q", 2)
