@@ -142,15 +142,13 @@ def emit_inverse(b: CircuitBuilder, instructions: tuple[Instruction, ...],
     allocations swap with releases, and plain gates are daggered in reverse
     order.  An AND span's operands are read by matching it against its
     template, and a span that is no instance of it raises ValueError.
+    `spans` share no instruction, as a circuit's do, so walking back meets
+    each at its last instruction.
     """
-    span_at: dict[int, GadgetSpan] = {}
-    for span in spans:
-        for i in range(span.start, span.end):
-            span_at[i] = span
-
+    span_ending = {span.end - 1: span for span in spans}
     i = len(instructions) - 1
     while i >= 0:
-        span = span_at.get(i)
+        span = span_ending.get(i)
         if span is not None:
             template, inverse = _AND_INVERSE[span.tag]
             wires = template.match(instructions[span.start:span.end])

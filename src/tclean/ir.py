@@ -10,15 +10,15 @@ instruction kind's properties (arity, read-only controls, Clifford, T-type,
 measurement, diagonal, allocation lifetime) are stated once, as attributes of
 its :class:`Op` member, and every pass reads them there.
 
-Contiguous instruction ranges can be tagged as AND-gadget spans.  The spans
-are annotations only: simulation executes the instructions inside them
-normally, while depth accounting counts each maximal span (one inside no
-other) as a single unit-weight event on every wire it touches.
+Contiguous instruction ranges can be tagged as AND-gadget spans.  Spans are
+flat: no two share an instruction.  They are annotations only: simulation
+executes the instructions inside them normally, while depth accounting
+counts each span as a single unit-weight event on every wire it touches.
 
 Every :class:`Circuit` is valid: constructing one makes the walk that
 :func:`validate` makes and raises :class:`CircuitError` on the first
 violation.  The same walk derives the circuit's widths from its contents, no
-id exceeds ``MAX_INDEX``, and the spans are stored in one canonical order, so
+id exceeds ``MAX_INDEX``, and the spans are stored in start order, so
 the text format carries every circuit exactly.  Builders, the text parser
 and the composition helpers all end in that constructor, so passes take
 their input as checked and never check it again.
@@ -91,9 +91,6 @@ _ALLOC0, _ALLOCT, _RELEASE, _MZ, _MX = Op.ALLOC0, Op.ALLOCT, Op.RELEASE, Op.MZ, 
 class GadgetTag(Enum):
     AND_COMPUTE = "and_compute"
     AND_UNCOMPUTE = "and_uncompute"
-
-    def __lt__(self, other: GadgetTag) -> bool:
-        return self.value < other.value
 
 
 class Instruction(NamedTuple):
@@ -179,7 +176,7 @@ class Template:
 
 
 class GadgetSpan(NamedTuple):
-    """Half-open instruction range [start, end) tagged as one gadget; spans sort by (start, end, tag)."""
+    """Nonempty half-open instruction range [start, end) tagged as one gadget; spans share no instruction."""
 
     start: int
     end: int
@@ -199,8 +196,8 @@ class Circuit:
     ``n_qubits`` and ``n_classbits`` are not arguments: they are one more
     than the largest qubit id the registers and instructions name and one
     more than the largest result bit, found in the validating walk.  The
-    spans are stored sorted by (start, end, tag), so circuits that differ
-    only in the order their spans were given are equal.
+    spans are flat, so they are stored sorted by start alone, and circuits
+    that differ only in the order their spans were given are equal.
     """
 
     instructions: tuple[Instruction, ...]
@@ -211,7 +208,7 @@ class Circuit:
     n_classbits: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "spans", tuple(sorted(self.spans)))
+        object.__setattr__(self, "spans", tuple(sorted(self.spans, key=itemgetter(0))))
         found = _check(self)
         if isinstance(found, Violation):
             raise CircuitError(found)
@@ -284,22 +281,18 @@ def validate(circuit: Circuit) -> Violation | None:
 def _check(circuit: Circuit) -> Violation | tuple[int, int]:
     """The first violation :func:`validate` reports, or else the widths ``(n_qubits, n_classbits)``."""
     n = len(circuit.instructions)
-    for span in circuit.spans:
-        if not (0 <= span.start < span.end <= n):
-            return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, span.start,
-                             f"span [{span.start},{span.end}) out of bounds")
-    chain: list[int] = []  # the open spans' ends, each span inside the one before it
-    prev = -1
-    for start, end, _ in circuit.spans:
-        if start != prev:  # stored order: at one start the shorter first, inside the next
-            while chain and chain[-1] <= start:
-                chain.pop()
-            base, prev = len(chain), start
-        if base and end > chain[base - 1]:
-            end = max(e for s, e, _ in circuit.spans if s == start)  # the longest overlaps too: name it
-            return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, start,
-                             f"span [{start},{end}) partially overlaps another span")
-        chain.insert(base, end)
+    prev_end = 0
+    for start, end, _ in circuit.spans:  # stored by start
+        if start < 0 or end > n:
+            problem = "out of bounds"
+        elif start >= end:
+            problem = "is empty"
+        elif start < prev_end:
+            problem = "overlaps the span before it"
+        else:
+            prev_end = end
+            continue
+        return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, start, f"span [{start},{end}) {problem}")
 
     for reg in circuit.inputs + circuit.outputs:
         if reg.name.split() != [reg.name]:

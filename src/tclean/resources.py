@@ -2,10 +2,10 @@
 
 Measurement depth is the longest weighted chain of instructions linked
 through shared qubit and classical-bit wires.  Bare measurements and bare
-T-type instructions each weigh 1 and Clifford operations weigh 0; a maximal
-gadget span (one inside no other) is one unit event on every wire it touches
-(a T gate applied by teleportation is one measurement event, which is why a
-whole AND computation weighs 1).
+T-type instructions each weigh 1 and Clifford operations weigh 0; a gadget
+span (spans are flat: no two share an instruction) is one unit event on every
+wire it touches (a T gate applied by teleportation is one measurement event,
+which is why a whole AND computation weighs 1).
 
 Ancillae are priced as opportunity cost: a held ancilla is surface-code area
 that is not distilling |T> states.  With the default constants (960 spacetime
@@ -70,18 +70,15 @@ def count(circuit: Circuit) -> ResourceReport:
 
     Every qubit and classical bit keeps the layer its last user finished at.
     Only a bit's readers wait on it: a bit is written once, before any read.
-    Every instruction in an outermost span, nested spans included, finishes
-    one layer after the latest of the wires the span touches.
+    Every instruction in a span finishes one layer after the latest of the
+    wires the span touches.
     """
     instrs = circuit.instructions
     qubit_layer = [0] * circuit.n_qubits
     bit_layer = [0] * circuit.n_classbits
     layer_of = qubit_layer.__getitem__
 
-    # An outermost span is met first and covers the spans nested in it.
-    span_end: dict[int, int] = {}
-    for span in circuit.spans:
-        span_end[span.start] = max(span.end, span_end.get(span.start, 0))
+    span_end = {start: end for start, end, _ in circuit.spans}
     span_stop = span_layer = 0
     meas_depth = t_count = ccx_count = rotation_bucket = 0
     declared = set(circuit.input_qubits())

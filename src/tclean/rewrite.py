@@ -132,8 +132,9 @@ def _splice(circuit: Circuit, edits: dict[int, Edit]) -> Circuit:
     instance becomes a gadget span, and a measuring one writes the next new
     classical bit, numbered from ``circuit.n_classbits`` in instruction
     order.  An existing span moves by the length change of the edits before
-    each of its ends.  The constructor orders the spans and derives the
-    output's widths.
+    each of its ends.  The constructor orders the spans, refuses one that
+    the edits emptied or that shares an instruction with a new span, and
+    derives the output's widths.
     """
     instrs = circuit.instructions
     out: list[Instruction] = []

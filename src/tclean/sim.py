@@ -54,7 +54,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -924,19 +924,26 @@ class EquivalenceResult:
 
 def channel_equiv(circuit: Circuit, ideal: IdealMap | np.ndarray, *, trials: int = 20,
                   tol: float = 1e-10, seed: int = 0,
-                  input_states: Sequence[np.ndarray | str | int] | None = None,
+                  input_states: Iterable[np.ndarray | str | int] | None = None,
                   branches: str | int = "all") -> EquivalenceResult:
     """Check the circuit acts as `ideal` on random (or given) input states.
 
     With ``branches="all"`` every measurement branch must match; with an
     integer, that many seeded sample runs are checked instead (for circuits
-    whose outcome-independence has been certified at smaller sizes).
+    whose outcome-independence has been certified at smaller sizes).  A check
+    of no branch proves nothing, so ``trials < 1``, an empty `input_states`
+    and an integer ``branches < 1`` raise ValueError.
     """
+    if branches != "all" and int(branches) < 1:
+        raise ValueError(f"branches must be 'all' or at least 1, got {branches!r}")
     ideal_map = as_ideal_map(ideal)
     rng = np.random.default_rng(seed)
     n_in = input_width(circuit)
     if input_states is None:
         input_states = [random_state(n_in, rng) for _ in range(trials)]
+    input_states = list(input_states)
+    if not input_states:
+        raise ValueError("no input state to check: trials < 1 or empty input_states")
 
     program = _compile(circuit, SimState)
     fidelities: list[float] = []
@@ -988,7 +995,8 @@ def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex
             index = want(ref)
             if type(index) is tuple:
                 index, phase = index
-                if abs(abs(phase) - 1) > _ZERO_TOL:  # a longer phase could pass a wrong branch
+                # A longer phase could pass a wrong branch; `not <=` refuses NaN too.
+                if not abs(abs(phase) - 1) <= _ZERO_TOL:
                     raise ValueError(f"phase {phase!r} for input {ref} is not of unit modulus")
                 a *= phase.conjugate()
             hit = a if (read(out) if read else out) == index else 0

@@ -50,6 +50,19 @@ class TextFormatError(Exception):
         super().__init__(f"line {line_no}: {message}")
 
 
+def _format(instructions: tuple[Instruction, ...], lines: list[str]) -> None:
+    """Append one line per instruction to `lines`."""
+    for op, qubits, angle, result, cond in instructions:
+        _, form, template = _ROW_OF[op]
+        if form is _PLAIN:
+            line = template % qubits
+        elif form is _ANGLE:
+            line = template % (angle, qubits[0])
+        else:
+            line = template % (qubits[0], result)
+        lines.append(line if cond is None else "? c%d : %s" % (cond, line))
+
+
 def to_text(circuit: Circuit) -> str:
     lines: list[str] = []
     for reg in circuit.inputs:
@@ -57,31 +70,16 @@ def to_text(circuit: Circuit) -> str:
     for reg in circuit.outputs:
         lines.append("#output " + " ".join([reg.name] + [str(q) for q in reg.qubits]))
 
-    begins: dict[int, list[GadgetSpan]] = {}
-    ends: dict[int, list[GadgetSpan]] = {}
-    for span in circuit.spans:
-        begins.setdefault(span.start, []).append(span)
-        ends.setdefault(span.end, []).append(span)
     instructions = circuit.instructions
     done = 0
-    # Lines of the instructions between span boundaries, then the markers at the boundary.
-    for i in sorted(begins.keys() | ends.keys() | {len(instructions)}):
-        for op, qubits, angle, result, cond in instructions[done:i]:
-            _, form, template = _ROW_OF[op]
-            if form is _PLAIN:
-                line = template % qubits
-            elif form is _ANGLE:
-                line = template % (angle, qubits[0])
-            else:
-                line = template % (qubits[0], result)
-            lines.append(line if cond is None else "? c%d : %s" % (cond, line))
-        done = i
-        # The spans are stored sorted by (start, end, tag).  Innermost closes first and
-        # outermost opens first; spans over one range open in reverse and close in order.
-        for span in sorted(ends.get(i, []), key=lambda s: s.start, reverse=True):
-            lines.append(f"#end {span.tag.value}")
-        for span in reversed(begins.get(i, [])):
-            lines.append(f"#begin {span.tag.value}")
+    # The spans are flat and stored by start: the run before each span, then the span in its markers.
+    for start, end, tag in circuit.spans:
+        _format(instructions[done:start], lines)
+        lines.append("#begin " + tag.value)
+        _format(instructions[start:end], lines)
+        lines.append("#end " + tag.value)
+        done = end
+    _format(instructions[done:], lines)
     return "\n".join(lines) + "\n"
 
 

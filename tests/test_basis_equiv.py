@@ -6,6 +6,7 @@ import pytest
 
 import tclean.sim as sim
 from tclean.constructions import CONSTRUCTIONS, exhaustive
+from tclean.gadgets import and_gadget_circuit
 from tclean.goldens import ENTRIES, default_corpus_dir
 from tclean.ir import Circuit, CircuitError, Instruction, Op, Register
 from tclean.oracle import compile_oracle, evaluate, parse_expression
@@ -188,6 +189,13 @@ def test_a_phase_off_the_unit_circle_is_refused():
     measured = from_text("#input a 0 1\nmz 0 -> c0\n")
     with pytest.raises(ValueError, match=r"phase 2 for input \d is not of unit modulus"):
         basis_equiv(measured, lambda k: (k, 2))
+
+
+def test_a_nan_phase_is_refused():
+    # NaN fails every comparison, so a guard written as `> tol` lets it through.
+    circuit = and_gadget_circuit("roundtrip")
+    with pytest.raises(ValueError, match=r"phase \(nan\+0j\) for input \d+ is not of unit modulus"):
+        basis_equiv(circuit, lambda k: (k, complex("nan")))
 
 
 #: ``exhaustive`` results of int ideals as the walk gave them before phased

@@ -223,6 +223,18 @@ def test_invalid_circuit_file_fails_with_one_line(tmp_path, command):
     assert not (tmp_path / "out.qc").exists()
 
 
+@pytest.mark.parametrize("command", ["count", "rewrite"])
+def test_nested_span_file_fails_with_one_line(tmp_path, command):
+    path = tmp_path / "nested.qc"
+    path.write_text("#input a 0 1 2\nt 1\n#begin and_compute\nx 0\n#begin and_uncompute\ncx 1 2\n"
+                    "#end and_uncompute\ncx 2 0\n#end and_compute\n")
+    extra = ["--report"] if command == "rewrite" else []
+    code, out, err = run_cli([command, "--in", str(path)] + extra)
+    assert (code, out) == (1, "")
+    assert err == ("tclean: OVERLAPPING_GADGET_SPANS at instruction 2: "
+                   "span [2,3) overlaps the span before it\n")
+
+
 def test_bad_expression_reports_parse_error():
     code, _, err = run_cli(["oracle", "--expr", "x0 &"])
     assert code == 1

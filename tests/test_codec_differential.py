@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tclean.goldens import default_corpus_dir
-from tclean.ir import Circuit, GadgetSpan, validate
+from tclean.ir import Circuit, CircuitError, GadgetSpan, validate
 from tclean.textfmt import MAX_INDEX, TextFormatError, from_text, to_text
 
 from strategies import near_miss_circuit, random_circuit, random_paired_circuit
@@ -84,6 +84,18 @@ def test_generated_circuits_format_and_parse_as_before(kind, seed):
     text = to_text(circuit)
     assert text == reference_to_text(circuit)
     assert from_text(text) == reference_from_text(text) == circuit
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#input a 0\n#begin and_uncompute\n#begin and_compute\n#begin and_compute\nx 0\n"
+     "#end and_compute\nz 0\n#end and_compute\n#end and_uncompute\n",
+     "OVERLAPPING_GADGET_SPANS at instruction 0: span [0,2) overlaps the span before it"),
+    ("#input a 0\nx 0\n#begin and_compute\nx 0\n#begin and_uncompute\nz 0\n#end and_uncompute\n"
+     "x 0\n#end and_compute\n",
+     "OVERLAPPING_GADGET_SPANS at instruction 2: span [2,3) overlaps the span before it"),
+], ids=["one-range", "nested"])
+def test_nested_span_text_parses_and_both_parsers_refuse_it(text, message):
+    assert outcome(from_text, text) == outcome(reference_from_text, text) == (CircuitError, None, message)
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -153,22 +153,39 @@ def test_angle_and_result_bit_belong_to_their_kinds(instr, message):
     assert err.value.violation.message == message
 
 
-def test_nested_spans_allowed():
-    b = CircuitBuilder()
-    (q,) = b.register("a", 1)
-    for _ in range(4):
-        b.x(q)
-    circuit = b.build()
-    nested = dataclasses.replace(circuit, spans=(
-        GadgetSpan(0, 4, GadgetTag.AND_COMPUTE),
-        GadgetSpan(1, 3, GadgetTag.AND_UNCOMPUTE),
-    ))
-    assert validate(nested) is None
+#: Span sets over four instructions that the constructor refuses, in the
+#: order given, with the first violation's index and message.
+REFUSED_SPANS = {
+    "nested": (((0, 4), (1, 3)), 1, "span [1,3) overlaps the span before it"),
+    "nested-inner-first": (((1, 3), (0, 4)), 1, "span [1,3) overlaps the span before it"),
+    "same-start": (((0, 4), (0, 2)), 0, "span [0,2) overlaps the span before it"),
+    "same-range": (((0, 4), (0, 4)), 0, "span [0,4) overlaps the span before it"),
+    "partial": (((0, 3), (2, 4)), 2, "span [2,4) overlaps the span before it"),
+    "empty": (((2, 2),), 2, "span [2,2) is empty"),
+    "reversed": (((3, 1),), 3, "span [3,1) is empty"),
+    "past-the-end": (((2, 5),), 2, "span [2,5) out of bounds"),
+    "negative": (((-1, 2),), -1, "span [-1,2) out of bounds"),
+}
+
+
+@pytest.mark.parametrize("same_tag", [True, False], ids=["same-tag", "other-tag"])
+@pytest.mark.parametrize("name", sorted(REFUSED_SPANS))
+def test_spans_must_be_flat_and_nonempty(name, same_tag):
+    ranges, index, message = REFUSED_SPANS[name]
+    tags = [GadgetTag.AND_COMPUTE, GadgetTag.AND_COMPUTE if same_tag else GadgetTag.AND_UNCOMPUTE]
+    spans = tuple(GadgetSpan(start, end, tag) for (start, end), tag in zip(ranges, tags))
+    refused = [_violation(instructions=(Instruction(Op.X, (0,)),) * 4, spans=given,
+                          inputs=(Register("a", (0,)),)) for given in (spans, spans[::-1])]
+    assert (refused[0].code, refused[0].index, refused[0].message) == (
+        ViolationCode.OVERLAPPING_GADGET_SPANS, index, message)
+    # Given the other way round, a tie on start is still not broken by comparing tags.
+    assert (refused[1].code, refused[1].index) == (ViolationCode.OVERLAPPING_GADGET_SPANS, index)
 
 
 def test_span_nesting_matches_the_reference_on_random_span_sets():
-    # The constructor tests nesting over the stored (start, end, tag) order;
-    # the reference sorts by (start, -end).  Every verdict and message agrees.
+    # The constructor walks the spans by start with a running end; the
+    # reference compares each with every span before it.  Spans may be
+    # empty or run past the end.  Every verdict and message agrees.
     instructions = (Instruction(Op.X, (0,)),) * 6
     rng = np.random.default_rng(12)
     seen = set()
@@ -176,7 +193,7 @@ def test_span_nesting_matches_the_reference_on_random_span_sets():
         spans = []
         for _ in range(rng.integers(1, 6)):
             start = int(rng.integers(0, 6))
-            spans.append(GadgetSpan(start, int(rng.integers(start + 1, 7)), GadgetTag(rng.choice(
+            spans.append(GadgetSpan(start, int(rng.integers(start, 8)), GadgetTag(rng.choice(
                 [tag.value for tag in GadgetTag]))))
         ref = reference_validate(SimpleNamespace(instructions=instructions, spans=tuple(spans),
                                                  inputs=(Register("a", (0,)),), outputs=(),
@@ -324,9 +341,6 @@ def test_span_order_is_canonical():
     assert len(c.spans) == 2
     flipped = Circuit(c.instructions, spans=c.spans[::-1], inputs=c.inputs)
     assert flipped == c and flipped.spans == c.spans
-    same_range = (GadgetSpan(0, 4, GadgetTag.AND_UNCOMPUTE), GadgetSpan(0, 4, GadgetTag.AND_COMPUTE))
-    assert (Circuit(c.instructions, spans=same_range, inputs=c.inputs)
-            == Circuit(c.instructions, spans=same_range[::-1], inputs=c.inputs))
 
 
 def one_gate(instr, register=(0,)):

@@ -190,52 +190,7 @@ def test_report_fields_nonnegative(seed):
                r.ancilla_depth, r.rotation_bucket) >= 0
 
 
-# -- nested spans and the DAG reference ----------------------------------------------
-
-NESTED_SPANS = """\
-#input a 0
-#input b 1
-#input c 2
-t 1
-t 1
-t 1
-#begin and_compute
-x 0
-#begin and_uncompute
-cx 1 2
-#end and_uncompute
-cx 2 0
-#end and_compute
-t 0
-t 0
-"""
-FLAT_SPAN = NESTED_SPANS.replace("#begin and_uncompute\n", "").replace("#end and_uncompute\n", "")
-
-
-def test_nested_span_counts_as_its_outermost_span():
-    # The outer span waits for the three T gates on qubit 1 and adds one
-    # layer; the two T gates after it add two more.
-    nested = from_text(NESTED_SPANS)
-    flat = from_text(FLAT_SPAN)
-    bare = from_text("".join(line + "\n" for line in NESTED_SPANS.splitlines()
-                             if not line.startswith(("#begin", "#end"))))
-    assert len(nested.spans) == 2 and len(flat.spans) == 1 and not bare.spans
-    assert count(nested) == count(flat)
-    assert count(nested).meas_depth == 6
-    assert count(bare).meas_depth == 5
-
-
-@pytest.mark.parametrize("inner", [(3, 4), (5, 6), (3, 6)])
-def test_span_nested_anywhere_in_an_outer_span_adds_nothing(inner):
-    flat = from_text(FLAT_SPAN)
-    nested = dataclasses.replace(flat, spans=flat.spans + (GadgetSpan(*inner, GadgetTag.AND_UNCOMPUTE),))
-    assert count(nested) == count(flat)
-
-
-def test_dag_reference_under_reports_nested_spans():
-    # Why the differential tests below leave nested spans out.
-    assert reference_count(from_text(NESTED_SPANS)).meas_depth == 4
-
+# -- spans and the DAG reference -------------------------------------------------------
 
 GENERATORS = {
     "random": random_circuit,
@@ -249,6 +204,20 @@ GENERATORS = {
 def test_count_agrees_with_dag_reference_on_random_circuits(kind, seed):
     c = GENERATORS[kind](np.random.default_rng(seed))
     assert count(c) == reference_count(c)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32 - 1), st.data())
+def test_count_agrees_with_dag_reference_on_arbitrary_flat_spans(kind, seed, data):
+    # Spans at random cuts, over contents no template makes, beside the
+    # generator's own spans that they leave whole.
+    c = GENERATORS[kind](np.random.default_rng(seed))
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(c)), max_size=12)))
+    spans = [GadgetSpan(start, end, data.draw(st.sampled_from(GadgetTag)))
+             for start, end in zip(cuts[::2], cuts[1::2])]
+    spans += [old for old in c.spans if all(old.end <= start or end <= old.start for start, end, _ in spans)]
+    spanned = dataclasses.replace(c, spans=tuple(spans))
+    assert count(spanned) == reference_count(spanned)
 
 
 @pytest.mark.parametrize("kind", sorted(CONSTRUCTIONS))

@@ -380,18 +380,20 @@ def spans_beside_a_pair() -> Circuit:
     return b.build()
 
 
+# Every extra but the gate between the Toffolis is emptied or shares an
+# instruction with a new span, so both sides refuse the output alike.
 @pytest.mark.parametrize("extra", [
     None,
-    (12, 13),  # the deleted alloc0 alone: empty after the splice, so invalid
+    (12, 13),  # the deleted alloc0 alone: empty after the splice
     (12, 14),  # alloc0 and the first CCX: the same range as the new compute span
     (13, 14),  # the first CCX alone: likewise
     (13, 15),  # the first CCX and the gate after it: encloses the new compute span
-    (14, 15),  # the gate between the Toffolis
+    (14, 15),  # the gate between the Toffolis: valid, beside both new spans
     (15, 17),  # the second CCX and the release: the same range as the new erase span
     (16, 17),  # the deleted release alone
     (12, 17),  # the whole pair
-    (0, 17),   # the AND compute before it and the pair
-    (0, 20),   # everything
+    (14, 16),  # the gate between and the second CCX: encloses the new erase span
+    (14, 17),  # the same and the release: likewise
 ])
 def test_splice_shifts_spans_beside_and_around_a_pair(extra):
     c = spans_beside_a_pair()

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tclean import sim
 from tclean.constructions import CONSTRUCTIONS
+from tclean.gadgets import AdderSpec, gidney_adder
 from tclean.ir import CircuitBuilder, Op, Register
 from tclean.sim import (
     GATES_1Q,
@@ -281,6 +282,16 @@ def test_nan_fidelity_is_never_equivalent():
     assert not res.equivalent
     assert math.isnan(res.worst_fidelity)
     assert res.branch_count == 2
+
+
+@pytest.mark.parametrize("checks_nothing", [{"trials": 0}, {"input_states": []}, {"branches": 0}],
+                         ids=["no-trials", "no-input-states", "no-branches"])
+def test_a_check_of_no_branch_is_refused_before_compiling(checks_nothing, monkeypatch):
+    # Each checks no branch, which would pass a wrong ideal as (True, 1.0, 0).
+    c = gidney_adder(AdderSpec(2))
+    monkeypatch.setattr(sim, "_compile", lambda *args: pytest.fail("compiled"))
+    with pytest.raises(ValueError, match="at least 1|no input state"):
+        channel_equiv(c, lambda v: np.zeros_like(v), **checks_nothing)
 
 
 @pytest.mark.parametrize("state", [None, 0, np.int64(0), "", np.array([1.0])],

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tclean.ir import (Circuit, CircuitBuilder, CircuitError, GadgetTag, Instruction, Op, Register,
+from tclean.ir import (Circuit, CircuitBuilder, CircuitError, Instruction, Op, Register,
                        ViolationCode, validate)
 from tclean.textfmt import MAX_INDEX, TextFormatError, from_text, to_text
 
@@ -118,16 +118,6 @@ def test_round_trip_keeps_registers_on_unused_ids():
     c = Circuit((Instruction(Op.X, (0,)),), inputs=(Register("a", (0, 5)),))
     assert c.n_qubits == 6
     assert from_text(to_text(c)) == c
-
-
-def test_round_trip_of_spans_over_one_range():
-    text = ("#input a 0\n#begin and_uncompute\n#begin and_compute\n#begin and_compute\nx 0\n"
-            "#end and_compute\nz 0\n#end and_compute\n#end and_uncompute\n")
-    c = from_text(text)
-    assert [(s.start, s.end, s.tag) for s in c.spans] == [
-        (0, 1, GadgetTag.AND_COMPUTE), (0, 2, GadgetTag.AND_COMPUTE), (0, 2, GadgetTag.AND_UNCOMPUTE)]
-    assert to_text(c) == text
-    assert Circuit(c.instructions, spans=c.spans[::-1], inputs=c.inputs) == c
 
 
 @pytest.mark.parametrize("text, line_no, message", [

@@ -1,7 +1,9 @@
 """The ``tclean.ir.validate`` used before its per-instruction passes were trimmed, kept as the reference for tests.
 
 It builds a set of every instruction's qubits and tests each qubit for
-range and liveness one by one.  The differential tests require the
+range and liveness one by one, and compares each gadget span, in start
+order, with every span before it: spans must be nonempty, in bounds and
+share no instruction.  The differential tests require the
 production ``validate`` to return exactly its first violation (code, index
 and message).
 """
@@ -19,19 +21,18 @@ def reference_validate(circuit: Circuit) -> Violation | None:
     is valid.  Deterministic: depends only on the circuit contents.
     """
     n = len(circuit.instructions)
-    for span in circuit.spans:
-        if not (0 <= span.start < span.end <= n):
-            return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, span.start,
-                             f"span [{span.start},{span.end}) out of bounds")
-    ordered = sorted(circuit.spans, key=lambda s: (s.start, -s.end))
-    open_ends: list[int] = []
-    for span in ordered:
-        while open_ends and open_ends[-1] <= span.start:
-            open_ends.pop()
-        if open_ends and span.end > open_ends[-1]:
-            return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, span.start,
-                             f"span [{span.start},{span.end}) partially overlaps another span")
-        open_ends.append(span.end)
+    ordered = sorted(circuit.spans, key=lambda s: s.start)
+    for j, span in enumerate(ordered):
+        if span.start < 0 or span.end > n:
+            problem = "out of bounds"
+        elif span.end <= span.start:
+            problem = "is empty"
+        elif any(earlier.end > span.start for earlier in ordered[:j]):
+            problem = "overlaps the span before it"
+        else:
+            continue
+        return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, span.start,
+                         f"span [{span.start},{span.end}) {problem}")
 
     live: set[int] = set()
     ever_released: set[int] = set()
