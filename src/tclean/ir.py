@@ -87,6 +87,10 @@ _X, _Y, _Z, _H, _S, _SDG, _T, _TDG, _RZ = Op.X, Op.Y, Op.Z, Op.H, Op.S, Op.SDG, 
 _CX, _CZ, _CCX = Op.CX, Op.CZ, Op.CCX
 _ALLOC0, _ALLOCT, _RELEASE, _MZ, _MX = Op.ALLOC0, Op.ALLOCT, Op.RELEASE, Op.MZ, Op.MX
 
+#: The arity of each gate: a kind that takes no angle, writes no classical
+#: bit and leaves every qubit's lifetime as it is.
+_GATE_ARITY = {op: op.arity for op in Op if op is not _RZ and not op.measures and not op.lifetime}
+
 
 class GadgetTag(Enum):
     AND_COMPUTE = "and_compute"
@@ -279,7 +283,16 @@ def validate(circuit: Circuit) -> Violation | None:
 
 
 def _check(circuit: Circuit) -> Violation | tuple[int, int]:
-    """The first violation :func:`validate` reports, or else the widths ``(n_qubits, n_classbits)``."""
+    """The first violation :func:`validate` reports, or else the widths ``(n_qubits, n_classbits)``.
+
+    Only in-range ids enter ``live``: an input register's ids and an
+    allocated id are range-checked first.  So a live qubit is in range and
+    ``max_qubit`` already counts it, and a gate on live qubits (the common
+    instruction) is accepted by one test with no range or width work.  Any
+    instruction that test does not accept takes the full checks, which
+    alone word each violation, so the first violation does not depend on
+    the test.
+    """
     n = len(circuit.instructions)
     prev_end = 0
     for start, end, _ in circuit.spans:  # stored by start
@@ -319,8 +332,17 @@ def _check(circuit: Circuit) -> Violation | tuple[int, int]:
             return Violation(ViolationCode.USE_AFTER_RELEASE, i, f"qubit {q} used after release")
         return Violation(ViolationCode.USE_BEFORE_ALLOC, i, f"qubit {q} used before allocation")
 
+    gate_arity = _GATE_ARITY
+    all_live = live.issuperset
     rz = Op.RZ
     for i, (op, qubits, angle, result, cond) in enumerate(circuit.instructions):
+        # The accept test: a gate that breaks none of the checks below.  Its
+        # qubits are live, so they are in range and max_qubit counts them.
+        arity = gate_arity.get(op)
+        if (arity == len(qubits) and angle is None and result is None and all_live(qubits)
+                and (cond is None or (op.clifford and cond in written_bits))
+                and (arity == 1 or (qubits[0] != qubits[1] if arity == 2 else len(set(qubits)) == arity))):
+            continue
         arity = op.arity
         if len(qubits) != arity or (arity > 1 and len(set(qubits)) != arity):
             return Violation(ViolationCode.BAD_ARITY, i,

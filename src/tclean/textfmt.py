@@ -22,7 +22,7 @@ of the #input/#output/#begin/#end directives are comments.
 """
 from __future__ import annotations
 
-from .ir import MAX_INDEX, Circuit, GadgetSpan, GadgetTag, Instruction, Op, Register
+from .ir import MAX_INDEX, Circuit, GadgetSpan, GadgetTag, Instruction, Op, Register, _new_record
 
 _PLAIN, _ANGLE, _MEASURE = "plain", "angle", "measure"
 
@@ -40,6 +40,8 @@ def _row(op: Op) -> tuple[Op, str, str]:
 _ROWS = {op.value: _row(op) for op in Op}
 _ROW_OF = {row[0]: row for row in _ROWS.values()}
 _TAGS = {tag.value: tag for tag in GadgetTag}
+#: Each plain kind by mnemonic, with the token count of its unconditioned line.
+_GATES = {mnemonic: (op, op.arity + 1) for mnemonic, (op, form, _) in _ROWS.items() if form is _PLAIN}
 
 
 class TextFormatError(Exception):
@@ -83,17 +85,46 @@ def to_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MAX_DIGITS = len(str(MAX_INDEX))
+
+
+def _id_value(digits: str) -> int | None:
+    """The id that `digits` spells in ASCII decimal digits, or None if they spell none up to ``MAX_INDEX``.
+
+    Leading zeros are dropped and a longer value refused before ``int()``
+    reads the digits: ``int()`` refuses a string of more than 4,300 digits.
+    """
+    if digits.isdecimal() and digits.isascii():
+        magnitude = digits.lstrip("0")
+        if len(magnitude) <= _MAX_DIGITS:
+            value = int(magnitude or "0")
+            if value <= MAX_INDEX:
+                return value
+    return None
+
+
 def _parse_index(token: str, digits: str, line_no: int, kind: str, expected: str) -> int:
     """The id that `token` spells as `digits`; `kind` and `expected` word its errors."""
-    if not (digits.isdecimal() and digits.isascii()):
-        magnitude = digits[1:]
-        if digits[:1] == "-" and magnitude.isdecimal() and magnitude.isascii() and int(magnitude):
-            raise TextFormatError(line_no, f"negative {kind} {int(digits)}")
-        raise TextFormatError(line_no, f"expected {expected}, got {token!r}")
-    value = int(digits)
-    if value > MAX_INDEX:
-        raise TextFormatError(line_no, f"{kind} {value} exceeds the limit {MAX_INDEX}")
-    return value
+    value = _id_value(digits)
+    if value is not None:
+        return value
+    if digits.isdecimal() and digits.isascii():
+        raise TextFormatError(line_no, f"{kind} {digits.lstrip('0')} exceeds the limit {MAX_INDEX}")
+    magnitude = digits[1:]
+    if digits[:1] == "-" and magnitude.isdecimal() and magnitude.isascii() and magnitude.strip("0"):
+        raise TextFormatError(line_no, f"negative {kind} -{magnitude.lstrip('0')}")
+    raise TextFormatError(line_no, f"expected {expected}, got {token!r}")
+
+
+class _Ids(dict):
+    """Each id token's value, read once per distinct token; a token that is not an id raises KeyError."""
+
+    def __missing__(self, token: str) -> int:
+        value = _id_value(token)
+        if value is None:
+            raise KeyError(token)
+        self[token] = value
+        return value
 
 
 def _parse_qubits(tokens: list[str], line_no: int) -> tuple[int, ...]:
@@ -106,17 +137,41 @@ def _parse_classbit(token: str, line_no: int) -> int:
 
 
 def from_text(text: str) -> Circuit:
+    """The circuit `text` spells; raises :class:`TextFormatError` on malformed text.
+
+    Each distinct id token is read once per call.  A plain gate line whose
+    tokens are all ids is made straight from them; every other line takes
+    the general path, which alone raises :class:`TextFormatError`.
+    """
+    read_id = _Ids().__getitem__
     instructions: list[Instruction] = []
     spans: list[GadgetSpan] = []
     open_spans: list[tuple[int, GadgetTag, int]] = []
     inputs: list[Register] = []
     outputs: list[Register] = []
+    append = instructions.append
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue
         head = tokens[0]
+        gate = _GATES.get(head)
+        if gate is not None and len(tokens) == gate[1]:
+            # A plain gate line: each id is read through the cache, and a
+            # one- or two-qubit line's without building a map.
+            try:
+                if gate[1] == 3:
+                    qubits = (read_id(tokens[1]), read_id(tokens[2]))
+                elif gate[1] == 2:
+                    qubits = (read_id(tokens[1]),)
+                else:
+                    qubits = tuple(map(read_id, tokens[1:]))
+            except KeyError:
+                pass  # not an id: the general path below words the error
+            else:
+                append(_new_record(Instruction, (gate[0], qubits, None, None, None)))
+                continue
 
         if head[0] == "#":
             if head == "#input" or head == "#output":
@@ -173,15 +228,11 @@ def from_text(text: str) -> Circuit:
 
         if len(args) != op.arity:
             raise TextFormatError(line_no, f"{op.value} expects {op.arity} qubits, got {len(args)}")
-        # One conversion for the whole line; the per-token parse only words its error.
-        digits = "".join(args)
-        if digits.isdecimal() and digits.isascii():
-            qubits = tuple(map(int, args))
-        else:
-            qubits = _parse_qubits(args, line_no)  # raises: some token is not an id
-        if max(qubits) > MAX_INDEX:
-            _parse_qubits(args, line_no)  # raises: names the first id past the limit
-        instructions.append(Instruction(op, qubits, angle, result, cond))
+        try:
+            qubits = tuple(map(read_id, args))
+        except KeyError:
+            qubits = _parse_qubits(args, line_no)  # raises: names the first token that is not an id
+        append(_new_record(Instruction, (op, qubits, angle, result, cond)))
 
     if open_spans:
         raise TextFormatError(open_spans[-1][2], f"unclosed #begin {open_spans[-1][1].value}")

@@ -13,7 +13,7 @@ import pytest
 from tclean.cli import main
 from tclean.constructions import CONSTRUCTIONS
 from tclean.goldens import default_corpus_dir
-from tclean.ir import Op
+from tclean.ir import MAX_INDEX, Op
 from tclean.oracle import MAX_DEPTH
 from tclean.resources import count
 from tclean.sim import MAX_LIVE_QUBITS
@@ -266,6 +266,23 @@ def test_huge_id_fails_with_one_line_inside_one_gib(tmp_path, command, kind):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("tclean: line ") and proc.stderr.count("\n") == 1
     assert "exceeds the limit" in proc.stderr
+
+
+#: An id of more digits than ``int()`` reads from a string (Python's default limit is 4,300).
+LONG_ID = "1" * 4301
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"#input a 0\nx {LONG_ID}\n", f"line 2: qubit index {LONG_ID} exceeds the limit {MAX_INDEX}"),
+    (f"#input a {LONG_ID}\n", f"line 1: qubit index {LONG_ID} exceeds the limit {MAX_INDEX}"),
+    (f"#input a 0\nmz 0 -> c{LONG_ID}\n",
+     f"line 2: classical bit {LONG_ID} exceeds the limit {MAX_INDEX}"),
+], ids=["qubit", "register", "classical-bit"])
+def test_id_longer_than_int_reads_fails_with_its_line(tmp_path, text, message):
+    path = tmp_path / "long.qc"
+    path.write_text(text)
+    code, out, err = run_cli(["count", "--in", str(path)])
+    assert (code, out, err) == (1, "", f"tclean: {message}\n")
 
 
 # -- mutated corpus files through the rewriter -------------------------------------

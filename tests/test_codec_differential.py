@@ -4,7 +4,8 @@
 old code.  The production codec must format the same text and parse the
 same circuit, or raise the same error, on generated circuits and on
 mutated corpus lines; the one allowed difference is a line with an id token
-that the production parser now refuses (see :func:`refused_id`).  Both
+that the production parser now refuses or words otherwise (see
+:func:`refused_id`).  Both
 ``validate`` functions must return the same first violation on circuits
 with one instruction dropped or duplicated.
 """
@@ -35,7 +36,8 @@ GENERATORS = {
 EXTRA_TOKENS = ["-1", "-3", "-0", "-1_0", "1_0", "+3", "٣", "０", "007", "c-1", "c-0", "c1_0",
                 "c+1", "c٣", "c", "cc1", "->", ":", "?", "#begin", "#end", "#input", "#output",
                 "#", "and_compute", "and_uncompute", "and_other", "nan", "inf", "1e400", "0.5",
-                str(MAX_INDEX), str(MAX_INDEX + 1), f"c{MAX_INDEX + 1}", "99999999999", "X", "rz"]
+                str(MAX_INDEX), str(MAX_INDEX + 1), f"c{MAX_INDEX + 1}", "99999999999", "X", "rz",
+                "1" * 4301, "-" + "1" * 4301, "c" + "1" * 4301]
 TOKENS = sorted({tok for text in CORPUS.values() for tok in text.split()} | set(EXTRA_TOKENS))
 
 
@@ -51,14 +53,23 @@ def _decimal(token: str) -> bool:
     return token.isdecimal() and token.isascii()
 
 
+#: The most digits ``int()`` reads from a string (Python's default limit).
+INT_MAX_STR_DIGITS = 4300
+
+
 def refused_id(token: str) -> bool:
-    """An id the old parser's ``int()`` read and the new parser refuses.
+    """An id the old parser's ``int()`` read and the new parser refuses, or one ``int()`` cannot read.
 
     It is not ASCII decimal digits (``1_0``, ``+3``, ``٣``, ``-0``, ``-1_0``)
     or it is past ``MAX_INDEX``.  A negative ``-<digits>`` is not one: both
-    parsers refuse it with the same message.
+    parsers refuse it with the same message.  Digits past ``int()``'s limit,
+    with or without a sign, are one: the old parser calls the token no id,
+    and the new one names its value.
     """
     body = token[1:] if token[:1] == "c" else token
+    magnitude = body[1:] if body[:1] == "-" else body
+    if _decimal(magnitude) and len(magnitude) > INT_MAX_STR_DIGITS:
+        return True
     try:
         value = int(body)
     except ValueError:
@@ -139,10 +150,32 @@ def test_mutated_corpus_lines_parse_or_fail_as_before(mutated):
 
 def test_refused_ids_are_the_only_listed_difference():
     # the old parser read these; the new one names the token instead
-    for token in ("1_0", "+3", "٣", "０", "-0", "-1_0", str(MAX_INDEX + 1)):
+    for token in ("1_0", "+3", "٣", "０", "-0", "-1_0", str(MAX_INDEX + 1), "1" * 4301, "-" + "1" * 4301):
         assert refused_id(token) and refused_id("c" + token)
     for token in ("0", "007", str(MAX_INDEX), "-3", "x", "->", "0.5", "c"):
         assert not refused_id(token)
+
+
+#: Reuses each cached token in plain, conditioned, rz and mz lines, and reads
+#: ``05`` beside ``5``.
+CACHED_IDS = ("#input a 5 7\nh 5\ncx 5 7\nrz 0.5 5\nmz 05 -> c0\n? c0 : cx 5 7\n? c0 : z 05\n"
+              "x 7\nalloc0 3\ncz 3 05\nrelease 3\n")
+
+
+@pytest.mark.parametrize("refused", ["+5", "1_0", "٣", "-0", str(MAX_INDEX + 1), "1" * 4301],
+                         ids=["plus", "underscore", "arabic-indic", "minus-zero", "past-the-limit", "long"])
+@pytest.mark.parametrize("first", [True, False], ids=["refused-first", "cached-first"])
+def test_cached_ids_parse_as_before(refused, first):
+    circuit = from_text(CACHED_IDS)
+    assert circuit == reference_from_text(CACHED_IDS)
+    assert [circuit.instructions[i].qubits for i in (3, 5, 8)] == [(5,), (5,), (3, 5)]  # 05 is 5
+    # A refused token beside a cached one, on a plain and on a conditioned line.
+    pair = f"{refused} 7" if first else f"7 {refused}"
+    lines = CACHED_IDS.count("\n")
+    for line in (f"cx {pair}", f"? c0 : cx {pair}"):
+        text = CACHED_IDS + line + "\n"
+        assert outcome(from_text, text)[:2] == (TextFormatError, lines + 1)
+        assert_same_parse(text, lines + 1)
 
 
 def unchecked_circuit(circuit: Circuit, instructions, spans) -> Circuit:

@@ -13,6 +13,7 @@ from tclean.ir import (
     Op,
     Register,
     ViolationCode,
+    _new_record,
     concatenate,
     validate,
 )
@@ -371,6 +372,47 @@ def test_ids_at_the_limit_are_accepted():
     c = Circuit((Instruction(Op.X, (top,)), Instruction(Op.MZ, (top,), result=top)),
                 inputs=(Register("a", (top,)),))
     assert (c.n_qubits, c.n_classbits) == (top + 1, top + 1)
+
+
+def _gate(op, qubits, angle=None, result=None, cond=None):
+    """An instruction made as the builder makes one, with no check of its fields."""
+    return _new_record(Instruction, (op, qubits, angle, result, cond))
+
+
+#: Instructions after ``mz 0 -> c0`` on input qubits 0, 1 and 2, one for each
+#: guard of the walk's accept test, with the violation each must give.
+ACCEPT_GUARDS = {
+    "conditioned-t": ((_gate(Op.T, (1,), cond=0),), ViolationCode.NONCLIFFORD_CONDITIONED),
+    "cx-on-unwritten-bit": ((_gate(Op.CX, (1, 2), cond=1),), ViolationCode.CLASSBIT_READ_BEFORE_WRITE),
+    "ccx-repeats-a-qubit": ((_gate(Op.CCX, (1, 1, 2)),), ViolationCode.BAD_ARITY),
+    "cx-repeats-a-qubit": ((_gate(Op.CX, (2, 2)),), ViolationCode.BAD_ARITY),
+    "cx-one-qubit": ((_gate(Op.CX, (1,)),), ViolationCode.BAD_ARITY),
+    "cx-past-the-limit": ((_gate(Op.CX, (1, TOO_BIG)),), ViolationCode.BAD_ARITY),
+    "cz-negative": ((_gate(Op.CZ, (1, -1)),), ViolationCode.BAD_ARITY),
+    "cx-unallocated": ((_gate(Op.CX, (1, 3)),), ViolationCode.USE_BEFORE_ALLOC),
+    "x-released": ((_gate(Op.ALLOC0, (3,)), _gate(Op.RELEASE, (3,)), _gate(Op.X, (3,))),
+                   ViolationCode.USE_AFTER_RELEASE),
+    "z-with-angle": ((_gate(Op.Z, (1,), angle=0.5),), ViolationCode.BAD_ARITY),
+    "z-with-result": ((_gate(Op.Z, (1,), result=1),), ViolationCode.BAD_ARITY),
+    "accepted": ((_gate(Op.CX, (1, 2), cond=0), _gate(Op.CCX, (0, 1, 2)), _gate(Op.T, (2,))), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPT_GUARDS))
+def test_accept_test_guards_give_the_reference_violation(name):
+    tail, code = ACCEPT_GUARDS[name]
+    instructions = (_gate(Op.MZ, (0,), result=0),) + tail
+    inputs = (Register("a", (0, 1, 2)),)
+    got = _violation(instructions=instructions, inputs=inputs)
+    # The reference checks ranges against n_qubits: give it the widest a circuit may have.
+    want = reference_validate(SimpleNamespace(instructions=instructions, spans=(), inputs=inputs,
+                                              n_qubits=MAX_INDEX + 1, n_classbits=MAX_INDEX + 1,
+                                              output_qubits=lambda: (0, 1, 2)))
+    assert got == want
+    if code is None:
+        assert got is None
+    else:
+        assert (got.code, got.index) == (code, len(instructions) - 1)
 
 
 @pytest.mark.parametrize("name", ["", " ", "a b", " a", "a\t", "a\n", "a\u00a0b"])

@@ -163,3 +163,31 @@ def test_ids_up_to_the_limit_parse_and_past_it_fail():
     ]:
         with pytest.raises(TextFormatError, match=f"^{message}$"):
             from_text(text)
+
+
+#: More digits than ``int()`` reads from a string (Python's default limit is 4,300).
+LONG = "1" * 4301
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"#input q 0\nx {LONG}\n", f"line 2: qubit index {LONG} exceeds the limit {MAX_INDEX}"),
+    (f"#input q 0\ncx 0 00{LONG}\n", f"line 2: qubit index {LONG} exceeds the limit {MAX_INDEX}"),
+    (f"#input q 0 {LONG}\n", f"line 1: qubit index {LONG} exceeds the limit {MAX_INDEX}"),
+    (f"#input q 0\nmz 0 -> c{LONG}\n", f"line 2: classical bit {LONG} exceeds the limit {MAX_INDEX}"),
+    (f"#input q 0\nmz 0 -> c0\n? c{LONG} : x 0\n",
+     f"line 3: classical bit {LONG} exceeds the limit {MAX_INDEX}"),
+    (f"#input q 0\nx -0{LONG}\n", f"line 2: negative qubit index -{LONG}"),
+], ids=["gate", "padded", "register", "result", "condition", "negative"])
+def test_ids_longer_than_int_reads_are_parse_errors(text, message):
+    with pytest.raises(TextFormatError) as err:
+        from_text(text)
+    assert str(err.value) == message
+
+
+def test_leading_zeros_read_as_the_value_at_any_length():
+    zeros = "0" * 4301
+    c = from_text(f"#input q {zeros} 7\nx {zeros}7\ncx 07 {zeros}\nmz {zeros}7 -> c{zeros}2\n"
+                  f"? c002 : x {zeros}\n")
+    assert c.inputs == (Register("q", (0, 7)),)
+    assert c.instructions == (Instruction(Op.X, (7,)), Instruction(Op.CX, (7, 0)),
+                              Instruction(Op.MZ, (7,), result=2), Instruction(Op.X, (0,), cond=2))

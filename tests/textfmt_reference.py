@@ -8,7 +8,10 @@ production codec to format the same text, and to parse the same circuit or
 raise the same error (type, line number and message), on every input
 except the token cases the production parser now refuses: ids that are not
 ASCII decimal digits (``1_0``, ``+9``, non-ASCII digits, ``-0``) or that
-exceed ``tclean.ir.MAX_INDEX``.
+exceed ``tclean.ir.MAX_INDEX``.  A token of more than 4,300 digits, which
+``int()`` will not read, differs too: here it is no id at all, and the
+production parser names its value past the limit (or as negative), or
+reads it if all but its last few digits are leading zeros.
 """
 from __future__ import annotations
 
