@@ -11,7 +11,7 @@ import sys
 from typing import Sequence
 
 from .constructions import CONSTRUCTIONS, verify
-from .ir import Circuit, CircuitError
+from .ir import MAX_INDEX, Circuit, CircuitError
 from .oracle import OracleParseError, TooManyVariablesError, compile_oracle
 from .resources import CostModel, NoCrossoverError, count, crossover, effective_t_formula, hybrid_cutoff, serialize_report
 from .rewrite import replace_pairs
@@ -29,6 +29,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _width(text: str) -> int:
+    # No kind names its qubits within MAX_INDEX past this width.
+    value = int(text)
+    if value > MAX_INDEX:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_INDEX}, got {value}")
+    return value
+
+
 def _make_parser() -> argparse.ArgumentParser:
     # argparse handles usage errors: message to stderr, exit code 2.
     parser = argparse.ArgumentParser(prog="tclean", description=__doc__)
@@ -36,7 +44,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="emit a construction as circuit text")
     p_build.add_argument("--kind", required=True, choices=tuple(CONSTRUCTIONS))
-    p_build.add_argument("--n", type=int, default=2)
+    p_build.add_argument("--n", type=_width, default=2)
     p_build.add_argument("--carry-out", action="store_true")
     p_build.add_argument("--out")
 
@@ -45,7 +53,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a construction's oracle checks")
     p_verify.add_argument("--kind", required=True, choices=tuple(CONSTRUCTIONS))
-    p_verify.add_argument("--n", type=int, default=2)
+    p_verify.add_argument("--n", type=_width, default=2)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=_positive_int, default=5)
 

@@ -47,16 +47,16 @@ def counts(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generat
     return all(getattr(report, key) == want for key, want in entry.expected(n).items()), 1.0, 0
 
 
-def ideal_map(entry: Construction, circuit: Circuit, n: int, carry_out: bool = False) -> IdealMap:
+def ideal_map(entry: Construction, circuit: Circuit, n: int) -> IdealMap:
     """The entry's ideal as a map on states over the circuit's inputs and outputs."""
-    return permutation_map(entry.ideal(n, carry_out), input_width(circuit),
+    return permutation_map(entry.ideal(n), input_width(circuit),
                            len(circuit.output_qubits()))
 
 
 def channel(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator,
-            trials: int, carry_out: bool = False) -> Result:
+            trials: int) -> Result:
     """``trials`` random input states, every measurement branch, against the ideal."""
-    res = channel_equiv(circuit, ideal_map(entry, circuit, n, carry_out), trials=trials,
+    res = channel_equiv(circuit, ideal_map(entry, circuit, n), trials=trials,
                         seed=int(rng.integers(1 << 32)))
     return res.equivalent, res.worst_fidelity, res.branch_count
 
@@ -138,7 +138,7 @@ def _weight_register(circuit: Circuit, n: int) -> Callable[[int], int]:
 
 # -- the table -----------------------------------------------------------------------
 
-_ADD = "add n={n}{carry_out} samples={samples}"
+_ADD = "add n={n}{carry_out}"
 
 GIDNEY = Construction(
     "gidney-adder",
@@ -172,14 +172,14 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
         build=lambda n, carry_out=False: controlled_adder(AdderSpec(n, carry_out=carry_out)),
         expected=lambda n: {"t_count": 8 * n - 4, "meas_depth": 4 * n - 2, "ancilla_max": n},
         ideal=lambda n, carry_out=False: _adder(n, carry_out, controlled=True),
-        semantics="add n={n}{carry_out} controlled=1 samples={samples}",
+        semantics="add n={n}{carry_out} controlled=1",
     ),
     Construction(
         "out-of-place-adder",
         build=lambda n, carry_out=False: outofplace_adder(AdderSpec(n)),
         expected=lambda n: {"t_count": 4 * n, "meas_depth": n, "ancilla_max": n + 1},
         ideal=lambda n, carry_out=False: lambda k: k | (((k & ((1 << n) - 1)) + (k >> n)) << (2 * n)),
-        semantics="oop-add n={n} samples={samples}",
+        semantics="oop-add n={n}",
         checks=_STANDARD + (("inverse-t-free", _inverse_t_free),),
     ),
     Construction(
@@ -187,7 +187,7 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
         build=lambda n, carry_out=False: and_gadget_circuit("roundtrip"),
         expected=lambda n: {"t_count": 4, "meas_depth": 2, "ancilla_max": 1},
         ideal=lambda n, carry_out=False: lambda k: k,
-        semantics="identity trials={samples}",
+        semantics="identity",
         checks=(("compute-counts", _on(AND_COMPUTE, counts)),
                 ("compute-channel", _on(AND_COMPUTE, channel)),
                 ("roundtrip-counts", counts), ("roundtrip-channel", channel)),

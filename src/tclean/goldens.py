@@ -5,9 +5,10 @@ Every file of an entry is rendered fresh and compared byte-for-byte with the
 stored one, and the stored circuit is simulated against its semantics.  An
 entry built by ``tclean build`` takes its semantics from the construction
 table (:mod:`tclean.constructions`); the oracle and canonical-pair entries
-carry one small check each.  Every check but the seeded ``samples=N`` trials
-is one :func:`~tclean.sim.basis_equiv` walk: an oracle against its phase per
-input, the canonical pair and its replacement against x ^= a & b.
+carry one small check each.  Every check is one
+:func:`~tclean.sim.basis_equiv` walk: a built entry against its ideal map, an
+oracle against its phase per input, the canonical pair and its replacement
+against x ^= a & b.
 """
 from __future__ import annotations
 
@@ -18,9 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from .constructions import CONSTRUCTIONS, channel, exhaustive
+from .constructions import CONSTRUCTIONS, exhaustive
 from .ir import Circuit
 from .oracle import evaluate, parse_expression
 from .resources import count, serialize_report
@@ -50,22 +49,18 @@ release 3
 """
 
 
-def _construction(name: str, kind: str, n: int | None = None, *, carry_out: bool = False,
-                  samples: int | None = None) -> GoldenSpec:
+def _construction(name: str, kind: str, n: int | None = None, *, carry_out: bool = False) -> GoldenSpec:
     """An entry built by ``tclean build --kind kind``, checked against its table entry.
 
-    The check simulates ``samples`` random input states drawn from seed 7 or,
-    when ``samples`` is None, every basis input with every relative phase in
-    one walk (:func:`~tclean.constructions.exhaustive`).
+    The check walks every basis input with every relative phase once
+    (:func:`~tclean.constructions.exhaustive`).
     """
     entry = CONSTRUCTIONS[kind]
     cmd = f"build --kind {kind}" + (f" --n {n}" if n else "") + (" --carry-out" if carry_out else "")
-    semantics = entry.semantics.format(n=n, carry_out=" carry_out=1" if carry_out else "",
-                                       samples=samples or "all")
-    run_check = channel if samples else exhaustive
+    semantics = entry.semantics.format(n=n, carry_out=" carry_out=1" if carry_out else "")
 
     def check(circuit: Circuit) -> None:
-        ok, worst, _ = run_check(entry, circuit, n, np.random.default_rng(7), samples, carry_out)
+        ok, worst, _ = exhaustive(entry, circuit, n, carry_out=carry_out)
         if not ok:
             raise AssertionError(f"{kind} semantics fail: worst fidelity {worst:.12f}")
 
@@ -102,14 +97,14 @@ ENTRIES: tuple[GoldenSpec, ...] = (
     _construction("gidney-adder-n1", "gidney-adder", 1),
     _construction("gidney-adder-n2", "gidney-adder", 2),
     _construction("gidney-adder-n3", "gidney-adder", 3),
-    _construction("gidney-adder-n4", "gidney-adder", 4, samples=12),
-    _construction("gidney-adder-n5", "gidney-adder", 5, samples=8),
-    _construction("gidney-adder-n6", "gidney-adder", 6, samples=6),
-    _construction("gidney-adder-n5-carry", "gidney-adder", 5, carry_out=True, samples=8),
-    _construction("cuccaro-adder-n4", "cuccaro-adder", 4, samples=12),
-    _construction("controlled-adder-n3", "controlled-adder", 3, samples=10),
-    _construction("out-of-place-adder-n3", "out-of-place-adder", 3, samples=10),
-    _construction("and-gadget", "and", samples=6),
+    _construction("gidney-adder-n4", "gidney-adder", 4),
+    _construction("gidney-adder-n5", "gidney-adder", 5),
+    _construction("gidney-adder-n6", "gidney-adder", 6),
+    _construction("gidney-adder-n5-carry", "gidney-adder", 5, carry_out=True),
+    _construction("cuccaro-adder-n4", "cuccaro-adder", 4),
+    _construction("controlled-adder-n3", "controlled-adder", 3),
+    _construction("out-of-place-adder-n3", "out-of-place-adder", 3),
+    _construction("and-gadget", "and"),
     _construction("mcx-k3", "mcx", 3),
     _construction("hamming-n5", "hamming", 5),
     _construction("phase-gradient-n3", "phase-gradient", 3),

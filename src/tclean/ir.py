@@ -398,9 +398,13 @@ def _check(circuit: Circuit) -> Violation | tuple[int, int]:
                                      f"classical bit c{result} written twice")
                 written_bits.add(result)
 
+    outputs: set[int] = set()
     for q in circuit.output_qubits():
         if q not in live:
             return Violation(ViolationCode.OUTPUT_NOT_LIVE, n, f"declared output qubit {q} not live at end")
+        if q in outputs:
+            return Violation(ViolationCode.REGISTER_OVERLAP, n, f"qubit {q} declared twice as an output")
+        outputs.add(q)
     return max_qubit + 1, max_bit + 1
 
 

@@ -787,6 +787,8 @@ def _sampled(rng: np.random.Generator, force: dict[int, int] | None) -> Choose:
         outcome = force.get(instr.result) if force else None
         if outcome is None:
             outcome = int(rng.random() < p1)
+        elif outcome not in (0, 1):
+            raise ValueError(f"forced outcome {outcome!r} for c{instr.result} is not 0 or 1")
         prob = p1 if outcome == 1 else p0
         if prob <= _BRANCH_EPS:
             raise SimulationError(f"forced outcome {outcome} for c{instr.result} has probability 0")

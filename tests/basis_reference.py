@@ -1,4 +1,4 @@
-"""The per-input basis checks that ``sim.basis_equiv`` replaced, kept as the reference for tests.
+"""The per-input and sampled checks that ``sim.basis_equiv`` replaced, kept as the reference for tests.
 
 ``reference_exhaustive`` is ``constructions.exhaustive`` as it was: one dense
 ``channel_equiv`` per basis input, or for a construction with a readout one
@@ -9,8 +9,11 @@ basis check against a basis map, since a basis input cannot see a phase
 that differs between inputs.  ``reference_phase_oracle_check`` is the
 corpus oracle check as it was: one dense ``channel_equiv`` on the uniform
 state, which no basis permutation that fixes the signed uniform state can
-fail.  The differential tests require the one-walk check to fail every
-circuit these fail.
+fail.  ``reference_sampled_check`` is the check the ``SAMPLED`` corpus
+entries ran before every entry became one walk: N random states from seed 7
+on the dense engine, through ``channel`` and ``ideal_map`` as they were, with
+the carry-out only the corpus passed.  The differential tests require the
+one-walk check to fail every circuit these fail.
 """
 from __future__ import annotations
 
@@ -18,13 +21,48 @@ from typing import Iterable
 
 import numpy as np
 
-from tclean.constructions import Construction, channel, ideal_map
+from tclean.constructions import Construction
 from tclean.ir import Circuit
 from tclean.oracle import evaluate, parse_expression
-from tclean.sim import channel_equiv, diagonal_map, enumerate_branches, gradient_state, input_width
+from tclean.sim import (IdealMap, channel_equiv, diagonal_map, enumerate_branches, gradient_state,
+                        input_width, permutation_map)
 
 #: Random states each basis-checked construction entry also ran on.
 PHASE_TRIALS = 4
+
+#: The corpus entries that ran ``samples`` random states: (name, kind, n, carry_out, samples).
+SAMPLED = (
+    ("gidney-adder-n4", "gidney-adder", 4, False, 12),
+    ("gidney-adder-n5", "gidney-adder", 5, False, 8),
+    ("gidney-adder-n6", "gidney-adder", 6, False, 6),
+    ("gidney-adder-n5-carry", "gidney-adder", 5, True, 8),
+    ("cuccaro-adder-n4", "cuccaro-adder", 4, False, 12),
+    ("controlled-adder-n3", "controlled-adder", 3, False, 10),
+    ("out-of-place-adder-n3", "out-of-place-adder", 3, False, 10),
+    ("and-gadget", "and", None, False, 6),
+)
+
+
+def ideal_map(entry: Construction, circuit: Circuit, n: int, carry_out: bool = False) -> IdealMap:
+    """The entry's ideal as a map on states over the circuit's inputs and outputs."""
+    return permutation_map(entry.ideal(n, carry_out), input_width(circuit),
+                           len(circuit.output_qubits()))
+
+
+def channel(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator,
+            trials: int, carry_out: bool = False) -> tuple[bool, float, int]:
+    """``trials`` random input states, every measurement branch, against the ideal."""
+    res = channel_equiv(circuit, ideal_map(entry, circuit, n, carry_out), trials=trials,
+                        seed=int(rng.integers(1 << 32)))
+    return res.equivalent, res.worst_fidelity, res.branch_count
+
+
+def reference_sampled_check(entry: Construction, circuit: Circuit, n: int | None, samples: int,
+                            carry_out: bool = False) -> None:
+    """A ``samples=N`` corpus entry's check; AssertionError on a failure."""
+    ok, worst, _ = channel(entry, circuit, n, np.random.default_rng(7), samples, carry_out)
+    if not ok:
+        raise AssertionError(f"{entry.name} semantics fail: worst fidelity {worst:.12f}")
 
 
 def _kickback_inputs(n: int) -> Iterable[np.ndarray]:

@@ -14,8 +14,10 @@ from tclean.sim import (MAX_MEASUREMENTS, MAX_TERMS, SimulationError, TooManyBra
                         basis_equiv)
 from tclean.textfmt import from_text, to_text
 
-from basis_reference import reference_corpus_check, reference_exhaustive, reference_phase_oracle_check
+from basis_reference import (SAMPLED, reference_corpus_check, reference_exhaustive,
+                             reference_phase_oracle_check, reference_sampled_check)
 from test_acceptance import _random_expression
+from test_goldens import CZ_FIXUP
 
 
 def _middle(text: str, pick, change):
@@ -86,6 +88,30 @@ def test_every_mutant_the_reference_fails_fails(kind, n):
         mutant = _mutant(entry.build(n), name)
         if mutant is not None and not _reference_passes(entry, mutant, n):
             assert not _new_passes(entry, mutant, n), name
+
+
+def _fails(check, *args) -> bool:
+    try:
+        check(*args)
+    except (AssertionError, SimulationError):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name,kind,n,carry_out,samples", SAMPLED, ids=[row[0] for row in SAMPLED])
+def test_the_walk_fails_every_corpus_mutant_the_sampled_check_fails(name, kind, n, carry_out, samples):
+    (spec,) = [spec for spec in ENTRIES if spec.name == name]
+    entry = CONSTRUCTIONS[kind]
+    text = (default_corpus_dir() / name / "circuit.qc").read_text()
+    stored = from_text(text)
+    assert not _fails(reference_sampled_check, entry, stored, n, samples, carry_out)
+    assert not _fails(spec.check, stored)
+    mutants = {mutant: _mutant(stored, mutant) for mutant in MUTANTS}
+    if CZ_FIXUP.search(text):
+        mutants["strip-cz-fixups"] = from_text(CZ_FIXUP.sub("", text))
+    for mutant, circuit in mutants.items():
+        if circuit is not None and _fails(reference_sampled_check, entry, circuit, n, samples, carry_out):
+            assert _fails(spec.check, circuit), mutant
 
 
 def test_dropped_cz_fixup_fails_where_basis_inputs_pass():

@@ -161,6 +161,25 @@ def test_verify_refuses_more_live_qubits_than_the_simulator_holds():
     assert (code, out, err) == (1, "", f"tclean: more than {MAX_LIVE_QUBITS} live qubits\n")
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_width_past_the_id_limit_is_a_usage_error_inside_one_gib(command):
+    # Naming that many qubits would end in a MemoryError inside the limit.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    for kind, n in (("gidney-adder", 10 ** 12), ("mcx", 10 ** 12), ("and", MAX_INDEX + 1)):
+        proc = subprocess.run([sys.executable, "-m", "tclean.cli", command, "--kind", kind, "--n", str(n)],
+                              capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=_limit_address_space)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: tclean ") and proc.stderr.count("error:") == 1
+        assert proc.stderr.endswith(f"error: argument --n: must be at most {MAX_INDEX}, got {n}\n")
+
+
+def test_width_at_the_id_limit_is_accepted_by_the_parser():
+    code, out, _ = run_cli(["build", "--kind", "and", "--n", str(MAX_INDEX)])  # and ignores --n
+    assert code == 0 and out.startswith("#input")
+
+
 def test_rewrite_command(tmp_path):
     src = tmp_path / "pair.qc"
     src.write_text(
@@ -233,6 +252,16 @@ def test_nested_span_file_fails_with_one_line(tmp_path, command):
     assert (code, out) == (1, "")
     assert err == ("tclean: OVERLAPPING_GADGET_SPANS at instruction 2: "
                    "span [2,3) overlaps the span before it\n")
+
+
+@pytest.mark.parametrize("text", ["#input a 0\n#output a 0\n#output b 0\nx 0\n",
+                                  "#input a 0\n#output a 0 0\nx 0\n"], ids=["two-registers", "one-register"])
+def test_output_declared_twice_fails_with_one_line(tmp_path, text):
+    path = tmp_path / "twice.qc"
+    path.write_text(text)
+    code, out, err = run_cli(["count", "--in", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "tclean: REGISTER_OVERLAP at instruction 1: qubit 0 declared twice as an output\n"
 
 
 def test_bad_expression_reports_parse_error():

@@ -5,6 +5,9 @@ import shutil
 
 import pytest
 
+import tclean.constructions as constructions
+import tclean.goldens as goldens
+import tclean.sim as sim
 from tclean.goldens import ENTRIES, check_goldens, default_corpus_dir
 from tclean.oracle import evaluate, parse_expression
 from tclean.textfmt import from_text
@@ -13,6 +16,8 @@ from basis_reference import reference_phase_oracle_check
 
 #: A measure-and-fixup erasure's conditioned CZ, as a whole line.
 CZ_FIXUP = re.compile(r"^\? c\d+ : cz .*\n", re.MULTILINE)
+#: An unconditioned T gate, as a whole line.
+T_GATE = re.compile(r"^t \d+\n", re.MULTILINE)
 
 
 def test_corpus_directory_exists():
@@ -27,6 +32,22 @@ def test_check_goldens_passes():
     failures = [r for r in results if not r.ok]
     assert not failures, "\n".join(f"{r.name}: {r.message}" for r in failures)
     assert len(results) == len(ENTRIES)
+
+
+def test_check_goldens_reads_no_dense_state(monkeypatch):
+    reads, walks = [], []
+    input_vector, basis_equiv = sim._input_vector, sim.basis_equiv
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return basis_equiv(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_input_vector", lambda *args: reads.append(args) or input_vector(*args))
+    monkeypatch.setattr(goldens, "basis_equiv", counted)
+    monkeypatch.setattr(constructions, "basis_equiv", counted)
+    assert all(result.ok for result in check_goldens())
+    # One walk per built entry and oracle, two for the canonical pair and its replacement.
+    assert (len(reads), len(walks)) == (0, len(ENTRIES) + 1)
 
 
 def test_corrupted_entry_is_reported(tmp_path):
@@ -54,6 +75,17 @@ def test_check_fails_without_phase_fixups(spec):
     stripped = from_text(CZ_FIXUP.sub("", _stored_circuit(spec)))
     with pytest.raises(AssertionError):
         spec.check(stripped)
+
+
+BUILT_WITH_T = [spec for spec in ENTRIES
+                if spec.build_cmd and spec.build_cmd.startswith("build ") and T_GATE.search(_stored_circuit(spec))]
+
+
+@pytest.mark.parametrize("spec", BUILT_WITH_T, ids=lambda spec: spec.name)
+def test_check_fails_without_its_first_t(spec):
+    dropped = from_text(T_GATE.sub("", _stored_circuit(spec), count=1))
+    with pytest.raises(AssertionError):
+        spec.check(dropped)
 
 
 def _symmetric_pair(expr: str, n: int) -> tuple[int, int]:

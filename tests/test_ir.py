@@ -229,6 +229,27 @@ def test_output_must_be_live():
     assert v.index == 2
 
 
+DUPLICATE_OUTPUTS = {
+    "two-registers": "#input a 0\n#output a 0\n#output b 0\nx 0\n",
+    "one-register": "#input a 0\n#output a 0 0\nx 0\n",
+}
+
+
+@pytest.mark.parametrize("text", DUPLICATE_OUTPUTS.values(), ids=DUPLICATE_OUTPUTS)
+def test_an_output_qubit_declared_twice_is_refused(text):
+    # One live qubit read as two outputs would give its state four amplitudes.
+    want = (ViolationCode.REGISTER_OVERLAP, 1, "qubit 0 declared twice as an output")
+    with pytest.raises(CircuitError) as info:
+        from_text(text)
+    got = info.value.violation
+    assert (got.code, got.index, got.message) == want
+    ref = reference_validate(SimpleNamespace(instructions=(Instruction(Op.X, (0,)),), spans=(),
+                                             inputs=(Register("a", (0,)),), outputs=(),
+                                             n_qubits=1, n_classbits=0,
+                                             output_qubits=lambda: (0, 0)))
+    assert (ref.code, ref.index, ref.message) == want
+
+
 def _violation(**fields):
     """The violation that constructing a Circuit from ``fields`` reports, or None."""
     try:

@@ -28,6 +28,8 @@ from tclean.sim import (
     rz_matrix,
 )
 
+from tclean.textfmt import from_text
+
 import sim_reference as reference
 from strategies import random_circuit
 
@@ -175,6 +177,20 @@ def test_forcing_an_impossible_outcome_is_refused(state):
     c = b.build()
     with pytest.raises(SimulationError, match=f"forced outcome 1 for c{bit} has probability 0"):
         run(c, state, force={bit: 1})
+
+
+SPLIT = (math.sqrt(0.9), math.sqrt(0.1))
+
+
+@pytest.mark.parametrize("state", [dict(enumerate(SPLIT)), np.array(SPLIT, dtype=complex)],
+                         ids=["sparse", "dense"])
+@pytest.mark.parametrize("value", [2, -1, 0.5])
+def test_forcing_an_outcome_other_than_0_or_1_is_refused(state, value):
+    # Value 2 would project onto outcome 1 but divide by outcome 0's probability.
+    c = from_text("#input a 0\nmz 0 -> c0\n")
+    with pytest.raises(ValueError, match=f"forced outcome {value!r} for c0 is not 0 or 1"):
+        run(c, state, force={0: value})
+    assert run(c, state, force={0: 1}).classbits == {0: 1}
 
 
 @pytest.mark.parametrize("state", [5, {1: 1.0, 6: 1j}], ids=["basis", "mapping"])

@@ -97,7 +97,11 @@ def reference_validate(circuit: Circuit) -> Violation | None:
                                      f"classical bit c{bit} written twice")
                 written_bits.add(bit)
 
+    outputs: set[int] = set()
     for q in circuit.output_qubits():
         if q not in live:
             return Violation(ViolationCode.OUTPUT_NOT_LIVE, n, f"declared output qubit {q} not live at end")
+        if q in outputs:
+            return Violation(ViolationCode.REGISTER_OVERLAP, n, f"qubit {q} declared twice as an output")
+        outputs.add(q)
     return None
