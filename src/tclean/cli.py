@@ -1,8 +1,9 @@
 """Command-line front end: build, count, verify, rewrite, oracle, crossover.
 
-All output is byte-deterministic given identical flags and seed.  Reports go
-to standard output; circuits go to ``--out`` or standard output.  Exit codes:
-0 success, 1 check failure, 2 usage error.
+All output is byte-deterministic given identical flags: ``verify`` checks
+every basis input, measurement branch and relative phase exactly, with no
+random states.  Reports go to standard output; circuits go to ``--out`` or
+standard output.  Exit codes: 0 success, 1 check failure, 2 usage error.
 """
 from __future__ import annotations
 
@@ -22,16 +23,12 @@ from .textfmt import TextFormatError, from_text, to_text
 # -- argument parsing -------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _width(text: str) -> int:
     # No kind names its qubits within MAX_INDEX past this width.
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value > MAX_INDEX:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_INDEX}, got {value}")
     return value
@@ -54,8 +51,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a construction's oracle checks")
     p_verify.add_argument("--kind", required=True, choices=tuple(CONSTRUCTIONS))
     p_verify.add_argument("--n", type=_width, default=2)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=_positive_int, default=5)
 
     p_rewrite = sub.add_parser("rewrite", help="replace Toffoli pairs with temporary ANDs")
     p_rewrite.add_argument("--in", dest="infile", required=True)
@@ -93,7 +88,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(serialize_report(count(circuit)))
             return 0
         if args.command == "verify":
-            lines = verify(CONSTRUCTIONS[args.kind], args.n, args.seed, args.trials)
+            lines = verify(CONSTRUCTIONS[args.kind], args.n)
             for name, ok, worst, branches in lines:
                 status = "PASS" if ok else "FAIL"
                 sys.stdout.write(f"{name} {status} worst_fidelity={worst:.12f} branches={branches}\n")

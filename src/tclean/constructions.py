@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .gadgets import (
     AdderSpec,
     and_gadget_circuit,
@@ -29,62 +27,44 @@ from .gadgets import (
 from .ir import Circuit
 from .resources import count
 from .rewrite import replace_pairs
-from .sim import IdealMap, basis_equiv, channel_equiv, input_width, live_width, permutation_map
+from .sim import basis_equiv
 
 #: One check's outcome: passed, worst fidelity, measurement branches simulated.
 Result = tuple[bool, float, int]
-#: A check of an entry built at width n: (entry, circuit, n, seed source, random trials).
-Check = Callable[["Construction", Circuit, int, np.random.Generator, int], Result]
+#: A check of an entry built at width n: (entry, circuit, n).
+Check = Callable[["Construction", Circuit, int], Result]
 
 
 # -- checks -----------------------------------------------------------------------
 
 
-def counts(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator,
-           trials: int) -> Result:
+def counts(entry: Construction, circuit: Circuit, n: int) -> Result:
     """The measured report matches ``entry.expected(n)`` field for field."""
     report = count(circuit)
     return all(getattr(report, key) == want for key, want in entry.expected(n).items()), 1.0, 0
 
 
-def ideal_map(entry: Construction, circuit: Circuit, n: int) -> IdealMap:
-    """The entry's ideal as a map on states over the circuit's inputs and outputs."""
-    return permutation_map(entry.ideal(n), input_width(circuit),
-                           len(circuit.output_qubits()))
-
-
-def channel(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator,
-            trials: int) -> Result:
-    """``trials`` random input states, every measurement branch, against the ideal."""
-    res = channel_equiv(circuit, ideal_map(entry, circuit, n), trials=trials,
-                        seed=int(rng.integers(1 << 32)))
-    return res.equivalent, res.worst_fidelity, res.branch_count
-
-
-def exhaustive(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator | None = None,
-               trials: int | None = None, carry_out: bool = False) -> Result:
+def exhaustive(entry: Construction, circuit: Circuit, n: int, carry_out: bool = False) -> Result:
     """Every basis input, branch and relative phase against the ideal, in one walk."""
     read = entry.readout(circuit, n) if entry.readout else None
     res = basis_equiv(circuit, entry.ideal(n, carry_out), read)
     return res.equivalent, res.worst_fidelity, res.branch_count
 
 
-_STANDARD: tuple[tuple[str, Check], ...] = (("counts", counts), ("channel", channel))
+_STANDARD: tuple[tuple[str, Check], ...] = (("counts", counts), ("channel", exhaustive))
 
 
 def _on(other: Construction, check: Check) -> Check:
     """``check`` applied to ``other`` built at the same width."""
-    return lambda entry, circuit, n, rng, trials: check(other, other.build(n), n, rng, trials)
+    return lambda entry, circuit, n: check(other, other.build(n), n)
 
 
-def _replace_pairs_t(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator,
-                     trials: int) -> Result:
+def _replace_pairs_t(entry: Construction, circuit: Circuit, n: int) -> Result:
     """Replacing the Toffoli pairs lands on the AND adder's T-count."""
     return count(replace_pairs(circuit)).t_count == GIDNEY.expected(n)["t_count"], 1.0, 0
 
 
-def _inverse_t_free(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator,
-                    trials: int) -> Result:
+def _inverse_t_free(entry: Construction, circuit: Circuit, n: int) -> Result:
     """Uncomputing the out-of-place sum costs no T."""
     return count(outofplace_adder_inverse(AdderSpec(n))).t_count == 0, 1.0, 0
 
@@ -99,7 +79,8 @@ class Construction:
     output basis index it must produce or, where ``readout`` is set, to the
     value ``readout(circuit, n)`` reads out of the output index.  ``semantics``
     is the golden corpus descriptor, and ``checks`` are the lines ``tclean
-    verify`` prints, in order.
+    verify`` prints, in order: each compares counts, or walks every basis input,
+    branch and relative phase against ``ideal`` (:func:`exhaustive`).
     """
 
     name: str
@@ -189,8 +170,8 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
         ideal=lambda n, carry_out=False: lambda k: k,
         semantics="identity",
         checks=(("compute-counts", _on(AND_COMPUTE, counts)),
-                ("compute-channel", _on(AND_COMPUTE, channel)),
-                ("roundtrip-counts", counts), ("roundtrip-channel", channel)),
+                ("compute-channel", _on(AND_COMPUTE, exhaustive)),
+                ("roundtrip-counts", counts), ("roundtrip-channel", exhaustive)),
     ),
     Construction(
         "mcx",
@@ -223,15 +204,14 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
 )}
 
 
-def verify(entry: Construction, n: int, seed: int, trials: int) -> list[tuple[str, bool, float, int]]:
+def verify(entry: Construction, n: int) -> list[tuple[str, bool, float, int]]:
     """Run ``entry``'s checks at width n: (name, passed, worst fidelity, branches) each.
 
-    Seeds are drawn in check order from ``seed``.  A circuit wider than the
-    dense simulator fails here, before any check runs: :func:`channel` needs
-    an ideal table over the inputs and at most ``MAX_LIVE_QUBITS`` live qubits,
-    and every kind is refused at that one width.
+    Every semantic line is one :func:`exhaustive` walk, so ``verify`` refuses
+    where :func:`~tclean.sim.basis_equiv` does, with a
+    :class:`~tclean.sim.SimulationError` raised before the walk starts: past
+    ``MAX_TERMS`` basis inputs or (input, branch) pairs, or past
+    ``MAX_MEASUREMENTS`` measurements.
     """
     circuit = entry.build(n)
-    live_width(circuit)
-    rng = np.random.default_rng(seed)
-    return [(name, *check(entry, circuit, n, rng, trials)) for name, check in entry.checks]
+    return [(name, *check(entry, circuit, n)) for name, check in entry.checks]

@@ -667,22 +667,6 @@ def input_width(circuit: Circuit) -> int:
     return n_in
 
 
-def live_width(circuit: Circuit) -> int:
-    """Most qubits live at once, the width the dense engine runs the circuit at.
-
-    Raises SimulationError where running it on that engine would: past
-    ``MAX_LIVE_QUBITS`` inputs (:func:`input_width`), then past
-    ``MAX_LIVE_QUBITS`` live qubits.  Allocates nothing.
-    """
-    live = peak = input_width(circuit)
-    for instr in circuit.instructions:
-        live += instr.op.lifetime
-        peak = max(peak, live)
-    if peak > MAX_LIVE_QUBITS:
-        raise SimulationError(f"more than {MAX_LIVE_QUBITS} live qubits")
-    return peak
-
-
 def _basis_key(state: str | int, n_in: int) -> int:
     """A basis index, or a bit string (qubit j is character j), checked against n_in qubits."""
     if isinstance(state, str):
@@ -977,14 +961,27 @@ def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex
     branch's fidelity to sum_i phase_i |want(i)>|i>_ref / sqrt(N) is
     |sum conj(phase) a / sqrt(N)|^2 over one term per ref, the largest whose
     output index (through ``read`` where given) is want's.  ``branch_count``
-    counts the (input, branch) pairs.
+    counts the (input, branch) pairs.  Where 2^inputs, or 2^(inputs +
+    measurements), the most pairs there can be, passes ``MAX_TERMS``, it
+    raises :class:`SimulationError` before walking.
     """
     n_in = len(circuit.input_qubits())
     if 1 << n_in > MAX_TERMS:
         raise SimulationError(f"{n_in} input qubits need more than {MAX_TERMS} sparse terms")
     program = _compile(circuit, SparseState)
     _check_bound(program)
+    if (1 << n_in) << program.measurements > MAX_TERMS:
+        raise SimulationError(f"2^{n_in} inputs and 2^{program.measurements} branches "
+                              f"allow more than {MAX_TERMS} (input, branch) pairs")
     _check_live(program.final, program.outputs)
+    ideal = [want(i) for i in range(1 << n_in)]  # want's term per input, a phase conjugated
+    for i, index in enumerate(ideal):
+        if type(index) is tuple:
+            index, phase = index
+            # A longer phase could pass a wrong branch; `not <=` refuses NaN too.
+            if not abs(abs(phase) - 1) <= _ZERO_TOL:
+                raise ValueError(f"phase {phase!r} for input {i} is not of unit modulus")
+            ideal[i] = index, phase.conjugate()
     runs = _gather([program.final[q] for q in program.outputs])
     shift, scale = circuit.n_qubits, (1 << n_in) ** -0.5
     fidelities, pairs = [], 0
@@ -994,13 +991,10 @@ def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex
             ref, out = key >> shift, 0
             for src, mask, dst in runs:
                 out |= ((key >> src) & mask) << dst
-            index = want(ref)
+            index = ideal[ref]
             if type(index) is tuple:
-                index, phase = index
-                # A longer phase could pass a wrong branch; `not <=` refuses NaN too.
-                if not abs(abs(phase) - 1) <= _ZERO_TOL:
-                    raise ValueError(f"phase {phase!r} for input {ref} is not of unit modulus")
-                a *= phase.conjugate()
+                index, conj = index
+                a *= conj
             hit = a if (read(out) if read else out) == index else 0
             if abs(hit) >= abs(picked.get(ref, 0)):
                 picked[ref] = hit

@@ -179,6 +179,32 @@ def test_too_many_starting_terms_is_refused_before_allocating():
         basis_equiv(circuit, lambda k: k)
 
 
+def test_too_many_input_branch_pairs_is_refused_before_walking(monkeypatch):
+    # The AND round trip's 4 inputs and one measurement allow 8 pairs: at the cap, then past it.
+    circuit = and_gadget_circuit("roundtrip")
+    monkeypatch.setattr(sim, "MAX_TERMS", 8)
+    assert basis_equiv(circuit, lambda k: k).branch_count == 8
+    monkeypatch.setattr(sim, "MAX_TERMS", 7)
+    monkeypatch.setattr(sim, "_walk", lambda *args: pytest.fail("the walk started"))
+    with pytest.raises(SimulationError,
+                       match=r"^2\^2 inputs and 2\^1 branches allow more than 7 \(input, branch\) pairs$"):
+        basis_equiv(circuit, lambda k: k)
+
+
+@pytest.mark.parametrize("phased", [False, True])
+def test_want_is_called_once_per_input(phased):
+    # gidney-adder n=3 walks 2^6 inputs over 4 branches.
+    entry = CONSTRUCTIONS["gidney-adder"]
+    ideal, calls = entry.ideal(3), []
+
+    def want(k):
+        calls.append(k)
+        return (ideal(k), 1j) if phased else ideal(k)
+
+    assert basis_equiv(entry.build(3), want)
+    assert sorted(calls) == list(range(64))
+
+
 # -- phased ideals -------------------------------------------------------------------
 
 

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
+from tclean import sim
 from tclean.cli import main
 from tclean.constructions import CONSTRUCTIONS
 from tclean.goldens import default_corpus_dir
 from tclean.ir import MAX_INDEX, Op
 from tclean.oracle import MAX_DEPTH
 from tclean.resources import count
-from tclean.sim import MAX_LIVE_QUBITS
+from tclean.sim import MAX_TERMS
 from tclean.textfmt import from_text
 
 
@@ -67,7 +68,7 @@ def test_crossover_idle_factor():
 
 
 def test_verify_is_byte_deterministic():
-    args = ["verify", "--kind", "gidney-adder", "--n", "3", "--seed", "7"]
+    args = ["verify", "--kind", "gidney-adder", "--n", "3"]
     first = run_cli(args)
     second = run_cli(args)
     assert first == second
@@ -75,36 +76,37 @@ def test_verify_is_byte_deterministic():
     assert "PASS" in first[1]
 
 
-#: ``verify --seed 7 --trials 3`` stdout per (kind, n): check names, order,
-#: fidelities and branch counts.
+#: ``verify`` stdout per (kind, n): check names, order, fidelities and branch
+#: counts.  A ``*channel`` line walks every (input, branch) pair, as
+#: ``popcount`` and ``kickback-phases`` do.
 VERIFY_SNAPSHOT = {
     ("gidney-adder", 3): (
         "counts PASS worst_fidelity=1.000000000000 branches=0\n"
-        "channel PASS worst_fidelity=1.000000000000 branches=12\n"
+        "channel PASS worst_fidelity=1.000000000000 branches=256\n"
     ),
     ("cuccaro-adder", 3): (
         "counts PASS worst_fidelity=1.000000000000 branches=0\n"
-        "channel PASS worst_fidelity=1.000000000000 branches=3\n"
+        "channel PASS worst_fidelity=1.000000000000 branches=64\n"
         "replace-pairs-t PASS worst_fidelity=1.000000000000 branches=0\n"
     ),
     ("controlled-adder", 2): (
         "counts PASS worst_fidelity=1.000000000000 branches=0\n"
-        "channel PASS worst_fidelity=1.000000000000 branches=24\n"
+        "channel PASS worst_fidelity=1.000000000000 branches=256\n"
     ),
     ("out-of-place-adder", 2): (
         "counts PASS worst_fidelity=1.000000000000 branches=0\n"
-        "channel PASS worst_fidelity=1.000000000000 branches=3\n"
+        "channel PASS worst_fidelity=1.000000000000 branches=16\n"
         "inverse-t-free PASS worst_fidelity=1.000000000000 branches=0\n"
     ),
     ("and", 2): (
         "compute-counts PASS worst_fidelity=1.000000000000 branches=0\n"
-        "compute-channel PASS worst_fidelity=1.000000000000 branches=3\n"
+        "compute-channel PASS worst_fidelity=1.000000000000 branches=4\n"
         "roundtrip-counts PASS worst_fidelity=1.000000000000 branches=0\n"
-        "roundtrip-channel PASS worst_fidelity=1.000000000000 branches=6\n"
+        "roundtrip-channel PASS worst_fidelity=1.000000000000 branches=8\n"
     ),
     ("mcx", 3): (
         "counts PASS worst_fidelity=1.000000000000 branches=0\n"
-        "channel PASS worst_fidelity=1.000000000000 branches=12\n"
+        "channel PASS worst_fidelity=1.000000000000 branches=64\n"
     ),
     ("hamming", 3): (
         "t-bound PASS worst_fidelity=1.000000000000 branches=0\n"
@@ -119,7 +121,7 @@ VERIFY_SNAPSHOT = {
 
 @pytest.mark.parametrize("kind,n", VERIFY_SNAPSHOT)
 def test_verify_stdout_snapshot(kind, n):
-    code, out, err = run_cli(["verify", "--kind", kind, "--n", str(n), "--seed", "7", "--trials", "3"])
+    code, out, err = run_cli(["verify", "--kind", kind, "--n", str(n)])
     assert (code, out, err) == (0, VERIFY_SNAPSHOT[kind, n], "")
 
 
@@ -133,17 +135,28 @@ def test_snapshot_covers_every_table_entry():
 
 @pytest.mark.parametrize("kind,n", [(kind, SMALL_N[kind]) for kind in CONSTRUCTIONS])
 def test_verify_all_kinds_pass(kind, n):
-    code, out, _ = run_cli(["verify", "--kind", kind, "--n", str(n), "--trials", "3"])
+    code, out, _ = run_cli(["verify", "--kind", kind, "--n", str(n)])
     assert code == 0, out
     assert "FAIL" not in out
 
 
+def test_verify_reads_no_dense_state(monkeypatch):
+    reads = []
+    input_vector = sim._input_vector
+    monkeypatch.setattr(sim, "_input_vector", lambda *args: reads.append(args) or input_vector(*args))
+    for kind, n in SMALL_N.items():
+        assert run_cli(["verify", "--kind", kind, "--n", str(n)])[0] == 0, kind
+    assert reads == []
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_verify_rejects_vacuous_trials(trials):
-    code, out, err = run_cli(["verify", "--kind", "gidney-adder", "--n", "3", "--trials", trials])
-    assert code == 2
-    assert out == ""
-    assert "--trials" in err
+    # Every line is exact, so there is nothing to seed or to sample: any
+    # count of trials, and any seed, is a usage error.
+    for flag in (["--trials", trials], ["--trials", "3"], ["--seed", "7"]):
+        code, out, err = run_cli(["verify", "--kind", "gidney-adder", "--n", "3", *flag])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 @pytest.mark.parametrize("kind", ["hamming", "gidney-adder"])
@@ -155,10 +168,17 @@ def test_verify_too_wide_for_simulator_fails_cleanly(kind):
     assert "Traceback" not in err
 
 
-def test_verify_refuses_more_live_qubits_than_the_simulator_holds():
-    # 16 inputs fit, but with its carries the popcount ends on 31 live qubits.
-    code, out, err = run_cli(["verify", "--kind", "hamming", "--n", "16"])
-    assert (code, out, err) == (1, "", f"tclean: more than {MAX_LIVE_QUBITS} live qubits\n")
+def test_verify_refuses_past_the_walks_limits_before_walking(monkeypatch):
+    monkeypatch.setattr(sim, "_walk", lambda *args: pytest.fail("the walk started"))
+    limits = {  # 2^inputs, then 2^(inputs + measurements), past MAX_TERMS
+        ("hamming", 24): f"tclean: 24 input qubits need more than {MAX_TERMS} sparse terms\n",
+        ("mcx", 17): f"tclean: 2^18 inputs and 2^16 branches allow more than {MAX_TERMS} "
+                     "(input, branch) pairs\n",
+        ("gidney-adder", 9): f"tclean: 2^18 inputs and 2^8 branches allow more than {MAX_TERMS} "
+                             "(input, branch) pairs\n",
+    }
+    for (kind, n), err in limits.items():
+        assert run_cli(["verify", "--kind", kind, "--n", str(n)]) == (1, "", err)
 
 
 @pytest.mark.parametrize("command", ["build", "verify"])
@@ -173,6 +193,14 @@ def test_width_past_the_id_limit_is_a_usage_error_inside_one_gib(command):
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("usage: tclean ") and proc.stderr.count("error:") == 1
         assert proc.stderr.endswith(f"error: argument --n: must be at most {MAX_INDEX}, got {n}\n")
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_non_integer_width_is_a_plain_usage_error(command):
+    code, out, err = run_cli([command, "--kind", "gidney-adder", "--n", "x"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --n: must be an integer, got 'x'\n")
+    assert "_width" not in err
 
 
 def test_width_at_the_id_limit_is_accepted_by_the_parser():
