@@ -27,7 +27,7 @@ from tclean.gadgets import AdderSpec, cuccaro_adder, gidney_adder
 from tclean.ir import validate
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
-from tclean.sim import enumerate_branches, random_state, run
+from tclean.sim import enumerate_branches, run
 from tclean.textfmt import from_text, to_text
 
 SIZES = (64, 256, 1024)
@@ -74,7 +74,9 @@ def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES,
         rates["run"][n] = round(len(adder) / best_time(lambda: run(adder, basis, seed=1), repeat))
     for n in branch_sizes:
         adder = gidney_adder(AdderSpec(n))
-        state = random_state(len(adder.input_qubits()), np.random.default_rng(n))  # dense engine
+        rng, dim = np.random.default_rng(n), 1 << len(adder.input_qubits())
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state /= np.linalg.norm(state)  # a random dense state: the dense engine
         rates["enumerate_branches"][n] = round(
             len(adder) / best_time(lambda: enumerate_branches(adder, state), repeat))
     return rates

@@ -34,12 +34,9 @@ from .sim import (
     TooManyBranchesError,
     channel_equiv,
     decode_register,
-    diagonal_map,
     enumerate_branches,
     fidelity,
     gradient_state,
-    permutation_map,
-    random_state,
     register_basis,
     run,
 )
@@ -49,7 +46,6 @@ from .gadgets import (
     AND_T_COUNT,
     AND_UNCOMPUTE,
     AdderSpec,
-    GradientNotPreparedError,
     HammingConstruction,
     and_gadget_circuit,
     apply_rz_via_hamming,

@@ -29,6 +29,8 @@ def _width(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     if value > MAX_INDEX:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_INDEX}, got {value}")
     return value

@@ -26,10 +26,6 @@ from .ir import (
 AND_REVERSE_NET_T = 2
 
 
-class GradientNotPreparedError(Exception):
-    """GRADIENT_NOT_PREPARED: caller did not mark the gradient register prepared."""
-
-
 @dataclass(frozen=True)
 class AdderSpec:
     """Width and boundary flags for the in-place adders."""
@@ -418,14 +414,13 @@ class HammingConstruction:
     """A Hamming-weight circuit plus bookkeeping for tests and callers.
 
     ``register`` lists the qubits holding the popcount, least significant
-    first; entries may be input wires or carry ancillae.  ``compute_end`` and
-    ``phase_end`` are instruction boundaries: [0, compute_end) computes the
-    register, [compute_end, phase_end) applies rotations, the rest uncomputes.
+    first; entries may be input wires or carry ancillae.  ``phase_end`` is an
+    instruction boundary: [0, phase_end) computes the register and applies
+    rotations, the rest uncomputes.
     """
 
     circuit: Circuit
     register: tuple[int, ...]
-    compute_end: int
     phase_end: int
 
 
@@ -492,7 +487,7 @@ def hamming_weight(n: int) -> HammingConstruction:
     if carries:
         b.output("anc", tuple(carries))
     circuit = b.build()
-    return HammingConstruction(circuit, register, end, end)
+    return HammingConstruction(circuit, register, end)
 
 
 def hamming_roundtrip(n: int, theta: float | None = None) -> HammingConstruction:
@@ -508,14 +503,13 @@ def hamming_roundtrip(n: int, theta: float | None = None) -> HammingConstruction
     mark = b.mark()
     register, _ = _emit_hamming(b, targets)
     fragment = b.fragment_since(mark)
-    compute_end = b.next_index
     if theta is not None:
         for p, q in enumerate(register):
             b.rz(theta * (1 << p), q)
     phase_end = b.next_index
     emit_inverse(b, *fragment)
     circuit = b.build()
-    return HammingConstruction(circuit, register, compute_end, phase_end)
+    return HammingConstruction(circuit, register, phase_end)
 
 
 def apply_rz_via_hamming(theta: float, n: int) -> Circuit:
@@ -526,15 +520,12 @@ def apply_rz_via_hamming(theta: float, n: int) -> Circuit:
 # -- phase gradient via addition -----------------------------------------------------
 
 
-def phase_gradient_add(n: int, gradient_prepared: bool = True) -> Circuit:
+def phase_gradient_add(n: int) -> Circuit:
     """Kick back e^(2*pi*i*k/2^n) onto target |k> by adding it into a gradient register.
 
     The caller must prepare the gradient register in the kickback eigenstate
     (see :func:`tclean.sim.gradient_state`); the register comes back unchanged.
     T-count equals one in-place adder.
     """
-    if not gradient_prepared:
-        raise GradientNotPreparedError(
-            "phase-gradient addition requires the prepared gradient register")
     return _ripple_adder(AdderSpec(n), impl="and", controlled=False,
                          names=("target", "gradient"))

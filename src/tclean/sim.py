@@ -40,9 +40,11 @@ just-measured qubits, which only the walk writes; the kernels move amplitudes.
 A result's ``final_state`` is a dense vector over the output qubits while
 they number at most ``MAX_LIVE_QUBITS``; a wider sparse result is a dict
 ``{output basis index: amplitude}``.  :func:`channel_equiv` always runs
-dense, because its ideal maps are dense, and :func:`basis_equiv` sparse: its
-ideal sends each basis input to one output index, times a phase where given,
-which covers permutations, readouts and diagonal (oracle) maps.
+dense: it checks the input states it is given against an ideal map on dense
+vectors, on every branch, for ideals that are not basis maps.
+:func:`basis_equiv` runs sparse: its ideal sends each basis input to one
+output index, times a phase where given, which covers permutations, readouts
+and diagonal (oracle) maps.
 
 Conventions: basis index bit ``j`` is the value of the ``j``-th qubit in the
 declared register order (little-endian), and the T-resource state is
@@ -76,6 +78,8 @@ _BRANCH_EPS = 1e-12
 #: Sparse amplitudes at or below this after a cancelling kernel are rounding
 #: residue where the exact value is zero, and are dropped.
 _PRUNE_TOL = 1e-13
+#: An equivalence check passes a branch whose fidelity is at least 1 minus this.
+_FIDELITY_TOL = 1e-10
 
 T_STATE = np.array([1.0, cmath.exp(1j * math.pi / 4)], dtype=complex) / math.sqrt(2)
 ZERO_STATE = np.array([1.0, 0.0], dtype=complex)
@@ -868,36 +872,6 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(np.vdot(u, v)) ** 2 / (nu * nv) ** 2)
 
 
-def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    vec = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-    return vec / np.linalg.norm(vec)
-
-
-def as_ideal_map(ideal: IdealMap | np.ndarray) -> IdealMap:
-    if callable(ideal):
-        return ideal
-    matrix = np.asarray(ideal, dtype=complex)
-    return lambda vec: matrix @ vec
-
-
-def permutation_map(fn: Callable[[int], int], n_in: int, n_out: int | None = None) -> IdealMap:
-    """Ideal unitary/isometry given as a basis-index permutation/injection."""
-    n_out = n_in if n_out is None else n_out
-    table = np.array([fn(k) for k in range(1 << n_in)], dtype=np.int64)
-
-    def apply(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(1 << n_out, dtype=complex)
-        np.add.at(out, table, vec)
-        return out
-
-    return apply
-
-
-def diagonal_map(phase_fn: Callable[[int], complex], n: int) -> IdealMap:
-    phases = np.array([phase_fn(k) for k in range(1 << n)], dtype=complex)
-    return lambda vec: phases * vec
-
-
 @dataclass(frozen=True)
 class EquivalenceResult:
     equivalent: bool
@@ -908,46 +882,33 @@ class EquivalenceResult:
         return self.equivalent
 
 
-def channel_equiv(circuit: Circuit, ideal: IdealMap | np.ndarray, *, trials: int = 20,
-                  tol: float = 1e-10, seed: int = 0,
-                  input_states: Iterable[np.ndarray | str | int] | None = None,
-                  branches: str | int = "all") -> EquivalenceResult:
-    """Check the circuit acts as `ideal` on random (or given) input states.
+def channel_equiv(circuit: Circuit, ideal: IdealMap, *,
+                  input_states: Iterable[np.ndarray | str | int],
+                  branches: str = "all") -> EquivalenceResult:
+    """Check the circuit acts as `ideal` on each of `input_states`, on every measurement branch.
 
-    With ``branches="all"`` every measurement branch must match; with an
-    integer, that many seeded sample runs are checked instead (for circuits
-    whose outcome-independence has been certified at smaller sizes).  A check
-    of no branch proves nothing, so ``trials < 1``, an empty `input_states`
-    and an integer ``branches < 1`` raise ValueError.
+    ``ideal`` maps a dense input vector to the wanted output vector.  A branch
+    passes at fidelity at least 1 - 1e-10 to it, as in :func:`basis_equiv`.
+    ``branches`` takes only ``"all"``.  A check of no branch proves nothing,
+    so an empty `input_states` raises ValueError, as does any other
+    ``branches``, both before compiling.
     """
-    if branches != "all" and int(branches) < 1:
-        raise ValueError(f"branches must be 'all' or at least 1, got {branches!r}")
-    ideal_map = as_ideal_map(ideal)
-    rng = np.random.default_rng(seed)
-    n_in = input_width(circuit)
-    if input_states is None:
-        input_states = [random_state(n_in, rng) for _ in range(trials)]
+    if branches != "all":
+        raise ValueError(f"branches must be 'all', got {branches!r}")
     input_states = list(input_states)
     if not input_states:
-        raise ValueError("no input state to check: trials < 1 or empty input_states")
-
+        raise ValueError("no input state to check: empty input_states")
     program = _compile(circuit, SimState)
+    _check_bound(program)
     fidelities: list[float] = []
     for state in input_states:
         vec = _input_vector(circuit, state)
-        expected = ideal_map(vec)
-        if branches == "all":
-            _check_bound(program)
-            walks = [_every]
-        else:
-            walks = [_sampled(np.random.default_rng(int(rng.integers(1 << 63)) if k else 0), None)
-                     for k in range(int(branches))]
-        for choose in walks:
-            fidelities += [fidelity(expected, leaf.extract(program.final, program.outputs))
-                           for leaf in _walk(program, vec, choose)]
+        expected = ideal(vec)
+        fidelities += [fidelity(expected, leaf.extract(program.final, program.outputs))
+                       for leaf in _walk(program, vec, _every)]
     # np.min propagates a NaN fidelity, and NaN >= 1 - tol is False: NaN never passes.
     worst = float(np.min(fidelities, initial=1.0))
-    return EquivalenceResult(worst >= 1.0 - tol, worst, len(fidelities))
+    return EquivalenceResult(worst >= 1.0 - _FIDELITY_TOL, worst, len(fidelities))
 
 
 def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex]],
@@ -1001,7 +962,7 @@ def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex
         fidelities.append(abs(sum(picked.values()) * scale) ** 2)
         pairs += len(picked)
     worst = float(np.min(fidelities, initial=1.0))  # a NaN propagates and fails
-    return EquivalenceResult(worst >= 1.0 - 1e-10, worst, pairs)
+    return EquivalenceResult(worst >= 1.0 - _FIDELITY_TOL, worst, pairs)
 
 
 def gradient_state(n: int) -> np.ndarray:
@@ -1011,7 +972,13 @@ def gradient_state(n: int) -> np.ndarray:
 
 
 def register_basis(circuit: Circuit, values: dict[str, int]) -> int:
-    """Basis index over the declared inputs with each named register set to a value."""
+    """Basis index over the declared inputs with each named register set to a value.
+
+    A name that is no declared input register raises ValueError.
+    """
+    unknown = set(values).difference(reg.name for reg in circuit.inputs)
+    if unknown:
+        raise ValueError(f"no input register named {sorted(unknown)[0]!r}")
     index = 0
     position = 0
     for reg in circuit.inputs:

@@ -17,15 +17,16 @@ one-walk check to fail every circuit these fail.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from tclean.constructions import Construction
 from tclean.ir import Circuit
 from tclean.oracle import evaluate, parse_expression
-from tclean.sim import (IdealMap, channel_equiv, diagonal_map, enumerate_branches, gradient_state,
-                        input_width, permutation_map)
+from tclean.sim import IdealMap, channel_equiv, enumerate_branches, gradient_state, input_width
+
+from strategies import seeded_states
 
 #: Random states each basis-checked construction entry also ran on.
 PHASE_TRIALS = 4
@@ -43,6 +44,19 @@ SAMPLED = (
 )
 
 
+def permutation_map(fn: Callable[[int], int], n_in: int, n_out: int | None = None) -> IdealMap:
+    """Ideal unitary/isometry given as a basis-index permutation/injection."""
+    n_out = n_in if n_out is None else n_out
+    table = np.array([fn(k) for k in range(1 << n_in)], dtype=np.int64)
+
+    def apply(vec: np.ndarray) -> np.ndarray:
+        out = np.zeros(1 << n_out, dtype=complex)
+        np.add.at(out, table, vec)
+        return out
+
+    return apply
+
+
 def ideal_map(entry: Construction, circuit: Circuit, n: int, carry_out: bool = False) -> IdealMap:
     """The entry's ideal as a map on states over the circuit's inputs and outputs."""
     return permutation_map(entry.ideal(n, carry_out), input_width(circuit),
@@ -52,8 +66,8 @@ def ideal_map(entry: Construction, circuit: Circuit, n: int, carry_out: bool = F
 def channel(entry: Construction, circuit: Circuit, n: int, rng: np.random.Generator,
             trials: int, carry_out: bool = False) -> tuple[bool, float, int]:
     """``trials`` random input states, every measurement branch, against the ideal."""
-    res = channel_equiv(circuit, ideal_map(entry, circuit, n, carry_out), trials=trials,
-                        seed=int(rng.integers(1 << 32)))
+    states = seeded_states(circuit, trials, int(rng.integers(1 << 32)))
+    res = channel_equiv(circuit, ideal_map(entry, circuit, n, carry_out), input_states=states)
     return res.equivalent, res.worst_fidelity, res.branch_count
 
 
@@ -116,6 +130,6 @@ def reference_phase_oracle_check(circuit: Circuit, expr: str) -> None:
     ast = parse_expression(expr)
     n = len(circuit.input_qubits())
     uniform = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
-    ideal = diagonal_map(lambda k: -1.0 if evaluate(ast, k) else 1.0, n)
-    if not channel_equiv(circuit, ideal, input_states=[uniform], tol=1e-10):
+    signs = np.array([-1.0 if evaluate(ast, k) else 1.0 for k in range(1 << n)])
+    if not channel_equiv(circuit, lambda vec: signs * vec, input_states=[uniform]):
         raise AssertionError(f"oracle phases wrong for {expr!r}")

@@ -1,4 +1,4 @@
-"""Random circuit generation shared by the property tests."""
+"""Random circuits and states shared by the property tests."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,6 +8,17 @@ from tclean.gadgets import and_compute, and_uncompute
 
 ONE_QUBIT_GATES = (Op.X, Op.Y, Op.Z, Op.H, Op.S, Op.SDG, Op.T, Op.TDG)
 CONDITIONABLE_1Q = (Op.X, Op.Y, Op.Z, Op.H, Op.S, Op.SDG)
+
+
+def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    vec = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return vec / np.linalg.norm(vec)
+
+
+def seeded_states(circuit: Circuit, count: int, seed: int) -> list[np.ndarray]:
+    """``count`` random states over the circuit's inputs, drawn in turn from one ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return [random_state(len(circuit.input_qubits()), rng) for _ in range(count)]
 
 
 def random_circuit(rng: np.random.Generator, *, max_steps: int = 25,

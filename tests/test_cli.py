@@ -203,6 +203,17 @@ def test_non_integer_width_is_a_plain_usage_error(command):
     assert "_width" not in err
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_width_below_one_is_a_usage_error(command, n):
+    # A usage error (exit 2), not a check failure (exit 1), for every kind.
+    for kind in CONSTRUCTIONS:
+        code, out, err = run_cli([command, "--kind", kind, "--n", n])
+        assert (code, out) == (2, ""), kind
+        assert err.startswith("usage: tclean ") and err.count("error:") == 1
+        assert err.endswith(f"error: argument --n: must be at least 1, got {n}\n")
+
+
 def test_width_at_the_id_limit_is_accepted_by_the_parser():
     code, out, _ = run_cli(["build", "--kind", "and", "--n", str(MAX_INDEX)])  # and ignores --n
     assert code == 0 and out.startswith("#input")

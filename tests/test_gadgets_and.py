@@ -17,24 +17,22 @@ from tclean.ir import CircuitBuilder, GadgetSpan, GadgetTag, Op, validate
 from tclean.resources import count
 from tclean.sim import (
     T_STATE,
+    basis_equiv,
     channel_equiv,
     enumerate_branches,
     fidelity,
-    permutation_map,
-    random_state,
     run,
 )
 from tclean.textfmt import from_text
+
+from strategies import random_state, seeded_states
 
 #: T-count contributors: T, T-dagger and the injected |T> state.
 T_FAMILY = frozenset({Op.T, Op.TDG, Op.ALLOCT})
 
 
-def and_isometry(vec):
-    out = np.zeros(8, dtype=complex)
-    for k in range(4):
-        out[k | (((k & 1) & (k >> 1)) << 2)] = vec[k]
-    return out
+def and_isometry(k):
+    return k | (k & 1 & k >> 1) << 2
 
 
 def test_truth_table():
@@ -54,11 +52,9 @@ def test_compute_t_count_is_four():
 
 
 def test_compute_matches_ideal_isometry_on_superpositions():
+    # One walk from a superposition of every basis input checks relative phases too.
     c = and_gadget_circuit("compute")
-    uniform = np.full(4, 0.5, dtype=complex)
-    res = channel_equiv(c, and_isometry, trials=20, tol=1e-10, seed=7,
-                        input_states=[uniform] + [random_state(2, np.random.default_rng(7))
-                                                  for _ in range(19)])
+    res = basis_equiv(c, and_isometry)
     assert res.equivalent
     assert res.worst_fidelity >= 1 - 1e-10
 
@@ -91,7 +87,7 @@ def test_forced_fixup_outcomes_agree():
 
 def test_roundtrip_is_identity_channel():
     c = and_gadget_circuit("roundtrip")
-    res = channel_equiv(c, lambda v: v, trials=25, tol=1e-10, seed=5)
+    res = basis_equiv(c, lambda k: k)
     assert res.equivalent
 
 
@@ -110,7 +106,7 @@ def test_reverse_variant_restores_state_and_recovers_t():
     def ideal(vec):
         return np.kron(T_STATE, vec)  # ancilla (high bit) ends in |T>
 
-    res = channel_equiv(c, ideal, trials=15, tol=1e-10, seed=9)
+    res = channel_equiv(c, ideal, input_states=seeded_states(c, 15, seed=9))
     assert res.equivalent
 
 

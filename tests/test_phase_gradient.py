@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tclean.gadgets import AdderSpec, GradientNotPreparedError, gidney_adder, phase_gradient_add
+from tclean.gadgets import AdderSpec, gidney_adder, phase_gradient_add
 from tclean.resources import count
 from tclean.sim import enumerate_branches, gradient_state
 from tclean.ir import validate
@@ -37,11 +37,6 @@ def test_k_zero_has_unit_phase():
 @pytest.mark.parametrize("n", (1, 2, 3, 6, 12))
 def test_t_count_equals_one_adder(n):
     assert count(phase_gradient_add(n)).t_count == count(gidney_adder(AdderSpec(n))).t_count
-
-
-def test_unprepared_gradient_is_an_error():
-    with pytest.raises(GradientNotPreparedError):
-        phase_gradient_add(3, gradient_prepared=False)
 
 
 def test_gradient_state_is_normalized_eigenvector():

@@ -12,12 +12,12 @@ from tclean.ir import Circuit, CircuitBuilder, CircuitError, GadgetSpan, GadgetT
 from tclean.oracle import compile_oracle
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
-from tclean.sim import channel_equiv, enumerate_branches, run
+from tclean.sim import basis_equiv, channel_equiv, enumerate_branches, run
 from tclean.textfmt import from_text
 
 from pairs_reference import reference_find_pairs
 from rewrite_reference import reference_lower_ccx, reference_replace_pairs
-from strategies import near_miss_circuit, random_circuit, random_paired_circuit
+from strategies import near_miss_circuit, random_circuit, random_paired_circuit, seeded_states
 
 
 def canonical_pair(between=None):
@@ -109,7 +109,7 @@ def test_nested_ladder_matches_both_pairs():
     replaced = replace_pairs(c)
     assert count(replaced).t_count == 8
     res = channel_equiv(replaced, lambda v: run(c, v, seed=0).final_state,
-                        trials=8, tol=1e-10, seed=1)
+                        input_states=seeded_states(replaced, 8, seed=1))
     assert res.equivalent
 
 
@@ -141,7 +141,7 @@ def test_replaced_circuit_is_channel_equivalent():
     replaced = replace_pairs(c)
     assert validate(replaced) is None
     res = channel_equiv(replaced, lambda v: run(c, v, seed=0).final_state,
-                        trials=12, tol=1e-10, seed=2)
+                        input_states=seeded_states(replaced, 12, seed=2))
     assert res.equivalent
 
 
@@ -154,8 +154,8 @@ def test_textbook7_is_exact_toffoli():
     assert count(lowered).t_count == 7
     assert count(lowered).ccx_count == 0
     res = channel_equiv(lowered, lambda v: run(macro, v, seed=0).final_state,
-                        trials=12, tol=1e-12, seed=3)
-    assert res.equivalent
+                        input_states=seeded_states(lowered, 12, seed=3))
+    assert res.equivalent and res.worst_fidelity >= 1 - 1e-12
 
 
 def test_paired4_costs_eight_per_pair():
@@ -174,7 +174,7 @@ def test_paired4_pair_is_channel_exact():
     c = canonical_pair()
     lowered = lower_ccx(c, "paired4")
     res = channel_equiv(lowered, lambda v: run(c, v, seed=0).final_state,
-                        trials=12, tol=1e-10, seed=4)
+                        input_states=seeded_states(lowered, 12, seed=4))
     assert res.equivalent
 
 
@@ -192,7 +192,7 @@ def test_cuccaro_pass_channel_equivalent_all_branches(n):
     c = cuccaro_adder(AdderSpec(n))
     replaced = replace_pairs(c)
     res = channel_equiv(replaced, lambda v: run(c, v, seed=0).final_state,
-                        trials=8, tol=1e-10, seed=5)
+                        input_states=seeded_states(replaced, 8, seed=5))
     assert res.equivalent
 
 
@@ -215,7 +215,7 @@ def test_random_paired_circuits_replace_equivalently(seed):
     assert validate(replaced) is None
     assert replace_pairs(replaced) == replaced
     res = channel_equiv(replaced, lambda v: run(c, v, seed=0).final_state,
-                        trials=3, tol=1e-10, seed=seed % 1000)
+                        input_states=seeded_states(replaced, 3, seed=seed % 1000))
     assert res.equivalent
 
 
@@ -245,7 +245,8 @@ def test_passes_validate_input_once(monkeypatch):
     count(c)
     run(c, 0)
     enumerate_branches(pair, 0)
-    channel_equiv(pair, lambda v: v, trials=2)
+    channel_equiv(pair, lambda v: run(pair, v).final_state, input_states=[0])
+    basis_equiv(pair, lambda k: k)
     assert calls == []
 
 

@@ -16,6 +16,7 @@ from tclean.sim import (
     MAX_LIVE_QUBITS,
     MAX_MEASUREMENTS,
     DimensionMismatchError,
+    EquivalenceResult,
     ReleaseEntangledError,
     SimulationError,
     T_STATE,
@@ -23,7 +24,6 @@ from tclean.sim import (
     channel_equiv,
     enumerate_branches,
     fidelity,
-    random_state,
     run,
     rz_matrix,
 )
@@ -31,7 +31,8 @@ from tclean.sim import (
 from tclean.textfmt import from_text
 
 import sim_reference as reference
-from strategies import random_circuit
+from basis_reference import ideal_map
+from strategies import random_circuit, random_state, seeded_states
 
 
 def test_gate_matrix_identities():
@@ -124,7 +125,7 @@ def test_too_many_branches():
     with pytest.raises(TooManyBranchesError, match=message):
         enumerate_branches(c, 0)
     with pytest.raises(TooManyBranchesError, match=message):
-        channel_equiv(c, lambda v: v, trials=1)
+        channel_equiv(c, lambda v: v, input_states=[0])
 
 
 def test_release_entangled_rejected():
@@ -229,7 +230,7 @@ def test_too_many_inputs_rejected_before_allocating():
     with pytest.raises(SimulationError, match="input qubits"):
         run(c, np.ones(1), seed=0)
     with pytest.raises(SimulationError, match="input qubits"):
-        channel_equiv(c, lambda v: v, trials=1)
+        channel_equiv(c, lambda v: v, input_states=[0])
 
 
 def test_basis_input_past_the_dense_limit_runs_sparse():
@@ -240,15 +241,17 @@ def test_x_is_not_z():
     bx = CircuitBuilder()
     (q,) = bx.register("q", 1)
     bx.x(q)
+    c = bx.build()
     z_matrix = np.diag([1.0, -1.0])
-    res = channel_equiv(bx.build(), z_matrix, trials=8, tol=1e-10, seed=0)
+    res = channel_equiv(c, lambda v: z_matrix @ v, input_states=seeded_states(c, 8, seed=0))
     assert not res.equivalent
 
 
 def test_identity_is_identity():
     b = CircuitBuilder()
     b.register("q", 2)
-    res = channel_equiv(b.build(), lambda v: v, trials=5, tol=1e-12, seed=0)
+    c = b.build()
+    res = channel_equiv(c, lambda v: v, input_states=seeded_states(c, 5, seed=0))
     assert res.equivalent
     assert res.worst_fidelity > 1 - 1e-12
 
@@ -289,25 +292,38 @@ def test_degenerate_input_is_rejected(state):
     with pytest.raises(DimensionMismatchError, match="norm"):
         enumerate_branches(c, state)
     with pytest.raises(DimensionMismatchError, match="norm"):
-        channel_equiv(c, np.eye(4), input_states=[state])
+        channel_equiv(c, lambda v: v, input_states=[state])
 
 
 def test_nan_fidelity_is_never_equivalent():
     c = _x_on_first_of_two()
-    res = channel_equiv(c, lambda v: np.full(4, np.nan), trials=2)
+    res = channel_equiv(c, lambda v: np.full(4, np.nan), input_states=seeded_states(c, 2, seed=0))
     assert not res.equivalent
     assert math.isnan(res.worst_fidelity)
     assert res.branch_count == 2
 
 
-@pytest.mark.parametrize("checks_nothing", [{"trials": 0}, {"input_states": []}, {"branches": 0}],
-                         ids=["no-trials", "no-input-states", "no-branches"])
+@pytest.mark.parametrize("checks_nothing", [{"input_states": []},
+                                            {"input_states": [0], "branches": 2},
+                                            {"input_states": [0], "branches": "some"}],
+                         ids=["no-input-states", "int-branches", "other-branches"])
 def test_a_check_of_no_branch_is_refused_before_compiling(checks_nothing, monkeypatch):
-    # Each checks no branch, which would pass a wrong ideal as (True, 1.0, 0).
+    # An empty check would pass a wrong ideal as (True, 1.0, 0); every branch
+    # is followed, so any other ``branches`` is refused too.
     c = gidney_adder(AdderSpec(2))
     monkeypatch.setattr(sim, "_compile", lambda *args: pytest.fail("compiled"))
-    with pytest.raises(ValueError, match="at least 1|no input state"):
+    with pytest.raises(ValueError, match="branches must be 'all'|no input state"):
         channel_equiv(c, lambda v: np.zeros_like(v), **checks_nothing)
+
+
+def test_the_benchmark_call_form_checks_every_branch_of_the_given_states():
+    # channel_equiv(c, ideal, input_states=[...], branches="all"), as the
+    # benchmark calls it: gidney n = 3 makes 2 measurements, so 4 branches per state.
+    entry = CONSTRUCTIONS["gidney-adder"]
+    c = entry.build(3)
+    res = channel_equiv(c, ideal_map(entry, c, 3), input_states=seeded_states(c, 2, seed=0),
+                        branches="all")
+    assert res == EquivalenceResult(True, 1.0, 8)
 
 
 @pytest.mark.parametrize("state", [None, 0, np.int64(0), "", np.array([1.0])],

@@ -34,13 +34,12 @@ from tclean.sim import (
     SimulationError,
     decode_register,
     enumerate_branches,
-    random_state,
     register_basis,
     run,
 )
 
 import sim_reference as reference
-from strategies import random_circuit
+from strategies import random_circuit, random_state
 from test_sim import _declare_live_outputs, _outcome
 
 _SQ = 1 / math.sqrt(2)
