@@ -48,7 +48,6 @@ from .gadgets import (
     AdderSpec,
     HammingConstruction,
     and_gadget_circuit,
-    apply_rz_via_hamming,
     controlled_adder,
     cuccaro_adder,
     and_compute,

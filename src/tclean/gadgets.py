@@ -71,9 +71,9 @@ AND_UNCOMPUTE = Template(GadgetTag.AND_UNCOMPUTE, "x y anc", """
 """)
 
 
-def and_compute(b: CircuitBuilder, x: int, y: int, anc: int | None = None) -> int:
-    """Compute x AND y into `anc` (a fresh ancilla when None) by :data:`AND_COMPUTE`."""
-    anc = b.fresh_qubit(anc)
+def and_compute(b: CircuitBuilder, x: int, y: int) -> int:
+    """Compute x AND y into a fresh ancilla by :data:`AND_COMPUTE`."""
+    anc = b.fresh_qubit()
     b.emit_template(AND_COMPUTE, (x, y, anc))
     return anc
 
@@ -494,7 +494,7 @@ def hamming_roundtrip(n: int, theta: float | None = None) -> HammingConstruction
     """Compute, optionally rotate each register bit by theta*2^p, uncompute.
 
     With theta set, the channel equals rz(theta) applied to every input
-    qubit, at a T-cost of one Hamming-weight computation.
+    qubit, for one Hamming weight's T-cost (about 4n) and ceil(lg(n+1)) rotations.
     """
     if n < 1:
         raise ValueError("need at least one target")
@@ -510,11 +510,6 @@ def hamming_roundtrip(n: int, theta: float | None = None) -> HammingConstruction
     emit_inverse(b, *fragment)
     circuit = b.build()
     return HammingConstruction(circuit, register, phase_end)
-
-
-def apply_rz_via_hamming(theta: float, n: int) -> Circuit:
-    """rz(theta) on each of n qubits for ~4n T plus ceil(lg(n+1)) rotations."""
-    return hamming_roundtrip(n, theta=theta).circuit
 
 
 # -- phase gradient via addition -----------------------------------------------------

@@ -112,11 +112,6 @@ class Instruction(NamedTuple):
     result: int | None = None
     cond: int | None = None
 
-    def writes(self) -> tuple[int, ...]:
-        """Qubits whose computational-basis value this instruction may change."""
-        op = self.op
-        return () if op.diagonal else self.qubits[op.controls:]
-
 
 #: ``_new_record(Instruction, fields)`` makes an instruction from its five
 #: fields without the Python-level ``Instruction.__new__``.
@@ -412,7 +407,8 @@ class CircuitBuilder:
     """Single-owner builder; the built Circuit is immutable and freely shared.
 
     Qubit ids are handed out in declaration/allocation order, so ancilla
-    lifetimes stay first-class for the cost model.
+    lifetimes stay first-class for the cost model.  The id counter moves only
+    where ids are handed out or adopted, never at a gate: the constructor derives widths.
     """
 
     def __init__(self) -> None:
@@ -447,9 +443,6 @@ class CircuitBuilder:
 
     def _emit(self, op: Op, qubits: tuple[int, ...], angle: float | None = None,
               result: int | None = None, cond: int | None = None) -> None:
-        top = max(qubits) + 1
-        if top > self._next_qubit:
-            self._next_qubit = top
         self._instructions.append(_new_record(Instruction, (op, qubits, angle, result, cond)))
 
     def fresh_qubit(self, q: int | None = None) -> int:
@@ -544,9 +537,6 @@ class CircuitBuilder:
             if bit is not None:
                 self._next_bit = max(self._next_bit, bit + 1)
         self._instructions.append(instr)
-
-    def reserve_qubits(self, n: int) -> None:
-        self._next_qubit = max(self._next_qubit, n)
 
     def reserve_classbits(self, n: int) -> None:
         self._next_bit = max(self._next_bit, n)

@@ -7,15 +7,15 @@ temporary logical-AND (4 T); XOR and NOT are free.  The uncomputation half of
 the oracle is T-free, so the whole oracle costs half of what the same tree
 costs when each conjunction is a textbook-paired Toffoli pair.
 
-Negations are normalized down to the leaves and realized as CNOT+X copies so
-that, in the macro-Toffoli build, every Toffoli pair still satisfies the
-rewriter's conservative replacement conditions.
+Negations are carried down the tree while compiling (De Morgan swaps AND and
+OR under one) and realized as CNOT+X copies so that, in the macro-Toffoli
+build, every Toffoli pair still meets the rewriter's replacement conditions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import Circuit, CircuitBuilder
+from .ir import MAX_INDEX, Circuit, CircuitBuilder
 from .gadgets import _emit_carry, emit_inverse
 
 MAX_VARIABLES = 12
@@ -148,7 +148,11 @@ class _Parser:
                 self.pos += 1
             if self.pos == start:
                 raise OracleParseError(start + 1, "variable needs an index, like x0")
-            return Var(int(self.text[start:self.pos])), 0
+            digits = self.text[start:self.pos].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_INDEX)):  # names no qubit, and int() stops at 4,300 digits
+                raise TooManyVariablesError(
+                    f"column {start}: a {len(digits)}-digit variable index exceeds the bound {MAX_VARIABLES}")
+            return Var(int(digits)), 0
         raise OracleParseError(self.pos + 1, f"unexpected {ch!r}" if ch else "unexpected end of input")
 
 
@@ -188,29 +192,6 @@ def binary_node_count(node: Node) -> int:
     return 0
 
 
-# -- normalization: push NOT to the leaves ------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Leaf:
-    index: int
-    negated: bool
-
-
-def _normalize(node: Node, flip: bool = False):
-    if isinstance(node, Var):
-        return _Leaf(node.index, flip)
-    if isinstance(node, Not):
-        return _normalize(node.child, not flip)
-    if isinstance(node, Xor):
-        return Xor(_normalize(node.left, flip), _normalize(node.right, False))
-    if isinstance(node, And):
-        kind = Or if flip else And
-        return kind(_normalize(node.left, flip), _normalize(node.right, flip))
-    kind = And if flip else Or
-    return kind(_normalize(node.left, flip), _normalize(node.right, flip))
-
-
 # -- compilation ---------------------------------------------------------------------
 
 
@@ -237,19 +218,22 @@ def _materialize(b: CircuitBuilder, wire: _Wire, want_inverted: bool,
     return c
 
 
-def _emit_node(b: CircuitBuilder, node, x: tuple[int, ...], impl: str) -> _Wire:
-    if isinstance(node, _Leaf):
-        return _Wire(x[node.index], node.negated)
-    if isinstance(node, Xor):
-        wl = _emit_node(b, node.left, x, impl)
+def _emit_node(b: CircuitBuilder, node: Node, x: tuple[int, ...], impl: str, flip: bool = False) -> _Wire:
+    """The wire holding `node`'s value, negated when `flip` is set."""
+    if isinstance(node, Var):
+        return _Wire(x[node.index], flip)
+    if isinstance(node, Not):
+        return _emit_node(b, node.child, x, impl, not flip)
+    if isinstance(node, Xor):  # !(l ^ r) == !l ^ r
+        wl = _emit_node(b, node.left, x, impl, flip)
         wr = _emit_node(b, node.right, x, impl)
         z = b.alloc0()
         b.cx(wl.qubit, z)
         b.cx(wr.qubit, z)
         return _Wire(z, wl.inverted != wr.inverted)
-    want = isinstance(node, Or)  # OR stores NOT(l) AND NOT(r), output inverted
-    wl = _emit_node(b, node.left, x, impl)
-    wr = _emit_node(b, node.right, x, impl)
+    want = isinstance(node, Or) != flip  # OR, or AND under a NOT, stores !l & !r, output inverted
+    wl = _emit_node(b, node.left, x, impl, flip)
+    wr = _emit_node(b, node.right, x, impl, flip)
     q1 = _materialize(b, wl, want, avoid=set())
     q2 = _materialize(b, wr, want, avoid={q1})
     return _Wire(_emit_carry(b, q1, q2, impl), want)
@@ -268,15 +252,17 @@ def compile_oracle(expr: str, impl: str = "and") -> Circuit:
     n_vars = max(variables(ast)) + 1
     if n_vars > MAX_VARIABLES:
         raise TooManyVariablesError(f"{n_vars} variables exceeds the bound {MAX_VARIABLES}")
-    root = _normalize(ast)
+    root, flip = ast, False
+    while isinstance(root, Not):
+        root, flip = root.child, not flip
 
     b = CircuitBuilder()
     x = b.register("x", n_vars)
     mark = b.mark()
-    wire = _emit_node(b, root, x, impl)
+    wire = _emit_node(b, root, x, impl, flip)
     fragment = b.fragment_since(mark)
 
-    if isinstance(root, (_Leaf, Xor)):
+    if isinstance(root, (Var, Xor)):
         # The wire is no Toffoli-pair target: phase it directly.
         if wire.inverted:
             b.x(wire.qubit)

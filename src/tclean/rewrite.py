@@ -69,7 +69,7 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
             if q in uses:
                 uses[q].append(i)
         op = instr.op
-        if not op.diagonal:  # the qubits Instruction.writes names, without the call
+        if not op.diagonal:  # a gate may change every qubit it does not only read
             for q in qubits[op.controls:]:
                 if q in writes:
                     writes[q].append(i)

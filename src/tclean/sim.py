@@ -85,17 +85,6 @@ T_STATE = np.array([1.0, cmath.exp(1j * math.pi / 4)], dtype=complex) / math.sqr
 ZERO_STATE = np.array([1.0, 0.0], dtype=complex)
 
 _SQ = 1 / math.sqrt(2)
-#: The 1-qubit gates as matrices; the kernels below apply them without forming them.
-GATES_1Q: dict[Op, np.ndarray] = {
-    Op.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    Op.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    Op.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    Op.H: np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex),
-    Op.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    Op.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    Op.T: np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
-    Op.TDG: np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex),
-}
 
 #: Gates that multiply the slab where all their qubits are 1 by a phase.
 _PHASES: dict[Op, complex] = {
@@ -109,11 +98,6 @@ _PHASES: dict[Op, complex] = {
 
 #: Gates that flip their last qubit where all the others are 1.
 _FLIPS = (Op.X, Op.CX, Op.CCX)
-
-
-def rz_matrix(theta: float) -> np.ndarray:
-    """Exact-angle phase gate diag(1, exp(i*theta)); T == rz(pi/4)."""
-    return np.array([[1, 0], [0, cmath.exp(1j * theta)]], dtype=complex)
 
 
 class SimulationError(Exception):
@@ -833,7 +817,9 @@ def run(circuit: Circuit, input_state: InputState = None, *,
 
     `force` pins chosen classical bits to fixed outcomes (error if that
     outcome has probability zero).  Same seed, same input: identical result.
-    `check_norm` asserts unit norm after every instruction.
+    `check_norm` asserts unit norm after every instruction.  With at most
+    ``MAX_LIVE_QUBITS`` outputs even a sparse run returns a dense 2^outputs vector,
+    however few terms it holds: 16 MiB for ``gidney_adder`` n = 10, 1 GiB for n = 13.
     """
     engine, read = _engine(input_state)
     initial = read(circuit, input_state)
@@ -848,6 +834,8 @@ def enumerate_branches(circuit: Circuit, input_state: InputState = None) -> list
     Zero-probability branches are omitted; the returned probabilities sum
     to 1.  Results are sorted by outcome assignment.  A circuit with more
     than ``MAX_MEASUREMENTS`` measurements raises :class:`TooManyBranchesError`.
+    Each branch's state is dense over the outputs while they number at most
+    ``MAX_LIVE_QUBITS``, as in :func:`run`, on either engine.
     """
     engine, read = _engine(input_state)
     program = _compile(circuit, engine)

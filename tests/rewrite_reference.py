@@ -25,7 +25,6 @@ def _replay(circuit: Circuit, expand) -> Circuit:
     b = CircuitBuilder()
     for reg in circuit.inputs:
         b.adopt_register(reg.name, reg.qubits)
-    b.reserve_qubits(circuit.n_qubits)
     b.reserve_classbits(circuit.n_classbits)
     bounds = {i for span in circuit.spans for i in (span.start, span.end)}
     newpos: dict[int, int] = {}

@@ -17,7 +17,6 @@ import numpy as np
 
 from tclean.ir import Circuit, Instruction, Op
 from tclean.sim import (
-    GATES_1Q,
     MAX_LIVE_QUBITS,
     T_STATE,
     ZERO_STATE,
@@ -29,6 +28,19 @@ from tclean.sim import (
     TooManyBranchesError,
     input_width,
 )
+
+_SQ = 1 / math.sqrt(2)
+#: The 1-qubit gates as matrices, which this engine applies by ``apply_1q``.
+GATES_1Q: dict[Op, np.ndarray] = {
+    Op.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    Op.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
+    Op.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+    Op.H: np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex),
+    Op.S: np.array([[1, 0], [0, 1j]], dtype=complex),
+    Op.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
+    Op.T: np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
+    Op.TDG: np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex),
+}
 
 _NORM_TOL = 1e-12
 _ZERO_TOL = 1e-9

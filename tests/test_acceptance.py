@@ -15,7 +15,6 @@ import pytest
 from tclean.gadgets import (
     AdderSpec,
     and_gadget_circuit,
-    apply_rz_via_hamming,
     controlled_adder,
     cuccaro_adder,
     gidney_adder,
@@ -273,7 +272,7 @@ def test_criterion_07_hamming_weight():
             assert sum(1 for i in tail if i.op in T_FAMILY) == 0, n
         theta = 1.234
         for n in range(1, 5):
-            c = apply_rz_via_hamming(theta, n)
+            c = hamming_roundtrip(n, theta).circuit
             res = basis_equiv(c, lambda k: (k, cmath.exp(1j * theta * bin(k).count("1"))))
             assert res.equivalent, (n, res.worst_fidelity)
 

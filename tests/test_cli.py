@@ -309,6 +309,18 @@ def test_bad_expression_reports_parse_error():
     assert "column" in err
 
 
+def test_overlong_variable_index_fails_with_one_line():
+    code, out, err = run_cli(["oracle", "--expr", "x" + "1" * 5000])
+    assert (code, out) == (1, "")
+    assert err == "tclean: column 1: a 5000-digit variable index exceeds the bound 12\n"
+
+
+def test_zero_padded_variable_index_compiles_as_its_value():
+    code, out, err = run_cli(["oracle", "--expr", "x" + "0" * 5000 + "1"])
+    assert (code, err) == (0, "")
+    assert out == run_cli(["oracle", "--expr", "x1"])[1]
+
+
 HUGE_ID_FILES = {
     "qubit": "#input a 1000000000000000\nx 1000000000000000\n",
     "classical-bit": "#input a 0\nmz 0 -> c1000000000000000\n",

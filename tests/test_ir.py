@@ -43,6 +43,16 @@ def test_constructor_rejects_invalid_contents():
     assert str(err.value) == "USE_BEFORE_ALLOC at instruction 0: qubit 0 used before allocation"
 
 
+def test_a_gate_on_an_id_nothing_handed_out_fails_at_that_gate():
+    """A gate adopts no id: the next fresh id is unchanged, and building names the gate."""
+    b = CircuitBuilder()
+    b.register("a", 1)
+    b.cx(0, 5)
+    assert b.alloc0() == 1
+    v = build_violation(b)
+    assert (v.code, v.index, v.message) == (ViolationCode.USE_BEFORE_ALLOC, 0, "qubit 5 used before allocation")
+
+
 def test_empty_circuit_is_valid():
     assert validate(CircuitBuilder().build()) is None
 
@@ -476,6 +486,8 @@ def test_op_table_states_every_kind():
                 op.diagonal, op.lifetime) == row, op
         assert Op(op.value) is op
         instr = Instruction(op, tuple(range(5, 5 + op.arity)))
-        assert frozenset(instr.writes()) == reference_writes(instr), op
+        # The write rule find_pairs inlines: every non-control qubit, unless diagonal.
+        writes = () if op.diagonal else instr.qubits[op.controls:]
+        assert frozenset(writes) == reference_writes(instr), op
         for q in instr.qubits + (0,):
             assert (q in instr.qubits[:op.controls]) == reference_reads_as_control(instr, q), (op, q)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tclean.gadgets import (
-    apply_rz_via_hamming,
     hamming_roundtrip,
     hamming_weight,
     multi_controlled_x,
@@ -89,19 +88,19 @@ def test_hamming_uncompute_is_t_free(n):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_rz_via_hamming_matches_direct_rotations(n):
     theta = 0.37
-    c = apply_rz_via_hamming(theta, n)
+    c = hamming_roundtrip(n, theta).circuit
     res = basis_equiv(c, lambda k: (k, cmath.exp(1j * theta * bin(k).count("1"))))
     assert res.equivalent
     assert res.worst_fidelity >= 1 - 1e-10
 
 
 def test_rz_via_hamming_zero_angle_is_identity():
-    c = apply_rz_via_hamming(0.0, 3)
+    c = hamming_roundtrip(3, 0.0).circuit
     res = basis_equiv(c, lambda k: k)
     assert res.equivalent
 
 
 @pytest.mark.parametrize("n", (1, 3, 4, 7, 10))
 def test_rotation_bucket_size(n):
-    c = apply_rz_via_hamming(0.5, n)
+    c = hamming_roundtrip(n, 0.5).circuit
     assert count(c).rotation_bucket == math.ceil(math.log2(n + 1))

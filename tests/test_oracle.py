@@ -1,12 +1,14 @@
 """Boolean expression parsing and phase-oracle compilation."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tclean.ir import Op, validate
+from tclean.ir import MAX_INDEX, Op, validate
 from tclean.oracle import (
     MAX_DEPTH,
     OracleParseError,
     TooManyVariablesError,
+    Var,
     binary_node_count,
     compile_oracle,
     evaluate,
@@ -15,6 +17,9 @@ from tclean.oracle import (
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx
 from tclean.sim import basis_equiv, enumerate_branches
+from tclean.textfmt import to_text
+
+import oracle_reference
 
 
 def phase_check(expr, impl="and"):
@@ -69,6 +74,32 @@ def test_nesting_up_to_the_bound_compiles():
 def test_too_many_variables():
     with pytest.raises(TooManyVariablesError):
         compile_oracle("x0 & x12")  # implies 13 inputs
+
+
+def test_an_overlong_variable_index_is_refused_before_int_reads_it():
+    """``int()`` refuses more than 4,300 digits; the parser refuses a long index first."""
+    for expr, column in (("x" + "1" * 5000, 1), ("x0 & x" + "9" * 4301, 6)):
+        with pytest.raises(TooManyVariablesError) as err:
+            compile_oracle(expr)
+        digits = len(expr) - column
+        assert str(err.value) == f"column {column}: a {digits}-digit variable index exceeds the bound 12"
+
+
+def test_leading_zeros_are_dropped_from_a_variable_index():
+    assert parse_expression("x" + "0" * 5000 + "1") == Var(1)
+    assert parse_expression("x" + "0" * 5000) == Var(0)
+    assert to_text(compile_oracle("x" + "0" * 5000 + "1 & x0")) == to_text(compile_oracle("x1 & x0"))
+
+
+@pytest.mark.parametrize("digits", [1, 5, len(str(MAX_INDEX)), len(str(MAX_INDEX)) + 1, 4300, 4301, 5000])
+@pytest.mark.parametrize("zeros", [0, 5000])
+def test_parse_expression_reads_any_index_length_without_value_error(digits, zeros):
+    expr = "x" + "0" * zeros + "9" * digits
+    if digits <= len(str(MAX_INDEX)):
+        assert parse_expression(expr) == Var(int("9" * digits))
+    else:
+        with pytest.raises(TooManyVariablesError):
+            parse_expression(expr)
 
 
 def test_single_variable_is_bare_z():
@@ -164,3 +195,32 @@ def test_fifty_random_expressions():
         ast = parse_expression(expr)
         circuit = phase_check(expr)
         assert count(circuit).t_count == 4 * binary_node_count(ast)
+
+
+def _compound(inner):
+    return st.one_of(
+        inner.map(lambda e: f"!{e}"),
+        inner.map(lambda e: f"!({e})"),
+        inner.map(lambda e: f"({e})"),
+        st.tuples(inner, st.sampled_from("&|^"), inner).map(lambda t: f"{t[0]} {t[1]} {t[2]}"),
+    )
+
+
+#: Expressions over x0..x4 with ``!`` at any depth, AND, OR, XOR and parentheses.
+EXPRESSIONS = st.recursive(st.integers(0, 4).map(lambda k: f"x{k}"), _compound, max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXPRESSIONS)
+@example("!x0")
+@example("!!(x0 & x1)")
+@example("!(x0 ^ !x1)")
+@example("!(x0 | !(x1 & !x2)) ^ !(x3 ^ x4)")
+def test_one_walk_compiles_what_the_normalised_tree_compiled(expr):
+    """The negation carried down the walk gives the circuit the two-pass reference gives."""
+    try:
+        parse_expression(expr)
+    except OracleParseError:  # nests past MAX_DEPTH: both compilers share the parser
+        return
+    for impl in ("and", "ccx"):
+        assert to_text(compile_oracle(expr, impl)) == to_text(oracle_reference.compile_oracle(expr, impl)), impl

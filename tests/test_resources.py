@@ -168,7 +168,6 @@ def test_meas_depth_of_disjoint_parts_is_max():
 
     b2 = CircuitBuilder()
     qs = b2.register("v", 3)
-    b2.reserve_qubits(1)
     b2.t(qs[0])
     c2 = b2.build()
 
