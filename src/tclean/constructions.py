@@ -210,7 +210,8 @@ def verify(entry: Construction, n: int) -> list[tuple[str, bool, float, int]]:
     Every semantic line is one :func:`exhaustive` walk, so ``verify`` refuses
     where :func:`~tclean.sim.basis_equiv` does, with a
     :class:`~tclean.sim.SimulationError` raised before the walk starts: past
-    ``MAX_TERMS`` basis inputs or (input, branch) pairs, or past
+    ``MAX_TERMS`` basis inputs (half of it in a circuit with an ``alloct``)
+    or (input, branch) pairs, or past
     ``MAX_MEASUREMENTS`` measurements.
     """
     circuit = entry.build(n)

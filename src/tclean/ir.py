@@ -302,10 +302,16 @@ def _check(circuit: Circuit) -> Violation | tuple[int, int]:
             continue
         return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, start, f"span [{start},{end}) {problem}")
 
-    for reg in circuit.inputs + circuit.outputs:
-        if reg.name.split() != [reg.name]:
-            return Violation(ViolationCode.BAD_REGISTER_NAME, 0,
-                             f"register name {reg.name!r} is empty or holds whitespace")
+    for side, regs in (("input", circuit.inputs), ("output", circuit.outputs)):
+        names: set[str] = set()
+        for reg in regs:
+            if reg.name.split() != [reg.name]:
+                return Violation(ViolationCode.BAD_REGISTER_NAME, 0,
+                                 f"register name {reg.name!r} is empty or holds whitespace")
+            if reg.name in names:
+                return Violation(ViolationCode.BAD_REGISTER_NAME, 0,
+                                 f"register name {reg.name!r} declared twice as an {side}")
+            names.add(reg.name)
     live: set[int] = set()
     ever_released: set[int] = set()
     max_qubit = max_bit = -1

@@ -6,7 +6,9 @@ T gates per pair versus the best paired lowering.  The match conditions here
 are deliberately conservative (sound, incomplete): the semantic requirement
 is that intermediate operations not be sensitive to the entangled ancilla,
 and the syntactic conditions below imply it. A missed match only costs
-optimality, never correctness.  Replacement takes one round: it adds no
+optimality, never correctness.  The conditions are checked in one forward
+walk that carries each fresh ancilla's candidate pair from one reference to
+the next (see :func:`find_pairs`).  Replacement takes one round: it adds no
 Toffoli, so it cannot unblock a pair (see :func:`replace_pairs`).
 
 Both passes splice rather than rebuild.  The output is the input's
@@ -20,7 +22,7 @@ ordinary, validated :class:`~tclean.ir.Circuit`.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .gadgets import AND_COMPUTE, AND_UNCOMPUTE
@@ -47,77 +49,49 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
     target and the target appears only as a control of other gates, and
     (3) the next reference to the target after the second Toffoli releases it.
 
-    Matching takes time linear in the instruction count: one pass builds the
-    use list of every CCX target and the write list of every CCX control,
-    the only lists the conditions read, and every condition is checked
-    against those lists instead of by rescanning the circuit.
+    Matching is one forward walk.  An ``alloc0`` starts its qubit's stage: the
+    pair it may still be the target of, as ``(alloc_index,)``, then
+    ``(alloc_index, first_index)`` once a CCX targets it and
+    ``(alloc_index, first_index, second_index)`` once the matching CCX does.
+    Each later reference to the qubit advances its stage by the rules or
+    ends it, and a release that ends the last stage is a match; matches are
+    found at their releases, so they are sorted by first index at the end.
+    A second CCX never starts a pair, since the reference before it is no
+    ``alloc0``.  Every qubit carries only the index of its last write, by
+    the one write rule below (``alloc0`` and ``release`` included), so "a
+    control is written between the pair" is one comparison at the second.
     """
     instrs = circuit.instructions
     ccx, alloc0, release = Op.CCX, Op.ALLOC0, Op.RELEASE  # an Op member read costs ~100 ns
-    ccx_at = [i for i, instr in enumerate(instrs) if instr.op is ccx]
-    if not ccx_at:
-        return []
-    uses = {instrs[i].qubits[2]: [] for i in ccx_at}
-    writes = {c: [] for i in ccx_at for c in instrs[i].qubits[:2]}
-    # position of each CCX in its target's use list
-    target_pos: dict[int, int] = {}
-    for i, instr in enumerate(instrs):
-        qubits = instr.qubits
-        if instr.op is ccx:
-            target_pos[i] = len(uses[qubits[2]])
+    stages: dict[int, tuple[int, ...]] = {}
+    last_write: dict[int, int] = {}
+    matches: list[PairMatch] = []
+    for i, (op, qubits, _, _, _) in enumerate(instrs):
         for q in qubits:
-            if q in uses:
-                uses[q].append(i)
-        op = instr.op
+            if q not in stages:
+                continue
+            stage = stages.pop(q)
+            if op is ccx and q == qubits[2]:
+                if len(stage) == 1:
+                    stages[q] = (stage[0], i)
+                elif len(stage) == 2:
+                    first = stage[1]
+                    c1, c2, _ = instrs[first].qubits
+                    if ({c1, c2} == {qubits[0], qubits[1]}
+                            and last_write.get(c1, -1) < first and last_write.get(c2, -1) < first):
+                        stages[q] = (*stage, i)
+            elif len(stage) == 2 and q in qubits[:op.controls]:
+                stages[q] = stage
+            elif len(stage) == 3 and op is release:
+                alloc_index, first, second = stage
+                matches.append(PairMatch(first, second, instrs[first].qubits[:2], q, alloc_index, i))
+        if op is alloc0:
+            stages[qubits[0]] = (i,)
         if not op.diagonal:  # a gate may change every qubit it does not only read
             for q in qubits[op.controls:]:
-                if q in writes:
-                    writes[q].append(i)
-
-    seconds: set[int] = set()  # a CCX matched as a second cannot start a pair
-    matches: list[PairMatch] = []
-    for i, pos in target_pos.items():
-        if i in seconds:
-            continue
-        c1, c2, target = instrs[i].qubits
-        t_uses = uses[target]
-        if pos == 0 or instrs[t_uses[pos - 1]].op is not alloc0:
-            continue
-
-        # Every reference to the target up to the matching second CCX must
-        # read it as a control, so nothing writes it; the first reference
-        # that does not blocks the pair.
-        # Each walk stops at the next CCX targeting the qubit, so walks cover
-        # disjoint stretches of a use list, and no earlier match can have
-        # taken that CCX as its second.
-        second_pos = None
-        for k in range(pos + 1, len(t_uses)):
-            j = t_uses[k]
-            cur = instrs[j]
-            if (cur.op is ccx and cur.qubits[2] == target
-                    and set(cur.qubits[:2]) == {c1, c2}):
-                second_pos = k
-                break
-            if target not in cur.qubits[:cur.op.controls]:
-                break
-        if second_pos is None or second_pos + 1 == len(t_uses):
-            continue
-        j = t_uses[second_pos]
-        if any(_written_between(writes[c], i, j) for c in (c1, c2)):
-            continue
-        release_index = t_uses[second_pos + 1]
-        if instrs[release_index].op is not release:
-            continue
-
-        matches.append(PairMatch(i, j, (c1, c2), target, t_uses[pos - 1], release_index))
-        seconds.add(j)
+                last_write[q] = i
+    matches.sort(key=lambda m: m.first_index)
     return matches
-
-
-def _written_between(write_list: list[int], lo: int, hi: int) -> bool:
-    """Whether a sorted write list holds an index strictly between lo and hi."""
-    k = bisect_right(write_list, lo)
-    return k < len(write_list) and write_list[k] < hi
 
 
 #: An edit: the template placed at an index and the qubit ids of its wires,

@@ -911,8 +911,9 @@ def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex
     |sum conj(phase) a / sqrt(N)|^2 over one term per ref, the largest whose
     output index (through ``read`` where given) is want's.  ``branch_count``
     counts the (input, branch) pairs.  Where 2^inputs, or 2^(inputs +
-    measurements), the most pairs there can be, passes ``MAX_TERMS``, it
-    raises :class:`SimulationError` before walking.
+    measurements), the most pairs there can be, passes ``MAX_TERMS``, or
+    2^(inputs + 1) does in a circuit with an ``alloct`` (which doubles every
+    term), it raises :class:`SimulationError` before walking.
     """
     n_in = len(circuit.input_qubits())
     if 1 << n_in > MAX_TERMS:
@@ -922,6 +923,9 @@ def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex
     if (1 << n_in) << program.measurements > MAX_TERMS:
         raise SimulationError(f"2^{n_in} inputs and 2^{program.measurements} branches "
                               f"allow more than {MAX_TERMS} (input, branch) pairs")
+    # The bound above lets this through only with no measurement, so an alloct meets every term.
+    if 2 << n_in > MAX_TERMS and any(instr.op is Op.ALLOCT for instr in circuit.instructions):
+        raise SimulationError(f"{n_in} input qubits need more than {MAX_TERMS} sparse terms")
     _check_live(program.final, program.outputs)
     ideal = [want(i) for i in range(1 << n_in)]  # want's term per input, a phase conjugated
     for i, index in enumerate(ideal):
@@ -979,9 +983,17 @@ def register_basis(circuit: Circuit, values: dict[str, int]) -> int:
 
 
 def decode_register(circuit: Circuit, basis_index: int, name: str) -> int:
-    """Read one output register's integer value out of an output basis index."""
+    """Read one output register's integer value out of an output basis index.
+
+    The register is the output of that name, or the input where the circuit
+    declares no outputs, as ``Circuit.output_qubits`` reads them.  Another
+    name raises KeyError.
+    """
+    reg = next((reg for reg in circuit.outputs or circuit.inputs if reg.name == name), None)
+    if reg is None:
+        raise KeyError(name)
     pos_of = circuit.output_positions
     value = 0
-    for bit, q in enumerate(circuit.register(name).qubits):
+    for bit, q in enumerate(reg.qubits):
         value |= ((basis_index >> pos_of[q]) & 1) << bit
     return value

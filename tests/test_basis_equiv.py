@@ -191,6 +191,18 @@ def test_too_many_input_branch_pairs_is_refused_before_walking(monkeypatch):
         basis_equiv(circuit, lambda k: k)
 
 
+def test_an_alloct_that_doubles_past_the_term_limit_is_refused_before_walking(monkeypatch):
+    # The AND compute's 2 inputs make 4 terms, and its alloct doubles them to 8
+    # with no measurement: at the cap, then past it.
+    circuit = and_gadget_circuit("compute")
+    monkeypatch.setattr(sim, "MAX_TERMS", 8)
+    assert basis_equiv(circuit, lambda k: k | (k == 3) << 2)
+    monkeypatch.setattr(sim, "MAX_TERMS", 7)
+    monkeypatch.setattr(sim, "_walk", lambda *args: pytest.fail("the walk started"))
+    with pytest.raises(SimulationError, match=r"^2 input qubits need more than 7 sparse terms$"):
+        basis_equiv(circuit, lambda k: k)
+
+
 @pytest.mark.parametrize("phased", [False, True])
 def test_want_is_called_once_per_input(phased):
     # gidney-adder n=3 walks 2^6 inputs over 4 branches.

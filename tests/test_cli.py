@@ -181,6 +181,38 @@ def test_verify_refuses_past_the_walks_limits_before_walking(monkeypatch):
         assert run_cli(["verify", "--kind", kind, "--n", str(n)]) == (1, "", err)
 
 
+def test_verify_refuses_hamming_where_its_alloct_doubles_past_the_term_limit(monkeypatch):
+    # hamming makes no measurement: its first alloct takes 2^23 terms to 2^24.
+    monkeypatch.setattr(sim, "_walk", lambda *args: pytest.fail("the walk started"))
+    assert run_cli(["verify", "--kind", "hamming", "--n", "23"]) == (
+        1, "", f"tclean: 23 input qubits need more than {MAX_TERMS} sparse terms\n")
+
+
+class _PastTheGuards(Exception):
+    pass
+
+
+def test_verify_does_not_refuse_hamming_at_22(monkeypatch):
+    # basis_equiv checks the outputs are live right after its last guard; stop
+    # there, before the walk's 2^22 starting terms are made.
+    def stop(*args):
+        raise _PastTheGuards
+
+    monkeypatch.setattr(sim, "_check_live", stop)
+    with pytest.raises(_PastTheGuards):
+        run_cli(["verify", "--kind", "hamming", "--n", "22"])
+
+
+@pytest.mark.parametrize("text", ["#input a 0\n#input a 1\nx 0\n",
+                                  "#input a 0 1\n#output s 0\n#output s 1\nx 0\n"], ids=["inputs", "outputs"])
+def test_register_name_repeated_on_one_side_fails_with_one_line(tmp_path, text):
+    path = tmp_path / "twice.qc"
+    path.write_text(text)
+    side, name = ("input", "a") if "#output" not in text else ("output", "s")
+    assert run_cli(["count", "--in", str(path)]) == (
+        1, "", f"tclean: BAD_REGISTER_NAME at instruction 0: register name {name!r} declared twice as an {side}\n")
+
+
 @pytest.mark.parametrize("command", ["build", "verify"])
 def test_width_past_the_id_limit_is_a_usage_error_inside_one_gib(command):
     # Naming that many qubits would end in a MemoryError inside the limit.

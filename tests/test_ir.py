@@ -456,6 +456,15 @@ def test_register_names_the_text_cannot_carry_are_refused(name, where):
     assert violation.message == f"register name {name!r} is empty or holds whitespace"
 
 
+@pytest.mark.parametrize("where", ["inputs", "outputs"])
+def test_a_register_name_repeated_on_one_side_is_refused(where):
+    regs = (Register("a", (0,)), Register("a", (1,)))
+    fields = dict(inputs=regs) if where == "inputs" else dict(inputs=(Register("q", (0, 1)),), outputs=regs)
+    violation = _violation(instructions=(Instruction(Op.X, (0,)),), **fields)
+    assert violation.code is ViolationCode.BAD_REGISTER_NAME
+    assert violation.message == f"register name 'a' declared twice as an {where[:-1]}"
+
+
 #: Every kind as the tables it replaced stated it: mnemonic, arity, controls,
 #: clifford, t_type, measures, diagonal and lifetime.
 OP_TABLE = {

@@ -293,12 +293,40 @@ def test_one_round_leaves_no_pair_in_cuccaro_adders(n, carry_in, carry_out):
     assert find_pairs(replace_pairs(c)) == []
 
 
-@pytest.mark.parametrize("expr", ["x0 & x1", "x0 & (x1 | x2)", "(x0 ^ x1) & x2",
-                                  "!x0 & (x1 | (x2 & x3))"])
+CCX_ORACLE_EXPRS = ["x0 & x1", "x0 & (x1 | x2)", "(x0 ^ x1) & x2", "!x0 & (x1 | (x2 & x3))"]
+
+
+@pytest.mark.parametrize("expr", CCX_ORACLE_EXPRS)
 def test_one_round_leaves_no_pair_in_ccx_oracles(expr):
     c = compile_oracle(expr, "ccx")
     assert find_pairs(c)
     assert find_pairs(replace_pairs(c)) == []
+
+
+#: A control released and allocated again between the two CCX: both are writes.
+CONTROL_REALLOCATED = """#input a 0
+alloc0 1
+alloc0 2
+ccx 0 1 2
+release 1
+alloc0 1
+ccx 0 1 2
+release 2
+release 1
+"""
+
+
+def test_matcher_agrees_with_forward_scan_reference_on_structured_circuits():
+    circuits = [cuccaro_adder(AdderSpec(n, carry_in=carry_in, carry_out=carry_out))
+                for n in range(1, 41) for carry_in in (False, True) for carry_out in (False, True)]
+    circuits += [compile_oracle(expr, "ccx") for expr in CCX_ORACLE_EXPRS]
+    circuits.append(from_text(CONTROL_REALLOCATED))
+    for c in circuits:
+        assert find_pairs(c) == reference_find_pairs(c)
+    assert find_pairs(circuits[-1]) == []
+    # The same circuit with the control left live between the pair matches.
+    kept = from_text(CONTROL_REALLOCATED.replace("release 1\nalloc0 1\n", ""))
+    assert len(find_pairs(kept)) == 1 and find_pairs(kept) == reference_find_pairs(kept)
 
 
 @pytest.mark.parametrize("body", [

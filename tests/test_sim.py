@@ -21,6 +21,7 @@ from tclean.sim import (
     T_STATE,
     TooManyBranchesError,
     channel_equiv,
+    decode_register,
     enumerate_branches,
     fidelity,
     run,
@@ -233,6 +234,14 @@ def test_too_many_inputs_rejected_before_allocating():
 
 def test_basis_input_past_the_dense_limit_runs_sparse():
     assert run(_too_many_inputs(), 0, seed=0).final_state == {0: 1}
+
+
+def test_decode_register_reads_the_output_register_of_that_name():
+    # Input a is qubit 0, output a qubit 1: input 1 leaves qubit 1 at 0.
+    c = from_text("#input a 0\n#output z 0\n#output a 1\nalloc0 1\ncx 0 1\nx 1\n")
+    out = int(np.flatnonzero(run(c, 1).final_state)[0])
+    assert out == 1
+    assert (decode_register(c, out, "z"), decode_register(c, out, "a")) == (1, 0)
 
 
 def test_x_is_not_z():
