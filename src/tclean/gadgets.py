@@ -374,9 +374,8 @@ def outofplace_adder_inverse(spec: AdderSpec) -> Circuit:
     """(a, b, a+b) -> (a, b): uncomputes the sum register using no T gates."""
     forward = outofplace_adder(spec)
     b = CircuitBuilder()
-    for reg in forward.inputs:
+    for reg in forward.outputs:  # a, b, [cin], s
         b.adopt_register(reg.name, reg.qubits)
-    b.adopt_register("s", forward.register("s").qubits)
     emit_inverse(b, forward.instructions, forward.spans)
     for reg in forward.inputs:
         b.output(reg.name, reg.qubits)

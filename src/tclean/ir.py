@@ -227,12 +227,6 @@ class Circuit:
         """Each output qubit's bit in an output basis index, computed once per circuit."""
         return {q: j for j, q in enumerate(self.output_qubits())}
 
-    def register(self, name: str) -> Register:
-        for reg in self.inputs + self.outputs:
-            if reg.name == name:
-                return reg
-        raise KeyError(name)
-
     def __len__(self) -> int:
         return len(self.instructions)
 

@@ -72,7 +72,6 @@ MAX_TERMS = 1 << (MAX_LIVE_QUBITS - 3)
 #: ``enumerate_branches``, ``channel_equiv`` and ``basis_equiv``): 2^16 branches at most.
 MAX_MEASUREMENTS = 16
 
-_NORM_TOL = 1e-12
 _ZERO_TOL = 1e-9
 _BRANCH_EPS = 1e-12
 #: Sparse amplitudes at or below this after a cancelling kernel are rounding
@@ -330,9 +329,6 @@ class SimState(_Branch):
 
     # -- extraction ---------------------------------------------------------------
 
-    def norm(self) -> float:
-        return math.sqrt(_sqnorm(self.amps))
-
     def extract(self, pos: dict[int, int], qubits: Sequence[int]) -> np.ndarray:
         """Statevector over `qubits` (little-endian), which must be all live qubits.
 
@@ -465,16 +461,8 @@ class SparseState(_Branch):
 
     def h(self, bit: int) -> None:
         """Hadamard on the qubit whose slot is ``bit``."""
-        terms = self.amps
         out = {}
-        for k, a in terms.items():
-            if k & bit:
-                k0 = k ^ bit
-                if k0 in terms:
-                    continue  # done with its partner
-                a0, a1 = 0, a
-            else:
-                k0, a0, a1 = k, a, terms.get(k | bit, 0)
+        for k0, a0, a1 in self._pairs(bit):
             s, d = (a0 + a1) * _SQ, (a0 - a1) * _SQ
             if abs(s) > _PRUNE_TOL:
                 out[k0] = s
@@ -534,9 +522,6 @@ class SparseState(_Branch):
         self.amps = _capped(out)
 
     # -- extraction ---------------------------------------------------------------
-
-    def norm(self) -> float:
-        return math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in self.amps.values()))
 
     def extract(self, slots: dict[int, int],
                 qubits: Sequence[int]) -> np.ndarray | dict[int, complex]:
@@ -719,7 +704,7 @@ def _engine(input_state: InputState) -> tuple[Engine, Callable]:
     return SimState, _input_vector
 
 
-def _advance(branch: _Branch, steps: Sequence[_Step], i: int, check_norm: bool = False) -> int:
+def _advance(branch: _Branch, steps: Sequence[_Step], i: int) -> int:
     """Execute steps from i up to the next measurement; return its index (or len(steps)).
 
     An executed instruction ends the just-measured state of its qubits.
@@ -732,15 +717,8 @@ def _advance(branch: _Branch, steps: Sequence[_Step], i: int, check_norm: bool =
             kernel(branch, *args)
             if branch._just_measured:
                 branch._just_measured.difference_update(instr.qubits)
-        if check_norm:
-            _check_norm(branch, instr)
         i += 1
     return i
-
-
-def _check_norm(branch: _Branch, instr: Instruction) -> None:
-    if abs(branch.norm() - 1.0) > _NORM_TOL:
-        raise SimulationError(f"norm drifted to {branch.norm()!r} after {instr.op.value}")
 
 
 #: Picks the outcomes a walk follows at a measurement, from the measurement
@@ -769,7 +747,7 @@ def _sampled(rng: np.random.Generator, force: dict[int, int] | None) -> Choose:
     return choose
 
 
-def _walk(program: _Program, initial, choose: Choose, check_norm: bool = False):
+def _walk(program: _Program, initial, choose: Choose):
     """Run ``program`` from ``initial`` depth first along the outcomes ``choose`` picks.
 
     Yields each branch as soon as it ends, so a caller that extracts every
@@ -783,7 +761,7 @@ def _walk(program: _Program, initial, choose: Choose, check_norm: bool = False):
     stack = [(program.engine(initial), 0)]
     while stack:
         branch, i = stack.pop()
-        i = _advance(branch, steps, i, check_norm)
+        i = _advance(branch, steps, i)
         if i == len(steps):
             yield branch
             continue
@@ -799,8 +777,6 @@ def _walk(program: _Program, initial, choose: Choose, check_norm: bool = False):
             fork.classbits[instr.result] = outcome
             fork.weight *= prob
             fork._just_measured.add(instr.qubits[0])
-            if check_norm:
-                _check_norm(fork, instr)
             stack.append((fork, i + 1))
 
 
@@ -811,20 +787,19 @@ def _check_bound(program: _Program) -> None:
 
 
 def run(circuit: Circuit, input_state: InputState = None, *,
-        seed: int = 0, force: dict[int, int] | None = None,
-        check_norm: bool = False) -> RunResult:
+        seed: int = 0, force: dict[int, int] | None = None) -> RunResult:
     """Execute the circuit once, sampling measurements from `seed`.
 
     `force` pins chosen classical bits to fixed outcomes (error if that
     outcome has probability zero).  Same seed, same input: identical result.
-    `check_norm` asserts unit norm after every instruction.  With at most
-    ``MAX_LIVE_QUBITS`` outputs even a sparse run returns a dense 2^outputs vector,
-    however few terms it holds: 16 MiB for ``gidney_adder`` n = 10, 1 GiB for n = 13.
+    With at most ``MAX_LIVE_QUBITS`` outputs even a sparse run returns a dense
+    2^outputs vector, however few terms it holds: 16 MiB for ``gidney_adder``
+    n = 10, 1 GiB for n = 13.
     """
     engine, read = _engine(input_state)
     initial = read(circuit, input_state)
     program = _compile(circuit, engine)
-    (leaf,) = _walk(program, initial, _sampled(np.random.default_rng(seed), force), check_norm)
+    (leaf,) = _walk(program, initial, _sampled(np.random.default_rng(seed), force))
     return RunResult(leaf.extract(program.final, program.outputs), leaf.classbits)
 
 

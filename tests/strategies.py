@@ -151,6 +151,7 @@ def near_miss_circuit(rng: np.random.Generator, *, break_prob: float = 0.5) -> C
     placed between Toffolis leave every open pair's conditions intact: with
     ``break_prob=0`` every pair matches and with ``break_prob=1`` none does.
     In between, a write to a control that two open pairs share blocks both.
+    A control is written by a gate, or by a release and an ``alloc0``.
     """
     b = CircuitBuilder()
     data = list(b.register("q", int(rng.integers(3, 6))))
@@ -191,9 +192,12 @@ def near_miss_circuit(rng: np.random.Generator, *, break_prob: float = 0.5) -> C
         if p["rule"] == "write_control":
             c = c1 if rng.random() < 0.5 else c2
             roll = rng.random()
-            if roll < 0.4:
+            if roll < 0.3:
                 b.x(c)
-            elif roll < 0.7 or not others:
+            elif roll < 0.5:
+                b.release(c)
+                b.alloc0(c)
+            elif roll < 0.75 or not others:
                 b.h(c)
             else:
                 b.cx(pick(others), c)

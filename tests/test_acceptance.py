@@ -73,7 +73,7 @@ def inplace_add_index(circuit, n, *, controlled=False, carry_out=False):
     pos = {q: j for j, q in enumerate(inputs)}
     out_pos = {q: j for j, q in enumerate(circuit.output_qubits())}
     if carry_out:
-        (cq,) = circuit.register("cout").qubits
+        (cq,) = next(reg.qubits for reg in circuit.outputs if reg.name == "cout")
 
     def field(k, name):
         return sum(((k >> pos[q]) & 1) << i for i, q in enumerate(regs[name]))

@@ -49,8 +49,9 @@ def test_mcx_truth_table(k):
 
 def test_mcx_uncompute_half_is_t_free():
     c = multi_controlled_x(4)
+    (target,) = next(reg.qubits for reg in c.inputs if reg.name == "t")
     cx_on_target = next(i for i, instr in enumerate(c.instructions)
-                        if instr.op is Op.CX and instr.qubits[1] == c.register("t").qubits[0])
+                        if instr.op is Op.CX and instr.qubits[1] == target)
     tail = c.instructions[cx_on_target + 1:]
     assert sum(1 for i in tail if i.op in T_FAMILY) == 0
 

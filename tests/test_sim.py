@@ -193,20 +193,6 @@ def test_forcing_an_outcome_other_than_0_or_1_is_refused(state, value):
     assert run(c, state, force={0: 1}).classbits == {0: 1}
 
 
-@pytest.mark.parametrize("state", [5, {1: 1.0, 6: 1j}], ids=["basis", "mapping"])
-def test_norm_check_runs_on_the_sparse_engine(state, monkeypatch):
-    c = CONSTRUCTIONS["gidney-adder"].build(2)
-    norms = []
-    norm = sim.SparseState.norm
-    monkeypatch.setattr(sim.SparseState, "norm", lambda self: norms.append(norm(self)) or norms[-1])
-    checked = run(c, state, seed=3, check_norm=True)
-    assert len(norms) >= len(c.instructions)
-    assert norms == pytest.approx([1.0] * len(norms), abs=1e-12)
-    unchecked = run(c, state, seed=3)
-    assert checked.classbits == unchecked.classbits
-    assert np.array_equal(checked.final_state, unchecked.final_state)
-
-
 def test_dimension_mismatch():
     b = CircuitBuilder()
     b.register("q", 2)
@@ -275,12 +261,40 @@ def test_norm_preserved_and_probabilities_sum(seed):
         assert abs(np.linalg.norm(br.final_state) - 1.0) < 1e-9
 
 
+#: Every engine kernel that moves amplitudes; a measurement moves them in its projection.
+_AMPLITUDE_KERNELS = ("alloc", "release", "flip", "phase", "h", "y", "project", "project_x")
+
+
+def _unit_after(kernel, calls: list[str]):
+    """``kernel``, asserting that it leaves the branch a unit state."""
+    def checked(branch, *args):
+        kernel(branch, *args)
+        amps = branch.amps
+        norm = np.linalg.norm(list(amps.values()) if isinstance(amps, dict) else amps)
+        assert abs(norm - 1.0) <= 1e-12, f"{kernel.__qualname__} left norm {norm!r}"
+        calls.append(kernel.__qualname__)
+
+    return checked
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_norm_holds_after_every_instruction(seed):
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, simulable=True)
-    run(c, random_state(len(c.input_qubits()), rng), seed=seed % 97, check_norm=True)
+    state = random_state(len(c.input_qubits()), rng)
+    # Each unconditioned instruction runs exactly one kernel; a conditioned one at most one.
+    unconditioned = sum(instr.cond is None for instr in c.instructions)
+    calls: list[str] = []
+    with pytest.MonkeyPatch.context() as mp:
+        for engine in (sim.SimState, sim.SparseState):
+            for name in _AMPLITUDE_KERNELS:
+                mp.setattr(engine, name, _unit_after(getattr(engine, name), calls))
+        for engine, start in ((sim.SimState, state), (sim.SparseState, dict(enumerate(state)))):
+            calls.clear()
+            run(c, start, seed=seed % 97)
+            assert unconditioned <= len(calls) <= len(c.instructions)
+            assert {call.split(".")[0] for call in calls} <= {engine.__name__}
 
 
 def _x_on_first_of_two():
