@@ -52,7 +52,6 @@ from .gadgets import (
     cuccaro_adder,
     and_compute,
     and_uncompute,
-    and_uncompute_reverse,
     emit_inverse,
     gidney_adder,
     hamming_roundtrip,

@@ -3,10 +3,13 @@
 The AND gadget stores a AND b into a fresh ancilla for a T-count of 4 (three
 T-type gates plus one injected |T> state) and erases it later for a T-count
 of 0 using an X-basis measurement and a classically conditioned CZ fixup.
-Everything else here -- the ripple-carry adders, the controlled and
-out-of-place variants, multi-controlled NOT, Hamming-weight aggregation, and
-phase-gradient addition -- is assembled from that one primitive, so their
-T-counts are simply four times the number of ANDs they compute.
+The in-place, controlled and out-of-place adders and phase-gradient addition
+share one ripple of these ANDs, each folding the previous carry in
+(:func:`_carry_chain`).  Multi-controlled NOT and Hamming-weight aggregation
+are assembled from the same primitive, so all their T-counts are simply four
+times the number of ANDs they compute.  The macro-Toffoli baseline
+:func:`cuccaro_adder` is the exception: it carries on a parity wire through
+CCX compute/uncompute pairs, which the rewriter replaces by ANDs.
 """
 from __future__ import annotations
 
@@ -28,10 +31,9 @@ AND_REVERSE_NET_T = 2
 
 @dataclass(frozen=True)
 class AdderSpec:
-    """Width and boundary flags for the in-place adders."""
+    """An adder's width ``n`` and its one flag, ``carry_out``: write the top carry to ``cout``."""
 
     n: int
-    carry_in: bool = False
     carry_out: bool = False
 
     def __post_init__(self) -> None:
@@ -83,21 +85,13 @@ def and_uncompute(b: CircuitBuilder, x: int, y: int, anc: int) -> None:
     b.emit_template(AND_UNCOMPUTE, (x, y, anc))
 
 
-def and_uncompute_reverse(b: CircuitBuilder, x: int, y: int, anc: int) -> None:
-    """Erase by running the computation backwards (comparison variant).
-
-    Leaves the ancilla live again in the |T> state, so the recorded net
-    T-count is 2: three T-type gates minus one recovered |T> state.
-    """
-    emit_inverse(b, AND_COMPUTE.instantiate((x, y, anc))[1:], ())
-
-
 def and_gadget_circuit(variant: str = "roundtrip") -> Circuit:
     """Two-input demo circuit for the AND gadget.
 
     ``compute``: leaves the ancilla live (outputs a, b, anc).
     ``roundtrip``: compute then measure-and-fixup erasure (identity channel).
-    ``reverse``: compute then reversed computation (ancilla ends in |T>).
+    ``reverse``: compute, then its gates after the injection run backwards,
+    which leaves the ancilla in |T> (net T-count :data:`AND_REVERSE_NET_T`).
     """
     b = CircuitBuilder()
     (a,) = b.register("a", 1)
@@ -110,7 +104,7 @@ def and_gadget_circuit(variant: str = "roundtrip") -> Circuit:
     elif variant == "roundtrip":
         and_uncompute(b, a, y, anc)
     elif variant == "reverse":
-        and_uncompute_reverse(b, a, y, anc)
+        emit_inverse(b, AND_COMPUTE.instantiate((a, y, anc))[1:], ())
         b.output("a", (a,))
         b.output("b", (y,))
         b.output("anc", (anc,))
@@ -182,14 +176,6 @@ def _emit_carry(b: CircuitBuilder, x: int, y: int, impl: str) -> int:
     return t
 
 
-def _unemit_carry(b: CircuitBuilder, x: int, y: int, anc: int, impl: str) -> None:
-    if impl == "and":
-        and_uncompute(b, x, y, anc)
-    else:
-        b.ccx(x, y, anc)
-        b.release(anc)
-
-
 def _controlled_xor(b: CircuitBuilder, ctrl: int, source: int, dest: int) -> None:
     """dest ^= ctrl AND source, via one temporary AND (T-count 4)."""
     u = and_compute(b, ctrl, source)
@@ -197,62 +183,50 @@ def _controlled_xor(b: CircuitBuilder, ctrl: int, source: int, dest: int) -> Non
     and_uncompute(b, ctrl, source, u)
 
 
-def _ripple_adder(spec: AdderSpec, *, impl: str, controlled: bool,
-                  names: tuple[str, str] = ("a", "b")) -> Circuit:
-    """Shared skeleton of the in-place adders: b <- a + b (+ carry-in).
+def _carry_chain(b: CircuitBuilder, a: tuple[int, ...], bb: tuple[int, ...],
+                 m: int) -> list[int | None]:
+    """The carries out of bits 0..m-1 of a + b, one temporary AND (4 T) each.
 
-    The a and b registers are declared under ``names``.
+    The carry c into bit i is folded in: c ^ ((a[i]^c) AND (b[i]^c)) is the
+    majority, and a[i], b[i] stay XORed with c.  Returns the carry into each
+    bit 0..m, None into bit 0.
+    """
+    carry: list[int | None] = [None]
+    for i in range(m):
+        c = carry[i]
+        if c is not None:
+            b.cx(c, a[i])
+            b.cx(c, bb[i])
+        t = and_compute(b, a[i], bb[i])
+        if c is not None:
+            b.cx(c, t)
+        carry.append(t)
+    return carry
 
-    ``impl="and"``: carries go through temporary ANDs folded directly onto the
-    carry ancilla (4 T per carry, peak n-1 ancillae without carry-out).
-    ``impl="ccx"``: the macro-Toffoli baseline; carries accumulate on a parity
-    wire so every Toffoli lands on a fresh |0> target and is later uncomputed
-    by an identical Toffoli, leaving the pairs visible to the rewriter.
+
+def _and_adder(spec: AdderSpec, *, controlled: bool,
+               names: tuple[str, str] = ("a", "b")) -> Circuit:
+    """b <- a + b on :func:`_carry_chain`, gated by a ``ctrl`` qubit if ``controlled``.
+
+    The a and b registers are declared under ``names``.  The carries are
+    erased T-free as the chain unwinds; without carry-out the peak is n-1.
     """
     n = spec.n
     b = CircuitBuilder()
     ctrl = b.register("ctrl", 1)[0] if controlled else None
     a = b.register(names[0], n)
     bb = b.register(names[1], n)
-    cin = b.register("cin", 1)[0] if spec.carry_in else None
+    m = n if spec.carry_out else n - 1
+    carry = _carry_chain(b, a, bb, m)
 
-    blocks = list(range(n if spec.carry_out else n - 1))
-    carries: dict[int, int] = {}
-    parity: int | None = None
-    if impl == "ccx" and blocks:
-        parity = b.alloc0()
-        if cin is not None:
-            b.cx(cin, parity)
-
-    def carry_wire(i: int) -> int | None:
-        if i == 0:
-            if cin is None:
-                return None
-            return parity if parity is not None else cin
-        return parity if impl == "ccx" else carries[i - 1]
-
-    for i in blocks:
-        c = carry_wire(i)
-        if c is not None:
-            b.cx(c, a[i])
-            b.cx(c, bb[i])
-        t = _emit_carry(b, a[i], bb[i], impl)
-        carries[i] = t
-        if impl == "ccx":
-            b.cx(t, parity)
-        elif c is not None:
-            b.cx(c, t)
-
-    cout: int | None = None
     if spec.carry_out:
-        top = parity if impl == "ccx" else carries[n - 1]
         cout = b.alloc0()
         if controlled:
-            _controlled_xor(b, ctrl, top, cout)
+            _controlled_xor(b, ctrl, carry[n], cout)
         else:
-            b.cx(top, cout)
+            b.cx(carry[n], cout)
     else:
-        c_top = carry_wire(n - 1)
+        c_top = carry[n - 1]
         if controlled:
             if c_top is not None:
                 b.cx(c_top, a[n - 1])
@@ -264,13 +238,11 @@ def _ripple_adder(spec: AdderSpec, *, impl: str, controlled: bool,
                 b.cx(c_top, bb[n - 1])
             b.cx(a[n - 1], bb[n - 1])
 
-    for i in reversed(blocks):
-        c = carry_wire(i)
-        if impl == "ccx":
-            b.cx(carries[i], parity)
-        elif c is not None:
-            b.cx(c, carries[i])
-        _unemit_carry(b, a[i], bb[i], carries[i], impl)
+    for i in reversed(range(m)):
+        c = carry[i]
+        if c is not None:
+            b.cx(c, carry[i + 1])
+        and_uncompute(b, a[i], bb[i], carry[i + 1])
         if controlled:
             _controlled_xor(b, ctrl, a[i], bb[i])
             if c is not None:
@@ -281,18 +253,11 @@ def _ripple_adder(spec: AdderSpec, *, impl: str, controlled: bool,
                 b.cx(c, a[i])
             b.cx(a[i], bb[i])
 
-    if parity is not None:
-        if cin is not None:
-            b.cx(cin, parity)
-        b.release(parity)
-
     if controlled:
         b.output("ctrl", (ctrl,))
     b.output(names[0], a)
     b.output(names[1], bb)
-    if cin is not None:
-        b.output("cin", (cin,))
-    if cout is not None:
+    if spec.carry_out:
         b.output("cout", (cout,))
     return b.build()
 
@@ -302,52 +267,63 @@ def gidney_adder(spec: AdderSpec) -> Circuit:
 
     (4n and 2n with carry-out, which costs one extra temporary AND.)
     """
-    return _ripple_adder(spec, impl="and", controlled=False)
+    return _and_adder(spec, controlled=False)
+
+
+def controlled_adder(spec: AdderSpec) -> Circuit:
+    """Adds a control qubit: 8 T per block (4 for the carry, 4 to gate the sum)."""
+    return _and_adder(spec, controlled=True)
 
 
 def cuccaro_adder(spec: AdderSpec) -> Circuit:
     """Macro-Toffoli ripple-carry baseline, 2n + O(1) CCX gates.
 
-    Every Toffoli targets a fresh |0> ancilla and appears in a
-    compute/uncompute pair, so the pair-replacement pass can rewrite this
-    circuit into the AND-based adder.
+    Carries accumulate on a parity wire, so every Toffoli targets a fresh
+    |0> ancilla and is later uncomputed by an identical Toffoli: the
+    pair-replacement pass can rewrite this circuit into the AND-based adder.
     """
-    return _ripple_adder(spec, impl="ccx", controlled=False)
+    n = spec.n
+    b = CircuitBuilder()
+    a = b.register("a", n)
+    bb = b.register("b", n)
+    m = n if spec.carry_out else n - 1
+    parity = b.alloc0() if m else None
+    carries: list[int] = []
+    for i in range(m):
+        if i:
+            b.cx(parity, a[i])
+            b.cx(parity, bb[i])
+        t = b.alloc0()
+        b.ccx(a[i], bb[i], t)
+        b.cx(t, parity)
+        carries.append(t)
 
+    if spec.carry_out:
+        cout = b.alloc0()
+        b.cx(parity, cout)
+    else:
+        if n > 1:
+            b.cx(parity, bb[n - 1])
+        b.cx(a[n - 1], bb[n - 1])
 
-def controlled_adder(spec: AdderSpec) -> Circuit:
-    """Adds a control qubit: 8 T per block (4 for the carry, 4 to gate the sum)."""
-    return _ripple_adder(spec, impl="and", controlled=True)
+    for i in reversed(range(m)):
+        b.cx(carries[i], parity)
+        b.ccx(a[i], bb[i], carries[i])
+        b.release(carries[i])
+        if i:
+            b.cx(parity, a[i])
+        b.cx(a[i], bb[i])
+    if m:
+        b.release(parity)
+
+    b.output("a", a)
+    b.output("b", bb)
+    if spec.carry_out:
+        b.output("cout", (cout,))
+    return b.build()
 
 
 # -- out-of-place adder ---------------------------------------------------------------
-
-
-def _emit_outofplace(b: CircuitBuilder, a: tuple[int, ...], bb: tuple[int, ...],
-                     cin: int | None) -> tuple[int, ...]:
-    """Carry chain + sum fixups computing s = a + b into n+1 fresh qubits."""
-    n = len(a)
-    k: dict[int, int] = {}
-    for i in range(n):
-        w = cin if i == 0 else k[i]
-        if w is not None:
-            b.cx(w, a[i])
-            b.cx(w, bb[i])
-        k[i + 1] = and_compute(b, a[i], bb[i])
-        if w is not None:
-            b.cx(w, k[i + 1])
-    for i in range(n):
-        w = cin if i == 0 else k[i]
-        if w is not None:
-            b.cx(w, a[i])
-            b.cx(w, bb[i])
-        if i == 0:
-            k[0] = b.alloc0()
-        b.cx(a[i], k[i])
-        b.cx(bb[i], k[i])
-        if i == 0 and cin is not None:
-            b.cx(cin, k[0])
-    return tuple(k[i] for i in range(n + 1))
 
 
 def outofplace_adder(spec: AdderSpec) -> Circuit:
@@ -357,16 +333,22 @@ def outofplace_adder(spec: AdderSpec) -> Circuit:
     beyond its own output.  The top sum bit is the carry; carry_out is
     implied and the flag is ignored.
     """
+    n = spec.n
     b = CircuitBuilder()
-    a = b.register("a", spec.n)
-    bb = b.register("b", spec.n)
-    cin = b.register("cin", 1)[0] if spec.carry_in else None
-    s = _emit_outofplace(b, a, bb, cin)
+    a = b.register("a", n)
+    bb = b.register("b", n)
+    carry = _carry_chain(b, a, bb, n)
+    s0 = b.alloc0()
+    b.cx(a[0], s0)
+    b.cx(bb[0], s0)
+    for i in range(1, n):  # sum bit i lands on the carry into bit i
+        b.cx(carry[i], a[i])
+        b.cx(carry[i], bb[i])
+        b.cx(a[i], carry[i])
+        b.cx(bb[i], carry[i])
     b.output("a", a)
     b.output("b", bb)
-    if cin is not None:
-        b.output("cin", (cin,))
-    b.output("s", s)
+    b.output("s", (s0, *carry[1:]))
     return b.build()
 
 
@@ -374,7 +356,7 @@ def outofplace_adder_inverse(spec: AdderSpec) -> Circuit:
     """(a, b, a+b) -> (a, b): uncomputes the sum register using no T gates."""
     forward = outofplace_adder(spec)
     b = CircuitBuilder()
-    for reg in forward.outputs:  # a, b, [cin], s
+    for reg in forward.outputs:  # a, b, s
         b.adopt_register(reg.name, reg.qubits)
     emit_inverse(b, forward.instructions, forward.spans)
     for reg in forward.inputs:
@@ -521,5 +503,4 @@ def phase_gradient_add(n: int) -> Circuit:
     (see :func:`tclean.sim.gradient_state`); the register comes back unchanged.
     T-count equals one in-place adder.
     """
-    return _ripple_adder(AdderSpec(n), impl="and", controlled=False,
-                         names=("target", "gradient"))
+    return _and_adder(AdderSpec(n), controlled=False, names=("target", "gradient"))

@@ -42,7 +42,6 @@ GATES_1Q: dict[Op, np.ndarray] = {
     Op.TDG: np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex),
 }
 
-_NORM_TOL = 1e-12
 _ZERO_TOL = 1e-9
 _BRANCH_EPS = 1e-12
 
@@ -167,9 +166,6 @@ class SimState:
 
     # -- extraction ---------------------------------------------------------------
 
-    def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.amps) ** 2)))
-
     def extract(self, qubits: Sequence[int]) -> np.ndarray:
         """Statevector over `qubits` (little-endian), which must be all live qubits."""
         if set(qubits) != set(self.pos):
@@ -270,13 +266,11 @@ def _measure(state: SimState, instr: Instruction, outcome: int | None,
 
 
 def run(circuit: Circuit, input_state: np.ndarray | str | int | None = None, *,
-        seed: int | None = 0, force: dict[int, int] | None = None,
-        check_norm: bool = False) -> RunResult:
+        seed: int | None = 0, force: dict[int, int] | None = None) -> RunResult:
     """Execute the circuit once, sampling measurements from `seed`.
 
     `force` pins chosen classical bits to fixed outcomes (error if that
     outcome has probability zero).  Same seed, same input: identical result.
-    `check_norm` asserts unit norm after every instruction.
     """
     rng = np.random.default_rng(seed) if seed is not None else None
     state = _init_state(circuit, input_state)
@@ -286,8 +280,6 @@ def run(circuit: Circuit, input_state: np.ndarray | str | int | None = None, *,
             _measure(state, instr, forced, rng)
         else:
             _step(state, instr)
-        if check_norm and abs(state.norm() - 1.0) > _NORM_TOL:
-            raise SimulationError(f"norm drifted to {state.norm()!r} after {instr.op.value}")
     return RunResult(state.extract(circuit.output_qubits()), dict(state.classbits))
 
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from tclean.constructions import CONSTRUCTIONS, exhaustive
 from tclean.gadgets import (
     AdderSpec,
     controlled_adder,
@@ -27,14 +28,12 @@ from tclean.sim import (
 T_FAMILY = frozenset({Op.T, Op.TDG, Op.ALLOCT})
 
 
-def assert_basis_add(circuit, n, a, b, *, cin=0, ctrl=None, carry_out=False):
+def assert_basis_add(circuit, n, a, b, *, ctrl=None, carry_out=False):
     values = {"a": a, "b": b}
     if ctrl is not None:
         values["ctrl"] = ctrl
-    if cin:
-        values["cin"] = 1
     effective_ctrl = 1 if ctrl is None else ctrl
-    total = a + b + cin
+    total = a + b
     for br in enumerate_branches(circuit, register_basis(circuit, values)):
         out = int(np.argmax(np.abs(br.final_state)))
         assert abs(br.final_state[out]) ** 2 > 1 - 1e-9
@@ -62,25 +61,15 @@ def test_gidney_carry_out_exhaustive(n):
             assert_basis_add(c, n, a, b, carry_out=True)
 
 
-def test_gidney_carry_in():
-    c = gidney_adder(AdderSpec(2, carry_in=True, carry_out=True))
-    for a in range(4):
-        for b in range(4):
-            for cin in (0, 1):
-                assert_basis_add(c, 2, a, b, cin=cin, carry_out=True)
-
-
-@pytest.mark.parametrize("build,ctrl_values", [
-    (cuccaro_adder, (None,)),
-    (controlled_adder, (0, 1)),
+@pytest.mark.parametrize("kind, n", [
+    *((kind, n) for kind in ("cuccaro-adder", "gidney-adder") for n in range(1, 5)),
+    *(("controlled-adder", n) for n in range(1, 4)),  # n = 4 walks ~20x longer than n = 3
 ])
-def test_carry_variants_semantics(build, ctrl_values):
-    c = build(AdderSpec(2, carry_in=True, carry_out=True))
-    for a in range(4):
-        for b in range(4):
-            for cin in (0, 1):
-                for ctrl in ctrl_values:
-                    assert_basis_add(c, 2, a, b, cin=cin, ctrl=ctrl, carry_out=True)
+def test_carry_variants_semantics(kind, n):
+    # Every basis input, branch and relative phase, with the carry on top of the sum.
+    entry = CONSTRUCTIONS[kind]
+    passed, _, _ = exhaustive(entry, entry.build(n, True), n, carry_out=True)
+    assert passed
 
 
 @pytest.mark.parametrize("n", list(range(1, 17)) + [32, 64])
@@ -100,8 +89,8 @@ def test_gidney_carry_out_counts(n):
 
 
 def test_adder_building_block_counts():
-    # One full block: carry in, carry out, one temporary AND.
-    r = count(gidney_adder(AdderSpec(1, carry_in=True, carry_out=True)))
+    # One full block: carry out, one temporary AND.
+    r = count(gidney_adder(AdderSpec(1, carry_out=True)))
     assert r.t_count == 4
     assert r.meas_depth == 2
 
@@ -228,14 +217,6 @@ def test_outofplace_roundtrip_identity(n):
     assert basis_equiv(combo, lambda k: k)
 
 
-@pytest.mark.parametrize("n", range(1, 5))
-def test_outofplace_carry_in(n):
-    # inputs a, b, cin from bit 0 up; outputs a, b, cin, then the n+1-bit sum
-    mask = (1 << n) - 1
-    add = lambda k: k | ((k & mask) + (k >> n & mask) + (k >> 2 * n)) << (2 * n + 1)
-    assert basis_equiv(outofplace_adder(AdderSpec(n, carry_in=True)), add)
-
-
 def test_emit_inverse_swaps_lifetimes_and_negates_angles():
     fragment = (Instruction(Op.ALLOC0, (1,)), Instruction(Op.CX, (0, 1)),
                 Instruction(Op.RZ, (0,), 0.25), Instruction(Op.S, (1,)),
@@ -265,8 +246,7 @@ def test_emit_inverse_refuses_bare_measurements_and_injections(instr, message):
 
 def test_all_adders_validate():
     for n in (1, 2, 5):
-        for spec in (AdderSpec(n), AdderSpec(n, carry_out=True),
-                     AdderSpec(n, carry_in=True), AdderSpec(n, carry_in=True, carry_out=True)):
+        for spec in (AdderSpec(n), AdderSpec(n, carry_out=True)):
             for build in (gidney_adder, cuccaro_adder, controlled_adder):
                 assert validate(build(spec)) is None
         assert validate(outofplace_adder(AdderSpec(n))) is None
@@ -288,7 +268,7 @@ def test_expectation_table_matches_measurements(n):
         assert measured == entry.expected(n), entry.name
     literal = {  # variants the table does not list: (circuit, (t_count, meas_depth, ancilla_max))
         "gidney-adder-cout": (gidney_adder(AdderSpec(n, carry_out=True)), (4 * n, 2 * n, n + 1)),
-        "adder-block": (gidney_adder(AdderSpec(1, carry_in=True, carry_out=True)), (4, 2, 2)),
+        "adder-block": (gidney_adder(AdderSpec(1, carry_out=True)), (4, 2, 2)),
     }
     for kind, (circuit, want) in literal.items():
         got = count(circuit)

@@ -34,7 +34,7 @@ def test_five_bit_adder_numbers():
 
 
 def test_building_block_numbers():
-    r = count(gidney_adder(AdderSpec(1, carry_in=True, carry_out=True)))
+    r = count(gidney_adder(AdderSpec(1, carry_out=True)))
     assert r.t_count == 4
     assert r.meas_depth == 2
 
