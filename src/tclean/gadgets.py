@@ -167,15 +167,6 @@ def emit_inverse(b: CircuitBuilder, instructions: tuple[Instruction, ...],
 # -- in-place ripple-carry adders --------------------------------------------------
 
 
-def _emit_carry(b: CircuitBuilder, x: int, y: int, impl: str) -> int:
-    """A fresh ancilla holding x AND y: a temporary AND, or a CCX onto |0> for ``impl="ccx"``."""
-    if impl == "and":
-        return and_compute(b, x, y)
-    t = b.alloc0()
-    b.ccx(x, y, t)
-    return t
-
-
 def _controlled_xor(b: CircuitBuilder, ctrl: int, source: int, dest: int) -> None:
     """dest ^= ctrl AND source, via one temporary AND (T-count 4)."""
     u = and_compute(b, ctrl, source)

@@ -7,16 +7,19 @@ temporary logical-AND (4 T); XOR and NOT are free.  The uncomputation half of
 the oracle is T-free, so the whole oracle costs half of what the same tree
 costs when each conjunction is a textbook-paired Toffoli pair.
 
-Negations are carried down the tree while compiling (De Morgan swaps AND and
-OR under one) and realized as CNOT+X copies so that, in the macro-Toffoli
-build, every Toffoli pair still meets the rewriter's replacement conditions.
+Each conjunction is built as a Toffoli onto a fresh ancilla, undone in the
+uncomputation half; the AND oracle is ``rewrite.replace_pairs`` of that build,
+byte for byte.  Negations are carried down the tree while compiling (De Morgan
+swaps AND and OR under one) and realized as CNOT+X copies, so every Toffoli
+pair meets the rewriter's replacement conditions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .ir import MAX_INDEX, Circuit, CircuitBuilder
-from .gadgets import _emit_carry, emit_inverse
+from .gadgets import emit_inverse
+from .rewrite import replace_pairs
 
 MAX_VARIABLES = 12
 #: Deepest an expression may nest: each parenthesis, negation and binary
@@ -206,8 +209,9 @@ def _materialize(b: CircuitBuilder, wire: _Wire, want_inverted: bool,
     """A qubit whose bit equals the wire's value (or its negation).
 
     Copies through a fresh ancilla when polarity needs flipping or the direct
-    qubit collides with the other operand; the copy is CNOT+X only, so it
-    never writes inside any Toffoli pair and costs no T gates.
+    qubit collides with the other operand.  The copy is CNOT+X only: it costs
+    no T and writes no control or target inside a Toffoli pair, which lets
+    ``replace_pairs`` match every conjunction's pair, as the AND oracle needs.
     """
     if wire.inverted == want_inverted and wire.qubit not in avoid:
         return wire.qubit
@@ -218,33 +222,36 @@ def _materialize(b: CircuitBuilder, wire: _Wire, want_inverted: bool,
     return c
 
 
-def _emit_node(b: CircuitBuilder, node: Node, x: tuple[int, ...], impl: str, flip: bool = False) -> _Wire:
+def _emit_node(b: CircuitBuilder, node: Node, x: tuple[int, ...], flip: bool = False) -> _Wire:
     """The wire holding `node`'s value, negated when `flip` is set."""
     if isinstance(node, Var):
         return _Wire(x[node.index], flip)
     if isinstance(node, Not):
-        return _emit_node(b, node.child, x, impl, not flip)
+        return _emit_node(b, node.child, x, not flip)
     if isinstance(node, Xor):  # !(l ^ r) == !l ^ r
-        wl = _emit_node(b, node.left, x, impl, flip)
-        wr = _emit_node(b, node.right, x, impl)
+        wl = _emit_node(b, node.left, x, flip)
+        wr = _emit_node(b, node.right, x)
         z = b.alloc0()
         b.cx(wl.qubit, z)
         b.cx(wr.qubit, z)
         return _Wire(z, wl.inverted != wr.inverted)
     want = isinstance(node, Or) != flip  # OR, or AND under a NOT, stores !l & !r, output inverted
-    wl = _emit_node(b, node.left, x, impl, flip)
-    wr = _emit_node(b, node.right, x, impl, flip)
+    wl = _emit_node(b, node.left, x, flip)
+    wr = _emit_node(b, node.right, x, flip)
     q1 = _materialize(b, wl, want, avoid=set())
     q2 = _materialize(b, wr, want, avoid={q1})
-    return _Wire(_emit_carry(b, q1, q2, impl), want)
+    t = b.alloc0()
+    b.ccx(q1, q2, t)
+    return _Wire(t, want)
 
 
 def compile_oracle(expr: str, impl: str = "and") -> Circuit:
     """Phase oracle |x> -> (-1)^f(x) |x> for the parsed expression.
 
-    ``impl="and"`` (the default) builds conjunctions from temporary ANDs;
-    ``impl="ccx"`` emits macro Toffolis instead, giving the baseline whose
-    paired lowering costs exactly twice as much.
+    ``impl="ccx"`` returns the build with a macro Toffoli pair per
+    conjunction, the baseline whose paired lowering costs exactly twice as
+    much.  ``impl="and"`` (the default) returns ``replace_pairs`` of that
+    build, which turns every pair into a temporary AND.
     """
     if impl not in ("and", "ccx"):
         raise ValueError(f"unknown oracle implementation {impl!r}")
@@ -259,7 +266,7 @@ def compile_oracle(expr: str, impl: str = "and") -> Circuit:
     b = CircuitBuilder()
     x = b.register("x", n_vars)
     mark = b.mark()
-    wire = _emit_node(b, root, x, impl, flip)
+    wire = _emit_node(b, root, x, flip)
     fragment = b.fragment_since(mark)
 
     if isinstance(root, (Var, Xor)):
@@ -283,4 +290,5 @@ def compile_oracle(expr: str, impl: str = "and") -> Circuit:
         b.release(out)
 
     emit_inverse(b, *fragment)
-    return b.build()
+    circuit = b.build()
+    return replace_pairs(circuit) if impl == "and" else circuit

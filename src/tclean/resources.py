@@ -33,27 +33,29 @@ class ResourceReport:
     rotation_bucket: int
 
 
+#: Surface-code spacetime volume one held ancilla takes per measurement-depth layer.
+ANCILLA_VOLUME_PER_DEPTH = 2.0
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Constants converting held-ancilla time into effective |T>-state cost."""
 
     t_state_volume: float = 960.0
-    ancilla_volume_per_depth: float = 2.0
     idle_factor: float = 1.0
 
     def __post_init__(self) -> None:
         # An infinite |T> volume or idle factor is the free-ancilla limit, where
         # hybrid_cutoff is infinite.  NaN fails every comparison, so `c > 0`
         # rejects it along with nonpositive values.
-        constants = (self.t_state_volume, self.ancilla_volume_per_depth, self.idle_factor)
-        if not all(c > 0 for c in constants) or math.isinf(self.ancilla_volume_per_depth):
-            raise ValueError("cost model constants must be positive numbers, and the ancilla "
-                             f"volume finite; got {constants}")
+        constants = (self.t_state_volume, self.idle_factor)
+        if not all(c > 0 for c in constants):
+            raise ValueError(f"cost model constants must be positive numbers; got {constants}")
 
     @property
     def cost_per_ancilla_depth(self) -> float:
         """|T> states of opportunity cost per ancilla per measurement-depth layer."""
-        return self.ancilla_volume_per_depth / (self.t_state_volume * self.idle_factor)
+        return ANCILLA_VOLUME_PER_DEPTH / (self.t_state_volume * self.idle_factor)
 
 
 #: Each kind's weight in measurement depth outside a span: 1 for T-type and measuring kinds.

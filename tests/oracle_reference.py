@@ -4,14 +4,17 @@ This is how ``tclean.oracle.compile_oracle`` compiled before it carried
 negations down the tree in one walk: ``_normalize`` first built a second
 tree with every NOT pushed to a leaf (AND and OR swapped by De Morgan, XOR
 passing the negation to its left operand only), and ``_emit_node`` then read
-each leaf's negation off that tree.  The differential tests require the
-production compiler to emit the same circuit text.
+each leaf's negation off that tree.  It also builds each conjunction
+directly, as a temporary AND for ``impl="and"`` or a CCX onto |0> for
+``impl="ccx"``, where the production compiler rewrites its Toffoli build
+into ANDs.  The differential tests require the production compiler to emit
+the same circuit text.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tclean.gadgets import _emit_carry, emit_inverse
+from tclean.gadgets import and_compute, emit_inverse
 from tclean.ir import Circuit, CircuitBuilder
 from tclean.oracle import (
     MAX_VARIABLES,
@@ -47,6 +50,15 @@ def _normalize(node: Node, flip: bool = False):
         return kind(_normalize(node.left, flip), _normalize(node.right, flip))
     kind = And if flip else Or
     return kind(_normalize(node.left, flip), _normalize(node.right, flip))
+
+
+def _emit_carry(b: CircuitBuilder, x: int, y: int, impl: str) -> int:
+    """A fresh ancilla holding x AND y: a temporary AND, or a CCX onto |0> for ``impl="ccx"``."""
+    if impl == "and":
+        return and_compute(b, x, y)
+    t = b.alloc0()
+    b.ccx(x, y, t)
+    return t
 
 
 def _emit_node(b: CircuitBuilder, node, x: tuple[int, ...], impl: str) -> _Wire:

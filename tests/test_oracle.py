@@ -217,10 +217,17 @@ EXPRESSIONS = st.recursive(st.integers(0, 4).map(lambda k: f"x{k}"), _compound, 
 @example("!(x0 ^ !x1)")
 @example("!(x0 | !(x1 & !x2)) ^ !(x3 ^ x4)")
 def test_one_walk_compiles_what_the_normalised_tree_compiled(expr):
-    """The negation carried down the walk gives the circuit the two-pass reference gives."""
+    """The negation carried down the walk gives the circuit the two-pass reference gives.
+
+    The reference builds each AND directly, so the AND oracle, which is the
+    rewritten Toffoli build, must leave no conjunction's pair unmatched.
+    """
     try:
-        parse_expression(expr)
+        ast = parse_expression(expr)
     except OracleParseError:  # nests past MAX_DEPTH: both compilers share the parser
         return
     for impl in ("and", "ccx"):
         assert to_text(compile_oracle(expr, impl)) == to_text(oracle_reference.compile_oracle(expr, impl)), impl
+    # A missed pair would keep a CCX and report fewer T.
+    report = count(compile_oracle(expr))
+    assert (report.ccx_count, report.t_count) == (0, 4 * binary_node_count(ast))

@@ -111,9 +111,8 @@ def test_hybrid_cutoff_values():
     assert hybrid_cutoff(CostModel()) == 960
     assert hybrid_cutoff(CostModel(idle_factor=6)) == 5760
     assert hybrid_cutoff(CostModel(t_state_volume=math.inf)) == math.inf
-    # cheaper |T> states pull the cutoff down; cheaper ancillae push it up
+    # cheaper |T> states pull the cutoff down
     assert hybrid_cutoff(CostModel(t_state_volume=480)) == 480
-    assert hybrid_cutoff(CostModel(ancilla_volume_per_depth=1)) == 1920
 
 
 def test_effective_t_closed_forms():
@@ -139,9 +138,7 @@ def test_cost_model_rejects_nonpositive():
         CostModel(t_state_volume=0)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("t_state_volume", math.nan), ("ancilla_volume_per_depth", math.nan), ("idle_factor", math.nan),
-    ("ancilla_volume_per_depth", math.inf)])
+@pytest.mark.parametrize("field, value", [("t_state_volume", math.nan), ("idle_factor", math.nan)])
 def test_cost_model_rejects_nan_and_infinite_ancilla_volume(field, value):
     with pytest.raises(ValueError, match="positive numbers"):
         CostModel(**{field: value})

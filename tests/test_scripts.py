@@ -1,7 +1,14 @@
-"""The committed scripts: the output digest stays pinned and the layer-rate report runs."""
+"""The committed scripts and the import layering.
+
+The output digest stays pinned, the layer-rate report runs, and the symbolic
+modules load without the simulator.
+"""
 import ast
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from tclean.ir import Op
@@ -41,6 +48,16 @@ def test_layer_rates_reports_the_simulator():
     rates = load_script("layer_rates").sim_rates(run_sizes=(4,), branch_sizes=(2,), repeat=1)
     assert sorted(rates) == ["enumerate_branches", "run"]
     assert rates["run"][4] > 0 and rates["enumerate_branches"][2] > 0
+
+
+def test_symbolic_layers_import_without_the_simulator():
+    """The package root imports nothing, so the symbolic modules load neither numpy nor ``tclean.sim``."""
+    code = ("import sys\n"
+            "import tclean.ir, tclean.textfmt, tclean.resources, tclean.rewrite, tclean.gadgets, tclean.oracle\n"
+            "print(sorted({'numpy', 'tclean.sim'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_ops_hash_by_identity():
