@@ -63,7 +63,13 @@ def _make_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--expr", required=True)
     p_oracle.add_argument("--out")
 
-    p_cross = sub.add_parser("crossover", help="cost-model break-even widths")
+    p_cross = sub.add_parser(
+        "crossover", help="cost-model break-even widths (closed forms, not counted circuits)",
+        description="Widths from the closed-form cost model only. crossover is where n^2/480 + 4n "
+        "(AND adder) overtakes 8n (Toffoli ripple) at the default constants; hybrid_cutoff prices "
+        "a per-bit hybrid adder that no construction builds. Counted circuits break even later: "
+        "gidney-adder (4n-4 T, ancilla_depth n^2-n) costs more than cuccaro-adder (2n-2 CCX at "
+        "4 T each, ancilla_depth n) from n = 1922, or 11522 with --idle-factor 6.")
     p_cross.add_argument("--t-volume", type=float, default=960.0)
     p_cross.add_argument("--idle-factor", type=float, default=1.0)
     return parser

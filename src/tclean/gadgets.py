@@ -386,14 +386,11 @@ class HammingConstruction:
     """A Hamming-weight circuit plus bookkeeping for tests and callers.
 
     ``register`` lists the qubits holding the popcount, least significant
-    first; entries may be input wires or carry ancillae.  ``phase_end`` is an
-    instruction boundary: [0, phase_end) computes the register and applies
-    rotations, the rest uncomputes.
+    first; entries may be input wires or carry ancillae.
     """
 
     circuit: Circuit
     register: tuple[int, ...]
-    phase_end: int
 
 
 def _emit_full_adder(b: CircuitBuilder, x: int, y: int, z: int) -> int:
@@ -454,12 +451,11 @@ def hamming_weight(n: int) -> HammingConstruction:
     b = CircuitBuilder()
     targets = b.register("x", n)
     register, carries = _emit_hamming(b, targets)
-    end = b.next_index
     b.output("x", targets)
     if carries:
         b.output("anc", tuple(carries))
     circuit = b.build()
-    return HammingConstruction(circuit, register, end)
+    return HammingConstruction(circuit, register)
 
 
 def hamming_roundtrip(n: int, theta: float | None = None) -> HammingConstruction:
@@ -478,10 +474,9 @@ def hamming_roundtrip(n: int, theta: float | None = None) -> HammingConstruction
     if theta is not None:
         for p, q in enumerate(register):
             b.rz(theta * (1 << p), q)
-    phase_end = b.next_index
     emit_inverse(b, *fragment)
     circuit = b.build()
-    return HammingConstruction(circuit, register, phase_end)
+    return HammingConstruction(circuit, register)
 
 
 # -- phase gradient via addition -----------------------------------------------------

@@ -19,8 +19,8 @@ Every :class:`Circuit` is valid: constructing one makes the walk that
 :func:`validate` makes and raises :class:`CircuitError` on the first
 violation.  The same walk derives the circuit's widths from its contents, no
 id exceeds ``MAX_INDEX``, and the spans are stored in start order, so
-the text format carries every circuit exactly.  Builders, the text parser
-and the composition helpers all end in that constructor, so passes take
+the text format carries every circuit exactly.  The builder, the text
+parser and the rewriting passes all end in that constructor, so passes take
 their input as checked and never check it again.
 """
 from __future__ import annotations
@@ -568,55 +568,3 @@ class CircuitBuilder:
         return Circuit(tuple(self._instructions), spans=tuple(self._spans),
                        inputs=tuple(self._inputs), outputs=tuple(self._outputs))
 
-
-def concatenate(first: Circuit, second: Circuit) -> Circuit:
-    """Sequential composition on a shared qubit index space.
-
-    The second circuit's classical bits are renumbered to follow the first's.
-    An input register of the second circuit is re-declared only when the
-    first circuit never touches its qubits (disjoint composition); otherwise
-    those qubits must already be live when the second circuit starts, or
-    the composition raises :class:`CircuitError`.
-    Outputs are taken from the second circuit if declared, else the first.
-    """
-    offset = first.n_classbits
-
-    def shift(instr: Instruction) -> Instruction:
-        result = instr.result + offset if instr.result is not None else None
-        cond = instr.cond + offset if instr.cond is not None else None
-        return instr._replace(result=result, cond=cond)
-
-    instrs = first.instructions + tuple(shift(i) for i in second.instructions)
-    base = len(first.instructions)
-    spans = first.spans + tuple(
-        GadgetSpan(s.start + base, s.end + base, s.tag) for s in second.spans
-    )
-    touched = set(first.input_qubits())
-    for instr in first.instructions:
-        touched.update(instr.qubits)
-    inputs = list(first.inputs)
-    names = {reg.name for reg in inputs}
-    for reg in second.inputs:
-        if set(reg.qubits) & touched:
-            continue
-        name = reg.name
-        while name in names:
-            name += "'"
-        names.add(name)
-        inputs.append(Register(name, reg.qubits))
-    return Circuit(instrs, spans=spans, inputs=tuple(inputs), outputs=second.outputs or first.outputs)
-
-
-def shift_qubits(circuit: Circuit, offset: int) -> Circuit:
-    """Remap every qubit id by +offset, for composing independent circuits."""
-    if offset < 0:
-        raise ValueError("offset must be nonnegative")
-
-    def shift_reg(reg: Register) -> Register:
-        return Register(reg.name, tuple(q + offset for q in reg.qubits))
-
-    return Circuit(tuple(i._replace(qubits=tuple(q + offset for q in i.qubits))
-                         for i in circuit.instructions),
-                   spans=circuit.spans,
-                   inputs=tuple(shift_reg(r) for r in circuit.inputs),
-                   outputs=tuple(shift_reg(r) for r in circuit.outputs))

