@@ -11,7 +11,11 @@ the dense engine from one seeded random state at n = 2, 3 and 4.  A layer's
 rate is the instructions it reads (for build, the instructions it makes;
 for the simulator, the circuit's instructions once, however many branches
 run them) divided by the fastest of k timed calls.  Prints one JSON object
-``{layer: {n: instructions_per_s}}``.
+``{layer: {n: instructions_per_s}}``, with ``"circuits"`` beside the layers:
+each timed circuit's instruction count and the number of gadget records
+among its steps, ``{name: {n: {"instructions": i, "records": r}}}``.  A
+record stands for several instructions, so a layer that steps over records
+reads fewer steps than instructions; rates stay per instruction.
 
     PYTHONPATH=src python scripts/layer_rates.py --repeat 5
 """
@@ -24,7 +28,7 @@ import time
 import numpy as np
 
 from tclean.gadgets import AdderSpec, cuccaro_adder, gidney_adder
-from tclean.ir import validate
+from tclean.ir import Gadget, validate
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
 from tclean.sim import enumerate_branches, run
@@ -65,6 +69,17 @@ def layer_rates(sizes=SIZES, repeat: int = 5) -> dict[str, dict[int, float]]:
     return rates
 
 
+def circuit_sizes(sizes=SIZES) -> dict[str, dict[int, dict[str, int]]]:
+    """Instructions and gadget records of each timed circuit, by size."""
+    out: dict[str, dict[int, dict[str, int]]] = {"gidney_adder": {}, "cuccaro_adder": {}}
+    for n in sizes:
+        for name, build in (("gidney_adder", gidney_adder), ("cuccaro_adder", cuccaro_adder)):
+            circuit = build(AdderSpec(n))
+            records = sum(isinstance(step, Gadget) for step in circuit.body)
+            out[name][n] = {"instructions": len(circuit), "records": records}
+    return out
+
+
 def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES,
               repeat: int = 5) -> dict[str, dict[int, float]]:
     rates: dict[str, dict[int, float]] = {"run": {}, "enumerate_branches": {}}
@@ -88,7 +103,8 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES),
                         help="sizes of the symbolic layers")
     args = parser.parse_args(argv)
-    print(json.dumps({**layer_rates(args.sizes, args.repeat), **sim_rates(repeat=args.repeat)}))
+    print(json.dumps({**layer_rates(args.sizes, args.repeat), **sim_rates(repeat=args.repeat),
+                      "circuits": circuit_sizes(args.sizes)}))
     return 0
 
 

@@ -53,6 +53,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a construction's oracle checks")
     p_verify.add_argument("--kind", required=True, choices=tuple(CONSTRUCTIONS))
     p_verify.add_argument("--n", type=_width, default=2)
+    p_verify.add_argument("--carry-out", action="store_true")
 
     p_rewrite = sub.add_parser("rewrite", help="replace Toffoli pairs with temporary ANDs")
     p_rewrite.add_argument("--in", dest="infile", required=True)
@@ -96,7 +97,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(serialize_report(count(circuit)))
             return 0
         if args.command == "verify":
-            lines = verify(CONSTRUCTIONS[args.kind], args.n)
+            lines = verify(CONSTRUCTIONS[args.kind], args.n, args.carry_out)
             for name, ok, worst, branches in lines:
                 status = "PASS" if ok else "FAIL"
                 sys.stdout.write(f"{name} {status} worst_fidelity={worst:.12f} branches={branches}\n")

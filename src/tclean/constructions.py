@@ -31,17 +31,17 @@ from .sim import basis_equiv
 
 #: One check's outcome: passed, worst fidelity, measurement branches simulated.
 Result = tuple[bool, float, int]
-#: A check of an entry built at width n: (entry, circuit, n).
-Check = Callable[["Construction", Circuit, int], Result]
+#: A check of an entry built at width n, with carry-out or not: (entry, circuit, n, carry_out).
+Check = Callable[["Construction", Circuit, int, bool], Result]
 
 
 # -- checks -----------------------------------------------------------------------
 
 
-def counts(entry: Construction, circuit: Circuit, n: int) -> Result:
-    """The measured report matches ``entry.expected(n)`` field for field."""
+def counts(entry: Construction, circuit: Circuit, n: int, carry_out: bool = False) -> Result:
+    """The measured report matches ``entry.expected(n, carry_out)`` field for field."""
     report = count(circuit)
-    return all(getattr(report, key) == want for key, want in entry.expected(n).items()), 1.0, 0
+    return all(getattr(report, key) == want for key, want in entry.expected(n, carry_out).items()), 1.0, 0
 
 
 def exhaustive(entry: Construction, circuit: Circuit, n: int, carry_out: bool = False) -> Result:
@@ -55,16 +55,16 @@ _STANDARD: tuple[tuple[str, Check], ...] = (("counts", counts), ("channel", exha
 
 
 def _on(other: Construction, check: Check) -> Check:
-    """``check`` applied to ``other`` built at the same width."""
-    return lambda entry, circuit, n: check(other, other.build(n), n)
+    """``check`` applied to ``other`` built at the same width and carry-out."""
+    return lambda entry, circuit, n, carry_out: check(other, other.build(n, carry_out), n, carry_out)
 
 
-def _replace_pairs_t(entry: Construction, circuit: Circuit, n: int) -> Result:
+def _replace_pairs_t(entry: Construction, circuit: Circuit, n: int, carry_out: bool) -> Result:
     """Replacing the Toffoli pairs lands on the AND adder's T-count."""
-    return count(replace_pairs(circuit)).t_count == GIDNEY.expected(n)["t_count"], 1.0, 0
+    return count(replace_pairs(circuit)).t_count == GIDNEY.expected(n, carry_out)["t_count"], 1.0, 0
 
 
-def _inverse_t_free(entry: Construction, circuit: Circuit, n: int) -> Result:
+def _inverse_t_free(entry: Construction, circuit: Circuit, n: int, carry_out: bool) -> Result:
     """Uncomputing the out-of-place sum costs no T."""
     return count(outofplace_adder_inverse(AdderSpec(n))).t_count == 0, 1.0, 0
 
@@ -74,8 +74,8 @@ class Construction:
     """One construction.
 
     ``build(n, carry_out)`` emits it at width n; kinds without a carry-out
-    ignore the flag.  ``expected(n)`` maps report fields to the exact values
-    it measures at.  ``ideal(n, carry_out)`` maps an input basis index to the
+    ignore the flag.  ``expected(n, carry_out)`` maps report fields to the
+    exact values it measures at.  ``ideal(n, carry_out)`` maps an input basis index to the
     output basis index it must produce or, where ``readout`` is set, to the
     value ``readout(circuit, n)`` reads out of the output index.  ``semantics``
     is the golden corpus descriptor, and ``checks`` are the lines ``tclean
@@ -85,7 +85,7 @@ class Construction:
 
     name: str
     build: Callable[..., Circuit]
-    expected: Callable[[int], dict[str, int]]
+    expected: Callable[..., dict[str, int]]
     ideal: Callable[..., Callable[[int], int]]
     semantics: str = ""
     checks: tuple[tuple[str, Check], ...] = _STANDARD
@@ -124,7 +124,10 @@ _ADD = "add n={n}{carry_out}"
 GIDNEY = Construction(
     "gidney-adder",
     build=lambda n, carry_out=False: gidney_adder(AdderSpec(n, carry_out=carry_out)),
-    expected=lambda n: {"t_count": 4 * n - 4, "meas_depth": 2 * n - 2, "ancilla_max": n - 1},
+    # With carry-out: one more AND and the carry-out qubit.
+    expected=lambda n, carry_out=False: (
+        {"t_count": 4 * n, "meas_depth": 2 * n, "ancilla_max": n + 1} if carry_out
+        else {"t_count": 4 * n - 4, "meas_depth": 2 * n - 2, "ancilla_max": n - 1}),
     ideal=_adder,
     semantics=_ADD,
 )
@@ -133,7 +136,7 @@ GIDNEY = Construction(
 AND_COMPUTE = Construction(
     "and-compute",
     build=lambda n, carry_out=False: and_gadget_circuit("compute"),
-    expected=lambda n: {"t_count": 4, "meas_depth": 1, "ancilla_max": 1},
+    expected=lambda n, carry_out=False: {"t_count": 4, "meas_depth": 1, "ancilla_max": 1},
     ideal=lambda n, carry_out=False: lambda k: k | ((k & 1 & (k >> 1)) << 2),
 )
 
@@ -142,8 +145,9 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
     Construction(
         "cuccaro-adder",
         build=lambda n, carry_out=False: cuccaro_adder(AdderSpec(n, carry_out=carry_out)),
-        expected=lambda n: {"t_count": 0, "ccx_count": 2 * n - 2, "meas_depth": 0,
-                            "ancilla_max": n if n > 1 else 0},
+        expected=lambda n, carry_out=False: (
+            {"t_count": 0, "ccx_count": 2 * n, "meas_depth": 0, "ancilla_max": n + 2} if carry_out
+            else {"t_count": 0, "ccx_count": 2 * n - 2, "meas_depth": 0, "ancilla_max": n if n > 1 else 0}),
         ideal=_adder,
         semantics=_ADD,
         checks=_STANDARD + (("replace-pairs-t", _replace_pairs_t),),
@@ -151,14 +155,16 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
     Construction(
         "controlled-adder",
         build=lambda n, carry_out=False: controlled_adder(AdderSpec(n, carry_out=carry_out)),
-        expected=lambda n: {"t_count": 8 * n - 4, "meas_depth": 4 * n - 2, "ancilla_max": n},
+        expected=lambda n, carry_out=False: (
+            {"t_count": 8 * n + 4, "meas_depth": 4 * n + 2, "ancilla_max": n + 2} if carry_out
+            else {"t_count": 8 * n - 4, "meas_depth": 4 * n - 2, "ancilla_max": n}),
         ideal=lambda n, carry_out=False: _adder(n, carry_out, controlled=True),
         semantics="add n={n}{carry_out} controlled=1",
     ),
     Construction(
         "out-of-place-adder",
         build=lambda n, carry_out=False: outofplace_adder(AdderSpec(n)),
-        expected=lambda n: {"t_count": 4 * n, "meas_depth": n, "ancilla_max": n + 1},
+        expected=lambda n, carry_out=False: {"t_count": 4 * n, "meas_depth": n, "ancilla_max": n + 1},
         ideal=lambda n, carry_out=False: lambda k: k | (((k & ((1 << n) - 1)) + (k >> n)) << (2 * n)),
         semantics="oop-add n={n}",
         checks=_STANDARD + (("inverse-t-free", _inverse_t_free),),
@@ -166,7 +172,7 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
     Construction(
         "and",
         build=lambda n, carry_out=False: and_gadget_circuit("roundtrip"),
-        expected=lambda n: {"t_count": 4, "meas_depth": 2, "ancilla_max": 1},
+        expected=lambda n, carry_out=False: {"t_count": 4, "meas_depth": 2, "ancilla_max": 1},
         ideal=lambda n, carry_out=False: lambda k: k,
         semantics="identity",
         checks=(("compute-counts", _on(AND_COMPUTE, counts)),
@@ -176,7 +182,8 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
     Construction(
         "mcx",
         build=lambda n, carry_out=False: multi_controlled_x(n),
-        expected=lambda n: {"t_count": 4 * n - 4, "meas_depth": 2 * n - 2, "ancilla_max": n - 1},
+        expected=lambda n, carry_out=False: {"t_count": 4 * n - 4, "meas_depth": 2 * n - 2,
+                                             "ancilla_max": n - 1},
         ideal=lambda n, carry_out=False: (
             lambda k: k ^ (1 << n) if (k & ((1 << n) - 1)) == (1 << n) - 1 else k),
         semantics="mcx k={n}",
@@ -185,8 +192,8 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
         "hamming",
         build=lambda n, carry_out=False: hamming_weight(n).circuit,
         # One AND per full or half adder, n - popcount(n) of them, none erased.
-        expected=lambda n: {"t_count": 4 * (n - bin(n).count("1")),
-                            "ancilla_max": n - bin(n).count("1")},
+        expected=lambda n, carry_out=False: {"t_count": 4 * (n - bin(n).count("1")),
+                                             "ancilla_max": n - bin(n).count("1")},
         ideal=lambda n, carry_out=False: lambda k: bin(k).count("1"),
         semantics="hamming n={n}",
         checks=(("t-bound", counts), ("popcount", exhaustive)),
@@ -195,8 +202,8 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
     Construction(
         "phase-gradient",
         build=lambda n, carry_out=False: phase_gradient_add(n),
-        expected=GIDNEY.expected,
-        ideal=_adder,
+        expected=lambda n, carry_out=False: GIDNEY.expected(n),
+        ideal=lambda n, carry_out=False: _adder(n),
         semantics="phase-gradient n={n}",
         # The exact adder map on every input; on the gradient eigenstate it is the kickback.
         checks=(("t-equals-adder", counts), ("kickback-phases", exhaustive)),
@@ -204,9 +211,10 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
 )}
 
 
-def verify(entry: Construction, n: int) -> list[tuple[str, bool, float, int]]:
-    """Run ``entry``'s checks at width n: (name, passed, worst fidelity, branches) each.
+def verify(entry: Construction, n: int, carry_out: bool = False) -> list[tuple[str, bool, float, int]]:
+    """Run ``entry``'s checks at width n, with carry-out or not: (name, passed, worst fidelity, branches) each.
 
+    Kinds without a carry-out ignore the flag, as ``build`` does.
     Every semantic line is one :func:`exhaustive` walk, so ``verify`` refuses
     where :func:`~tclean.sim.basis_equiv` does, with a
     :class:`~tclean.sim.SimulationError` raised before the walk starts: past
@@ -214,5 +222,5 @@ def verify(entry: Construction, n: int) -> list[tuple[str, bool, float, int]]:
     or (input, branch) pairs, or past
     ``MAX_MEASUREMENTS`` measurements.
     """
-    circuit = entry.build(n)
-    return [(name, *check(entry, circuit, n)) for name, check in entry.checks]
+    circuit = entry.build(n, carry_out)
+    return [(name, *check(entry, circuit, n, carry_out)) for name, check in entry.checks]

@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ir import (
+    AND_COMPUTE,
+    AND_UNCOMPUTE,
     Circuit,
     CircuitBuilder,
-    GadgetSpan,
-    GadgetTag,
+    Gadget,
     Instruction,
     Op,
-    Template,
+    Step,
 )
 
 #: Net T-count of erasing by reversing the computation (a |T> state is recovered).
@@ -42,35 +43,12 @@ class AdderSpec:
 
 
 # -- the temporary logical-AND -----------------------------------------------------
+# Its two halves are the circuit IR's record templates, ``ir.AND_COMPUTE``
+# (x AND y into a fresh ancilla for 4 T) and ``ir.AND_UNCOMPUTE`` (the
+# erasure by an X measurement and a conditioned CZ, for none).
 
-
-#: x AND y into a fresh ancilla: exactly |x,y,0> -> |x,y,x&y>.  T-count 4:
-#: the injected |T> state plus three T-type gates.  One AND_COMPUTE span, so
-#: depth accounting treats it as one event.
-AND_COMPUTE = Template(GadgetTag.AND_COMPUTE, "x y anc", """
-    alloct anc
-    cx x anc
-    cx y anc
-    cx anc x
-    cx anc y
-    tdg x
-    tdg y
-    t anc
-    cx anc x
-    cx anc y
-    h anc
-    s anc
-""")
 #: T-count of one AND computation (the injected |T> state counts as one).
-AND_T_COUNT = sum(op.t_type for op in AND_COMPUTE.ops)
-
-#: Erasure of an ancilla holding x AND y: measure it in X, fix the phase up
-#: with a CZ conditioned on the outcome, release it.  T-count 0.
-AND_UNCOMPUTE = Template(GadgetTag.AND_UNCOMPUTE, "x y anc", """
-    mx anc
-    ? cz x y
-    release anc
-""")
+AND_T_COUNT = AND_COMPUTE.t_count
 
 
 def and_compute(b: CircuitBuilder, x: int, y: int) -> int:
@@ -104,7 +82,7 @@ def and_gadget_circuit(variant: str = "roundtrip") -> Circuit:
     elif variant == "roundtrip":
         and_uncompute(b, a, y, anc)
     elif variant == "reverse":
-        emit_inverse(b, AND_COMPUTE.instantiate((a, y, anc))[1:], ())
+        emit_inverse(b, AND_COMPUTE.instantiate((a, y, anc))[1:])
         b.output("a", (a,))
         b.output("b", (y,))
         b.output("anc", (anc,))
@@ -116,52 +94,34 @@ def and_gadget_circuit(variant: str = "roundtrip") -> Circuit:
 # -- fragment inversion --------------------------------------------------------------
 
 _DAGGER = {Op.S: Op.SDG, Op.SDG: Op.S, Op.T: Op.TDG, Op.TDG: Op.T}
-#: Each AND span's template and the template that undoes it, on the same wires.
-_AND_INVERSE = {
-    GadgetTag.AND_COMPUTE: (AND_COMPUTE, AND_UNCOMPUTE),
-    GadgetTag.AND_UNCOMPUTE: (AND_UNCOMPUTE, AND_COMPUTE),
-}
+#: The template that undoes each AND record's, on the same wires.
+_AND_INVERSE = {AND_COMPUTE: AND_UNCOMPUTE, AND_UNCOMPUTE: AND_COMPUTE}
 
 
-def emit_inverse(b: CircuitBuilder, instructions: tuple[Instruction, ...],
-                 spans: tuple[GadgetSpan, ...]) -> None:
-    """Append the inverse of a measurement-free fragment.
+def emit_inverse(b: CircuitBuilder, steps: tuple[Step, ...]) -> None:
+    """Append the inverse of a measurement-free fragment of steps.
 
-    AND_COMPUTE spans invert to measure-and-fixup erasures (this is what makes
-    uncomputation T-free), AND_UNCOMPUTE spans invert back to computations,
-    allocations swap with releases, and plain gates are daggered in reverse
-    order.  An AND span's operands are read by matching it against its
-    template, and a span that is no instance of it raises ValueError.
-    `spans` share no instruction, as a circuit's do, so walking back meets
-    each at its last instruction.
+    AND_COMPUTE records invert to measure-and-fixup erasures (this is what
+    makes uncomputation T-free), AND_UNCOMPUTE records invert back to
+    computations on the same wires, allocations swap with releases, and
+    plain gates are daggered in reverse order.
     """
-    span_ending = {span.end - 1: span for span in spans}
-    i = len(instructions) - 1
-    while i >= 0:
-        span = span_ending.get(i)
-        if span is not None:
-            template, inverse = _AND_INVERSE[span.tag]
-            wires = template.match(instructions[span.start:span.end])
-            if wires is None:
-                raise ValueError(f"{span.tag.value} span [{span.start},{span.end}) "
-                                 "is not an instance of its template")
-            b.emit_template(inverse, wires)
-            i = span.start - 1
+    for step in reversed(steps):
+        if step.__class__ is Gadget:
+            b.emit_template(_AND_INVERSE[step.template], step.wires)
             continue
-        instr = instructions[i]
-        if instr.result is not None or instr.cond is not None:
+        if step.result is not None or step.cond is not None:
             raise ValueError("cannot invert measurement or feedback outside a gadget span")
-        if instr.op is Op.ALLOC0:
-            b.release(instr.qubits[0])
-        elif instr.op is Op.RELEASE:
-            b.alloc0(instr.qubits[0])
-        elif instr.op is Op.ALLOCT:
+        if step.op is Op.ALLOC0:
+            b.release(step.qubits[0])
+        elif step.op is Op.RELEASE:
+            b.alloc0(step.qubits[0])
+        elif step.op is Op.ALLOCT:
             raise ValueError("cannot invert a bare |T> injection")
-        elif instr.op is Op.RZ:
-            b.rz(-instr.angle, instr.qubits[0])
+        elif step.op is Op.RZ:
+            b.rz(-step.angle, step.qubits[0])
         else:
-            b.append(Instruction(_DAGGER.get(instr.op, instr.op), instr.qubits))
-        i -= 1
+            b.append(Instruction(_DAGGER.get(step.op, step.op), step.qubits))
 
 
 # -- in-place ripple-carry adders --------------------------------------------------
@@ -349,7 +309,7 @@ def outofplace_adder_inverse(spec: AdderSpec) -> Circuit:
     b = CircuitBuilder()
     for reg in forward.outputs:  # a, b, s
         b.adopt_register(reg.name, reg.qubits)
-    emit_inverse(b, forward.instructions, forward.spans)
+    emit_inverse(b, forward.body)
     for reg in forward.inputs:
         b.output(reg.name, reg.qubits)
     return b.build()
@@ -374,7 +334,7 @@ def multi_controlled_x(k: int) -> Circuit:
         rep = and_compute(b, rep, controls[j])
     ladder = b.fragment_since(mark)
     b.cx(rep, target)
-    emit_inverse(b, *ladder)
+    emit_inverse(b, ladder)
     return b.build()
 
 
@@ -474,7 +434,7 @@ def hamming_roundtrip(n: int, theta: float | None = None) -> HammingConstruction
     if theta is not None:
         for p, q in enumerate(register):
             b.rz(theta * (1 << p), q)
-    emit_inverse(b, *fragment)
+    emit_inverse(b, fragment)
     circuit = b.build()
     return HammingConstruction(circuit, register)
 

@@ -1,8 +1,10 @@
 """Circuit intermediate representation.
 
-A circuit is an ordered list of instructions over integer qubit ids and
-classical bit ids.  Ancilla lifetimes are explicit: qubits either belong to a
-declared input register (live for the whole circuit) or are created by an
+A circuit is an ordered body of steps over integer qubit ids and classical
+bit ids.  A step is one instruction or one gadget record: an instance of
+:data:`AND_COMPUTE` or :data:`AND_UNCOMPUTE` placed on concrete wires, which
+is one gadget span.  Ancilla lifetimes are explicit: qubits either belong to
+a declared input register (live for the whole circuit) or are created by an
 ``alloc0``/``alloct`` instruction and destroyed by ``release``.  Measurement
 outcomes land in write-once classical bits, and Clifford instructions may be
 conditioned on one of those bits (the measure-and-fixup idiom).  Each
@@ -10,18 +12,20 @@ instruction kind's properties (arity, read-only controls, Clifford, T-type,
 measurement, diagonal, allocation lifetime) are stated once, as attributes of
 its :class:`Op` member, and every pass reads them there.
 
-Contiguous instruction ranges can be tagged as AND-gadget spans.  Spans are
-flat: no two share an instruction.  They are annotations only: simulation
-executes the instructions inside them normally, while depth accounting
-counts each span as a single unit-weight event on every wire it touches.
+A record is a span by construction: it holds its template, not the
+instructions, so its body is always an exact instance.  Passes that price
+or check a circuit step over each record once; simulation and the Toffoli
+matcher read :attr:`Circuit.instructions`, the body with every record
+expanded.  Depth accounting counts each record as a single unit-weight
+event on every wire it touches.
 
 Every :class:`Circuit` is valid: constructing one makes the walk that
 :func:`validate` makes and raises :class:`CircuitError` on the first
-violation.  The same walk derives the circuit's widths from its contents, no
-id exceeds ``MAX_INDEX``, and the spans are stored in start order, so
-the text format carries every circuit exactly.  The builder, the text
-parser and the rewriting passes all end in that constructor, so passes take
-their input as checked and never check it again.
+violation.  The same walk derives the circuit's widths and instruction count
+from its contents, and no id exceeds ``MAX_INDEX``, so the text format
+carries every circuit exactly.  The builder, the text parser and the
+rewriting passes all end in that constructor, so passes take their input as
+checked and never check it again.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, Union
 
 #: Largest qubit or classical-bit id a circuit may name: passes keep per-wire
 #: state up to the largest id, and the text format writes no larger one.
@@ -118,15 +122,34 @@ class Instruction(NamedTuple):
 _new_record = tuple.__new__
 
 
+def _tuple_getter(slots: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A C-level getter of the items at `slots` as a tuple: a one-item slice for one slot."""
+    if len(slots) == 1:
+        return itemgetter(slice(slots[0], slots[0] + 1))
+    if slots:
+        return itemgetter(*slots)
+    return lambda wires: ()
+
+
 class Template:
     """A fixed instruction sequence over named wires, placed on concrete qubits.
 
     Written one instruction a line in the text format's mnemonics, with wire
     names where the text has qubit ids (``cx x anc``).  A measurement writes
     the instance's classical bit, and a line that starts with ``?`` is
-    conditioned on it.  A template with a ``tag`` is one gadget span
-    wherever it is placed.  Each construction that is placed whole, by the
-    builder or by a rewriting pass, is defined once as a template.
+    conditioned on it.  Each construction that is placed whole, by the
+    builder or by a rewriting pass, is defined once as a template.  A
+    template with a ``tag`` is one gadget span wherever it is placed, and
+    the circuit stores it as one :class:`Gadget` record; only the templates
+    of :data:`TEMPLATES` carry one.
+
+    A record is priced and checked without its instructions, so a template
+    states what its instructions do to each wire: ``live_in`` picks the
+    wires that must be live on entry, ``born`` those it allocates and
+    ``dies`` those it releases, and ``events`` lists its allocations (+1)
+    and releases (-1) in order as (wire, lifetime) pairs.  A tagged template
+    whose instructions break an invariant on distinct wires that meet those
+    needs raises ValueError, so a record on such wires is valid.
     """
 
     def __init__(self, tag: GadgetTag | None, wires: str, text: str) -> None:
@@ -141,22 +164,39 @@ class Template:
             if len(slots) != op.arity or op is _RZ or (cond and not op.clifford):
                 raise ValueError(f"bad template line {line.strip()!r}")
             gates.append((op, slots, cond))
+        self.lines = tuple(gates)  # each line's (op, wire slots, conditioned)
         self.ops = tuple(op for op, _, _ in gates)
+        self.size = len(gates)
+        self.n_wires = len(names)
         self.measures = any(op.measures for op in self.ops)
+        self.t_count = sum(op.t_type for op in self.ops)
+        self.ccx_count = self.ops.count(_CCX)
         # An instance makes each distinct instruction once and repeats the
         # record where the sequence repeats it.  Each is made with one C-level
-        # getter that returns its qubits as a tuple: a one-qubit instruction
-        # takes a one-element slice of the wires.
+        # getter that returns its qubits as a tuple.
         distinct = list(dict.fromkeys(gates))
         self._order = tuple(map(distinct.index, gates))
-        self._gates = tuple(
-            (op, itemgetter(*slots) if len(slots) > 1 else itemgetter(slice(slots[0], slots[0] + 1)),
-             op.measures, cond)
-            for op, slots, cond in distinct)
+        self._gates = tuple((op, _tuple_getter(slots), op.measures, cond) for op, slots, cond in distinct)
         # (instruction, position) where each wire is first named, for match.
         self._first = tuple(
             min((g, p) for g, (_, slots, _) in enumerate(gates) for p, s in enumerate(slots) if s == w)
             for w in range(len(names)))
+
+        lifetimes = [[op.lifetime for op, slots, _ in gates if w in slots] for w in range(len(names))]
+        self.live_in = _tuple_getter([w for w, life in enumerate(lifetimes) if life[0] <= 0])
+        self.born = _tuple_getter([w for w, life in enumerate(lifetimes) if life[0] > 0])
+        self.dies = _tuple_getter([w for w, life in enumerate(lifetimes) if life[-1] < 0])
+        self.events = tuple((slots[0], op.lifetime) for op, slots, _ in gates if op.lifetime)
+        if tag is not None:
+            wire_ids = tuple(range(len(names)))
+            found = _check(self.instantiate(wire_ids, 0 if self.measures else None),
+                           (Register("in", self.live_in(wire_ids)),), (Register("out", ()),))
+            if isinstance(found, Violation) or self.size < 2:
+                raise ValueError(f"tagged template {tag.value} is no valid gadget: {found}")
+
+    def __repr__(self) -> str:
+        name = self.tag.value if self.tag else "untagged"
+        return f"<Template {name}: {' '.join(op.value for op in self.ops)}>"
 
     def instantiate(self, wires: tuple[int, ...], bit: int | None = None) -> tuple[Instruction, ...]:
         """The instructions on qubit ids `wires` (a tuple, one id per wire name), with classical bit `bit`."""
@@ -165,21 +205,30 @@ class Template:
                 for op, get, measures, cond in self._gates]
         return tuple(map(made.__getitem__, self._order))
 
-    def match(self, instrs: Sequence[Instruction]) -> tuple[int, ...] | None:
-        """The qubit ids `instrs` are an instance of this template on, or None if they are not one."""
+    def match(self, instrs: Sequence[Instruction]) -> Gadget | None:
+        """The record of this template that `instrs` spell, or None if they are no instance of it."""
         if tuple(instr.op for instr in instrs) != self.ops:
             return None
         wires = tuple(instrs[g].qubits[p] for g, p in self._first)
         bit = next((instr.result for instr in instrs if instr.result is not None), None)
-        return wires if self.instantiate(wires, bit) == tuple(instrs) else None
+        return Gadget(self, wires, bit) if self.instantiate(wires, bit) == tuple(instrs) else None
 
 
-class GadgetSpan(NamedTuple):
-    """Nonempty half-open instruction range [start, end) tagged as one gadget; spans share no instruction."""
+class Gadget(NamedTuple):
+    """One gadget span, stored as one step: its template placed on `wires`.
 
-    start: int
-    end: int
-    tag: GadgetTag
+    ``wires`` holds one qubit id per template wire, in the template's wire
+    order, and ``bit`` the classical bit the template's measurement writes,
+    None for a template that measures nothing.
+    """
+
+    template: Template
+    wires: tuple[int, ...]
+    bit: int | None = None
+
+
+#: One step of a circuit body.
+Step = Union[Instruction, Gadget]
 
 
 @dataclass(frozen=True)
@@ -193,26 +242,38 @@ class Circuit:
     """A valid circuit: construction raises :class:`CircuitError` otherwise.
 
     ``n_qubits`` and ``n_classbits`` are not arguments: they are one more
-    than the largest qubit id the registers and instructions name and one
-    more than the largest result bit, found in the validating walk.  The
-    spans are flat, so they are stored sorted by start alone, and circuits
-    that differ only in the order their spans were given are equal.
+    than the largest qubit id the registers and steps name and one more than
+    the largest result bit, found in the validating walk, which also counts
+    the instructions ``len`` returns.
     """
 
-    instructions: tuple[Instruction, ...]
-    spans: tuple[GadgetSpan, ...] = ()
+    body: tuple[Step, ...]
     inputs: tuple[Register, ...] = ()
     outputs: tuple[Register, ...] = ()
     n_qubits: int = field(init=False)
     n_classbits: int = field(init=False)
+    _length: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "spans", tuple(sorted(self.spans, key=itemgetter(0))))
-        found = _check(self)
+        found = _check(self.body, self.inputs, self.outputs)
         if isinstance(found, Violation):
             raise CircuitError(found)
         object.__setattr__(self, "n_qubits", found[0])
         object.__setattr__(self, "n_classbits", found[1])
+        object.__setattr__(self, "_length", found[2])
+        if found[2] == len(self.body):  # every record stands for two or more instructions
+            self.__dict__["instructions"] = self.body
+
+    @cached_property
+    def instructions(self) -> tuple[Instruction, ...]:
+        """The body with each record expanded into its instructions, made on first read."""
+        out: list[Instruction] = []
+        for step in self.body:
+            if step.__class__ is Gadget:
+                out += step.template.instantiate(step.wires, step.bit)
+            else:
+                out.append(step)
+        return tuple(out)
 
     def input_qubits(self) -> tuple[int, ...]:
         return tuple(q for reg in self.inputs for q in reg.qubits)
@@ -228,7 +289,7 @@ class Circuit:
         return {q: j for j, q in enumerate(self.output_qubits())}
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return self._length
 
 
 class ViolationCode(Enum):
@@ -237,7 +298,7 @@ class ViolationCode(Enum):
     CLASSBIT_READ_BEFORE_WRITE = "CLASSBIT_READ_BEFORE_WRITE"
     BAD_ARITY = "BAD_ARITY"
     NONCLIFFORD_CONDITIONED = "NONCLIFFORD_CONDITIONED"
-    OVERLAPPING_GADGET_SPANS = "OVERLAPPING_GADGET_SPANS"
+    MALFORMED_GADGET_SPAN = "MALFORMED_GADGET_SPAN"
     # Cases the canonical six do not cover.
     ALLOC_WHILE_LIVE = "ALLOC_WHILE_LIVE"
     CLASSBIT_REWRITE = "CLASSBIT_REWRITE"
@@ -262,41 +323,33 @@ class CircuitError(Exception):
 
 
 def validate(circuit: Circuit) -> Violation | None:
-    """Check every lifetime, arity, classical-bit, id-limit, register-name and span invariant.
+    """Check every lifetime, arity, classical-bit, id-limit, register-name and record invariant.
 
-    Returns the first violation in instruction order, or None if the circuit
-    is valid.  Deterministic: depends only on the circuit contents.
+    Returns the first violation in instruction order, with its index in
+    :attr:`Circuit.instructions`, or None if the circuit is valid.
+    Deterministic: depends only on the circuit contents.
     """
-    found = _check(circuit)
+    found = _check(circuit.body, circuit.inputs, circuit.outputs)
     return found if isinstance(found, Violation) else None
 
 
-def _check(circuit: Circuit) -> Violation | tuple[int, int]:
-    """The first violation :func:`validate` reports, or else the widths ``(n_qubits, n_classbits)``.
+def _check(body: Sequence[Step], inputs: Sequence[Register],
+           outputs: Sequence[Register]) -> Violation | tuple[int, int, int]:
+    """The first violation :func:`validate` reports, or else ``(n_qubits, n_classbits, instruction count)``.
 
     Only in-range ids enter ``live``: an input register's ids and an
     allocated id are range-checked first.  So a live qubit is in range and
     ``max_qubit`` already counts it, and a gate on live qubits (the common
-    instruction) is accepted by one test with no range or width work.  Any
-    instruction that test does not accept takes the full checks, which
-    alone word each violation, so the first violation does not depend on
-    the test.
+    instruction) is accepted by one test with no range or width work, as
+    are an allocation of a dead id in range and a release of a live one.  A
+    record is accepted by one test too: its wires distinct and in range,
+    the ones its template needs live, the ones it allocates not, and its bit
+    unwritten.  Any step that its test does not accept takes the full
+    per-instruction checks (a record on each instruction of its expansion),
+    which alone word each violation, so the first violation does not depend
+    on the tests.
     """
-    n = len(circuit.instructions)
-    prev_end = 0
-    for start, end, _ in circuit.spans:  # stored by start
-        if start < 0 or end > n:
-            problem = "out of bounds"
-        elif start >= end:
-            problem = "is empty"
-        elif start < prev_end:
-            problem = "overlaps the span before it"
-        else:
-            prev_end = end
-            continue
-        return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, start, f"span [{start},{end}) {problem}")
-
-    for side, regs in (("input", circuit.inputs), ("output", circuit.outputs)):
+    for side, regs in (("input", inputs), ("output", outputs)):
         names: set[str] = set()
         for reg in regs:
             if reg.name.split() != [reg.name]:
@@ -309,7 +362,7 @@ def _check(circuit: Circuit) -> Violation | tuple[int, int]:
     live: set[int] = set()
     ever_released: set[int] = set()
     max_qubit = max_bit = -1
-    for reg in circuit.inputs:
+    for reg in inputs:
         top = max(reg.qubits, default=-1)
         if top > MAX_INDEX or min(reg.qubits, default=0) < 0:
             return Violation(ViolationCode.BAD_ARITY, 0, f"qubit index out of range in {reg.qubits}")
@@ -329,78 +382,174 @@ def _check(circuit: Circuit) -> Violation | tuple[int, int]:
 
     gate_arity = _GATE_ARITY
     all_live = live.issuperset
-    rz = Op.RZ
-    for i, (op, qubits, angle, result, cond) in enumerate(circuit.instructions):
-        # The accept test: a gate that breaks none of the checks below.  Its
-        # qubits are live, so they are in range and max_qubit counts them.
-        arity = gate_arity.get(op)
-        if (arity == len(qubits) and angle is None and result is None and all_live(qubits)
-                and (cond is None or (op.clifford and cond in written_bits))
-                and (arity == 1 or (qubits[0] != qubits[1] if arity == 2 else len(set(qubits)) == arity))):
-            continue
-        arity = op.arity
-        if len(qubits) != arity or (arity > 1 and len(set(qubits)) != arity):
-            return Violation(ViolationCode.BAD_ARITY, i,
-                             f"{op.value} expects {arity} distinct qubits, got {qubits}")
-        top = max(qubits)
-        if top > max_qubit:
-            if top > MAX_INDEX:
-                return Violation(ViolationCode.BAD_ARITY, i, f"qubit index out of range in {qubits}")
-            max_qubit = top
-        if min(qubits) < 0:
-            return Violation(ViolationCode.BAD_ARITY, i, f"qubit index out of range in {qubits}")
-        if (angle is not None) != (op is rz):
-            return Violation(ViolationCode.BAD_ARITY, i, "angle is required for rz and forbidden elsewhere")
-        if angle is not None and not math.isfinite(angle):
-            return Violation(ViolationCode.BAD_ARITY, i, f"rz angle must be finite, got {angle}")
-        measures = op.measures
-        if (result is not None) != measures:
-            return Violation(ViolationCode.BAD_ARITY, i, "result bit is required for measurements only")
-
-        if cond is not None:
-            if not op.clifford:
-                return Violation(ViolationCode.NONCLIFFORD_CONDITIONED, i,
-                                 f"conditioned {op.value} is not a Clifford fixup")
-            if cond not in written_bits:
-                return Violation(ViolationCode.CLASSBIT_READ_BEFORE_WRITE, i,
-                                 f"classical bit c{cond} read before any measurement wrote it")
-
-        lifetime = op.lifetime
-        if lifetime > 0:
-            q = qubits[0]
-            if q in live:
-                return Violation(ViolationCode.ALLOC_WHILE_LIVE, i, f"qubit {q} allocated while live")
-            live.add(q)
-            ever_released.discard(q)
-        elif lifetime < 0:
-            q = qubits[0]
-            if q not in live:
-                return liveness_error(q, i)
-            live.discard(q)
-            ever_released.add(q)
+    no_live = live.isdisjoint
+    gadget, plans = Gadget, _RECORD_PLANS
+    extra = 0  # instructions the records before this step stand for, less one each
+    for s, step in enumerate(body):
+        if step.__class__ is gadget:
+            template, wires, bit = step
+            plan = plans.get(template)
+            if (plan is None or wires.__class__ is not tuple or len(wires) != plan[0]
+                    or (bit is None) == plan[4]):
+                return Violation(ViolationCode.MALFORMED_GADGET_SPAN, s + extra,
+                                 f"record of {template!r} on {wires!r} with bit {bit!r} "
+                                 "is no placed instance of a gadget template")
+            n_wires, live_in, born_of, dies_of, measures, grow = plan
+            born = born_of(wires)
+            # The accept test: a record whose expansion breaks none of the checks.
+            # Its live wires are in range and max_qubit counts them.
+            if (all_live(live_in(wires)) and no_live(born) and len(set(wires)) == n_wires
+                    and (not measures or (bit.__class__ is int and 0 <= bit <= MAX_INDEX
+                                          and bit not in written_bits))
+                    and (not born or (min(born) >= 0 and max(born) <= MAX_INDEX))):
+                if born:
+                    top = max(born)
+                    if top > max_qubit:
+                        max_qubit = top
+                    live.update(born)
+                    ever_released.difference_update(born)
+                dies = dies_of(wires)
+                if dies:
+                    live.difference_update(dies)
+                    ever_released.update(dies)
+                if measures:
+                    written_bits.add(bit)
+                    if bit > max_bit:
+                        max_bit = bit
+                extra += grow
+                continue
+            pending = template.instantiate(wires, bit)
         else:
-            if not live.issuperset(qubits):
-                return liveness_error(next(q for q in qubits if q not in live), i)
-            if measures:
-                if result > max_bit:
-                    if result > MAX_INDEX:
-                        return Violation(ViolationCode.BAD_ARITY, i, f"classical bit {result} out of range")
-                    max_bit = result
-                if result < 0:
-                    return Violation(ViolationCode.BAD_ARITY, i, f"classical bit {result} out of range")
-                if result in written_bits:
-                    return Violation(ViolationCode.CLASSBIT_REWRITE, i,
-                                     f"classical bit c{result} written twice")
-                written_bits.add(result)
+            op, qubits, angle, result, cond = step
+            # The accept test: a gate that breaks none of the checks below.  Its
+            # qubits are live, so they are in range and max_qubit counts them.
+            arity = gate_arity.get(op)
+            if (arity == len(qubits) and angle is None and result is None and all_live(qubits)
+                    and (cond is None or (op.clifford and cond in written_bits))
+                    and (arity == 1 or (qubits[0] != qubits[1] if arity == 2 else len(set(qubits)) == arity))):
+                continue
+            # The accept test of an allocation or release: the one qubit in range and dead, or live.
+            lifetime = op.lifetime
+            if lifetime and len(qubits) == 1 and angle is None and result is None and cond is None:
+                q = qubits[0]
+                if lifetime < 0:
+                    if q in live:
+                        live.discard(q)
+                        ever_released.add(q)
+                        continue
+                elif q not in live and 0 <= q <= MAX_INDEX:
+                    live.add(q)
+                    ever_released.discard(q)
+                    if q > max_qubit:
+                        max_qubit = q
+                    continue
+            pending = (step,)
 
-    outputs: set[int] = set()
-    for q in circuit.output_qubits():
+        # Every check on each instruction of the step, with its effect on the walk's state.
+        for i, (op, qubits, angle, result, cond) in enumerate(pending, s + extra):
+            arity = op.arity
+            if len(qubits) != arity or (arity > 1 and len(set(qubits)) != arity):
+                return Violation(ViolationCode.BAD_ARITY, i,
+                                 f"{op.value} expects {arity} distinct qubits, got {qubits}")
+            top = max(qubits)
+            if top > max_qubit:
+                if top > MAX_INDEX:
+                    return Violation(ViolationCode.BAD_ARITY, i, f"qubit index out of range in {qubits}")
+                max_qubit = top
+            if min(qubits) < 0:
+                return Violation(ViolationCode.BAD_ARITY, i, f"qubit index out of range in {qubits}")
+            if (angle is not None) != (op is _RZ):
+                return Violation(ViolationCode.BAD_ARITY, i, "angle is required for rz and forbidden elsewhere")
+            if angle is not None and not math.isfinite(angle):
+                return Violation(ViolationCode.BAD_ARITY, i, f"rz angle must be finite, got {angle}")
+            measures = op.measures
+            if (result is not None) != measures:
+                return Violation(ViolationCode.BAD_ARITY, i, "result bit is required for measurements only")
+
+            if cond is not None:
+                if not op.clifford:
+                    return Violation(ViolationCode.NONCLIFFORD_CONDITIONED, i,
+                                     f"conditioned {op.value} is not a Clifford fixup")
+                if cond not in written_bits:
+                    return Violation(ViolationCode.CLASSBIT_READ_BEFORE_WRITE, i,
+                                     f"classical bit c{cond} read before any measurement wrote it")
+
+            lifetime = op.lifetime
+            if lifetime > 0:
+                q = qubits[0]
+                if q in live:
+                    return Violation(ViolationCode.ALLOC_WHILE_LIVE, i, f"qubit {q} allocated while live")
+                live.add(q)
+                ever_released.discard(q)
+            elif lifetime < 0:
+                q = qubits[0]
+                if q not in live:
+                    return liveness_error(q, i)
+                live.discard(q)
+                ever_released.add(q)
+            else:
+                if not live.issuperset(qubits):
+                    return liveness_error(next(q for q in qubits if q not in live), i)
+                if measures:
+                    if result > max_bit:
+                        if result > MAX_INDEX:
+                            return Violation(ViolationCode.BAD_ARITY, i, f"classical bit {result} out of range")
+                        max_bit = result
+                    if result < 0:
+                        return Violation(ViolationCode.BAD_ARITY, i, f"classical bit {result} out of range")
+                    if result in written_bits:
+                        return Violation(ViolationCode.CLASSBIT_REWRITE, i,
+                                         f"classical bit c{result} written twice")
+                    written_bits.add(result)
+        extra += len(pending) - 1
+
+    n = len(body) + extra
+    seen: set[int] = set()
+    for q in (q for reg in (outputs or inputs) for q in reg.qubits):
         if q not in live:
             return Violation(ViolationCode.OUTPUT_NOT_LIVE, n, f"declared output qubit {q} not live at end")
-        if q in outputs:
+        if q in seen:
             return Violation(ViolationCode.REGISTER_OVERLAP, n, f"qubit {q} declared twice as an output")
-        outputs.add(q)
-    return max_qubit + 1, max_bit + 1
+        seen.add(q)
+    return max_qubit + 1, max_bit + 1, n
+
+
+# -- the temporary logical-AND ----------------------------------------------------------
+
+#: What the accept test reads of each template a record may place:
+#: ``(n_wires, live_in, born, dies, measures, size - 1)``.  Empty while the
+#: two templates below check themselves, which places no record.
+_RECORD_PLANS: dict[Template, tuple] = {}
+
+#: x AND y into a fresh ancilla: exactly |x,y,0> -> |x,y,x&y>.  T-count 4:
+#: the injected |T> state plus three T-type gates.  One AND_COMPUTE span, so
+#: depth accounting treats it as one event.
+AND_COMPUTE = Template(GadgetTag.AND_COMPUTE, "x y anc", """
+    alloct anc
+    cx x anc
+    cx y anc
+    cx anc x
+    cx anc y
+    tdg x
+    tdg y
+    t anc
+    cx anc x
+    cx anc y
+    h anc
+    s anc
+""")
+
+#: Erasure of an ancilla holding x AND y: measure it in X, fix the phase up
+#: with a CZ conditioned on the outcome, release it.  T-count 0.
+AND_UNCOMPUTE = Template(GadgetTag.AND_UNCOMPUTE, "x y anc", """
+    mx anc
+    ? cz x y
+    release anc
+""")
+
+#: The template of each tag: a record's template is its tag's.
+TEMPLATES: dict[GadgetTag, Template] = {t.tag: t for t in (AND_COMPUTE, AND_UNCOMPUTE)}
+_RECORD_PLANS = {t: (t.n_wires, t.live_in, t.born, t.dies, t.measures, t.size - 1) for t in TEMPLATES.values()}
 
 
 class CircuitBuilder:
@@ -412,8 +561,7 @@ class CircuitBuilder:
     """
 
     def __init__(self) -> None:
-        self._instructions: list[Instruction] = []
-        self._spans: list[GadgetSpan] = []
+        self._body: list[Step] = []
         self._inputs: list[Register] = []
         self._outputs: list[Register] = []
         self._next_qubit = 0
@@ -443,7 +591,7 @@ class CircuitBuilder:
 
     def _emit(self, op: Op, qubits: tuple[int, ...], angle: float | None = None,
               result: int | None = None, cond: int | None = None) -> None:
-        self._instructions.append(_new_record(Instruction, (op, qubits, angle, result, cond)))
+        self._body.append(_new_record(Instruction, (op, qubits, angle, result, cond)))
 
     def fresh_qubit(self, q: int | None = None) -> int:
         """`q`, or the next unused id when None; either way it is adopted."""
@@ -514,57 +662,46 @@ class CircuitBuilder:
         return bit
 
     def emit_template(self, template: Template, wires: tuple[int, ...]) -> None:
-        """Append `template` on qubit ids `wires`, as one gadget span if it is tagged.
+        """Append `template` on qubit ids `wires`: one :class:`Gadget` record if it is tagged.
 
         A measuring template writes a fresh classical bit.
         """
-        bit = self._next_bit
-        self._next_bit += template.measures
         top = max(wires) + 1
         if top > self._next_qubit:
             self._next_qubit = top
-        instrs = self._instructions
-        start = len(instrs)
-        instrs += template.instantiate(wires, bit)
+        bit = None
+        if template.measures:
+            bit = self._next_bit
+            self._next_bit += 1
         if template.tag is not None:
-            self._spans.append(GadgetSpan(start, len(instrs), template.tag))
+            self._body.append(Gadget(template, wires, bit))
+        else:
+            self._body += template.instantiate(wires, bit)
 
-    def append(self, instr: Instruction) -> None:
-        """Append a prebuilt instruction, adopting any ids it references."""
-        if instr.qubits:
-            self._next_qubit = max(self._next_qubit, max(instr.qubits) + 1)
-        for bit in (instr.result, instr.cond):
+    def append(self, step: Step) -> None:
+        """Append a prebuilt instruction or record, adopting any ids it references."""
+        if step.__class__ is Gadget:
+            qubits, bits = step.wires, (step.bit,)
+        else:
+            qubits, bits = step.qubits, (step.result, step.cond)
+        if qubits:
+            self._next_qubit = max(self._next_qubit, max(qubits) + 1)
+        for bit in bits:
             if bit is not None:
                 self._next_bit = max(self._next_bit, bit + 1)
-        self._instructions.append(instr)
-
-    def reserve_classbits(self, n: int) -> None:
-        self._next_bit = max(self._next_bit, n)
-
-    def add_span(self, span: GadgetSpan) -> None:
-        """Adopt a prebuilt span (absolute indices into this builder's list)."""
-        self._spans.append(span)
+        self._body.append(step)
 
     # -- fragments ---------------------------------------------------------------
 
-    @property
-    def next_index(self) -> int:
-        return len(self._instructions)
-
-    def mark(self) -> tuple[int, int]:
+    def mark(self) -> int:
         """Checkpoint for :meth:`fragment_since`."""
-        return (len(self._instructions), len(self._spans))
+        return len(self._body)
 
-    def fragment_since(self, mark: tuple[int, int]) -> tuple[tuple[Instruction, ...], tuple[GadgetSpan, ...]]:
-        """Instructions appended since `mark`, with span indices rebased to 0."""
-        i0, s0 = mark
-        instrs = tuple(self._instructions[i0:])
-        spans = tuple(GadgetSpan(s.start - i0, s.end - i0, s.tag) for s in self._spans[s0:])
-        return instrs, spans
+    def fragment_since(self, mark: int) -> tuple[Step, ...]:
+        """The steps appended since `mark`."""
+        return tuple(self._body[mark:])
 
     # -- finish ----------------------------------------------------------------
 
     def build(self) -> Circuit:
-        return Circuit(tuple(self._instructions), spans=tuple(self._spans),
-                       inputs=tuple(self._inputs), outputs=tuple(self._outputs))
-
+        return Circuit(tuple(self._body), inputs=tuple(self._inputs), outputs=tuple(self._outputs))

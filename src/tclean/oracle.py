@@ -289,6 +289,6 @@ def compile_oracle(expr: str, impl: str = "and") -> Circuit:
         b.cx(wire.qubit, out)
         b.release(out)
 
-    emit_inverse(b, *fragment)
+    emit_inverse(b, fragment)
     circuit = b.build()
     return replace_pairs(circuit) if impl == "and" else circuit

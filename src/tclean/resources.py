@@ -3,9 +3,9 @@
 Measurement depth is the longest weighted chain of instructions linked
 through shared qubit and classical-bit wires.  Bare measurements and bare
 T-type instructions each weigh 1 and Clifford operations weigh 0; a gadget
-span (spans are flat: no two share an instruction) is one unit event on every
-wire it touches (a T gate applied by teleportation is one measurement event,
-which is why a whole AND computation weighs 1).
+record is one unit event on every wire it touches (a T gate applied by
+teleportation is one measurement event, which is why a whole AND
+computation weighs 1).
 
 Ancillae are priced as opportunity cost: a held ancilla is surface-code area
 that is not distilling |T> states.  With the default constants (960 spacetime
@@ -15,12 +15,11 @@ held for one layer costs 1/480 of a |T> state.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from typing import Callable
 
-from .ir import Circuit, Op
+from .ir import Circuit, Gadget, Op
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,8 @@ class CostModel:
         return ANCILLA_VOLUME_PER_DEPTH / (self.t_state_volume * self.idle_factor)
 
 
-#: Each kind's weight in measurement depth outside a span: 1 for T-type and measuring kinds.
+#: Each kind's weight in measurement depth outside a record: 1 for T-type and measuring kinds.
 _DEPTH_WEIGHT = {op: int(op.t_type or op.measures) for op in Op}
-_QUBITS = itemgetter(1)  # an instruction's qubits
 
 
 class NoCrossoverError(Exception):
@@ -68,45 +66,58 @@ class NoCrossoverError(Exception):
 
 
 def count(circuit: Circuit) -> ResourceReport:
-    """Measure a circuit in one forward walk.  Unlowered CCX macros are reported, not T-counted.
+    """Measure a circuit in one forward walk over its steps.  Unlowered CCX macros are reported, not T-counted.
 
-    Every qubit and classical bit keeps the layer its last user finished at.
-    Only a bit's readers wait on it: a bit is written once, before any read.
-    Every instruction in a span finishes one layer after the latest of the
-    wires the span touches.
+    Every qubit and classical bit keeps the layer its last user finished at,
+    and a released id keeps its layer for its next occupant.  Only a bit's
+    readers wait on it: a bit is written once, before any read.  A circuit
+    names at most ``len(circuit)`` ids beyond its inputs' and writes at most
+    ``len(circuit)`` bits, so the state is a list up to the largest id where
+    that is no longer, and a map over the ids named where the ids are
+    sparser.  A gadget record finishes one layer after the latest of its
+    wires (its bit is its own, written inside it), and its T-count,
+    allocations and releases are its template's, all at that layer.
     """
-    instrs = circuit.instructions
-    qubit_layer = [0] * circuit.n_qubits
-    bit_layer = [0] * circuit.n_classbits
+    qubit_layer: list[int] | defaultdict[int, int] = (
+        [0] * circuit.n_qubits if circuit.n_qubits <= len(circuit) + len(circuit.input_qubits())
+        else defaultdict(int))
+    bit_layer: list[int] | dict[int, int] = [0] * circuit.n_classbits if circuit.n_classbits <= len(circuit) else {}
     layer_of = qubit_layer.__getitem__
 
-    span_end = {start: end for start, end, _ in circuit.spans}
-    span_stop = span_layer = 0
     meas_depth = t_count = ccx_count = rotation_bucket = 0
     live_ancillae: set[int] = set()
     ancilla_max = 0
     ancilla_depth = 0
     alloc_layer: dict[int, int] = {}
-    ccx, rz = Op.CCX, Op.RZ  # an Op member read costs ~100 ns
+    ccx, rz, gadget = Op.CCX, Op.RZ, Gadget  # an Op member read costs ~100 ns
     weight = _DEPTH_WEIGHT
-    for i, instr in enumerate(instrs):
-        op, qubits, _, result, cond = instr
-        if i < span_stop:
-            layer = span_layer
-        elif i in span_end:
-            # The latest layer of every wire the span touches, plus one.
-            span_stop = span_end[i]
-            span = instrs[i:span_stop]
-            layer = max(map(layer_of, chain.from_iterable(map(_QUBITS, span))))
-            for _, _, _, _, span_cond in span:
-                if span_cond is not None and bit_layer[span_cond] > layer:
-                    layer = bit_layer[span_cond]
-            span_layer = layer = layer + 1
-        else:
-            layer = qubit_layer[qubits[0]] if len(qubits) == 1 else max(map(layer_of, qubits))
-            if cond is not None and bit_layer[cond] > layer:
-                layer = bit_layer[cond]
-            layer += weight[op]
+    for step in circuit.body:
+        if step.__class__ is gadget:
+            template, qubits, result = step
+            layer = max(map(layer_of, qubits)) + 1
+            for q in qubits:
+                qubit_layer[q] = layer
+            if result is not None:
+                bit_layer[result] = layer
+            if layer > meas_depth:
+                meas_depth = layer
+            t_count += template.t_count
+            ccx_count += template.ccx_count
+            for wire, lifetime in template.events:
+                q = qubits[wire]
+                if lifetime > 0:
+                    live_ancillae.add(q)
+                    ancilla_max = max(ancilla_max, len(live_ancillae))
+                    alloc_layer[q] = layer
+                elif q in live_ancillae:
+                    live_ancillae.discard(q)
+                    ancilla_depth += layer - alloc_layer.pop(q) + 1
+            continue
+        op, qubits, _, result, cond = step
+        layer = qubit_layer[qubits[0]] if len(qubits) == 1 else max(map(layer_of, qubits))
+        if cond is not None and bit_layer[cond] > layer:
+            layer = bit_layer[cond]
+        layer += weight[op]
         for q in qubits:
             qubit_layer[q] = layer
         if result is not None:

@@ -11,22 +11,20 @@ walk that carries each fresh ancilla's candidate pair from one reference to
 the next (see :func:`find_pairs`).  Replacement takes one round: it adds no
 Toffoli, so it cannot unblock a pair (see :func:`replace_pairs`).
 
-Both passes splice rather than rebuild.  The output is the input's
-instruction tuple cut at each rewritten index: the runs between those
-indices are copied as slices, and each rewritten index gets an instance of
-a fixed :class:`~tclean.ir.Template`.  The AND templates
-(``gadgets.AND_COMPUTE``, ``gadgets.AND_UNCOMPUTE``) are the ones the
-builder emits; the two Toffoli lowerings are templates here.  Existing
-spans shift by the length change before them, and the result is an
-ordinary, validated :class:`~tclean.ir.Circuit`.
+Both passes splice rather than rebuild.  The output is the input's body
+cut at each rewritten instruction: the runs between them are copied as
+slices, and each rewritten instruction gets an instance of a fixed
+:class:`~tclean.ir.Template`.  The AND templates (``ir.AND_COMPUTE``,
+``ir.AND_UNCOMPUTE``) are the records the builder emits; the two Toffoli
+lowerings are templates here, placed as plain instructions.  The result is
+an ordinary, validated :class:`~tclean.ir.Circuit`.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .gadgets import AND_COMPUTE, AND_UNCOMPUTE
-from .ir import Circuit, GadgetSpan, Instruction, Op, Template
+from .ir import AND_COMPUTE, AND_UNCOMPUTE, Circuit, Gadget, Op, Step, Template
 
 
 @dataclass(frozen=True)
@@ -102,39 +100,39 @@ Edit = tuple[Template, tuple[int, ...]] | None
 def _splice(circuit: Circuit, edits: dict[int, Edit]) -> Circuit:
     """The circuit with the instruction at each index of `edits` replaced by its edit.
 
-    Runs between edited indices are copied as slices.  A tagged template's
-    instance becomes a gadget span, and a measuring one writes the next new
-    classical bit, numbered from ``circuit.n_classbits`` in instruction
-    order.  An existing span moves by the length change of the edits before
-    each of its ends.  The constructor orders the spans, refuses one that
-    the edits emptied or that shares an instruction with a new span, and
-    derives the output's widths.
+    Indices are positions in ``circuit.instructions``.  Each names a CCX,
+    or the ``alloc0`` or ``release`` of a matched pair, so a step of its
+    own: a record holds no CCX and no ``alloc0``, and the one ``release`` of
+    ``ir.AND_UNCOMPUTE`` follows a measurement of its qubit, which ends
+    every candidate pair on it.  Runs of steps
+    between edited ones are copied as slices.  A tagged template becomes one
+    :class:`~tclean.ir.Gadget` record, an untagged one its instructions, and
+    a measuring one writes the next new classical bit, numbered from
+    ``circuit.n_classbits`` in instruction order.  The constructor derives
+    the output's widths.
     """
-    instrs = circuit.instructions
-    out: list[Instruction] = []
-    spans: list[GadgetSpan] = []
-    at = sorted(edits)
-    shift = [0]  # shift[k]: how far the first k edits move the instructions after them
+    body = circuit.body
+    starts = None  # the body index of the step at each instruction index, where records make them differ
+    if len(body) != len(circuit):
+        sizes = [step.template.size if step.__class__ is Gadget else 1 for step in body]
+        starts = {i: s for s, i in enumerate(accumulate(sizes, initial=0))}
+    out: list[Step] = []
     bit = circuit.n_classbits
     last = 0
-    for i in at:
-        out += instrs[last:i]
-        last = i + 1
+    for i in sorted(edits):
+        s = i if starts is None else starts[i]
+        out += body[last:s]
+        last = s + 1
         edit = edits[i]
         if edit is not None:
             template, wires = edit
-            start = len(out)
-            out += template.instantiate(wires, bit)
-            bit += template.measures
             if template.tag is not None:
-                spans.append(GadgetSpan(start, len(out), template.tag))
-        shift.append(len(out) - last)
-    out += instrs[last:]
-    for span in circuit.spans:
-        start, end = span.start, span.end
-        spans.append(GadgetSpan(start + shift[bisect_left(at, start)],
-                                end + shift[bisect_left(at, end)], span.tag))
-    return Circuit(tuple(out), spans=tuple(spans), inputs=circuit.inputs, outputs=circuit.outputs)
+                out.append(Gadget(template, wires, bit if template.measures else None))
+            else:
+                out += template.instantiate(wires, bit)
+            bit += template.measures
+    out += body[last:]
+    return Circuit(tuple(out), inputs=circuit.inputs, outputs=circuit.outputs)
 
 
 def replace_pairs(circuit: Circuit) -> Circuit:
@@ -142,8 +140,8 @@ def replace_pairs(circuit: Circuit) -> Circuit:
 
     Channel-equivalent to the input.  After lowering, each replaced pair
     costs 4 T instead of the matched-pair baseline's 8.  The pair's first
-    Toffoli becomes an instance of ``gadgets.AND_COMPUTE`` and its second
-    one of ``gadgets.AND_UNCOMPUTE``, both on (controls, target); the
+    Toffoli becomes a record of ``ir.AND_COMPUTE`` and its second one of
+    ``ir.AND_UNCOMPUTE``, both on (controls, target); the
     target's ``alloc0`` and ``release`` are deleted, since the gadgets
     allocate and release it.  See :func:`_splice` for how the output is made.
 

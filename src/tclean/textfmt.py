@@ -18,30 +18,84 @@ directions read: plain ``op q...``, ``rz angle q`` or ``mz|mx q -> c<k>``,
 after an optional condition ``? c<k> :``.  Ids are ASCII decimal digits, at
 most ``MAX_INDEX``.  Angles are printed with 17 significant digits, which
 round-trips IEEE doubles exactly.  Lines starting with '#' that are not one
-of the #input/#output/#begin/#end directives are comments.
+of the #input/#output/#begin/#end directives are comments.  A
+``#begin``...``#end`` block is one gadget record: its template's
+instructions on the record's wires, between markers naming its tag.
 """
 from __future__ import annotations
 
-from .ir import MAX_INDEX, Circuit, GadgetSpan, GadgetTag, Instruction, Op, Register, _new_record
+from itertools import islice
+
+from .ir import (
+    MAX_INDEX,
+    TEMPLATES,
+    Circuit,
+    CircuitError,
+    Gadget,
+    Instruction,
+    Op,
+    Register,
+    Template,
+    Violation,
+    ViolationCode,
+    _new_record,
+)
 
 _PLAIN, _ANGLE, _MEASURE = "plain", "angle", "measure"
 
 
+def _line(op: Op, qubits: list[str], angle: str, result: str) -> str:
+    """A line of kind `op`, with its qubits, angle and result bit spelled by the strings given."""
+    if op is Op.RZ:
+        return f"rz {angle} {qubits[0]}"
+    if op.measures:
+        return f"{op.value} {qubits[0]} -> c{result}"
+    return " ".join([op.value, *qubits])
+
+
+def _conditioned(cond: str, line: str) -> str:
+    return f"? c{cond} : {line}"
+
+
 def _row(op: Op) -> tuple[Op, str, str]:
     """A kind's row of the mnemonic table: the kind, its text form and its line template."""
-    if op is Op.RZ:
-        return op, _ANGLE, "rz %.17g %d"
-    if op.measures:
-        return op, _MEASURE, op.value + " %d -> c%d"
-    return op, _PLAIN, " ".join([op.value] + ["%d"] * op.arity)
+    form = _ANGLE if op is Op.RZ else _MEASURE if op.measures else _PLAIN
+    return op, form, _line(op, ["%d"] * op.arity, "%.17g", "%d")
 
 
 #: The mnemonic table, by mnemonic for the parser and by kind for the formatter.
 _ROWS = {op.value: _row(op) for op in Op}
 _ROW_OF = {row[0]: row for row in _ROWS.values()}
-_TAGS = {tag.value: tag for tag in GadgetTag}
+_COND = _conditioned("%d", "%s")
+_TAGS = {tag.value: tag for tag in TEMPLATES}
 #: Each plain kind by mnemonic, with the token count of its unconditioned line.
 _GATES = {mnemonic: (op, op.arity + 1) for mnemonic, (op, form, _) in _ROWS.items() if form is _PLAIN}
+
+
+def _block(template: Template) -> tuple[str, tuple[tuple[int, int, int], ...]]:
+    """How a record of `template` is written and read back.
+
+    The first item is the record's ``#begin``...``#end`` block as a format
+    string, with field ``{w}`` for wire w and field ``{n_wires}`` for the
+    bit.  The second gives, for each field in order, where the block first
+    spells it: (line, token, characters before the id).
+    """
+    fields = ["{%d}" % k for k in range(template.n_wires + 1)]
+    lines = ["#begin " + template.tag.value]
+    for op, slots, cond in template.lines:
+        line = _line(op, [fields[s] for s in slots], "", fields[-1])
+        lines.append(_conditioned(fields[-1], line) if cond else line)
+    lines.append("#end " + template.tag.value)
+    spots = []
+    for field in fields[:template.n_wires + template.measures]:
+        spots.append(next((k, t, len(token) - len(field))
+                          for k, line in enumerate(lines) for t, token in enumerate(line.split())
+                          if token.endswith(field)))
+    return "\n".join(lines), tuple(spots)
+
+
+#: Each record template's block format and field spots (see :func:`_block`).
+_BLOCKS = {template: _block(template) for template in TEMPLATES.values()}
 
 
 class TextFormatError(Exception):
@@ -52,19 +106,6 @@ class TextFormatError(Exception):
         super().__init__(f"line {line_no}: {message}")
 
 
-def _format(instructions: tuple[Instruction, ...], lines: list[str]) -> None:
-    """Append one line per instruction to `lines`."""
-    for op, qubits, angle, result, cond in instructions:
-        _, form, template = _ROW_OF[op]
-        if form is _PLAIN:
-            line = template % qubits
-        elif form is _ANGLE:
-            line = template % (angle, qubits[0])
-        else:
-            line = template % (qubits[0], result)
-        lines.append(line if cond is None else "? c%d : %s" % (cond, line))
-
-
 def to_text(circuit: Circuit) -> str:
     lines: list[str] = []
     for reg in circuit.inputs:
@@ -72,16 +113,21 @@ def to_text(circuit: Circuit) -> str:
     for reg in circuit.outputs:
         lines.append("#output " + " ".join([reg.name] + [str(q) for q in reg.qubits]))
 
-    instructions = circuit.instructions
-    done = 0
-    # The spans are flat and stored by start: the run before each span, then the span in its markers.
-    for start, end, tag in circuit.spans:
-        _format(instructions[done:start], lines)
-        lines.append("#begin " + tag.value)
-        _format(instructions[start:end], lines)
-        lines.append("#end " + tag.value)
-        done = end
-    _format(instructions[done:], lines)
+    gadget, blocks, rows = Gadget, _BLOCKS, _ROW_OF
+    append = lines.append
+    for step in circuit.body:
+        if step.__class__ is gadget:
+            append(blocks[step.template][0].format(*step.wires, step.bit))
+            continue
+        op, qubits, angle, result, cond = step
+        _, form, template = rows[op]
+        if form is _PLAIN:
+            line = template % qubits
+        elif form is _ANGLE:
+            line = template % (angle, qubits[0])
+        else:
+            line = template % (qubits[0], result)
+        append(line if cond is None else _COND % (cond, line))
     return "\n".join(lines) + "\n"
 
 
@@ -140,18 +186,28 @@ def from_text(text: str) -> Circuit:
     """The circuit `text` spells; raises :class:`TextFormatError` on malformed text.
 
     Each distinct id token is read once per call.  A plain gate line whose
-    tokens are all ids is made straight from them; every other line takes
-    the general path, which alone raises :class:`TextFormatError`.
+    tokens are all ids is made straight from them, and a ``#begin`` block
+    whose lines are exactly a record's text (as :func:`to_text` writes it)
+    is made straight into that record.  Every other line takes the general
+    path, which alone raises :class:`TextFormatError`; there a block's
+    instructions are parsed one by one and then matched with its tag's
+    template.  A block that is no instance of it, or that holds another
+    ``#begin``, raises :class:`~tclean.ir.CircuitError` with
+    ``MALFORMED_GADGET_SPAN`` once the whole text has parsed, naming the
+    first such ``#begin``.
     """
     read_id = _Ids().__getitem__
-    instructions: list[Instruction] = []
-    spans: list[GadgetSpan] = []
-    open_spans: list[tuple[int, GadgetTag, int]] = []
+    body: list = []
+    extra = 0  # instructions the records in `body` stand for, less one each
+    open_blocks: list[list] = []  # [body index, instruction index, tag, line, holds a #begin]
+    malformed: tuple[int, int, str] | None = None  # the first bad block's line, index and tag
     inputs: list[Register] = []
     outputs: list[Register] = []
-    append = instructions.append
+    append = body.append
+    lines = text.splitlines()
+    numbered = enumerate(lines, start=1)
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in numbered:
         tokens = line.split()
         if not tokens:
             continue
@@ -185,16 +241,41 @@ def from_text(text: str) -> Circuit:
                 tag = _TAGS.get(tokens[1])
                 if tag is None:
                     raise TextFormatError(line_no, f"unknown gadget tag {tokens[1]!r}")
-                open_spans.append((len(instructions), tag, line_no))
+                template = TEMPLATES[tag]
+                if not open_blocks:
+                    # A record's exact text: read its fields where the block spells them.
+                    form, spots = _BLOCKS[template]
+                    block = lines[line_no - 1:line_no + template.size + 1]
+                    try:
+                        fields = [block[k].split()[t][cut:] for k, t, cut in spots]
+                        if form.format(*fields) == "\n".join(block):
+                            ids = tuple(map(read_id, fields))
+                            n = template.n_wires
+                            append(Gadget(template, ids[:n], ids[n] if template.measures else None))
+                            extra += template.size - 1
+                            next(islice(numbered, template.size, None))  # skip to the #end line
+                            continue
+                    except (IndexError, KeyError):
+                        pass  # not a record's exact text: parse it line by line
+                else:
+                    open_blocks[-1][4] = True
+                open_blocks.append([len(body), len(body) + extra, tag, line_no, False])
             elif head == "#end":
                 if len(tokens) != 2:
                     raise TextFormatError(line_no, "#end needs a gadget tag")
-                if not open_spans:
+                if not open_blocks:
                     raise TextFormatError(line_no, "#end without matching #begin")
-                start, tag, _ = open_spans.pop()
+                start, at, tag, begin_line, nested = open_blocks.pop()
                 if _TAGS.get(tokens[1]) is not tag:
                     raise TextFormatError(line_no, f"#end {tokens[1]} does not match #begin {tag.value}")
-                spans.append(GadgetSpan(start, len(instructions), tag))
+                template = TEMPLATES[tag]
+                record = None if nested else template.match(body[start:])
+                if record is not None:
+                    del body[start:]
+                    append(record)
+                    extra += template.size - 1
+                elif malformed is None or begin_line < malformed[0]:
+                    malformed = (begin_line, at, tag.value)
             continue  # any other '#' line is a comment
 
         cond: int | None = None
@@ -234,8 +315,11 @@ def from_text(text: str) -> Circuit:
             qubits = _parse_qubits(args, line_no)  # raises: names the first token that is not an id
         append(_new_record(Instruction, (op, qubits, angle, result, cond)))
 
-    if open_spans:
-        raise TextFormatError(open_spans[-1][2], f"unclosed #begin {open_spans[-1][1].value}")
-
-    return Circuit(tuple(instructions), spans=tuple(spans), inputs=tuple(inputs), outputs=tuple(outputs))
-
+    if open_blocks:
+        raise TextFormatError(open_blocks[-1][3], f"unclosed #begin {open_blocks[-1][2].value}")
+    if malformed is not None:
+        begin_line, at, tag = malformed
+        raise CircuitError(Violation(ViolationCode.MALFORMED_GADGET_SPAN, at,
+                                     f"#begin {tag} on line {begin_line} does not hold "
+                                     "one instance of its template"))
+    return Circuit(tuple(body), inputs=tuple(inputs), outputs=tuple(outputs))

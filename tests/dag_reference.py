@@ -1,8 +1,9 @@
 """The dependency-DAG ``tclean.resources.count`` used before its one-pass walk, kept as the reference for tests.
 
-It builds one node per instruction, collapses every gadget span to a single
-node, links consecutive users of each qubit and each classical bit, and
-reads measurement depth off the longest weighted path.  It is slower, but
+It builds one node per instruction of the flat representation of
+``spans_reference``, collapses every gadget span to a single node, links
+consecutive users of each qubit and each classical bit, and reads
+measurement depth off the longest weighted path.  It is slower, but
 each rule reads directly off the graph.  The differential tests require the
 production ``count`` to return exactly its report.
 """
@@ -10,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tclean.ir import Circuit, GadgetSpan, Op
+from tclean.ir import Circuit, Op
 from tclean.resources import ResourceReport
+
+from spans_reference import FlatCircuit, GadgetSpan, flatten
 
 #: T-count contributors: T, T-dagger and the injected |T> state.
 T_FAMILY = frozenset({Op.T, Op.TDG, Op.ALLOCT})
@@ -40,7 +43,9 @@ class Dag:
         return finish
 
 
-def build_dag(circuit: Circuit) -> Dag:
+def build_dag(circuit: Circuit | FlatCircuit) -> Dag:
+    if isinstance(circuit, Circuit):
+        circuit = flatten(circuit)
     n = len(circuit.instructions)
     node_of = list(range(n))
     span_of: dict[int, GadgetSpan] = {}
@@ -82,8 +87,10 @@ def build_dag(circuit: Circuit) -> Dag:
     return Dag(nodes, preds, node_id)
 
 
-def reference_count(circuit: Circuit) -> ResourceReport:
+def reference_count(circuit: Circuit | FlatCircuit) -> ResourceReport:
     """Measure a circuit.  Unlowered CCX macros are reported, not T-counted."""
+    if isinstance(circuit, Circuit):
+        circuit = flatten(circuit)
     dag = build_dag(circuit)
 
     weights: dict[int, int] = {}

@@ -120,5 +120,5 @@ def compile_oracle(expr: str, impl: str = "and") -> Circuit:
         b.cx(wire.qubit, out)
         b.release(out)
 
-    emit_inverse(b, *fragment)
+    emit_inverse(b, fragment)
     return b.build()

@@ -3,67 +3,76 @@
 This is how ``tclean.rewrite.replace_pairs`` and ``lower_ccx`` made their
 output before they spliced templates into the input's instruction tuple:
 every instruction went through a fresh :class:`CircuitBuilder`, kept ones
-by ``append`` and rewritten ones by one builder call per gate, and existing
-spans were re-added at the builder positions their boundaries reached.  The
-gate sequences are local copies of the builder calls the passes made then,
-not reads of the production templates, so a change to a template shows up
-as a difference instead of moving the reference with it.  Pairs come from
+by ``append`` and rewritten ones by one builder call per gate.  The gate
+sequences are local copies of the builder calls the passes made then, not
+reads of the production templates: an AND gadget's gates are made in a
+scratch builder and matched against its template to make the record, so a
+change to a template shows up as a failed match instead of moving the
+reference with it.  Pairs come from
 the production matcher, which ``pairs_reference`` checks on its own.
 """
 from __future__ import annotations
 
-from tclean.ir import Circuit, CircuitBuilder, GadgetSpan, GadgetTag, Instruction, Op
+from itertools import count
+
+from tclean.ir import TEMPLATES, Circuit, CircuitBuilder, Gadget, GadgetTag, Instruction, Op
 from tclean.rewrite import find_pairs
 
 
 def _replay(circuit: Circuit, expand) -> Circuit:
     """Rebuild a circuit, letting `expand(index, instr, builder)` rewrite instructions.
 
-    `expand` returns True when it handled the instruction (including dropping
-    it); existing gadget spans are carried over with shifted indices.
+    `index` is the instruction's position in ``circuit.instructions``.
+    `expand` returns True when it handled the instruction (including
+    dropping it); every other step, records included, is appended as it is.
     """
     b = CircuitBuilder()
     for reg in circuit.inputs:
         b.adopt_register(reg.name, reg.qubits)
-    b.reserve_classbits(circuit.n_classbits)
-    bounds = {i for span in circuit.spans for i in (span.start, span.end)}
-    newpos: dict[int, int] = {}
-    for i, instr in enumerate(circuit.instructions):
-        if i in bounds:
-            newpos[i] = b.next_index
-        if not expand(i, instr, b):
-            b.append(instr)
-    newpos[len(circuit.instructions)] = b.next_index
-    for span in circuit.spans:
-        b.add_span(GadgetSpan(newpos[span.start], newpos[span.end], span.tag))
+    i = 0
+    for step in circuit.body:
+        if isinstance(step, Gadget):
+            b.append(step)
+            i += len(step.template.ops)
+            continue
+        if not expand(i, step, b):
+            b.append(step)
+        i += 1
     for reg in circuit.outputs:
         b.output(reg.name, reg.qubits)
     return b.build()
 
 
+def _record(tag: GadgetTag, scratch: CircuitBuilder) -> Gadget:
+    """The record the gates made in `scratch` spell; fails if they are no instance of the template."""
+    record = TEMPLATES[tag].match(scratch.fragment_since(0))
+    assert record is not None, f"the {tag.value} gates are no instance of its template"
+    return record
+
+
 def _and_compute(b: CircuitBuilder, x: int, y: int, anc: int) -> None:
-    start = b.next_index
-    b.alloct(anc)
-    b.cx(x, anc)
-    b.cx(y, anc)
-    b.cx(anc, x)
-    b.cx(anc, y)
-    b.tdg(x)
-    b.tdg(y)
-    b.t(anc)
-    b.cx(anc, x)
-    b.cx(anc, y)
-    b.h(anc)
-    b.s(anc)
-    b.add_span(GadgetSpan(start, b.next_index, GadgetTag.AND_COMPUTE))
+    s = CircuitBuilder()
+    s.alloct(anc)
+    s.cx(x, anc)
+    s.cx(y, anc)
+    s.cx(anc, x)
+    s.cx(anc, y)
+    s.tdg(x)
+    s.tdg(y)
+    s.t(anc)
+    s.cx(anc, x)
+    s.cx(anc, y)
+    s.h(anc)
+    s.s(anc)
+    b.append(_record(GadgetTag.AND_COMPUTE, s))
 
 
-def _and_uncompute(b: CircuitBuilder, x: int, y: int, anc: int) -> None:
-    start = b.next_index
-    bit = b.mx(anc)
-    b.cz(x, y, cond=bit)
-    b.release(anc)
-    b.add_span(GadgetSpan(start, b.next_index, GadgetTag.AND_UNCOMPUTE))
+def _and_uncompute(b: CircuitBuilder, x: int, y: int, anc: int, bit: int) -> None:
+    s = CircuitBuilder()
+    s.append(Instruction(Op.MX, (anc,), result=bit))
+    s.cz(x, y, cond=bit)
+    s.release(anc)
+    b.append(_record(GadgetTag.AND_UNCOMPUTE, s))
 
 
 def reference_replace_pairs(circuit: Circuit) -> Circuit:
@@ -73,6 +82,7 @@ def reference_replace_pairs(circuit: Circuit) -> Circuit:
     drop = {m.alloc_index for m in matches} | {m.release_index for m in matches}
     first = {m.first_index: m for m in matches}
     second = {m.second_index: m for m in matches}
+    bits = count(circuit.n_classbits)  # each erasure's bit, numbered past the input's
 
     def expand(i: int, instr: Instruction, b: CircuitBuilder) -> bool:
         if i in drop:
@@ -83,7 +93,7 @@ def reference_replace_pairs(circuit: Circuit) -> Circuit:
             return True
         if i in second:
             m = second[i]
-            _and_uncompute(b, m.controls[0], m.controls[1], m.target)
+            _and_uncompute(b, m.controls[0], m.controls[1], m.target, next(bits))
             return True
         return False
 

@@ -214,7 +214,7 @@ def test_emit_inverse_swaps_lifetimes_and_negates_angles():
     b.register("a", 1)
     for instr in fragment:
         b.append(instr)
-    emit_inverse(b, fragment, ())
+    emit_inverse(b, fragment)
     c = b.build()
     assert c.instructions[len(fragment):] == (
         Instruction(Op.ALLOC0, (1,)), Instruction(Op.CX, (0, 1)), Instruction(Op.SDG, (1,)),
@@ -230,7 +230,7 @@ def test_emit_inverse_refuses_bare_measurements_and_injections(instr, message):
     b = CircuitBuilder()
     b.register("a", 1)
     with pytest.raises(ValueError, match=re.escape(message)):
-        emit_inverse(b, (instr,), ())
+        emit_inverse(b, (instr,))
 
 
 def test_all_adders_validate():

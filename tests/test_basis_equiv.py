@@ -17,7 +17,7 @@ from tclean.textfmt import from_text, to_text
 from basis_reference import (SAMPLED, reference_corpus_check, reference_exhaustive,
                              reference_phase_oracle_check, reference_sampled_check)
 from test_acceptance import _random_expression
-from test_goldens import CZ_FIXUP
+from test_goldens import CZ_FIXUP, bare
 
 
 def _middle(text: str, pick, change):
@@ -47,7 +47,7 @@ MUTANTS = {
 
 
 def _mutant(circuit: Circuit, name: str) -> Circuit | None:
-    text = _middle(to_text(circuit), MUTANTS[name], _swap_cx if name == "swap-cx" else lambda _: "")
+    text = _middle(bare(to_text(circuit)), MUTANTS[name], _swap_cx if name == "swap-cx" else lambda _: "")
     try:
         return None if text is None else from_text(text)
     except CircuitError:
@@ -108,7 +108,7 @@ def test_the_walk_fails_every_corpus_mutant_the_sampled_check_fails(name, kind, 
     assert not _fails(spec.check, stored)
     mutants = {mutant: _mutant(stored, mutant) for mutant in MUTANTS}
     if CZ_FIXUP.search(text):
-        mutants["strip-cz-fixups"] = from_text(CZ_FIXUP.sub("", text))
+        mutants["strip-cz-fixups"] = from_text(bare(CZ_FIXUP.sub("", text)))
     for mutant, circuit in mutants.items():
         if circuit is not None and _fails(reference_sampled_check, entry, circuit, n, samples, carry_out):
             assert _fails(spec.check, circuit), mutant

@@ -125,6 +125,13 @@ def test_verify_stdout_snapshot(kind, n):
     assert (code, out, err) == (0, VERIFY_SNAPSHOT[kind, n], "")
 
 
+def test_verify_carry_out_checks_the_carry_out_adder():
+    code, out, err = run_cli(["verify", "--kind", "gidney-adder", "--n", "4", "--carry-out"])
+    assert (code, err) == (0, "")
+    assert out == ("counts PASS worst_fidelity=1.000000000000 branches=0\n"
+                   "channel PASS worst_fidelity=1.000000000000 branches=4096\n")
+
+
 #: A small width per table entry: the snapshot's.
 SMALL_N = dict(VERIFY_SNAPSHOT.keys())
 
@@ -136,6 +143,14 @@ def test_snapshot_covers_every_table_entry():
 @pytest.mark.parametrize("kind,n", [(kind, SMALL_N[kind]) for kind in CONSTRUCTIONS])
 def test_verify_all_kinds_pass(kind, n):
     code, out, _ = run_cli(["verify", "--kind", kind, "--n", str(n)])
+    assert code == 0, out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("kind,n", [(kind, SMALL_N[kind]) for kind in CONSTRUCTIONS])
+def test_verify_carry_out_passes_every_kind(kind, n):
+    # Kinds without a carry-out ignore the flag, as build does.
+    code, out, _ = run_cli(["verify", "--kind", kind, "--n", str(n), "--carry-out"])
     assert code == 0, out
     assert "FAIL" not in out
 
@@ -321,8 +336,29 @@ def test_nested_span_file_fails_with_one_line(tmp_path, command):
     extra = ["--report"] if command == "rewrite" else []
     code, out, err = run_cli([command, "--in", str(path)] + extra)
     assert (code, out) == (1, "")
-    assert err == ("tclean: OVERLAPPING_GADGET_SPANS at instruction 2: "
-                   "span [2,3) overlaps the span before it\n")
+    assert err == ("tclean: MALFORMED_GADGET_SPAN at instruction 1: #begin and_compute on line 3 "
+                   "does not hold one instance of its template\n")
+
+
+#: A span that is no instance of its tag's template: an alloc0 and five T
+#: gates marked as one AND computation, and an mz and a release marked as
+#: one erasure.  Held as spans, they would price as two unit events.
+FORGED_SPANS = ("#input a 0\n#begin and_compute\nalloc0 1\n" + "t 1\n" * 5 + "#end and_compute\n"
+                "#begin and_uncompute\nmz 1 -> c0\nrelease 1\n#end and_uncompute\n")
+
+
+def test_forged_spans_are_refused_and_count_as_their_instructions(tmp_path):
+    path = tmp_path / "forged.qc"
+    path.write_text(FORGED_SPANS)
+    code, out, err = run_cli(["count", "--in", str(path)])
+    assert (code, out) == (1, "")
+    assert err == ("tclean: MALFORMED_GADGET_SPAN at instruction 0: #begin and_compute on line 2 "
+                   "does not hold one instance of its template\n")
+    path.write_text("".join(line for line in FORGED_SPANS.splitlines(keepends=True)
+                            if not line.startswith(("#begin", "#end"))))
+    code, out, _ = run_cli(["count", "--in", str(path)])
+    assert code == 0
+    assert "meas_depth 6\n" in out and "ancilla_depth 7\n" in out
 
 
 @pytest.mark.parametrize("text", ["#input a 0\n#output a 0\n#output b 0\nx 0\n",

@@ -1,13 +1,16 @@
 """The text codec and ``validate`` against the versions they replaced.
 
 ``tests/textfmt_reference.py`` and ``tests/validate_reference.py`` hold the
-old code.  The production codec must format the same text and parse the
-same circuit, or raise the same error, on generated circuits and on
-mutated corpus lines; the one allowed difference is a line with an id token
-that the production parser now refuses or words otherwise (see
-:func:`refused_id`).  Both
-``validate`` functions must return the same first violation on circuits
-with one instruction dropped or duplicated.
+old code, which reads and makes the flat instructions-and-spans form of
+``tests/spans_reference.py``.  The production codec must format the same
+text and parse the same circuit, or raise the same error, on generated
+circuits and on mutated corpus lines.  Two differences are allowed: a line
+with an id token that the production parser now refuses or words otherwise
+(see :func:`refused_id`), and a span that is no single instance of its
+tag's template, which the old parser read and the production parser
+refuses with ``MALFORMED_GADGET_SPAN``.  Both ``validate`` functions must
+return the same first violation on circuits with one instruction dropped or
+duplicated.
 """
 from pathlib import Path
 
@@ -15,10 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from tclean.constructions import CONSTRUCTIONS
 from tclean.goldens import default_corpus_dir
-from tclean.ir import Circuit, CircuitError, GadgetSpan, validate
+from tclean.ir import Circuit, CircuitError, validate
+from tclean.resources import count
 from tclean.textfmt import MAX_INDEX, TextFormatError, from_text, to_text
 
+from dag_reference import reference_count
+from spans_reference import FlatCircuit, edited, flat_violation, flatten, from_flat, malformed_spans
 from strategies import near_miss_circuit, random_circuit, random_paired_circuit
 from textfmt_reference import reference_from_text, reference_to_text
 from validate_reference import reference_validate
@@ -79,13 +86,38 @@ def refused_id(token: str) -> bool:
     return not _decimal(body) or value > MAX_INDEX
 
 
+def reference_parse(text: str):
+    """The old parser's outcome, then the constructor's, as the old parser called it.
+
+    A text with a malformed span (see ``spans_reference.malformed_spans``)
+    gives ``(CircuitError, spans)``: the production parser refuses it at one
+    of those spans' starts.
+    """
+    flat = outcome(reference_from_text, text)
+    if not isinstance(flat, FlatCircuit):
+        return flat
+    bad = malformed_spans(flat)
+    if bad:
+        return CircuitError, bad
+    circuit = outcome(from_flat, flat)
+    return flatten(circuit) if isinstance(circuit, Circuit) else circuit
+
+
 def assert_same_parse(text: str, changed_line: int) -> None:
-    new, old = outcome(from_text, text), outcome(reference_from_text, text)
+    new, old = outcome(from_text, text), reference_parse(text)
+    if not isinstance(new, tuple):
+        new = flatten(new)
     if new == old:
         return
-    # The one difference allowed: the new parser refuses an id on the changed line.
-    refused = any(map(refused_id, text.splitlines()[changed_line - 1].split()))
-    assert refused and new[:2] == (TextFormatError, changed_line), (text, new, old)
+    # One difference allowed: the new parser refuses an id on the changed line.
+    if any(map(refused_id, text.splitlines()[changed_line - 1].split())):
+        assert new[:2] == (TextFormatError, changed_line), (text, new, old)
+        return
+    # The other: a malformed span, refused at the start of one.
+    assert isinstance(old, tuple) and old[0] is CircuitError and len(old) == 2, (text, new, old)
+    assert new[:2] == (CircuitError, None), (text, new, old)
+    assert new[2].startswith("MALFORMED_GADGET_SPAN at instruction "), (text, new, old)
+    assert int(new[2].split()[3].rstrip(":")) in {span.start for span in old[1]}, (text, new, old)
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,26 +126,31 @@ def test_generated_circuits_format_and_parse_as_before(kind, seed):
     circuit = GENERATORS[kind](np.random.default_rng(seed))
     text = to_text(circuit)
     assert text == reference_to_text(circuit)
-    assert from_text(text) == reference_from_text(text) == circuit
+    assert flatten(from_text(text)) == reference_from_text(text) == flatten(circuit)
+    assert from_text(text) == circuit
 
 
 @pytest.mark.parametrize("text, message", [
     ("#input a 0\n#begin and_uncompute\n#begin and_compute\n#begin and_compute\nx 0\n"
      "#end and_compute\nz 0\n#end and_compute\n#end and_uncompute\n",
-     "OVERLAPPING_GADGET_SPANS at instruction 0: span [0,2) overlaps the span before it"),
+     "MALFORMED_GADGET_SPAN at instruction 0: #begin and_uncompute on line 2 does not hold "
+     "one instance of its template"),
     ("#input a 0\nx 0\n#begin and_compute\nx 0\n#begin and_uncompute\nz 0\n#end and_uncompute\n"
      "x 0\n#end and_compute\n",
-     "OVERLAPPING_GADGET_SPANS at instruction 2: span [2,3) overlaps the span before it"),
+     "MALFORMED_GADGET_SPAN at instruction 1: #begin and_compute on line 3 does not hold "
+     "one instance of its template"),
 ], ids=["one-range", "nested"])
 def test_nested_span_text_parses_and_both_parsers_refuse_it(text, message):
-    assert outcome(from_text, text) == outcome(reference_from_text, text) == (CircuitError, None, message)
+    # The old parser read these spans; the old constructor refused them as overlapping.
+    assert reference_parse(text)[0] is CircuitError
+    assert outcome(from_text, text) == (CircuitError, None, message)
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_corpus_formats_and_parses_as_before(name):
     text = CORPUS[name]
     circuit = from_text(text)
-    assert circuit == reference_from_text(text)
+    assert flatten(circuit) == reference_from_text(text)
     assert to_text(circuit) == reference_to_text(circuit) == text
 
 
@@ -167,7 +204,7 @@ CACHED_IDS = ("#input a 5 7\nh 5\ncx 5 7\nrz 0.5 5\nmz 05 -> c0\n? c0 : cx 5 7\n
 @pytest.mark.parametrize("first", [True, False], ids=["refused-first", "cached-first"])
 def test_cached_ids_parse_as_before(refused, first):
     circuit = from_text(CACHED_IDS)
-    assert circuit == reference_from_text(CACHED_IDS)
+    assert flatten(circuit) == reference_from_text(CACHED_IDS)
     assert [circuit.instructions[i].qubits for i in (3, 5, 8)] == [(5,), (5,), (3, 5)]  # 05 is 5
     # A refused token beside a cached one, on a plain and on a conditioned line.
     pair = f"{refused} 7" if first else f"7 {refused}"
@@ -176,32 +213,6 @@ def test_cached_ids_parse_as_before(refused, first):
         text = CACHED_IDS + line + "\n"
         assert outcome(from_text, text)[:2] == (TextFormatError, lines + 1)
         assert_same_parse(text, lines + 1)
-
-
-def unchecked_circuit(circuit: Circuit, instructions, spans) -> Circuit:
-    """`circuit` with other instructions and spans, built without running ``validate``."""
-    out = object.__new__(Circuit)
-    for name in ("n_qubits", "n_classbits", "inputs", "outputs"):
-        object.__setattr__(out, name, getattr(circuit, name))
-    object.__setattr__(out, "instructions", tuple(instructions))
-    object.__setattr__(out, "spans", tuple(spans))
-    return out
-
-
-def edited(circuit: Circuit, index: int, duplicate: bool) -> Circuit:
-    """`circuit` with instruction `index` dropped or duplicated, its spans shifted to match."""
-    instrs = list(circuit.instructions)
-    shift = 1 if duplicate else -1
-    if duplicate:
-        instrs.insert(index, instrs[index])
-    else:
-        del instrs[index]
-
-    def moved(pos: int) -> int:
-        return pos + shift if pos > index else pos
-
-    spans = [GadgetSpan(moved(s.start), moved(s.end), s.tag) for s in circuit.spans]
-    return unchecked_circuit(circuit, instrs, spans)
 
 
 @settings(max_examples=400, deadline=None)
@@ -215,4 +226,25 @@ def test_validate_reports_the_same_first_violation(source, seed, duplicate, data
     assume(circuit.instructions)
     index = data.draw(st.integers(0, len(circuit.instructions) - 1))
     broken = edited(circuit, index, duplicate)
-    assert validate(broken) == reference_validate(broken)
+    assert flat_violation(broken) == reference_validate(broken)
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTRUCTIONS))
+def test_records_agree_with_the_flat_references_on_every_kind(kind):
+    # Each table kind at n = 1-8, with and without carry-out: the text round
+    # trip is exact, the text, count and validate equal the references' on
+    # the flat form, and so do the violations of copies with one instruction
+    # dropped or duplicated.
+    for n in range(1, 9):
+        for carry_out in (False, True):
+            circuit = CONSTRUCTIONS[kind].build(n, carry_out)
+            flat = flatten(circuit)
+            text = to_text(circuit)
+            assert from_text(text) == circuit
+            assert text == reference_to_text(flat)
+            assert count(circuit) == reference_count(flat)
+            assert validate(circuit) is reference_validate(flat) is None
+            for index in range(0, len(circuit), max(1, len(circuit) // 5)):
+                for duplicate in (False, True):
+                    broken = edited(circuit, index, duplicate)
+                    assert flat_violation(broken) == reference_validate(broken), (n, index, duplicate)

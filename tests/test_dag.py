@@ -6,6 +6,7 @@ from tclean.ir import CircuitBuilder, GadgetTag
 from tclean.gadgets import and_compute
 
 from dag_reference import build_dag
+from spans_reference import flatten
 from strategies import random_circuit
 
 
@@ -33,7 +34,7 @@ def test_and_span_collapses_to_one_node():
     (y,) = b.register("y", 1)
     and_compute(b, x, y)
     c = b.build()
-    span = c.spans[0]
+    (span,) = flatten(c).spans
     assert span.end - span.start == 12  # the gadget's instruction count
     dag = build_dag(c)
     assert len(dag.nodes) == 1

@@ -13,7 +13,7 @@ from tclean.gadgets import (
     emit_inverse,
 )
 from tclean.goldens import default_corpus_dir
-from tclean.ir import CircuitBuilder, GadgetSpan, GadgetTag, Op, validate
+from tclean.ir import CircuitBuilder, CircuitError, Gadget, GadgetTag, Op, Register, validate
 from tclean.resources import count
 from tclean.sim import (
     T_STATE,
@@ -25,7 +25,9 @@ from tclean.sim import (
 )
 from tclean.textfmt import from_text
 
+from spans_reference import FlatCircuit, GadgetSpan
 from strategies import random_state, seeded_states
+from textfmt_reference import reference_to_text
 
 #: T-count contributors: T, T-dagger and the injected |T> state.
 T_FAMILY = frozenset({Op.T, Op.TDG, Op.ALLOCT})
@@ -61,8 +63,8 @@ def test_compute_matches_ideal_isometry_on_superpositions():
 
 def test_uncompute_has_zero_t_and_is_outcome_independent():
     c = and_gadget_circuit("roundtrip")
-    (uncompute_span,) = [s for s in c.spans if s.tag is GadgetTag.AND_UNCOMPUTE]
-    fragment = c.instructions[uncompute_span.start:uncompute_span.end]
+    (uncompute,) = [s for s in c.body if isinstance(s, Gadget) and s.template is AND_UNCOMPUTE]
+    fragment = uncompute.template.instantiate(uncompute.wires, uncompute.bit)
     assert sum(1 for i in fragment if i.op in T_FAMILY) == 0
     assert count(c).t_count == 4  # all of it in the compute half
 
@@ -117,46 +119,51 @@ def test_all_variants_validate():
 
 # -- inversion reads AND operands from the templates ---------------------------------
 
-#: Corpus circuits with gadget spans, by entry name.
+#: Corpus circuits with gadget records, by entry name.
 CORPUS_WITH_SPANS = {
-    path.parent.name: circuit
-    for path in sorted(Path(default_corpus_dir()).glob("*/circuit.qc"))
-    if (circuit := from_text(path.read_text())).spans
+    name: circuit
+    for name, circuit in ((path.parent.name, from_text(path.read_text()))
+                          for path in sorted(Path(default_corpus_dir()).glob("*/circuit.qc")))
+    if any(isinstance(step, Gadget) for step in circuit.body)
 }
 TEMPLATE = {GadgetTag.AND_COMPUTE: AND_COMPUTE, GadgetTag.AND_UNCOMPUTE: AND_UNCOMPUTE}
 
 
-def invert(fragment, tag, bit):
-    """emit_inverse of one whole-span fragment; a fresh classical bit is numbered `bit`."""
+def invert(record: Gadget) -> tuple:
+    """The steps emit_inverse makes of one record, in a fresh builder (its first new bit is 0)."""
     b = CircuitBuilder()
-    b.reserve_classbits(bit)
-    emit_inverse(b, fragment, (GadgetSpan(0, len(fragment), tag),))
-    return b.fragment_since((0, 0))
+    emit_inverse(b, (record,))
+    return b.fragment_since(0)
 
 
 def test_corpus_has_both_and_spans():
-    tags = {span.tag for circuit in CORPUS_WITH_SPANS.values() for span in circuit.spans}
+    tags = {step.template.tag for circuit in CORPUS_WITH_SPANS.values() for step in circuit.body
+            if isinstance(step, Gadget)}
     assert tags == set(TEMPLATE)
 
 
 @pytest.mark.parametrize("name", CORPUS_WITH_SPANS)
 def test_inverting_every_corpus_and_span_round_trips(name):
     circuit = CORPUS_WITH_SPANS[name]
-    for span in circuit.spans:
-        fragment = circuit.instructions[span.start:span.end]
-        wires = TEMPLATE[span.tag].match(fragment)
-        assert wires is not None, span
-        bit = next((i.result for i in fragment if i.result is not None), 0)
-        (inverse, (inverse_span,)) = invert(fragment, span.tag, bit)
-        # The inverse is the other template on the same wires, as one span.
-        assert TEMPLATE[inverse_span.tag].match(inverse) == wires
-        assert inverse_span.tag is not span.tag
-        assert invert(inverse, inverse_span.tag, bit) == (fragment, (GadgetSpan(0, len(fragment), span.tag),))
+    for record in circuit.body:
+        if not isinstance(record, Gadget):
+            continue
+        fragment = record.template.instantiate(record.wires, record.bit)
+        assert TEMPLATE[record.template.tag].match(fragment) == record
+        (inverse,) = invert(record)
+        # The inverse is the other template on the same wires, as one record.
+        assert inverse.template.tag is not record.template.tag
+        assert inverse.wires == record.wires
+        assert invert(inverse) == (record._replace(bit=None if record.bit is None else 0),)
 
 
 @pytest.mark.parametrize("tag", TEMPLATE)
 def test_inverting_an_and_span_that_is_no_template_instance_raises(tag):
+    # Such a span cannot become a record, so there is nothing to invert: the
+    # text that holds it is refused.
     fragment = TEMPLATE[tag].instantiate((0, 1, 2), 0)
     swapped = (fragment[1], fragment[0]) + fragment[2:]
-    with pytest.raises(ValueError, match="not an instance of its template"):
-        invert(swapped, tag, 0)
+    assert TEMPLATE[tag].match(swapped) is None
+    flat = FlatCircuit(swapped, (GadgetSpan(0, len(swapped), tag),), (Register("a", (0, 1, 2)),))
+    with pytest.raises(CircuitError, match="MALFORMED_GADGET_SPAN at instruction 0"):
+        from_text(reference_to_text(flat))

@@ -18,6 +18,15 @@ from basis_reference import reference_phase_oracle_check
 CZ_FIXUP = re.compile(r"^\? c\d+ : cz .*\n", re.MULTILINE)
 #: An unconditioned T gate, as a whole line.
 T_GATE = re.compile(r"^t \d+\n", re.MULTILINE)
+#: A gadget span's ``#begin`` or ``#end`` marker line.  A mutant is parsed
+#: without them: a mutated span is no instance of its template, and the
+#: parser refuses it as malformed.
+SPAN_MARKER = re.compile(r"^#(begin|end) .*\n", re.MULTILINE)
+
+
+def bare(text: str) -> str:
+    """Circuit text without its span markers: the same instructions as bare steps."""
+    return SPAN_MARKER.sub("", text)
 
 
 def test_corpus_directory_exists():
@@ -72,7 +81,7 @@ def _stored_circuit(spec) -> str:
 def test_check_fails_without_phase_fixups(spec):
     # Without its CZ fixups an erasure leaves a phase error that basis
     # inputs alone cannot see; every entry's check must still catch it.
-    stripped = from_text(CZ_FIXUP.sub("", _stored_circuit(spec)))
+    stripped = from_text(bare(CZ_FIXUP.sub("", _stored_circuit(spec))))
     with pytest.raises(AssertionError):
         spec.check(stripped)
 
@@ -83,7 +92,7 @@ BUILT_WITH_T = [spec for spec in ENTRIES
 
 @pytest.mark.parametrize("spec", BUILT_WITH_T, ids=lambda spec: spec.name)
 def test_check_fails_without_its_first_t(spec):
-    dropped = from_text(T_GATE.sub("", _stored_circuit(spec), count=1))
+    dropped = from_text(bare(T_GATE.sub("", _stored_circuit(spec), count=1)))
     with pytest.raises(AssertionError):
         spec.check(dropped)
 

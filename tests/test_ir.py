@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 
 from tclean.ir import (
+    AND_COMPUTE,
+    AND_UNCOMPUTE,
     Circuit,
     CircuitBuilder,
     CircuitError,
-    GadgetSpan,
+    Gadget,
     GadgetTag,
     MAX_INDEX,
     Instruction,
@@ -21,10 +23,13 @@ import dataclasses
 from types import SimpleNamespace
 
 from tclean.gadgets import and_compute, and_uncompute
-from tclean.textfmt import from_text
+from tclean.rewrite import TEXTBOOK_TOFFOLI
+from tclean.textfmt import TextFormatError, from_text
 
 from pairs_reference import reference_reads_as_control, reference_writes
+from spans_reference import FlatCircuit, GadgetSpan, edited, flat_violation, flatten, from_flat
 from strategies import random_circuit
+from textfmt_reference import reference_to_text
 from validate_reference import reference_validate
 
 
@@ -37,7 +42,7 @@ def build_violation(b: CircuitBuilder):
 
 def test_constructor_rejects_invalid_contents():
     with pytest.raises(CircuitError) as err:
-        Circuit(instructions=(Instruction(Op.X, (0,)),))
+        Circuit(body=(Instruction(Op.X, (0,)),))
     assert err.value.violation.code is ViolationCode.USE_BEFORE_ALLOC
     assert str(err.value) == "USE_BEFORE_ALLOC at instruction 0: qubit 0 used before allocation"
 
@@ -88,7 +93,6 @@ def test_conditioned_t_is_rejected():
 def test_classbit_read_before_write():
     b = CircuitBuilder()
     (q,) = b.register("a", 1)
-    b.reserve_classbits(1)
     b.x(q, cond=0)
     v = build_violation(b)
     assert v.code is ViolationCode.CLASSBIT_READ_BEFORE_WRITE
@@ -124,18 +128,16 @@ def test_alloc_while_live():
 
 
 def test_overlapping_gadget_spans():
-    b = CircuitBuilder()
-    (q,) = b.register("a", 1)
-    for _ in range(4):
-        b.x(q)
-    circuit = b.build()
+    # Spans that share an instruction cannot be written as records: the text
+    # that would hold them is refused, naming the first block that holds a
+    # #begin.  (Partial overlap cannot be written at all; see REFUSED_SPANS.)
+    text = reference_to_text(FlatCircuit((Instruction(Op.X, (0,)),) * 4, (
+        GadgetSpan(0, 3, GadgetTag.AND_COMPUTE), GadgetSpan(0, 2, GadgetTag.AND_UNCOMPUTE)),
+        inputs=(Register("a", (0,)),)))
     with pytest.raises(CircuitError) as err:
-        dataclasses.replace(circuit, spans=(
-            GadgetSpan(0, 3, GadgetTag.AND_COMPUTE),
-            GadgetSpan(2, 4, GadgetTag.AND_UNCOMPUTE),
-        ))
-    assert err.value.violation.code is ViolationCode.OVERLAPPING_GADGET_SPANS
-    assert err.value.violation.index == 2
+        from_text(text)
+    assert err.value.violation.code is ViolationCode.MALFORMED_GADGET_SPAN
+    assert err.value.violation.index == 0
 
 
 @pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
@@ -163,59 +165,80 @@ def test_angle_and_result_bit_belong_to_their_kinds(instr, message):
     assert err.value.violation.message == message
 
 
-#: Span sets over four instructions that the constructor refuses, in the
-#: order given, with the first violation's index and message.
+#: Span sets over four instructions and the text the reference formatter
+#: writes for them: the parser refuses each, as malformed at the index given
+#: or, where the text cannot nest them, as TextFormatError (None).  A pair
+#: partly overlapping nests when both tags match and misnests otherwise.
 REFUSED_SPANS = {
-    "nested": (((0, 4), (1, 3)), 1, "span [1,3) overlaps the span before it"),
-    "nested-inner-first": (((1, 3), (0, 4)), 1, "span [1,3) overlaps the span before it"),
-    "same-start": (((0, 4), (0, 2)), 0, "span [0,2) overlaps the span before it"),
-    "same-range": (((0, 4), (0, 4)), 0, "span [0,4) overlaps the span before it"),
-    "partial": (((0, 3), (2, 4)), 2, "span [2,4) overlaps the span before it"),
-    "empty": (((2, 2),), 2, "span [2,2) is empty"),
-    "reversed": (((3, 1),), 3, "span [3,1) is empty"),
-    "past-the-end": (((2, 5),), 2, "span [2,5) out of bounds"),
-    "negative": (((-1, 2),), -1, "span [-1,2) out of bounds"),
+    "nested": (((0, 4), (1, 3)), 0, 0),
+    "nested-inner-first": (((1, 3), (0, 4)), 0, 0),
+    "same-start": (((0, 4), (0, 2)), 0, 0),
+    "same-range": (((0, 4), (0, 4)), 0, None),
+    "partial": (((0, 3), (2, 4)), 0, None),
+    "empty": (((2, 2),), None, None),
+    "reversed": (((3, 1),), None, None),
+    "past-the-end": (((2, 5),), None, None),
+    "negative": (((-1, 2),), None, None),
 }
+
+
+def _parse_refusal(flat: FlatCircuit):
+    """How the parser refuses the text of `flat`: the malformed index, or None for a TextFormatError."""
+    try:
+        from_text(reference_to_text(flat))
+    except TextFormatError:
+        return None
+    except CircuitError as err:
+        assert err.violation.code is ViolationCode.MALFORMED_GADGET_SPAN
+        return err.violation.index
+    raise AssertionError("accepted")
 
 
 @pytest.mark.parametrize("same_tag", [True, False], ids=["same-tag", "other-tag"])
 @pytest.mark.parametrize("name", sorted(REFUSED_SPANS))
 def test_spans_must_be_flat_and_nonempty(name, same_tag):
-    ranges, index, message = REFUSED_SPANS[name]
+    ranges, same, other = REFUSED_SPANS[name]
     tags = [GadgetTag.AND_COMPUTE, GadgetTag.AND_COMPUTE if same_tag else GadgetTag.AND_UNCOMPUTE]
     spans = tuple(GadgetSpan(start, end, tag) for (start, end), tag in zip(ranges, tags))
-    refused = [_violation(instructions=(Instruction(Op.X, (0,)),) * 4, spans=given,
-                          inputs=(Register("a", (0,)),)) for given in (spans, spans[::-1])]
-    assert (refused[0].code, refused[0].index, refused[0].message) == (
-        ViolationCode.OVERLAPPING_GADGET_SPANS, index, message)
+    instructions = (Instruction(Op.X, (0,)),) * 4
     # Given the other way round, a tie on start is still not broken by comparing tags.
-    assert (refused[1].code, refused[1].index) == (ViolationCode.OVERLAPPING_GADGET_SPANS, index)
+    for given in (spans, spans[::-1]):
+        assert _parse_refusal(FlatCircuit(instructions, given, (Register("a", (0,)),))) == (
+            same if same_tag else other)
 
 
 def test_span_nesting_matches_the_reference_on_random_span_sets():
-    # The constructor walks the spans by start with a running end; the
-    # reference compares each with every span before it.  Spans may be
-    # empty or run past the end.  Every verdict and message agrees.
-    instructions = (Instruction(Op.X, (0,)),) * 6
+    # Random span sets over one AND round trip, half of them its own two
+    # spans: the parser accepts the text of a set exactly when every span is
+    # an instance of its template and holds no other span, and then makes
+    # the circuit the reference makes.
+    b = CircuitBuilder()
+    x, y = b.register("a", 2)
+    and_uncompute(b, x, y, and_compute(b, x, y))
+    flat = flatten(b.build())
     rng = np.random.default_rng(12)
     seen = set()
-    for _ in range(3000):
+    for _ in range(1500):
         spans = []
-        for _ in range(rng.integers(1, 6)):
-            start = int(rng.integers(0, 6))
-            spans.append(GadgetSpan(start, int(rng.integers(start, 8)), GadgetTag(rng.choice(
+        for _ in range(rng.integers(0, 3)):
+            if rng.random() < 0.5:
+                spans.append(flat.spans[int(rng.integers(2))])
+                continue
+            start = int(rng.integers(0, 15))
+            spans.append(GadgetSpan(start, int(rng.integers(start, 16)), GadgetTag(rng.choice(
                 [tag.value for tag in GadgetTag]))))
-        ref = reference_validate(SimpleNamespace(instructions=instructions, spans=tuple(spans),
-                                                 inputs=(Register("a", (0,)),), outputs=(),
-                                                 n_qubits=1, n_classbits=0,
-                                                 output_qubits=lambda: (0,)))
+        given = FlatCircuit(flat.instructions, tuple(spans), flat.inputs)
+        text = reference_to_text(given)
         try:
-            Circuit(instructions, spans=tuple(spans), inputs=(Register("a", (0,)),))
+            got = from_text(text)
+        except (CircuitError, TextFormatError):
             got = None
-        except CircuitError as err:
-            got = err.violation
-        assert got == ref, spans
-        seen.add(ref is None)
+        try:
+            want = from_flat(given)
+        except CircuitError:
+            want = None
+        assert got == want, spans
+        seen.add(got is None)
     assert seen == {True, False}
 
 
@@ -252,7 +275,7 @@ def test_an_output_qubit_declared_twice_is_refused(text):
         from_text(text)
     got = info.value.violation
     assert (got.code, got.index, got.message) == want
-    ref = reference_validate(SimpleNamespace(instructions=(Instruction(Op.X, (0,)),), spans=(),
+    ref = reference_validate(SimpleNamespace(instructions=(Instruction(Op.X, (0,)),),
                                              inputs=(Register("a", (0,)),), outputs=(),
                                              n_qubits=1, n_classbits=0,
                                              output_qubits=lambda: (0, 0)))
@@ -275,18 +298,11 @@ def test_validate_is_deterministic():
     broken = 0
     for _ in range(200):
         c = random_circuit(rng)
-        instructions = list(c.instructions)
-        if not instructions:
+        if not len(c):
             continue
-        i = int(rng.integers(len(instructions)))
-        if rng.random() < 0.5:
-            del instructions[i]
-        else:
-            instructions.insert(i, instructions[i])
-        fields = dict(instructions=tuple(instructions), spans=c.spans, inputs=c.inputs,
-                      outputs=c.outputs)
-        first = _violation(**fields)
-        assert _violation(**fields) == first
+        flat = edited(c, int(rng.integers(len(c))), rng.random() < 0.5)
+        first = flat_violation(flat)
+        assert flat_violation(flat) == first
         broken += first is not None
     assert broken > 30  # the edits often break an invariant, so violations are compared
 
@@ -296,21 +312,20 @@ def test_validate_order_independent_of_unrelated_instructions():
     rng = np.random.default_rng(8)
     swaps = 0
     for _ in range(80):
-        c = random_circuit(rng)
-        if len(c.instructions) < 2:
-            continue
-        for i in range(len(c.instructions) - 1):
-            a, b = c.instructions[i], c.instructions[i + 1]
+        flat = flatten(random_circuit(rng))
+        instructions = flat.instructions
+        for i in range(len(instructions) - 1):
+            a, b = instructions[i], instructions[i + 1]
             bits_a = {a.result, a.cond} - {None}
             bits_b = {b.result, b.cond} - {None}
             if set(a.qubits) & set(b.qubits) or bits_a & bits_b:
                 continue
-            if c.spans:  # keep span contents untouched
-                if any(s.start <= i < s.end or s.start <= i + 1 < s.end for s in c.spans):
-                    continue
-            swapped = list(c.instructions)
+            # keep record contents untouched
+            if any(s.start <= i < s.end or s.start <= i + 1 < s.end for s in flat.spans):
+                continue
+            swapped = list(instructions)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            assert validate(dataclasses.replace(c, instructions=tuple(swapped))) is None
+            assert validate(from_flat(dataclasses.replace(flat, instructions=tuple(swapped)))) is None
             swaps += 1
     assert swaps > 10  # the loop actually exercised swaps
 
@@ -320,7 +335,7 @@ def test_validate_order_independent_of_unrelated_instructions():
 
 def test_widths_are_derived_not_given():
     with pytest.raises(TypeError):
-        Circuit(instructions=(), n_qubits=9, n_classbits=4)
+        Circuit(body=(), n_qubits=9, n_classbits=4)
     c = Circuit((Instruction(Op.X, (0,)),), inputs=(Register("a", (0, 5)),))
     assert (c.n_qubits, c.n_classbits) == (6, 0)
     assert (CircuitBuilder().build().n_qubits, CircuitBuilder().build().n_classbits) == (0, 0)
@@ -332,14 +347,15 @@ def test_span_order_is_canonical():
     anc = and_compute(b, x, y)
     and_uncompute(b, x, y, anc)
     c = b.build()
-    assert len(c.spans) == 2
-    flipped = Circuit(c.instructions, spans=c.spans[::-1], inputs=c.inputs)
-    assert flipped == c and flipped.spans == c.spans
+    flat = flatten(c)
+    assert len(flat.spans) == 2 == len(c.body)
+    # Records stand in body order, whatever order the spans were listed in.
+    assert from_flat(dataclasses.replace(flat, spans=flat.spans[::-1])) == c
 
 
 def one_gate(instr, register=(0,)):
     """The violation constructing `instr` on input register `register` reports, or None."""
-    return _violation(instructions=(instr,), inputs=(Register("a", register),))
+    return _violation(body=(instr,), inputs=(Register("a", register),))
 
 
 TOO_BIG = MAX_INDEX + 1
@@ -388,6 +404,16 @@ ACCEPT_GUARDS = {
     "z-with-angle": ((_gate(Op.Z, (1,), angle=0.5),), ViolationCode.BAD_ARITY),
     "z-with-result": ((_gate(Op.Z, (1,), result=1),), ViolationCode.BAD_ARITY),
     "accepted": ((_gate(Op.CX, (1, 2), cond=0), _gate(Op.CCX, (0, 1, 2)), _gate(Op.T, (2,))), None),
+    # The allocation and release test.
+    "alloc-live": ((_gate(Op.ALLOC0, (1,)),), ViolationCode.ALLOC_WHILE_LIVE),
+    "alloc-past-the-limit": ((_gate(Op.ALLOCT, (TOO_BIG,)),), ViolationCode.BAD_ARITY),
+    "alloc-negative": ((_gate(Op.ALLOC0, (-1,)),), ViolationCode.BAD_ARITY),
+    "alloc-conditioned": ((_gate(Op.ALLOC0, (3,), cond=0),), ViolationCode.NONCLIFFORD_CONDITIONED),
+    "alloc-two-qubits": ((_gate(Op.ALLOC0, (3, 4)),), ViolationCode.BAD_ARITY),
+    "release-unallocated": ((_gate(Op.RELEASE, (3,)),), ViolationCode.USE_BEFORE_ALLOC),
+    "release-twice": ((_gate(Op.RELEASE, (1,)), _gate(Op.RELEASE, (1,))), ViolationCode.USE_AFTER_RELEASE),
+    "alloc-and-release-accepted": ((_gate(Op.ALLOC0, (3,)), _gate(Op.RELEASE, (3,)), _gate(Op.ALLOCT, (3,))),
+                                   None),
 }
 
 
@@ -396,9 +422,9 @@ def test_accept_test_guards_give_the_reference_violation(name):
     tail, code = ACCEPT_GUARDS[name]
     instructions = (_gate(Op.MZ, (0,), result=0),) + tail
     inputs = (Register("a", (0, 1, 2)),)
-    got = _violation(instructions=instructions, inputs=inputs)
+    got = _violation(body=instructions, inputs=inputs)
     # The reference checks ranges against n_qubits: give it the widest a circuit may have.
-    want = reference_validate(SimpleNamespace(instructions=instructions, spans=(), inputs=inputs,
+    want = reference_validate(SimpleNamespace(instructions=instructions, inputs=inputs,
                                               n_qubits=MAX_INDEX + 1, n_classbits=MAX_INDEX + 1,
                                               output_qubits=lambda: (0, 1, 2)))
     assert got == want
@@ -408,12 +434,68 @@ def test_accept_test_guards_give_the_reference_violation(name):
         assert (got.code, got.index) == (code, len(instructions) - 1)
 
 
+#: Records after ``mz 0 -> c0`` on input qubits 0, 1 and 2 (instruction 0),
+#: outputs 0 and 1, one for each guard of the walk's record test, with the
+#: violation each must give: the reference's on the record's instructions.
+RECORD_GUARDS = {
+    "compute-on-a-live-ancilla": (Gadget(AND_COMPUTE, (0, 1, 2)), ViolationCode.ALLOC_WHILE_LIVE, 1),
+    "compute-on-an-unallocated-control": (Gadget(AND_COMPUTE, (0, 5, 6)), ViolationCode.USE_BEFORE_ALLOC, 3),
+    "compute-past-the-limit": (Gadget(AND_COMPUTE, (0, 1, TOO_BIG)), ViolationCode.BAD_ARITY, 1),
+    "compute-negative": (Gadget(AND_COMPUTE, (0, 1, -1)), ViolationCode.BAD_ARITY, 1),
+    "compute-on-one-control-twice": (Gadget(AND_COMPUTE, (1, 1, 4)), None, None),
+    "uncompute-on-one-control-twice": (Gadget(AND_UNCOMPUTE, (1, 1, 2), 1), ViolationCode.BAD_ARITY, 2),
+    "uncompute-a-written-bit": (Gadget(AND_UNCOMPUTE, (0, 1, 2), 0), ViolationCode.CLASSBIT_REWRITE, 1),
+    "uncompute-an-unallocated-ancilla": (Gadget(AND_UNCOMPUTE, (0, 1, 7), 1), ViolationCode.USE_BEFORE_ALLOC, 1),
+    "uncompute-bit-past-the-limit": (Gadget(AND_UNCOMPUTE, (0, 1, 2), TOO_BIG), ViolationCode.BAD_ARITY, 1),
+    "accepted": (Gadget(AND_UNCOMPUTE, (0, 1, 2), 1), None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_GUARDS))
+def test_record_guards_give_the_reference_violation(name):
+    record, code, index = RECORD_GUARDS[name]
+    body = (_gate(Op.MZ, (0,), result=0), record)
+    inputs, outputs = (Register("a", (0, 1, 2)),), (Register("a", (0, 1)),)
+    got = _violation(body=body, inputs=inputs, outputs=outputs)
+    instructions = (body[0],) + record.template.instantiate(record.wires, record.bit)
+    want = reference_validate(SimpleNamespace(instructions=instructions, inputs=inputs,
+                                              n_qubits=MAX_INDEX + 1, n_classbits=MAX_INDEX + 1,
+                                              output_qubits=lambda: (0, 1)))
+    assert got == want
+    assert (got.code, got.index) == (code, index) if code else got is None
+
+
+@pytest.mark.parametrize("record", [
+    Gadget(TEXTBOOK_TOFFOLI, (0, 1, 2)),  # untagged
+    Gadget(AND_COMPUTE, [0, 1, 3]),  # wires not a tuple
+    Gadget(AND_COMPUTE, (0, 1)),  # too few wires
+    Gadget(AND_COMPUTE, (0, 1, 3), 0),  # a bit it does not measure
+    Gadget(AND_UNCOMPUTE, (0, 1, 2)),  # no bit for its measurement
+], ids=["untagged", "list", "two-wires", "extra-bit", "no-bit"])
+def test_a_record_no_template_instance_is_refused(record):
+    violation = _violation(body=(Instruction(Op.X, (0,)), record), inputs=(Register("a", (0, 1, 2)),))
+    assert (violation.code, violation.index) == (ViolationCode.MALFORMED_GADGET_SPAN, 1)
+
+
+def test_records_count_as_their_instructions():
+    b = CircuitBuilder()
+    x, y = b.register("a", 2)
+    anc = and_compute(b, x, y)
+    b.cx(anc, x)
+    and_uncompute(b, x, y, anc)
+    c = b.build()
+    assert [type(step) for step in c.body] == [Gadget, Instruction, Gadget]
+    assert len(c) == len(c.instructions) == AND_COMPUTE.size + 1 + AND_UNCOMPUTE.size
+    assert c.instructions == flatten(c).instructions
+    assert (c.n_qubits, c.n_classbits) == (3, 1)
+
+
 @pytest.mark.parametrize("name", ["", " ", "a b", " a", "a\t", "a\n", "a\u00a0b"])
 @pytest.mark.parametrize("where", ["inputs", "outputs"])
 def test_register_names_the_text_cannot_carry_are_refused(name, where):
     reg = Register(name, (0,))
     fields = dict(inputs=(reg,)) if where == "inputs" else dict(inputs=(Register("a", (0,)),), outputs=(reg,))
-    violation = _violation(instructions=(Instruction(Op.X, (0,)),), **fields)
+    violation = _violation(body=(Instruction(Op.X, (0,)),), **fields)
     assert violation.code is ViolationCode.BAD_REGISTER_NAME
     assert violation.message == f"register name {name!r} is empty or holds whitespace"
 
@@ -422,7 +504,7 @@ def test_register_names_the_text_cannot_carry_are_refused(name, where):
 def test_a_register_name_repeated_on_one_side_is_refused(where):
     regs = (Register("a", (0,)), Register("a", (1,)))
     fields = dict(inputs=regs) if where == "inputs" else dict(inputs=(Register("q", (0, 1)),), outputs=regs)
-    violation = _violation(instructions=(Instruction(Op.X, (0,)),), **fields)
+    violation = _violation(body=(Instruction(Op.X, (0,)),), **fields)
     assert violation.code is ViolationCode.BAD_REGISTER_NAME
     assert violation.message == f"register name 'a' declared twice as an {where[:-1]}"
 

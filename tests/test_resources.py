@@ -1,6 +1,7 @@
 """Counting, the opportunity-cost model, and the crossover solver."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tclean.constructions import CONSTRUCTIONS
 from tclean.gadgets import AdderSpec, and_gadget_circuit, cuccaro_adder, gidney_adder
 from tclean.goldens import default_corpus_dir
-from tclean.ir import CircuitBuilder, GadgetSpan, GadgetTag
+from tclean.ir import MAX_INDEX, CircuitBuilder, CircuitError, GadgetTag
 from tclean.resources import (
     CostModel,
     NoCrossoverError,
@@ -24,7 +25,9 @@ from tclean.rewrite import lower_ccx, replace_pairs
 from tclean.textfmt import from_text
 
 from dag_reference import reference_count
+from spans_reference import GadgetSpan, flatten, malformed_spans
 from strategies import near_miss_circuit, random_circuit, random_paired_circuit
+from textfmt_reference import reference_to_text
 
 
 def test_five_bit_adder_numbers():
@@ -193,15 +196,21 @@ def test_count_agrees_with_dag_reference_on_random_circuits(kind, seed):
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32 - 1), st.data())
 def test_count_agrees_with_dag_reference_on_arbitrary_flat_spans(kind, seed, data):
-    # Spans at random cuts, over contents no template makes, beside the
-    # generator's own spans that they leave whole.
-    c = GENERATORS[kind](np.random.default_rng(seed))
-    cuts = sorted(data.draw(st.sets(st.integers(0, len(c)), max_size=12)))
+    # Spans at random cuts, beside the generator's own spans that they leave
+    # whole.  The text that holds a span no template makes is refused as
+    # malformed; the text whose spans are all template instances parses into
+    # records, and count agrees with the DAG reference on it.
+    flat = flatten(GENERATORS[kind](np.random.default_rng(seed)))
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(flat.instructions)), max_size=12)))
     spans = [GadgetSpan(start, end, data.draw(st.sampled_from(GadgetTag)))
              for start, end in zip(cuts[::2], cuts[1::2])]
-    spans += [old for old in c.spans if all(old.end <= start or end <= old.start for start, end, _ in spans)]
-    spanned = dataclasses.replace(c, spans=tuple(spans))
-    assert count(spanned) == reference_count(spanned)
+    spans += [old for old in flat.spans if all(old.end <= start or end <= old.start for start, end, _ in spans)]
+    spanned = dataclasses.replace(flat, spans=tuple(spans))
+    if malformed_spans(spanned):
+        with pytest.raises(CircuitError, match="^MALFORMED_GADGET_SPAN"):
+            from_text(reference_to_text(spanned))
+    else:
+        assert count(from_text(reference_to_text(spanned))) == reference_count(spanned)
 
 
 @pytest.mark.parametrize("kind", sorted(CONSTRUCTIONS))
@@ -229,13 +238,17 @@ def test_count_agrees_with_dag_reference_on_corpus():
 
 
 def test_a_span_waits_on_a_condition_bit_measured_before_it():
-    # c0 is written at layer 3; the span's qubits are at layer 0, so the span
-    # lands at layer 4, where the same fixup outside a span weighs 0 and lands at 3.
+    # A span can no longer read a bit measured before it: its one condition
+    # is on its own measurement, and a span of a bare fixup is refused.  The
+    # erasure record lands one layer after its wires (qubit 2 is at layer 2).
     bare = "#input a 0 1 2\nt 2\nt 2\nmz 2 -> c0\n? c0 : cz 0 1\n"
     spanned = bare.replace("? c0", "#begin and_uncompute\n? c0") + "#end and_uncompute\n"
     assert count(from_text(bare)).meas_depth == 3
-    assert count(from_text(spanned)).meas_depth == 4
-    assert reference_count(from_text(spanned)).meas_depth == 4
+    with pytest.raises(CircuitError, match="^MALFORMED_GADGET_SPAN at instruction 3"):
+        from_text(spanned)
+    erased = ("#input a 0 1 2\n#output a 0 1\nt 2\nt 2\n#begin and_uncompute\nmx 2 -> c0\n"
+              "? c0 : cz 0 1\nrelease 2\n#end and_uncompute\n")
+    assert count(from_text(erased)).meas_depth == reference_count(from_text(erased)).meas_depth == 3
 
 
 def test_a_held_ancilla_is_priced_whatever_id_it_reuses():
@@ -248,3 +261,19 @@ def test_a_held_ancilla_is_priced_whatever_id_it_reuses():
         r, f = measure(reused), measure(fresh)
         assert r.ancilla_depth == f.ancilla_depth == 2
         assert effective_t(r) == effective_t(f)
+
+
+def test_count_keeps_state_only_for_the_ids_a_circuit_names():
+    # Three steps on the largest qubit and bit ids: per-wire state sized by
+    # the largest ids would take megabytes; maps over the ids named take a
+    # few hundred bytes.
+    top = MAX_INDEX
+    circuit = from_text(f"#input a {top}\nx {top}\nmz {top} -> c{top}\n? c{top} : x {top}\n")
+    tracemalloc.start()
+    try:
+        report = count(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.meas_depth == 1
+    assert peak < 64 * 1024

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import tclean.ir
 from tclean.gadgets import AdderSpec, and_compute, and_uncompute, cuccaro_adder, gidney_adder
-from tclean.ir import Circuit, CircuitBuilder, CircuitError, GadgetSpan, GadgetTag, Instruction, Op, validate
+from tclean.ir import Circuit, CircuitBuilder, CircuitError, GadgetTag, Instruction, Op, validate
 from tclean.oracle import compile_oracle
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
@@ -17,7 +17,9 @@ from tclean.textfmt import from_text
 
 from pairs_reference import reference_find_pairs
 from rewrite_reference import reference_lower_ccx, reference_replace_pairs
+from spans_reference import GadgetSpan, flatten
 from strategies import near_miss_circuit, random_circuit, random_paired_circuit, seeded_states
+from textfmt_reference import reference_to_text
 
 
 def canonical_pair(between=None):
@@ -222,7 +224,7 @@ def test_random_paired_circuits_replace_equivalently(seed):
 def test_lower_ccx_rejects_unknown_mode_before_validating():
     # An invalid circuit cannot reach a pass: constructing it raises.
     with pytest.raises(CircuitError):
-        Circuit(instructions=(Instruction(Op.X, (0,)),))
+        Circuit(body=(Instruction(Op.X, (0,)),))
     with pytest.raises(ValueError, match="unknown lowering mode 'bogus'"):
         lower_ccx(canonical_pair(), "bogus")
 
@@ -234,7 +236,7 @@ def test_passes_validate_input_once(monkeypatch):
     calls = []
     real = tclean.ir._check  # the constructor's validating walk
     monkeypatch.setattr(tclean.ir, "_check",
-                        lambda circuit: calls.append(circuit) or real(circuit))
+                        lambda body, *registers: calls.append(body) or real(body, *registers))
     replace_pairs(c)
     assert len(calls) == 1  # the build after the only rewriting round
     calls.clear()
@@ -375,8 +377,8 @@ def assert_passes_agree_with_reference(c):
             (outcome(lower_ccx, c, mode), outcome(reference_lower_ccx, c, mode)) for mode in LOWERINGS]:
         if isinstance(want, Circuit):
             assert got.instructions == want.instructions
-            assert got.spans == want.spans
-        assert got == want  # instructions, spans, ids, registers or the violation
+            assert got.body == want.body
+        assert got == want  # body, ids, registers or the violation
 
 
 @settings(max_examples=500, deadline=None)
@@ -408,8 +410,10 @@ def spans_beside_a_pair() -> Circuit:
     return b.build()
 
 
-# Every extra but the gate between the Toffolis is emptied or shares an
-# instruction with a new span, so both sides refuse the output alike.
+# Each extra span holds instructions of the pair or the gate between them,
+# which no template makes, so the text that holds it is refused.  Before
+# records, the splice shifted such spans and the constructor refused the
+# ones it emptied or that shared an instruction with a new span.
 @pytest.mark.parametrize("extra", [
     None,
     (12, 13),  # the deleted alloc0 alone: empty after the splice
@@ -427,8 +431,11 @@ def test_splice_shifts_spans_beside_and_around_a_pair(extra):
     c = spans_beside_a_pair()
     assert len(find_pairs(c)) == 1
     if extra is not None:
-        c = dataclasses.replace(c, spans=c.spans + (GadgetSpan(*extra, GadgetTag.AND_COMPUTE),))
+        flat = flatten(c)
+        spanned = dataclasses.replace(flat, spans=flat.spans + (GadgetSpan(*extra, GadgetTag.AND_COMPUTE),))
+        with pytest.raises(CircuitError, match="^MALFORMED_GADGET_SPAN"):
+            from_text(reference_to_text(spanned))
+        return
     assert_passes_agree_with_reference(c)
-    if extra is None:
-        starts = [span.start for span in replace_pairs(c).spans]
-        assert starts == [0, 12, 25, 28]  # AND compute, new compute, new erase, AND erase
+    starts = [span.start for span in flatten(replace_pairs(c)).spans]
+    assert starts == [0, 12, 25, 28]  # AND compute, new compute, new erase, AND erase

@@ -38,10 +38,27 @@ def test_report_digest_is_pinned():
 
 
 def test_layer_rates_reports_every_layer():
-    rates = load_script("layer_rates").layer_rates(sizes=(4,), repeat=1)
+    script = load_script("layer_rates")
+    rates = script.layer_rates(sizes=(4,), repeat=1)
     assert sorted(rates) == sorted(["build", "validate", "to_text", "from_text", "count",
                                     "find_pairs", "replace_pairs", "lower_ccx"])
     assert all(rate[4] > 0 for rate in rates.values())
+    # Rates are per instruction; the records beside them are the AND gadgets' spans.
+    assert script.circuit_sizes(sizes=(4,)) == {
+        "gidney_adder": {4: {"instructions": 60, "records": 6}},
+        "cuccaro_adder": {4: {"instructions": 31, "records": 0}},
+    }
+
+
+def test_effective_t_table_labels_model_values_and_counts_the_break_even(capsys):
+    load_script("effective_t_table").main([])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split() == ["n", "measured", "model", "AND", "model", "8n"]
+    assert lines[-3:] == [
+        "break-even width, closed-form model (whole-adder switch): n = 1920",
+        "break-even width, counted circuits (4 T per CCX):         n = 1922",
+        "hybrid cutoff, closed-form model (per-bit switch):        d = 960",
+    ]
 
 
 def test_layer_rates_reports_the_simulator():

@@ -3,9 +3,12 @@
 This parser branches on each line's op and converts every qubit token on
 its own with ``int()``; this formatter checks the span boundaries at every
 instruction index and joins each line from a generator.  It is slower, but
-each rule reads directly as a branch.  The differential tests require the
-production codec to format the same text, and to parse the same circuit or
-raise the same error (type, line number and message), on every input
+each rule reads directly as a branch.  It reads and makes the flat
+representation of ``spans_reference``: its parser returns instructions and
+spans unchecked, as the old parser did before its constructor ran.  The
+differential tests require the production codec to format the same text,
+and to parse the same circuit or raise the same error (type, line number
+and message), on every input
 except the token cases the production parser now refuses: ids that are not
 ASCII decimal digits (``1_0``, ``+9``, non-ASCII digits, ``-0``) or that
 exceed ``tclean.ir.MAX_INDEX``.  A token of more than 4,300 digits, which
@@ -15,8 +18,10 @@ reads it if all but its last few digits are leading zeros.
 """
 from __future__ import annotations
 
-from tclean.ir import Circuit, GadgetSpan, GadgetTag, Instruction, Op, Register
+from tclean.ir import Circuit, GadgetTag, Instruction, Op, Register
 from tclean.textfmt import TextFormatError
+
+from spans_reference import FlatCircuit, GadgetSpan, flatten
 
 _MNEMONIC = {op.value: op for op in Op}
 
@@ -34,7 +39,9 @@ def _format_instruction(instr: Instruction) -> str:
     return " ".join(parts)
 
 
-def reference_to_text(circuit: Circuit) -> str:
+def reference_to_text(circuit: Circuit | FlatCircuit) -> str:
+    if isinstance(circuit, Circuit):
+        circuit = flatten(circuit)
     lines: list[str] = []
     for reg in circuit.inputs:
         lines.append("#input " + " ".join([reg.name] + [str(q) for q in reg.qubits]))
@@ -78,7 +85,8 @@ def _parse_classbit(token: str, line_no: int) -> int:
     return bit
 
 
-def reference_from_text(text: str) -> Circuit:
+def reference_from_text(text: str) -> FlatCircuit:
+    """The instructions and spans `text` spells, unchecked; TextFormatError on malformed text."""
     instructions: list[Instruction] = []
     spans: list[GadgetSpan] = []
     open_spans: list[tuple[int, GadgetTag, int]] = []
@@ -157,5 +165,5 @@ def reference_from_text(text: str) -> Circuit:
     if open_spans:
         raise TextFormatError(open_spans[-1][2], f"unclosed #begin {open_spans[-1][1].value}")
 
-    return Circuit(instructions=tuple(instructions), spans=tuple(spans), inputs=tuple(inputs),
-                   outputs=tuple(outputs))
+    return FlatCircuit(instructions=tuple(instructions), spans=tuple(spans), inputs=tuple(inputs),
+                       outputs=tuple(outputs))

@@ -1,11 +1,10 @@
 """The ``tclean.ir.validate`` used before its per-instruction passes were trimmed, kept as the reference for tests.
 
 It builds a set of every instruction's qubits and tests each qubit for
-range and liveness one by one, and compares each gadget span, in start
-order, with every span before it: spans must be nonempty, in bounds and
-share no instruction.  The differential tests require the
-production ``validate`` to return exactly its first violation (code, index
-and message).
+range and liveness one by one, over the flat instructions of
+``spans_reference``: a span is checked as the instructions it holds.  The
+differential tests require the production ``validate`` to return exactly
+its first violation (code, index and message).
 """
 from __future__ import annotations
 
@@ -13,27 +12,18 @@ import math
 
 from tclean.ir import Circuit, Op, Violation, ViolationCode
 
+from spans_reference import FlatCircuit, flatten
 
-def reference_validate(circuit: Circuit) -> Violation | None:
-    """Check every lifetime, arity, classical-bit, and span invariant.
+
+def reference_validate(circuit: Circuit | FlatCircuit) -> Violation | None:
+    """Check every lifetime, arity and classical-bit invariant.
 
     Returns the first violation in instruction order, or None if the circuit
     is valid.  Deterministic: depends only on the circuit contents.
     """
+    if isinstance(circuit, Circuit):
+        circuit = flatten(circuit)
     n = len(circuit.instructions)
-    ordered = sorted(circuit.spans, key=lambda s: s.start)
-    for j, span in enumerate(ordered):
-        if span.start < 0 or span.end > n:
-            problem = "out of bounds"
-        elif span.end <= span.start:
-            problem = "is empty"
-        elif any(earlier.end > span.start for earlier in ordered[:j]):
-            problem = "overlaps the span before it"
-        else:
-            continue
-        return Violation(ViolationCode.OVERLAPPING_GADGET_SPANS, span.start,
-                         f"span [{span.start},{span.end}) {problem}")
-
     live: set[int] = set()
     ever_released: set[int] = set()
     for reg in circuit.inputs:
