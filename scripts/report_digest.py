@@ -15,12 +15,11 @@ Usage:
     PYTHONPATH=src python scripts/report_digest.py
 """
 import hashlib
-import shlex
 import sys
 from pathlib import Path
 
 from tclean.constructions import CONSTRUCTIONS
-from tclean.goldens import ENTRIES, default_corpus_dir
+from tclean.goldens import ORACLE_EXPRESSIONS, default_corpus_dir
 from tclean.oracle import compile_oracle
 from tclean.resources import count, serialize_report
 from tclean.rewrite import lower_ccx, replace_pairs
@@ -39,12 +38,9 @@ def circuits():
                     yield replace_pairs(circuit)
                     yield lower_ccx(circuit, "paired4")
                     yield lower_ccx(circuit)
-    for spec in ENTRIES:
-        args = shlex.split(spec.build_cmd or "")
-        if args[:1] == ["oracle"]:
-            expr = args[args.index("--expr") + 1]
-            yield compile_oracle(expr)
-            yield compile_oracle(expr, "ccx")
+    for expr in ORACLE_EXPRESSIONS.values():
+        yield compile_oracle(expr)
+        yield compile_oracle(expr, "ccx")
     for path in sorted(Path(default_corpus_dir()).glob("*/circuit.qc")):
         yield from_text(path.read_text())
 

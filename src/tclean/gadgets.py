@@ -43,12 +43,10 @@ class AdderSpec:
 
 
 # -- the temporary logical-AND -----------------------------------------------------
-# Its two halves are the circuit IR's record templates, ``ir.AND_COMPUTE``
+# Its two halves are the circuit IR's gadget templates, ``ir.AND_COMPUTE``
 # (x AND y into a fresh ancilla for 4 T) and ``ir.AND_UNCOMPUTE`` (the
-# erasure by an X measurement and a conditioned CZ, for none).
-
-#: T-count of one AND computation (the injected |T> state counts as one).
-AND_T_COUNT = AND_COMPUTE.t_count
+# erasure by an X measurement and a conditioned CZ, for none), each the
+# other's ``inverse``.  A half's template is its one name and holds its facts.
 
 
 def and_compute(b: CircuitBuilder, x: int, y: int) -> int:
@@ -94,21 +92,20 @@ def and_gadget_circuit(variant: str = "roundtrip") -> Circuit:
 # -- fragment inversion --------------------------------------------------------------
 
 _DAGGER = {Op.S: Op.SDG, Op.SDG: Op.S, Op.T: Op.TDG, Op.TDG: Op.T}
-#: The template that undoes each AND record's, on the same wires.
-_AND_INVERSE = {AND_COMPUTE: AND_UNCOMPUTE, AND_UNCOMPUTE: AND_COMPUTE}
 
 
 def emit_inverse(b: CircuitBuilder, steps: tuple[Step, ...]) -> None:
     """Append the inverse of a measurement-free fragment of steps.
 
-    AND_COMPUTE records invert to measure-and-fixup erasures (this is what
-    makes uncomputation T-free), AND_UNCOMPUTE records invert back to
-    computations on the same wires, allocations swap with releases, and
-    plain gates are daggered in reverse order.
+    Each record becomes a record of its template's ``inverse`` on the same
+    wires: an AND_COMPUTE one a measure-and-fixup erasure (this is what
+    makes uncomputation T-free), an AND_UNCOMPUTE one a computation.
+    Allocations swap with releases, and plain gates are daggered in reverse
+    order.
     """
     for step in reversed(steps):
         if step.__class__ is Gadget:
-            b.emit_template(_AND_INVERSE[step.template], step.wires)
+            b.emit_template(step.template.inverse, step.wires)
             continue
         if step.result is not None or step.cond is not None:
             raise ValueError("cannot invert measurement or feedback outside a gadget span")

@@ -93,6 +93,12 @@ def _check_rewrite_canonical(circuit: Circuit) -> None:
             raise AssertionError(f"pair does not map x to x ^ (a & b): {res.worst_fidelity}")
 
 
+#: The oracle entries' expressions, by entry name: the corpus and the report digest read them here.
+ORACLE_EXPRESSIONS = {
+    "oracle-and": "x0 & x1",
+    "oracle-nested": "x0 & (x1 | x2)",
+}
+
 ENTRIES: tuple[GoldenSpec, ...] = (
     _construction("gidney-adder-n1", "gidney-adder", 1),
     _construction("gidney-adder-n2", "gidney-adder", 2),
@@ -108,8 +114,7 @@ ENTRIES: tuple[GoldenSpec, ...] = (
     _construction("mcx-k3", "mcx", 3),
     _construction("hamming-n5", "hamming", 5),
     _construction("phase-gradient-n3", "phase-gradient", 3),
-    _oracle("oracle-and", "x0 & x1"),
-    _oracle("oracle-nested", "x0 & (x1 | x2)"),
+    *(_oracle(name, expr) for name, expr in ORACLE_EXPRESSIONS.items()),
     GoldenSpec("canonical-pair", None, "rewrite-canonical", _check_rewrite_canonical),
 )
 

@@ -96,11 +96,6 @@ _ALLOC0, _ALLOCT, _RELEASE, _MZ, _MX = Op.ALLOC0, Op.ALLOCT, Op.RELEASE, Op.MZ, 
 _GATE_ARITY = {op: op.arity for op in Op if op is not _RZ and not op.measures and not op.lifetime}
 
 
-class GadgetTag(Enum):
-    AND_COMPUTE = "and_compute"
-    AND_UNCOMPUTE = "and_uncompute"
-
-
 class Instruction(NamedTuple):
     """One gate, measurement, or allocation event.
 
@@ -139,21 +134,24 @@ class Template:
     the instance's classical bit, and a line that starts with ``?`` is
     conditioned on it.  Each construction that is placed whole, by the
     builder or by a rewriting pass, is defined once as a template.  A
-    template with a ``tag`` is one gadget span wherever it is placed, and
-    the circuit stores it as one :class:`Gadget` record; only the templates
-    of :data:`TEMPLATES` carry one.
+    gadget's template is its one name: its ``tag`` is its text-format
+    marker (``and_compute``) and its key in :data:`TEMPLATES`, its
+    ``inverse`` is the gadget that undoes it on the same wires, and the
+    circuit stores it as one :class:`Gadget` record.  Only the templates of
+    :data:`TEMPLATES` carry a tag; an untagged one is placed as its
+    instructions.
 
     A record is priced and checked without its instructions, so a template
     states what its instructions do to each wire: ``live_in`` picks the
     wires that must be live on entry, ``born`` those it allocates and
-    ``dies`` those it releases, and ``events`` lists its allocations (+1)
-    and releases (-1) in order as (wire, lifetime) pairs.  A tagged template
-    whose instructions break an invariant on distinct wires that meet those
-    needs raises ValueError, so a record on such wires is valid.
+    ``dies`` those it releases.  A tagged template whose instructions break
+    an invariant on distinct wires that meet those needs raises ValueError,
+    so a record on such wires is valid.
     """
 
-    def __init__(self, tag: GadgetTag | None, wires: str, text: str) -> None:
+    def __init__(self, tag: str | None, wires: str, text: str) -> None:
         self.tag = tag
+        self.inverse: Template | None = None
         names = wires.split()
         gates = []
         for line in text.strip().splitlines():
@@ -186,17 +184,15 @@ class Template:
         self.live_in = _tuple_getter([w for w, life in enumerate(lifetimes) if life[0] <= 0])
         self.born = _tuple_getter([w for w, life in enumerate(lifetimes) if life[0] > 0])
         self.dies = _tuple_getter([w for w, life in enumerate(lifetimes) if life[-1] < 0])
-        self.events = tuple((slots[0], op.lifetime) for op, slots, _ in gates if op.lifetime)
         if tag is not None:
             wire_ids = tuple(range(len(names)))
             found = _check(self.instantiate(wire_ids, 0 if self.measures else None),
                            (Register("in", self.live_in(wire_ids)),), (Register("out", ()),))
             if isinstance(found, Violation) or self.size < 2:
-                raise ValueError(f"tagged template {tag.value} is no valid gadget: {found}")
+                raise ValueError(f"tagged template {tag} is no valid gadget: {found}")
 
     def __repr__(self) -> str:
-        name = self.tag.value if self.tag else "untagged"
-        return f"<Template {name}: {' '.join(op.value for op in self.ops)}>"
+        return f"<Template {self.tag or 'untagged'}: {' '.join(op.value for op in self.ops)}>"
 
     def instantiate(self, wires: tuple[int, ...], bit: int | None = None) -> tuple[Instruction, ...]:
         """The instructions on qubit ids `wires` (a tuple, one id per wire name), with classical bit `bit`."""
@@ -383,12 +379,12 @@ def _check(body: Sequence[Step], inputs: Sequence[Register],
     gate_arity = _GATE_ARITY
     all_live = live.issuperset
     no_live = live.isdisjoint
-    gadget, plans = Gadget, _RECORD_PLANS
+    gadget = Gadget
     extra = 0  # instructions the records before this step stand for, less one each
     for s, step in enumerate(body):
         if step.__class__ is gadget:
             template, wires, bit = step
-            plan = plans.get(template)
+            plan = _RECORD_PLANS.get(template)
             if (plan is None or wires.__class__ is not tuple or len(wires) != plan[0]
                     or (bit is None) == plan[4]):
                 return Violation(ViolationCode.MALFORMED_GADGET_SPAN, s + extra,
@@ -516,15 +512,10 @@ def _check(body: Sequence[Step], inputs: Sequence[Register],
 
 # -- the temporary logical-AND ----------------------------------------------------------
 
-#: What the accept test reads of each template a record may place:
-#: ``(n_wires, live_in, born, dies, measures, size - 1)``.  Empty while the
-#: two templates below check themselves, which places no record.
-_RECORD_PLANS: dict[Template, tuple] = {}
-
 #: x AND y into a fresh ancilla: exactly |x,y,0> -> |x,y,x&y>.  T-count 4:
 #: the injected |T> state plus three T-type gates.  One AND_COMPUTE span, so
 #: depth accounting treats it as one event.
-AND_COMPUTE = Template(GadgetTag.AND_COMPUTE, "x y anc", """
+AND_COMPUTE = Template("and_compute", "x y anc", """
     alloct anc
     cx x anc
     cx y anc
@@ -541,15 +532,24 @@ AND_COMPUTE = Template(GadgetTag.AND_COMPUTE, "x y anc", """
 
 #: Erasure of an ancilla holding x AND y: measure it in X, fix the phase up
 #: with a CZ conditioned on the outcome, release it.  T-count 0.
-AND_UNCOMPUTE = Template(GadgetTag.AND_UNCOMPUTE, "x y anc", """
+AND_UNCOMPUTE = Template("and_uncompute", "x y anc", """
     mx anc
     ? cz x y
     release anc
 """)
 
-#: The template of each tag: a record's template is its tag's.
-TEMPLATES: dict[GadgetTag, Template] = {t.tag: t for t in (AND_COMPUTE, AND_UNCOMPUTE)}
+AND_COMPUTE.inverse, AND_UNCOMPUTE.inverse = AND_UNCOMPUTE, AND_COMPUTE
+
+#: Each gadget template by its tag, the marker that brackets it in the text format.
+TEMPLATES: dict[str, Template] = {t.tag: t for t in (AND_COMPUTE, AND_UNCOMPUTE)}
+#: What the accept test reads of each template a record may place:
+#: ``(n_wires, live_in, born, dies, measures, size - 1)``.
 _RECORD_PLANS = {t: (t.n_wires, t.live_in, t.born, t.dies, t.measures, t.size - 1) for t in TEMPLATES.values()}
+
+
+def _past_limit(q: int, index: int) -> CircuitError:
+    """The builder's refusal of qubit id `q` past ``MAX_INDEX``, at instruction `index`."""
+    return CircuitError(Violation(ViolationCode.BAD_ARITY, index, f"qubit index {q} exceeds the limit {MAX_INDEX}"))
 
 
 class CircuitBuilder:
@@ -570,7 +570,13 @@ class CircuitBuilder:
     # -- registers ----------------------------------------------------------
 
     def register(self, name: str, size: int) -> tuple[int, ...]:
-        """Declare an input register of `size` fresh qubits, live from the start."""
+        """Declare an input register of `size` fresh qubits, live from the start.
+
+        A register that would hold an id past ``MAX_INDEX`` raises
+        :class:`CircuitError` naming the first such id, before it is made.
+        """
+        if self._next_qubit + size - 1 > MAX_INDEX:
+            raise _past_limit(max(self._next_qubit, MAX_INDEX + 1), 0)
         qubits = tuple(range(self._next_qubit, self._next_qubit + size))
         self._next_qubit += size
         self._inputs.append(Register(name, qubits))
@@ -594,9 +600,17 @@ class CircuitBuilder:
         self._body.append(_new_record(Instruction, (op, qubits, angle, result, cond)))
 
     def fresh_qubit(self, q: int | None = None) -> int:
-        """`q`, or the next unused id when None; either way it is adopted."""
+        """`q`, or the next unused id when None; either way it is adopted.
+
+        An id past ``MAX_INDEX`` raises :class:`CircuitError` at the index of
+        the instruction that would allocate it, so an over-wide circuit is
+        refused before the rest of it is built.
+        """
         if q is None:
             q = self._next_qubit
+        if q > MAX_INDEX:
+            index = sum(step.template.size if step.__class__ is Gadget else 1 for step in self._body)
+            raise _past_limit(q, index)
         self._next_qubit = max(self._next_qubit, q + 1)
         return q
 
@@ -662,7 +676,7 @@ class CircuitBuilder:
         return bit
 
     def emit_template(self, template: Template, wires: tuple[int, ...]) -> None:
-        """Append `template` on qubit ids `wires`: one :class:`Gadget` record if it is tagged.
+        """Append one :class:`Gadget` record of `template` on qubit ids `wires`.
 
         A measuring template writes a fresh classical bit.
         """
@@ -673,10 +687,7 @@ class CircuitBuilder:
         if template.measures:
             bit = self._next_bit
             self._next_bit += 1
-        if template.tag is not None:
-            self._body.append(Gadget(template, wires, bit))
-        else:
-            self._body += template.instantiate(wires, bit)
+        self._body.append(Gadget(template, wires, bit))
 
     def append(self, step: Step) -> None:
         """Append a prebuilt instruction or record, adopting any ids it references."""

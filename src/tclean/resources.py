@@ -76,7 +76,7 @@ def count(circuit: Circuit) -> ResourceReport:
     that is no longer, and a map over the ids named where the ids are
     sparser.  A gadget record finishes one layer after the latest of its
     wires (its bit is its own, written inside it), and its T-count,
-    allocations and releases are its template's, all at that layer.
+    allocations (``born``) and releases (``dies``) are its template's, all at that layer.
     """
     qubit_layer: list[int] | defaultdict[int, int] = (
         [0] * circuit.n_qubits if circuit.n_qubits <= len(circuit) + len(circuit.input_qubits())
@@ -103,13 +103,12 @@ def count(circuit: Circuit) -> ResourceReport:
                 meas_depth = layer
             t_count += template.t_count
             ccx_count += template.ccx_count
-            for wire, lifetime in template.events:
-                q = qubits[wire]
-                if lifetime > 0:
-                    live_ancillae.add(q)
-                    ancilla_max = max(ancilla_max, len(live_ancillae))
-                    alloc_layer[q] = layer
-                elif q in live_ancillae:
+            for q in template.born(qubits):
+                live_ancillae.add(q)
+                ancilla_max = max(ancilla_max, len(live_ancillae))
+                alloc_layer[q] = layer
+            for q in template.dies(qubits):
+                if q in live_ancillae:
                     live_ancillae.discard(q)
                     ancilla_depth += layer - alloc_layer.pop(q) + 1
             continue

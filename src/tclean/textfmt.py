@@ -20,7 +20,8 @@ most ``MAX_INDEX``.  Angles are printed with 17 significant digits, which
 round-trips IEEE doubles exactly.  Lines starting with '#' that are not one
 of the #input/#output/#begin/#end directives are comments.  A
 ``#begin``...``#end`` block is one gadget record: its template's
-instructions on the record's wires, between markers naming its tag.
+instructions on the record's wires, between markers naming its template's
+tag, its key in ``ir.TEMPLATES``.
 """
 from __future__ import annotations
 
@@ -67,7 +68,6 @@ def _row(op: Op) -> tuple[Op, str, str]:
 _ROWS = {op.value: _row(op) for op in Op}
 _ROW_OF = {row[0]: row for row in _ROWS.values()}
 _COND = _conditioned("%d", "%s")
-_TAGS = {tag.value: tag for tag in TEMPLATES}
 #: Each plain kind by mnemonic, with the token count of its unconditioned line.
 _GATES = {mnemonic: (op, op.arity + 1) for mnemonic, (op, form, _) in _ROWS.items() if form is _PLAIN}
 
@@ -81,11 +81,11 @@ def _block(template: Template) -> tuple[str, tuple[tuple[int, int, int], ...]]:
     spells it: (line, token, characters before the id).
     """
     fields = ["{%d}" % k for k in range(template.n_wires + 1)]
-    lines = ["#begin " + template.tag.value]
+    lines = ["#begin " + template.tag]
     for op, slots, cond in template.lines:
         line = _line(op, [fields[s] for s in slots], "", fields[-1])
         lines.append(_conditioned(fields[-1], line) if cond else line)
-    lines.append("#end " + template.tag.value)
+    lines.append("#end " + template.tag)
     spots = []
     for field in fields[:template.n_wires + template.measures]:
         spots.append(next((k, t, len(token) - len(field))
@@ -199,7 +199,7 @@ def from_text(text: str) -> Circuit:
     read_id = _Ids().__getitem__
     body: list = []
     extra = 0  # instructions the records in `body` stand for, less one each
-    open_blocks: list[list] = []  # [body index, instruction index, tag, line, holds a #begin]
+    open_blocks: list[list] = []  # [body index, instruction index, template, line, holds a #begin]
     malformed: tuple[int, int, str] | None = None  # the first bad block's line, index and tag
     inputs: list[Register] = []
     outputs: list[Register] = []
@@ -238,10 +238,9 @@ def from_text(text: str) -> Circuit:
             elif head == "#begin":
                 if len(tokens) != 2:
                     raise TextFormatError(line_no, "#begin needs a gadget tag")
-                tag = _TAGS.get(tokens[1])
-                if tag is None:
+                template = TEMPLATES.get(tokens[1])
+                if template is None:
                     raise TextFormatError(line_no, f"unknown gadget tag {tokens[1]!r}")
-                template = TEMPLATES[tag]
                 if not open_blocks:
                     # A record's exact text: read its fields where the block spells them.
                     form, spots = _BLOCKS[template]
@@ -259,23 +258,22 @@ def from_text(text: str) -> Circuit:
                         pass  # not a record's exact text: parse it line by line
                 else:
                     open_blocks[-1][4] = True
-                open_blocks.append([len(body), len(body) + extra, tag, line_no, False])
+                open_blocks.append([len(body), len(body) + extra, template, line_no, False])
             elif head == "#end":
                 if len(tokens) != 2:
                     raise TextFormatError(line_no, "#end needs a gadget tag")
                 if not open_blocks:
                     raise TextFormatError(line_no, "#end without matching #begin")
-                start, at, tag, begin_line, nested = open_blocks.pop()
-                if _TAGS.get(tokens[1]) is not tag:
-                    raise TextFormatError(line_no, f"#end {tokens[1]} does not match #begin {tag.value}")
-                template = TEMPLATES[tag]
+                start, at, template, begin_line, nested = open_blocks.pop()
+                if tokens[1] != template.tag:
+                    raise TextFormatError(line_no, f"#end {tokens[1]} does not match #begin {template.tag}")
                 record = None if nested else template.match(body[start:])
                 if record is not None:
                     del body[start:]
                     append(record)
                     extra += template.size - 1
                 elif malformed is None or begin_line < malformed[0]:
-                    malformed = (begin_line, at, tag.value)
+                    malformed = (begin_line, at, template.tag)
             continue  # any other '#' line is a comment
 
         cond: int | None = None
@@ -316,7 +314,7 @@ def from_text(text: str) -> Circuit:
         append(_new_record(Instruction, (op, qubits, angle, result, cond)))
 
     if open_blocks:
-        raise TextFormatError(open_blocks[-1][3], f"unclosed #begin {open_blocks[-1][2].value}")
+        raise TextFormatError(open_blocks[-1][3], f"unclosed #begin {open_blocks[-1][2].tag}")
     if malformed is not None:
         begin_line, at, tag = malformed
         raise CircuitError(Violation(ViolationCode.MALFORMED_GADGET_SPAN, at,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import count
 
-from tclean.ir import TEMPLATES, Circuit, CircuitBuilder, Gadget, GadgetTag, Instruction, Op
+from tclean.ir import AND_COMPUTE, AND_UNCOMPUTE, Circuit, CircuitBuilder, Gadget, Instruction, Op, Template
 from tclean.rewrite import find_pairs
 
 
@@ -43,10 +43,10 @@ def _replay(circuit: Circuit, expand) -> Circuit:
     return b.build()
 
 
-def _record(tag: GadgetTag, scratch: CircuitBuilder) -> Gadget:
-    """The record the gates made in `scratch` spell; fails if they are no instance of the template."""
-    record = TEMPLATES[tag].match(scratch.fragment_since(0))
-    assert record is not None, f"the {tag.value} gates are no instance of its template"
+def _record(template: Template, scratch: CircuitBuilder) -> Gadget:
+    """The record the gates made in `scratch` spell; fails if they are no instance of `template`."""
+    record = template.match(scratch.fragment_since(0))
+    assert record is not None, f"the {template.tag} gates are no instance of its template"
     return record
 
 
@@ -64,7 +64,7 @@ def _and_compute(b: CircuitBuilder, x: int, y: int, anc: int) -> None:
     s.cx(anc, y)
     s.h(anc)
     s.s(anc)
-    b.append(_record(GadgetTag.AND_COMPUTE, s))
+    b.append(_record(AND_COMPUTE, s))
 
 
 def _and_uncompute(b: CircuitBuilder, x: int, y: int, anc: int, bit: int) -> None:
@@ -72,7 +72,7 @@ def _and_uncompute(b: CircuitBuilder, x: int, y: int, anc: int, bit: int) -> Non
     s.append(Instruction(Op.MX, (anc,), result=bit))
     s.cz(x, y, cond=bit)
     s.release(anc)
-    b.append(_record(GadgetTag.AND_UNCOMPUTE, s))
+    b.append(_record(AND_UNCOMPUTE, s))
 
 
 def reference_replace_pairs(circuit: Circuit) -> Circuit:

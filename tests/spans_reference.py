@@ -1,19 +1,19 @@
 """The circuit representation used before gadget records, kept as the reference for tests.
 
 A flat circuit is a tuple of instructions with the gadget spans beside it,
-as half-open ``(start, end, tag)`` instruction ranges.  The reference codec,
-``validate`` and DAG ``count`` read and make flat circuits.  :func:`flatten`
+as half-open ``(start, end, tag)`` instruction ranges, where a tag is a key
+of ``tclean.ir.TEMPLATES``.  The reference codec, ``validate`` and DAG
+``count`` read and make flat circuits.  :func:`flatten`
 writes a :class:`~tclean.ir.Circuit` that way, and :func:`from_flat` makes
 the circuit a flat one stands for, refusing a span that is not one exact
 instance of its tag's template, as the text parser does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from tclean.ir import (TEMPLATES, Circuit, CircuitError, Gadget, GadgetTag, Instruction, Register, Violation,
-                       ViolationCode)
+from tclean.ir import TEMPLATES, Circuit, CircuitError, Gadget, Instruction, Register, Violation, ViolationCode
 
 
 class GadgetSpan(NamedTuple):
@@ -21,17 +21,24 @@ class GadgetSpan(NamedTuple):
 
     start: int
     end: int
-    tag: GadgetTag
+    tag: str
 
 
 @dataclass(frozen=True)
 class FlatCircuit:
-    """Instructions and spans, with no check made; widths are derived from the ids named."""
+    """Instructions and spans, with no check made; widths are derived from the ids named.
+
+    ``lines`` holds each span's ``#begin`` and ``#end`` line numbers, in the
+    order of ``spans``, when the flat circuit was read from text, and is
+    empty otherwise.  It is not compared: the same circuit may be written
+    with its markers on other lines.
+    """
 
     instructions: tuple[Instruction, ...]
     spans: tuple[GadgetSpan, ...] = ()
     inputs: tuple[Register, ...] = ()
     outputs: tuple[Register, ...] = ()
+    lines: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     @property
     def n_qubits(self) -> int:
@@ -65,14 +72,24 @@ def flatten(circuit: Circuit) -> FlatCircuit:
     return FlatCircuit(tuple(instructions), tuple(spans), circuit.inputs, circuit.outputs)
 
 
-def malformed_spans(flat: FlatCircuit) -> list[GadgetSpan]:
-    """The spans a record cannot stand for: empty, holding another span, or no instance of the template."""
+def malformed_spans(flat: FlatCircuit) -> list[int]:
+    """The indices of the spans a record cannot stand for: empty, holding another span, or no instance.
+
+    A span read from text holds another when the other's ``#begin`` line
+    lies between its own markers.  Without lines, it holds every other span
+    whose range lies within its own, which cannot tell an empty span that
+    closes a block from one just after it.
+    """
     bad = []
-    for span in flat.spans:
-        inner = any(other is not span and span.start <= other.start and other.end <= span.end
-                    for other in flat.spans)
+    for k, span in enumerate(flat.spans):
+        if flat.lines:
+            begin, end = flat.lines[k]
+            inner = any(begin < other < end for other, _ in flat.lines)
+        else:
+            inner = any(j != k and span.start <= other.start and other.end <= span.end
+                        for j, other in enumerate(flat.spans))
         if inner or TEMPLATES[span.tag].match(flat.instructions[span.start:span.end]) is None:
-            bad.append(span)
+            bad.append(k)
     return bad
 
 
@@ -83,7 +100,8 @@ def from_flat(flat: FlatCircuit) -> Circuit:
     the one refused, with ``MALFORMED_GADGET_SPAN`` at its start.
     """
     spans = sorted(flat.spans, key=lambda s: (s.start, -s.end))
-    bad = malformed_spans(flat) + [span for span, before in zip(spans[1:], spans) if span.start < before.end]
+    bad = ([flat.spans[k] for k in malformed_spans(flat)]
+           + [span for span, before in zip(spans[1:], spans) if span.start < before.end])
     if bad:
         first = min(bad, key=lambda s: (s.start, -s.end))
         raise CircuitError(Violation(ViolationCode.MALFORMED_GADGET_SPAN, first.start,

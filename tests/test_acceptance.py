@@ -24,7 +24,7 @@ from tclean.gadgets import (
     outofplace_adder,
     phase_gradient_add,
 )
-from tclean.ir import CircuitBuilder, Gadget, GadgetTag, Op, validate
+from tclean.ir import AND_UNCOMPUTE, CircuitBuilder, Gadget, Op, validate
 from tclean.oracle import binary_node_count, compile_oracle, evaluate, parse_expression
 from tclean.resources import CostModel, count, crossover, effective_t_formula, hybrid_cutoff
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
@@ -121,7 +121,7 @@ def test_criterion_02_and_gadget():
         assert count(compute).t_count == 4
 
         roundtrip = and_gadget_circuit("roundtrip")
-        (unc,) = [s for s in roundtrip.body if isinstance(s, Gadget) and s.template.tag is GadgetTag.AND_UNCOMPUTE]
+        (unc,) = [s for s in roundtrip.body if isinstance(s, Gadget) and s.template is AND_UNCOMPUTE]
         uncompute_t = sum(1 for i in unc.template.instantiate(unc.wires, unc.bit) if i.op in T_FAMILY)
         assert uncompute_t == 0
 

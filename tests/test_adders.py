@@ -247,6 +247,18 @@ def test_adder_spec_rejects_zero_width():
         AdderSpec(0)
 
 
+@pytest.mark.parametrize("n", [*range(1, 17), 64, 100])
+def test_every_kind_but_hamming_pins_its_ancilla_depth(n):
+    # verify's counts line compares ancilla_depth, which drives effective_t,
+    # at every width and carry-out setting.
+    from tclean.constructions import AND_COMPUTE, CONSTRUCTIONS, counts
+
+    for entry in (*CONSTRUCTIONS.values(), AND_COMPUTE):
+        for carry_out in (False, True):
+            assert ("ancilla_depth" in entry.expected(n, carry_out)) == (entry.name != "hamming")
+            assert counts(entry, entry.build(n, carry_out), n, carry_out)[0], (entry.name, carry_out)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_expectation_table_matches_measurements(n):
     from tclean.constructions import AND_COMPUTE, CONSTRUCTIONS

@@ -5,6 +5,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -264,6 +265,21 @@ def test_width_below_one_is_a_usage_error(command, n):
 def test_width_at_the_id_limit_is_accepted_by_the_parser():
     code, out, _ = run_cli(["build", "--kind", "and", "--n", str(MAX_INDEX)])  # and ignores --n
     assert code == 0 and out.startswith("#input")
+
+
+@pytest.mark.parametrize("argv", [["build", "--kind", kind] for kind in sorted(set(CONSTRUCTIONS) - {"and"})]
+                         + [["verify", "--kind", "gidney-adder"]], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_width_at_the_id_limit_is_refused_before_the_circuit_is_built(argv):
+    # Every kind but and names an id past MAX_INDEX at this width.  The
+    # builder refuses it where it hands it out, in well under a second,
+    # where building gidney-adder whole took 7 s and 0.8 GB and then printed
+    # every id of a register.
+    start = time.perf_counter()
+    code, out, err = run_cli([*argv, "--n", str(MAX_INDEX)])
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err.startswith("tclean: BAD_ARITY at instruction ") and err.count("\n") == 1 and len(err) < 200
+    assert err.endswith(f": qubit index {MAX_INDEX + 1} exceeds the limit {MAX_INDEX}\n")
 
 
 def test_rewrite_command(tmp_path):

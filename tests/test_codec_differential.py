@@ -4,13 +4,13 @@
 old code, which reads and makes the flat instructions-and-spans form of
 ``tests/spans_reference.py``.  The production codec must format the same
 text and parse the same circuit, or raise the same error, on generated
-circuits and on mutated corpus lines.  Two differences are allowed: a line
-with an id token that the production parser now refuses or words otherwise
-(see :func:`refused_id`), and a span that is no single instance of its
-tag's template, which the old parser read and the production parser
-refuses with ``MALFORMED_GADGET_SPAN``.  Both ``validate`` functions must
-return the same first violation on circuits with one instruction dropped or
-duplicated.
+circuits and on mutated corpus lines.  A span that is no single instance
+of its tag's template, which the old parser read, must be refused with
+``MALFORMED_GADGET_SPAN`` exactly where :func:`reference_parse` says.  One
+difference is allowed: a line with an id token that the production parser
+now refuses or words otherwise (see :func:`refused_id`).  Both ``validate``
+functions must return the same first violation on circuits with one
+instruction dropped or duplicated.
 """
 from pathlib import Path
 
@@ -90,15 +90,19 @@ def reference_parse(text: str):
     """The old parser's outcome, then the constructor's, as the old parser called it.
 
     A text with a malformed span (see ``spans_reference.malformed_spans``)
-    gives ``(CircuitError, spans)``: the production parser refuses it at one
-    of those spans' starts.
+    gives the refusal the production parser must raise in its place: at the
+    start of the malformed span whose ``#begin`` comes first in the text,
+    naming that line.
     """
     flat = outcome(reference_from_text, text)
     if not isinstance(flat, FlatCircuit):
         return flat
     bad = malformed_spans(flat)
     if bad:
-        return CircuitError, bad
+        k = min(bad, key=lambda k: flat.lines[k])
+        span, begin_line = flat.spans[k], flat.lines[k][0]
+        return (CircuitError, None, f"MALFORMED_GADGET_SPAN at instruction {span.start}: #begin {span.tag} "
+                f"on line {begin_line} does not hold one instance of its template")
     circuit = outcome(from_flat, flat)
     return flatten(circuit) if isinstance(circuit, Circuit) else circuit
 
@@ -110,14 +114,8 @@ def assert_same_parse(text: str, changed_line: int) -> None:
     if new == old:
         return
     # One difference allowed: the new parser refuses an id on the changed line.
-    if any(map(refused_id, text.splitlines()[changed_line - 1].split())):
-        assert new[:2] == (TextFormatError, changed_line), (text, new, old)
-        return
-    # The other: a malformed span, refused at the start of one.
-    assert isinstance(old, tuple) and old[0] is CircuitError and len(old) == 2, (text, new, old)
-    assert new[:2] == (CircuitError, None), (text, new, old)
-    assert new[2].startswith("MALFORMED_GADGET_SPAN at instruction "), (text, new, old)
-    assert int(new[2].split()[3].rstrip(":")) in {span.start for span in old[1]}, (text, new, old)
+    assert any(map(refused_id, text.splitlines()[changed_line - 1].split())), (text, new, old)
+    assert new[:2] == (TextFormatError, changed_line), (text, new, old)
 
 
 @settings(max_examples=300, deadline=None)
@@ -130,7 +128,30 @@ def test_generated_circuits_format_and_parse_as_before(kind, seed):
     assert from_text(text) == circuit
 
 
+#: An AND computation's block, lines 2-15, and the line of its #end after an empty block inside it.
+AND_BLOCK = ("#input a 0 1\n#begin and_compute\nalloct 2\ncx 0 2\ncx 1 2\ncx 2 0\ncx 2 1\ntdg 0\ntdg 1\n"
+             "t 2\ncx 2 0\ncx 2 1\nh 2\ns 2\n")
+EMPTY_BLOCK = "#begin and_uncompute\n#end and_uncompute\n"
+
+
+def test_an_empty_block_after_or_inside_a_block_reads_as_the_same_spans():
+    # So only the marker lines tell which #begin the parser must name.
+    after = reference_from_text(AND_BLOCK + "#end and_compute\n" + EMPTY_BLOCK)
+    inside = reference_from_text(AND_BLOCK + EMPTY_BLOCK + "#end and_compute\n")
+    assert after.instructions == inside.instructions and sorted(after.spans) == sorted(inside.spans)
+    assert sorted(after.lines) == [(2, 15), (16, 17)] and sorted(inside.lines) == [(2, 17), (15, 16)]
+
+
 @pytest.mark.parametrize("text, message", [
+    (AND_BLOCK + "#end and_compute\n" + EMPTY_BLOCK,
+     "MALFORMED_GADGET_SPAN at instruction 12: #begin and_uncompute on line 16 does not hold "
+     "one instance of its template"),
+    (AND_BLOCK + EMPTY_BLOCK + "#end and_compute\n",
+     "MALFORMED_GADGET_SPAN at instruction 0: #begin and_compute on line 2 does not hold "
+     "one instance of its template"),
+    ("#input a 0\n#begin and_compute\nx 0\n#end and_compute\n#begin and_uncompute\n#end and_uncompute\n",
+     "MALFORMED_GADGET_SPAN at instruction 0: #begin and_compute on line 2 does not hold "
+     "one instance of its template"),
     ("#input a 0\n#begin and_uncompute\n#begin and_compute\n#begin and_compute\nx 0\n"
      "#end and_compute\nz 0\n#end and_compute\n#end and_uncompute\n",
      "MALFORMED_GADGET_SPAN at instruction 0: #begin and_uncompute on line 2 does not hold "
@@ -139,11 +160,10 @@ def test_generated_circuits_format_and_parse_as_before(kind, seed):
      "x 0\n#end and_compute\n",
      "MALFORMED_GADGET_SPAN at instruction 1: #begin and_compute on line 3 does not hold "
      "one instance of its template"),
-], ids=["one-range", "nested"])
+], ids=["empty-after-a-block", "empty-inside-a-block", "two-in-a-row", "one-range", "nested"])
 def test_nested_span_text_parses_and_both_parsers_refuse_it(text, message):
-    # The old parser read these spans; the old constructor refused them as overlapping.
-    assert reference_parse(text)[0] is CircuitError
-    assert outcome(from_text, text) == (CircuitError, None, message)
+    # The old parser read these spans; the reference names the first #begin in the text.
+    assert outcome(from_text, text) == reference_parse(text) == (CircuitError, None, message)
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -2,7 +2,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tclean.ir import CircuitBuilder, GadgetTag
+from tclean.ir import AND_COMPUTE, CircuitBuilder
 from tclean.gadgets import and_compute
 
 from dag_reference import build_dag
@@ -38,7 +38,7 @@ def test_and_span_collapses_to_one_node():
     assert span.end - span.start == 12  # the gadget's instruction count
     dag = build_dag(c)
     assert len(dag.nodes) == 1
-    assert dag.nodes[0].span.tag is GadgetTag.AND_COMPUTE
+    assert dag.nodes[0].span.tag == AND_COMPUTE.tag
 
 
 def test_topological_order_matches_instruction_order():

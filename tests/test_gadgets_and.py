@@ -7,13 +7,12 @@ import pytest
 from tclean.gadgets import (
     AND_COMPUTE,
     AND_REVERSE_NET_T,
-    AND_T_COUNT,
     AND_UNCOMPUTE,
     and_gadget_circuit,
     emit_inverse,
 )
 from tclean.goldens import default_corpus_dir
-from tclean.ir import CircuitBuilder, CircuitError, Gadget, GadgetTag, Op, Register, validate
+from tclean.ir import TEMPLATES, CircuitBuilder, CircuitError, Gadget, Op, Register, validate
 from tclean.resources import count
 from tclean.sim import (
     T_STATE,
@@ -49,7 +48,7 @@ def test_truth_table():
 
 def test_compute_t_count_is_four():
     c = and_gadget_circuit("compute")
-    assert count(c).t_count == AND_T_COUNT == 4
+    assert count(c).t_count == AND_COMPUTE.t_count == 4
     assert count(c).meas_depth == 1
 
 
@@ -97,9 +96,9 @@ def test_reverse_variant_counts():
     c = and_gadget_circuit("reverse")
     # Raw T-type instructions: 4 in the compute, 3 in the reversal.
     assert count(c).t_count == 7
-    reverse_t = count(c).t_count - AND_T_COUNT
+    reverse_t = count(c).t_count - AND_COMPUTE.t_count
     assert reverse_t - 1 == AND_REVERSE_NET_T == 2  # one |T> state is recovered
-    assert AND_T_COUNT + AND_REVERSE_NET_T == 6  # the comparison variant's total
+    assert AND_COMPUTE.t_count + AND_REVERSE_NET_T == 6  # the comparison variant's total
 
 
 def test_reverse_variant_restores_state_and_recovers_t():
@@ -126,7 +125,6 @@ CORPUS_WITH_SPANS = {
                           for path in sorted(Path(default_corpus_dir()).glob("*/circuit.qc")))
     if any(isinstance(step, Gadget) for step in circuit.body)
 }
-TEMPLATE = {GadgetTag.AND_COMPUTE: AND_COMPUTE, GadgetTag.AND_UNCOMPUTE: AND_UNCOMPUTE}
 
 
 def invert(record: Gadget) -> tuple:
@@ -139,7 +137,7 @@ def invert(record: Gadget) -> tuple:
 def test_corpus_has_both_and_spans():
     tags = {step.template.tag for circuit in CORPUS_WITH_SPANS.values() for step in circuit.body
             if isinstance(step, Gadget)}
-    assert tags == set(TEMPLATE)
+    assert tags == set(TEMPLATES)
 
 
 @pytest.mark.parametrize("name", CORPUS_WITH_SPANS)
@@ -149,21 +147,38 @@ def test_inverting_every_corpus_and_span_round_trips(name):
         if not isinstance(record, Gadget):
             continue
         fragment = record.template.instantiate(record.wires, record.bit)
-        assert TEMPLATE[record.template.tag].match(fragment) == record
+        assert TEMPLATES[record.template.tag].match(fragment) == record
         (inverse,) = invert(record)
         # The inverse is the other template on the same wires, as one record.
-        assert inverse.template.tag is not record.template.tag
+        assert inverse.template is record.template.inverse is not record.template
         assert inverse.wires == record.wires
         assert invert(inverse) == (record._replace(bit=None if record.bit is None else 0),)
 
 
-@pytest.mark.parametrize("tag", TEMPLATE)
+@pytest.mark.parametrize("tag", TEMPLATES)
+def test_each_gadget_template_is_its_own_one_name(tag):
+    # The tag is the template's key, and the two AND halves invert each other.
+    template = TEMPLATES[tag]
+    assert template.tag == tag and TEMPLATES[template.tag] is template
+    assert template.inverse.inverse is template
+    assert TEMPLATES[template.inverse.tag] is template.inverse
+
+
+@pytest.mark.parametrize("tag", TEMPLATES)
+def test_emit_inverse_places_the_inverse_template_on_the_same_wires(tag):
+    template = TEMPLATES[tag]
+    record = Gadget(template, (3, 5, 7), 4 if template.measures else None)
+    want = Gadget(template.inverse, (3, 5, 7), 0 if template.inverse.measures else None)
+    assert invert(record) == (want,)
+
+
+@pytest.mark.parametrize("tag", TEMPLATES)
 def test_inverting_an_and_span_that_is_no_template_instance_raises(tag):
     # Such a span cannot become a record, so there is nothing to invert: the
     # text that holds it is refused.
-    fragment = TEMPLATE[tag].instantiate((0, 1, 2), 0)
+    fragment = TEMPLATES[tag].instantiate((0, 1, 2), 0)
     swapped = (fragment[1], fragment[0]) + fragment[2:]
-    assert TEMPLATE[tag].match(swapped) is None
+    assert TEMPLATES[tag].match(swapped) is None
     flat = FlatCircuit(swapped, (GadgetSpan(0, len(swapped), tag),), (Register("a", (0, 1, 2)),))
     with pytest.raises(CircuitError, match="MALFORMED_GADGET_SPAN at instruction 0"):
         from_text(reference_to_text(flat))

@@ -9,11 +9,12 @@ from tclean.ir import (
     CircuitBuilder,
     CircuitError,
     Gadget,
-    GadgetTag,
     MAX_INDEX,
+    TEMPLATES,
     Instruction,
     Op,
     Register,
+    Template,
     ViolationCode,
     _new_record,
     validate,
@@ -132,7 +133,7 @@ def test_overlapping_gadget_spans():
     # that would hold them is refused, naming the first block that holds a
     # #begin.  (Partial overlap cannot be written at all; see REFUSED_SPANS.)
     text = reference_to_text(FlatCircuit((Instruction(Op.X, (0,)),) * 4, (
-        GadgetSpan(0, 3, GadgetTag.AND_COMPUTE), GadgetSpan(0, 2, GadgetTag.AND_UNCOMPUTE)),
+        GadgetSpan(0, 3, AND_COMPUTE.tag), GadgetSpan(0, 2, AND_UNCOMPUTE.tag)),
         inputs=(Register("a", (0,)),)))
     with pytest.raises(CircuitError) as err:
         from_text(text)
@@ -198,7 +199,7 @@ def _parse_refusal(flat: FlatCircuit):
 @pytest.mark.parametrize("name", sorted(REFUSED_SPANS))
 def test_spans_must_be_flat_and_nonempty(name, same_tag):
     ranges, same, other = REFUSED_SPANS[name]
-    tags = [GadgetTag.AND_COMPUTE, GadgetTag.AND_COMPUTE if same_tag else GadgetTag.AND_UNCOMPUTE]
+    tags = [AND_COMPUTE.tag, AND_COMPUTE.tag if same_tag else AND_UNCOMPUTE.tag]
     spans = tuple(GadgetSpan(start, end, tag) for (start, end), tag in zip(ranges, tags))
     instructions = (Instruction(Op.X, (0,)),) * 4
     # Given the other way round, a tie on start is still not broken by comparing tags.
@@ -225,8 +226,7 @@ def test_span_nesting_matches_the_reference_on_random_span_sets():
                 spans.append(flat.spans[int(rng.integers(2))])
                 continue
             start = int(rng.integers(0, 15))
-            spans.append(GadgetSpan(start, int(rng.integers(start, 16)), GadgetTag(rng.choice(
-                [tag.value for tag in GadgetTag]))))
+            spans.append(GadgetSpan(start, int(rng.integers(start, 16)), str(rng.choice(list(TEMPLATES)))))
         given = FlatCircuit(flat.instructions, tuple(spans), flat.inputs)
         text = reference_to_text(given)
         try:
@@ -465,13 +465,25 @@ def test_record_guards_give_the_reference_violation(name):
     assert (got.code, got.index) == (code, index) if code else got is None
 
 
+#: AND_COMPUTE's own text under its own tag, made again: a template not in TEMPLATES.
+AND_COMPUTE_COPY = Template(AND_COMPUTE.tag, "x y anc", "\n".join(
+    ("? " if cond else "") + " ".join([op.value, *("x y anc".split()[s] for s in slots)])
+    for op, slots, cond in AND_COMPUTE.lines))
+
+
+def test_the_copy_of_and_compute_is_the_same_text_but_not_the_template():
+    assert AND_COMPUTE_COPY.lines == AND_COMPUTE.lines and AND_COMPUTE_COPY.tag == AND_COMPUTE.tag
+    assert AND_COMPUTE_COPY not in TEMPLATES.values()
+
+
 @pytest.mark.parametrize("record", [
     Gadget(TEXTBOOK_TOFFOLI, (0, 1, 2)),  # untagged
+    Gadget(AND_COMPUTE_COPY, (0, 1, 3)),  # tagged, but not the template of its tag
     Gadget(AND_COMPUTE, [0, 1, 3]),  # wires not a tuple
     Gadget(AND_COMPUTE, (0, 1)),  # too few wires
     Gadget(AND_COMPUTE, (0, 1, 3), 0),  # a bit it does not measure
     Gadget(AND_UNCOMPUTE, (0, 1, 2)),  # no bit for its measurement
-], ids=["untagged", "list", "two-wires", "extra-bit", "no-bit"])
+], ids=["untagged", "copy", "list", "two-wires", "extra-bit", "no-bit"])
 def test_a_record_no_template_instance_is_refused(record):
     violation = _violation(body=(Instruction(Op.X, (0,)), record), inputs=(Register("a", (0, 1, 2)),))
     assert (violation.code, violation.index) == (ViolationCode.MALFORMED_GADGET_SPAN, 1)

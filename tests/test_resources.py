@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tclean.constructions import CONSTRUCTIONS
 from tclean.gadgets import AdderSpec, and_gadget_circuit, cuccaro_adder, gidney_adder
 from tclean.goldens import default_corpus_dir
-from tclean.ir import MAX_INDEX, CircuitBuilder, CircuitError, GadgetTag
+from tclean.ir import MAX_INDEX, TEMPLATES, CircuitBuilder, CircuitError
 from tclean.resources import (
     CostModel,
     NoCrossoverError,
@@ -202,7 +202,7 @@ def test_count_agrees_with_dag_reference_on_arbitrary_flat_spans(kind, seed, dat
     # records, and count agrees with the DAG reference on it.
     flat = flatten(GENERATORS[kind](np.random.default_rng(seed)))
     cuts = sorted(data.draw(st.sets(st.integers(0, len(flat.instructions)), max_size=12)))
-    spans = [GadgetSpan(start, end, data.draw(st.sampled_from(GadgetTag)))
+    spans = [GadgetSpan(start, end, data.draw(st.sampled_from(list(TEMPLATES))))
              for start, end in zip(cuts[::2], cuts[1::2])]
     spans += [old for old in flat.spans if all(old.end <= start or end <= old.start for start, end, _ in spans)]
     spanned = dataclasses.replace(flat, spans=tuple(spans))

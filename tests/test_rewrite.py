@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import tclean.ir
 from tclean.gadgets import AdderSpec, and_compute, and_uncompute, cuccaro_adder, gidney_adder
-from tclean.ir import Circuit, CircuitBuilder, CircuitError, GadgetTag, Instruction, Op, validate
+from tclean.ir import AND_COMPUTE, Circuit, CircuitBuilder, CircuitError, Instruction, Op, validate
 from tclean.oracle import compile_oracle
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
@@ -432,7 +432,7 @@ def test_splice_shifts_spans_beside_and_around_a_pair(extra):
     assert len(find_pairs(c)) == 1
     if extra is not None:
         flat = flatten(c)
-        spanned = dataclasses.replace(flat, spans=flat.spans + (GadgetSpan(*extra, GadgetTag.AND_COMPUTE),))
+        spanned = dataclasses.replace(flat, spans=flat.spans + (GadgetSpan(*extra, AND_COMPUTE.tag),))
         with pytest.raises(CircuitError, match="^MALFORMED_GADGET_SPAN"):
             from_text(reference_to_text(spanned))
         return

@@ -5,7 +5,8 @@ its own with ``int()``; this formatter checks the span boundaries at every
 instruction index and joins each line from a generator.  It is slower, but
 each rule reads directly as a branch.  It reads and makes the flat
 representation of ``spans_reference``: its parser returns instructions and
-spans unchecked, as the old parser did before its constructor ran.  The
+spans unchecked, as the old parser did before its constructor ran, with the
+lines of each span's markers beside them.  The
 differential tests require the production codec to format the same text,
 and to parse the same circuit or raise the same error (type, line number
 and message), on every input
@@ -18,7 +19,7 @@ reads it if all but its last few digits are leading zeros.
 """
 from __future__ import annotations
 
-from tclean.ir import Circuit, GadgetTag, Instruction, Op, Register
+from tclean.ir import TEMPLATES, Circuit, Instruction, Op, Register
 from tclean.textfmt import TextFormatError
 
 from spans_reference import FlatCircuit, GadgetSpan, flatten
@@ -55,9 +56,9 @@ def reference_to_text(circuit: Circuit | FlatCircuit) -> str:
         ends.setdefault(span.end, []).append(span)
     for i in range(len(circuit.instructions) + 1):
         for span in sorted(ends.get(i, []), key=lambda s: s.start, reverse=True):
-            lines.append(f"#end {span.tag.value}")
+            lines.append(f"#end {span.tag}")
         for span in sorted(begins.get(i, []), key=lambda s: s.end, reverse=True):
-            lines.append(f"#begin {span.tag.value}")
+            lines.append(f"#begin {span.tag}")
         if i < len(circuit.instructions):
             lines.append(_format_instruction(circuit.instructions[i]))
     return "\n".join(lines) + "\n"
@@ -89,7 +90,8 @@ def reference_from_text(text: str) -> FlatCircuit:
     """The instructions and spans `text` spells, unchecked; TextFormatError on malformed text."""
     instructions: list[Instruction] = []
     spans: list[GadgetSpan] = []
-    open_spans: list[tuple[int, GadgetTag, int]] = []
+    span_lines: list[tuple[int, int]] = []  # each span's #begin and #end line
+    open_spans: list[tuple[int, str, int]] = []
     inputs: list[Register] = []
     outputs: list[Register] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -108,10 +110,9 @@ def reference_from_text(text: str) -> FlatCircuit:
         if head == "#begin":
             if len(tokens) != 2:
                 raise TextFormatError(line_no, "#begin needs a gadget tag")
-            try:
-                tag = GadgetTag(tokens[1])
-            except ValueError:
-                raise TextFormatError(line_no, f"unknown gadget tag {tokens[1]!r}") from None
+            tag = tokens[1]
+            if tag not in TEMPLATES:
+                raise TextFormatError(line_no, f"unknown gadget tag {tag!r}")
             open_spans.append((len(instructions), tag, line_no))
             continue
         if head == "#end":
@@ -119,10 +120,11 @@ def reference_from_text(text: str) -> FlatCircuit:
                 raise TextFormatError(line_no, "#end needs a gadget tag")
             if not open_spans:
                 raise TextFormatError(line_no, "#end without matching #begin")
-            start, tag, _ = open_spans.pop()
-            if tag.value != tokens[1]:
-                raise TextFormatError(line_no, f"#end {tokens[1]} does not match #begin {tag.value}")
+            start, tag, begin_line = open_spans.pop()
+            if tag != tokens[1]:
+                raise TextFormatError(line_no, f"#end {tokens[1]} does not match #begin {tag}")
             spans.append(GadgetSpan(start, len(instructions), tag))
+            span_lines.append((begin_line, line_no))
             continue
         if head.startswith("#"):
             continue  # comment
@@ -163,7 +165,7 @@ def reference_from_text(text: str) -> FlatCircuit:
         instructions.append(Instruction(op, qubits, angle=angle, result=result, cond=cond))
 
     if open_spans:
-        raise TextFormatError(open_spans[-1][2], f"unclosed #begin {open_spans[-1][1].value}")
+        raise TextFormatError(open_spans[-1][2], f"unclosed #begin {open_spans[-1][1]}")
 
     return FlatCircuit(instructions=tuple(instructions), spans=tuple(spans), inputs=tuple(inputs),
-                       outputs=tuple(outputs))
+                       outputs=tuple(outputs), lines=tuple(span_lines))
