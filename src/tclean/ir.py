@@ -361,7 +361,9 @@ def _check(body: Sequence[Step], inputs: Sequence[Register],
     for reg in inputs:
         top = max(reg.qubits, default=-1)
         if top > MAX_INDEX or min(reg.qubits, default=0) < 0:
-            return Violation(ViolationCode.BAD_ARITY, 0, f"qubit index out of range in {reg.qubits}")
+            q = next(q for q in reg.qubits if not 0 <= q <= MAX_INDEX)
+            return Violation(ViolationCode.BAD_ARITY, 0,
+                             f"qubit index {q} out of range in input register {reg.name!r}")
         max_qubit = max(max_qubit, top)
         for q in reg.qubits:
             if q in live:

@@ -21,10 +21,14 @@ round-trips IEEE doubles exactly.  Lines starting with '#' that are not one
 of the #input/#output/#begin/#end directives are comments.  A
 ``#begin``...``#end`` block is one gadget record: its template's
 instructions on the record's wires, between markers naming its template's
-tag, its key in ``ir.TEMPLATES``.
+tag, its key in ``ir.TEMPLATES``.  Both directions read a record's block
+from its template's text, the formatter as a format string and the parser
+as a pattern compiled from the same text.
 """
 from __future__ import annotations
 
+import re
+from collections.abc import Callable, Sequence
 from itertools import islice
 
 from .ir import (
@@ -40,6 +44,7 @@ from .ir import (
     Violation,
     ViolationCode,
     _new_record,
+    _tuple_getter,
 )
 
 _PLAIN, _ANGLE, _MEASURE = "plain", "angle", "measure"
@@ -72,13 +77,16 @@ _COND = _conditioned("%d", "%s")
 _GATES = {mnemonic: (op, op.arity + 1) for mnemonic, (op, form, _) in _ROWS.items() if form is _PLAIN}
 
 
-def _block(template: Template) -> tuple[str, tuple[tuple[int, int, int], ...]]:
+def _block(template: Template) -> tuple[str, re.Pattern[str], Callable[[Sequence[str]], tuple[str, ...]]]:
     """How a record of `template` is written and read back.
 
     The first item is the record's ``#begin``...``#end`` block as a format
     string, with field ``{w}`` for wire w and field ``{n_wires}`` for the
-    bit.  The second gives, for each field in order, where the block first
-    spells it: (line, token, characters before the id).
+    bit.  The second is a pattern of exactly the blocks that string makes
+    from ids spelled in ASCII decimal digits: each field's first spelling
+    captures its digits and every later one repeats them.  The third takes
+    a match's groups to the record's wire digits and bit digits, in field
+    order.
     """
     fields = ["{%d}" % k for k in range(template.n_wires + 1)]
     lines = ["#begin " + template.tag]
@@ -86,15 +94,21 @@ def _block(template: Template) -> tuple[str, tuple[tuple[int, int, int], ...]]:
         line = _line(op, [fields[s] for s in slots], "", fields[-1])
         lines.append(_conditioned(fields[-1], line) if cond else line)
     lines.append("#end " + template.tag)
-    spots = []
-    for field in fields[:template.n_wires + template.measures]:
-        spots.append(next((k, t, len(token) - len(field))
-                          for k, line in enumerate(lines) for t, token in enumerate(line.split())
-                          if token.endswith(field)))
-    return "\n".join(lines), tuple(spots)
+    form = "\n".join(lines)
+    pattern, captured = [], []  # captured: the fields in the order the pattern captures them
+    for k, part in enumerate(re.split(r"\{(\d+)\}", form)):
+        if k % 2 == 0:
+            pattern.append(re.escape(part))
+        elif int(part) in captured:
+            pattern.append(f"(?P=f{part})")
+        else:
+            captured.append(int(part))
+            pattern.append(f"(?P<f{part}>[0-9]+)")
+    read_fields = _tuple_getter([captured.index(f) for f in range(template.n_wires + template.measures)])
+    return form, re.compile("".join(pattern)), read_fields
 
 
-#: Each record template's block format and field spots (see :func:`_block`).
+#: Each record template's block format, pattern and field getter (see :func:`_block`).
 _BLOCKS = {template: _block(template) for template in TEMPLATES.values()}
 
 
@@ -185,13 +199,15 @@ def _parse_classbit(token: str, line_no: int) -> int:
 def from_text(text: str) -> Circuit:
     """The circuit `text` spells; raises :class:`TextFormatError` on malformed text.
 
-    Each distinct id token is read once per call.  A plain gate line whose
-    tokens are all ids is made straight from them, and a ``#begin`` block
-    whose lines are exactly a record's text (as :func:`to_text` writes it)
-    is made straight into that record.  Every other line takes the general
-    path, which alone raises :class:`TextFormatError`; there a block's
-    instructions are parsed one by one and then matched with its tag's
-    template.  A block that is no instance of it, or that holds another
+    Each distinct id token is read once per call, on every line.  A plain
+    gate line whose tokens are all ids is made straight from them.  A
+    ``#begin`` block whose lines are exactly a record's text (as
+    :func:`to_text` writes it) is made straight into that record: its lines
+    are one full match of the pattern compiled from its template's text,
+    whose groups are the record's wire and bit ids.  Every other line takes
+    the general path, which alone raises :class:`TextFormatError`; there a
+    block's instructions are parsed one by one and then matched with its
+    tag's template.  A block that is no instance of it, or that holds another
     ``#begin``, raises :class:`~tclean.ir.CircuitError` with
     ``MALFORMED_GADGET_SPAN`` once the whole text has parsed, naming the
     first such ``#begin``.
@@ -233,7 +249,10 @@ def from_text(text: str) -> Circuit:
             if head == "#input" or head == "#output":
                 if len(tokens) < 2:
                     raise TextFormatError(line_no, f"{head} needs a register name")
-                qubits = _parse_qubits(tokens[2:], line_no)
+                try:
+                    qubits = tuple(map(read_id, tokens[2:]))
+                except KeyError:
+                    qubits = _parse_qubits(tokens[2:], line_no)  # raises: names the first token that is not an id
                 (inputs if head == "#input" else outputs).append(Register(tokens[1], qubits))
             elif head == "#begin":
                 if len(tokens) != 2:
@@ -242,20 +261,20 @@ def from_text(text: str) -> Circuit:
                 if template is None:
                     raise TextFormatError(line_no, f"unknown gadget tag {tokens[1]!r}")
                 if not open_blocks:
-                    # A record's exact text: read its fields where the block spells them.
-                    form, spots = _BLOCKS[template]
-                    block = lines[line_no - 1:line_no + template.size + 1]
-                    try:
-                        fields = [block[k].split()[t][cut:] for k, t, cut in spots]
-                        if form.format(*fields) == "\n".join(block):
-                            ids = tuple(map(read_id, fields))
+                    # A record's exact text: one match of its template's block pattern.
+                    _, pattern, fields = _BLOCKS[template]
+                    match = pattern.fullmatch("\n".join(lines[line_no - 1:line_no + template.size + 1]))
+                    if match is not None:
+                        try:
+                            ids = tuple(map(read_id, fields(match.groups())))
+                        except KeyError:
+                            pass  # an id past MAX_INDEX: the general path words it
+                        else:
                             n = template.n_wires
-                            append(Gadget(template, ids[:n], ids[n] if template.measures else None))
+                            append(_new_record(Gadget, (template, ids[:n], ids[n] if template.measures else None)))
                             extra += template.size - 1
                             next(islice(numbered, template.size, None))  # skip to the #end line
                             continue
-                    except (IndexError, KeyError):
-                        pass  # not a record's exact text: parse it line by line
                 else:
                     open_blocks[-1][4] = True
                 open_blocks.append([len(body), len(body) + extra, template, line_no, False])

@@ -364,16 +364,29 @@ TOO_BIG = MAX_INDEX + 1
 @pytest.mark.parametrize("instr, register, message", [
     (Instruction(Op.X, (TOO_BIG,)), (0,), f"qubit index out of range in ({TOO_BIG},)"),
     (Instruction(Op.CX, (0, TOO_BIG)), (0,), f"qubit index out of range in (0, {TOO_BIG})"),
-    (Instruction(Op.X, (0,)), (0, TOO_BIG), f"qubit index out of range in (0, {TOO_BIG})"),
+    (Instruction(Op.X, (0,)), (0, TOO_BIG), f"qubit index {TOO_BIG} out of range in input register 'a'"),
     (Instruction(Op.MZ, (0,), result=TOO_BIG), (0,), f"classical bit {TOO_BIG} out of range"),
     # negative ids keep their messages, and a register's are refused too
     (Instruction(Op.X, (-1,)), (0,), "qubit index out of range in (-1,)"),
     (Instruction(Op.MZ, (0,), result=-2), (0,), "classical bit -2 out of range"),
-    (Instruction(Op.X, (0,)), (0, -1), "qubit index out of range in (0, -1)"),
+    (Instruction(Op.X, (0,)), (0, -1), "qubit index -1 out of range in input register 'a'"),
 ])
 def test_ids_the_text_cannot_carry_are_refused(instr, register, message):
     violation = one_gate(instr, register)
     assert (violation.code, violation.index, violation.message) == (ViolationCode.BAD_ARITY, 0, message)
+
+
+@pytest.mark.parametrize("qubits", [range(MAX_INDEX + 2), range(1, MAX_INDEX + 2), range(-1, MAX_INDEX)],
+                         ids=["past-the-limit", "2^20-ids", "negative-first"])
+def test_an_out_of_range_register_is_named_in_a_short_message(qubits):
+    # The message names the register and its first id out of range, not every id it holds.
+    qubits = tuple(qubits)
+    assert len(qubits) >= 1 << 20
+    bad = next(q for q in qubits if not 0 <= q <= MAX_INDEX)
+    with pytest.raises(CircuitError) as info:
+        Circuit((), inputs=(Register("a", qubits),))
+    assert info.value.violation.message == f"qubit index {bad} out of range in input register 'a'"
+    assert len(str(info.value)) < 200
 
 
 def test_ids_at_the_limit_are_accepted():

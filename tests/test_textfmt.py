@@ -1,11 +1,14 @@
 """Text serialization round trips and parse errors."""
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tclean.ir import (Circuit, CircuitBuilder, CircuitError, Gadget, Instruction, Op, Register,
+from tclean.constructions import CONSTRUCTIONS
+from tclean.goldens import default_corpus_dir
+from tclean.ir import (Circuit, CircuitBuilder, CircuitError, Gadget, Instruction, Op, Register, Template,
                        ViolationCode, validate)
 from tclean.textfmt import MAX_INDEX, TextFormatError, from_text, to_text
 
@@ -195,3 +198,33 @@ def test_leading_zeros_read_as_the_value_at_any_length():
     assert c.inputs == (Register("q", (0, 7)),)
     assert c.instructions == (Instruction(Op.X, (7,)), Instruction(Op.CX, (7, 0)),
                               Instruction(Op.MZ, (7,), result=2), Instruction(Op.X, (0,), cond=2))
+
+
+class GeneralPath(Exception):
+    """Raised by a stand-in ``Template.match``: a block reached the line-by-line path."""
+
+
+def test_written_records_take_the_exact_record_path(monkeypatch):
+    # Every corpus file and every kind's text at n = 1-4 reads each block as
+    # one record without the general path, which alone calls Template.match.
+    texts = [path.read_text() for path in sorted(Path(default_corpus_dir()).glob("*/circuit.qc"))]
+    texts += [to_text(CONSTRUCTIONS[kind].build(n, carry_out))
+              for kind in sorted(CONSTRUCTIONS) for n in range(1, 5) for carry_out in (False, True)]
+    circuits = [from_text(text) for text in texts]
+    assert sum(step.__class__ is Gadget for c in circuits for step in c.body) > 100
+
+    def general_path(self, instrs):
+        raise GeneralPath(self.tag)
+
+    monkeypatch.setattr(Template, "match", general_path)
+    for text, circuit in zip(texts, circuits):
+        assert from_text(text) == circuit
+    # str.splitlines ends a line at CRLF, so a CRLF copy is read the same way.
+    text = texts[0]
+    assert from_text(text.replace("\n", "\r\n")) == circuits[0]
+    # Tabs for spaces are no record's exact text: the general path reads them.
+    tabbed = text.replace(" ", "\t")
+    with pytest.raises(GeneralPath):
+        from_text(tabbed)
+    monkeypatch.undo()
+    assert from_text(tabbed) == circuits[0]
