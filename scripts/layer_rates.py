@@ -2,12 +2,17 @@
 """Instructions per second of each layer, best of k: symbolic layers and the simulator.
 
 Build, ``validate``, ``to_text``, ``from_text`` and ``count`` run on
-``gidney_adder(AdderSpec(n))``; ``find_pairs``, ``replace_pairs`` and
-``lower_ccx("paired4")`` run on ``cuccaro_adder(AdderSpec(n))``, whose
-Toffoli pairs they match; all at n = 64, 256 and 1024.  The simulator runs
-``gidney_adder(AdderSpec(n))`` too: ``run`` on the sparse engine from one
-seeded basis input at n = 64, 256 and 1024, and ``enumerate_branches`` on
-the dense engine from one seeded random state at n = 2, 3 and 4.  A layer's
+``gidney_adder(AdderSpec(n))``; ``from_text_flat`` is ``from_text`` on the
+text of ``cuccaro_adder(AdderSpec(n))``, which holds no gadget record;
+``find_pairs``, ``replace_pairs`` and ``lower_ccx("paired4")`` run on
+``cuccaro_adder(AdderSpec(n))``, whose Toffoli pairs they match; all at
+n = 64, 256 and 1024.  The simulator runs ``gidney_adder(AdderSpec(n))``
+too: ``run`` on the sparse engine from one seeded basis input at n = 64,
+256 and 1024, and ``enumerate_branches`` on the dense engine from one
+seeded random state at n = 2, 3 and 4.  ``enumerate_branches_sparse`` runs
+``multi_controlled_x(k)`` on the sparse engine from one seeded basis input
+at k = 8 and 10: k - 1 measurements, 2^(k-1) branches, each reported with
+its own 2^(k+1)-amplitude vector (k = 16 would need 64 GiB of them).  A layer's
 rate is the instructions it reads (for build, the instructions it makes;
 for the simulator, the circuit's instructions once, however many branches
 run them) divided by the fastest of k timed calls.  Prints one JSON object
@@ -27,7 +32,7 @@ import time
 
 import numpy as np
 
-from tclean.gadgets import AdderSpec, cuccaro_adder, gidney_adder
+from tclean.gadgets import AdderSpec, cuccaro_adder, gidney_adder, multi_controlled_x
 from tclean.ir import Gadget, validate
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
@@ -37,6 +42,8 @@ from tclean.textfmt import from_text, to_text
 SIZES = (64, 256, 1024)
 #: Sizes of the dense ``enumerate_branches``; the sparse ``run`` uses ``SIZES``.
 BRANCH_SIZES = (2, 3, 4)
+#: Control counts of the sparse ``enumerate_branches`` on ``multi_controlled_x``.
+MCX_SIZES = (8, 10)
 
 
 def best_time(call, repeat: int) -> float:
@@ -54,11 +61,13 @@ def layer_rates(sizes=SIZES, repeat: int = 5) -> dict[str, dict[int, float]]:
         gidney = gidney_adder(AdderSpec(n))
         text = to_text(gidney)
         cuccaro = cuccaro_adder(AdderSpec(n))
+        flat_text = to_text(cuccaro)
         layers = {
             "build": (gidney, lambda: gidney_adder(AdderSpec(n))),
             "validate": (gidney, lambda: validate(gidney)),
             "to_text": (gidney, lambda: to_text(gidney)),
             "from_text": (gidney, lambda: from_text(text)),
+            "from_text_flat": (cuccaro, lambda: from_text(flat_text)),
             "count": (gidney, lambda: count(gidney)),
             "find_pairs": (cuccaro, lambda: find_pairs(cuccaro)),
             "replace_pairs": (cuccaro, lambda: replace_pairs(cuccaro)),
@@ -80,9 +89,10 @@ def circuit_sizes(sizes=SIZES) -> dict[str, dict[int, dict[str, int]]]:
     return out
 
 
-def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES,
+def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES, mcx_sizes=MCX_SIZES,
               repeat: int = 5) -> dict[str, dict[int, float]]:
-    rates: dict[str, dict[int, float]] = {"run": {}, "enumerate_branches": {}}
+    rates: dict[str, dict[int, float]] = {"run": {}, "enumerate_branches": {},
+                                          "enumerate_branches_sparse": {}}
     for n in run_sizes:
         adder = gidney_adder(AdderSpec(n))
         basis = random.Random(n).getrandbits(len(adder.input_qubits()))  # sparse engine
@@ -94,6 +104,11 @@ def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES,
         state /= np.linalg.norm(state)  # a random dense state: the dense engine
         rates["enumerate_branches"][n] = round(
             len(adder) / best_time(lambda: enumerate_branches(adder, state), repeat))
+    for k in mcx_sizes:
+        mcx = multi_controlled_x(k)
+        basis = random.Random(k).getrandbits(k + 1)
+        rates["enumerate_branches_sparse"][k] = round(
+            len(mcx) / best_time(lambda: enumerate_branches(mcx, basis), repeat))
     return rates
 
 

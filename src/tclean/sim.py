@@ -33,9 +33,15 @@ depth-first walk of the measurement tree (:func:`_walk`) serves :func:`run`,
 :func:`enumerate_branches`, :func:`channel_equiv` and :func:`basis_equiv`.
 It follows every outcome of nonzero probability, which is how gadget
 constructions are certified to be outcome-independent, or one outcome per
-measurement, forced or sampled from seeded pseudorandomness.  Both engines
-share one branch record (:class:`_Branch`) for the classical bits, weight and
-just-measured qubits, which only the walk writes; the kernels move amplitudes.
+measurement, forced or sampled from seeded pseudorandomness.  Where the two
+outcomes of a measurement lead to exactly the same state by the next
+measurement, as an erased AND's do after its fixup, and no later step reads
+the measured bit, the walk goes on with one branch that carries both
+outcome histories, so the rest of the circuit runs once, not once per
+outcome.  Every history is still reported and counted as its own branch.
+Both engines share one branch record (:class:`_Branch`) for the histories
+(classical bits and weight) and the just-measured qubits, which only the
+walk writes; the kernels move amplitudes.
 
 A result's ``final_state`` is a dense vector over the output qubits while
 they number at most ``MAX_LIVE_QUBITS``; a wider sparse result is a dict
@@ -74,9 +80,13 @@ MAX_MEASUREMENTS = 16
 
 _ZERO_TOL = 1e-9
 _BRANCH_EPS = 1e-12
-#: Sparse amplitudes at or below this after a cancelling kernel are rounding
-#: residue where the exact value is zero, and are dropped.
+#: Amplitudes at or below this after a cancelling kernel are rounding residue
+#: where the exact value is zero, and are dropped: whole sparse terms, and
+#: dense real and imaginary parts.  Without it, sibling branches that the
+#: walk could merge differ by residue of about 1e-16.
 _PRUNE_TOL = 1e-13
+#: Real and imaginary parts the dense prune reads at a time, a cache-sized block.
+_PRUNE_BLOCK = 1 << 14
 #: An equivalence check passes a branch whose fidelity is at least 1 minus this.
 _FIDELITY_TOL = 1e-10
 
@@ -140,28 +150,34 @@ class _Branch:
     """One execution branch on either engine: its amplitudes and its bookkeeping.
 
     ``amps`` is the engine's state, which only the engine's kernels move.
-    The walk (:func:`_walk`) keeps the rest: the classical bits measured so
-    far, the weight (the product of the branch's outcome probabilities) and
-    the qubits measured with nothing executed on them since, which a release
-    may drop whatever their value.  Single owner: :meth:`copy` before handing
-    it to a second branch.
+    The walk (:func:`_walk`) keeps the rest: the paths the branch stands
+    for, and the qubits measured with nothing executed on them since, which
+    a release may drop whatever their value.  A path is one history of
+    outcomes, a ``[classbits, weight]`` pair: the classical bits measured so
+    far and the product of their outcome probabilities.  A branch holds
+    several paths once sibling branches that reached the same state have
+    merged; they differ only in bits no later step reads.  Single owner:
+    :meth:`copy` before handing it to a second branch.
     """
 
-    __slots__ = ("amps", "classbits", "weight", "_just_measured")
+    __slots__ = ("amps", "paths", "_just_measured")
 
     def __init__(self, amps: np.ndarray | dict[int, complex]) -> None:
         self.amps = amps.copy()  # kernels write in place
-        self.classbits: dict[int, int] = {}
-        self.weight = 1.0
+        self.paths: list[list] = [[{}, 1.0]]
         self._just_measured: set[int] = set()
 
     def copy(self) -> "_Branch":
         dup = object.__new__(type(self))
         dup.amps = self.amps.copy()
-        dup.classbits = dict(self.classbits)
-        dup.weight = self.weight
+        dup.paths = [[dict(classbits), weight] for classbits, weight in self.paths]
         dup._just_measured = set(self._just_measured)
         return dup
+
+    def same(self, other: "_Branch") -> bool:
+        """Whether ``other`` continues exactly as this branch would: equal
+        amplitudes (:meth:`same_amps`) and equal just-measured qubits."""
+        return self._just_measured == other._just_measured and self.same_amps(other.amps)
 
 
 # -- dense engine -----------------------------------------------------------------
@@ -280,13 +296,18 @@ class SimState(_Branch):
         self.amps.reshape(shape)[ones] *= phase
 
     def h(self, shape: tuple[int, ...]) -> None:
-        """Hadamard on axis 1 of ``shape``."""
+        """Hadamard on axis 1 of ``shape``, then zero the real and imaginary
+        parts at or below ``_PRUNE_TOL``, the residue of its cancellations."""
         view = self.amps.reshape(shape)
         a0, a1 = view[:, 0], view[:, 1]
         diff = a0 - a1
         a0 += a1
         a1[...] = diff
         self.amps *= _SQ
+        parts = self.amps.view(np.float64)
+        for start in range(0, parts.size, _PRUNE_BLOCK):
+            block = parts[start:start + _PRUNE_BLOCK]  # a view: the product writes through
+            block *= np.abs(block) > _PRUNE_TOL
 
     def y(self, shape: tuple[int, ...]) -> None:
         """Pauli Y on axis 1 of ``shape``: swap the halves, then phases -i and i."""
@@ -326,6 +347,9 @@ class SimState(_Branch):
             np.negative(a0, out=a1)
         else:
             a1[...] = a0
+
+    def same_amps(self, amps: np.ndarray) -> bool:
+        return np.array_equal(self.amps, amps)
 
     # -- extraction ---------------------------------------------------------------
 
@@ -521,6 +545,10 @@ class SparseState(_Branch):
                 out[k0 | bit] = -v if outcome else v
         self.amps = _capped(out)
 
+    def same_amps(self, amps: dict[int, complex]) -> bool:
+        # In the same order too: later kernels sum over the terms in dict order.
+        return self.amps == amps and list(self.amps) == list(amps)
+
     # -- extraction ---------------------------------------------------------------
 
     def extract(self, slots: dict[int, int],
@@ -551,9 +579,10 @@ Engine = Union[type[SimState], type[SparseState]]
 
 
 #: One instruction with its kernel and the kernel's arguments.  A measurement,
-#: which the walk runs, has kernel None and arguments ``(probs, project,
-#: args)``: its basis's two kernels and their arguments.  A plain tuple: a
-#: circuit compiles one per instruction.
+#: which the walk runs, has kernel None and arguments ``(probs, project, args,
+#: merge)``: its basis's two kernels, their arguments, and whether no step from
+#: the next measurement on reads its bit, so that its two outcomes' branches
+#: may merge there.  A plain tuple: a circuit compiles one per instruction.
 _Step = tuple[Instruction, Union[Callable[..., None], None], tuple]
 
 
@@ -596,17 +625,30 @@ def _compile(circuit: Circuit, engine: Engine) -> _Program:
     bases = {op: (getattr(engine, probs), getattr(engine, project))
              for op, (probs, project) in _BASES.items()}
     steps = []
+    stops = []  # the measurements' steps
+    last_read = {}  # each conditioning bit's last reader's step
     rz = Op.RZ  # an Op member read costs ~100 ns
-    for instr in circuit.instructions:
+    instructions = circuit.instructions
+    for instr in instructions:
         if layout.overflowed:
             break  # nothing past here runs: the input check or an over-limit alloc raises first
         kernel, method, extra = table[instr.op]
         if instr.op is rz:
             extra = (cmath.exp(1j * instr.angle),)
         args = method(instr.qubits, *extra)
-        steps.append((instr, kernel, (*bases[instr.op], args) if kernel is None else args))
+        if kernel is None:
+            stops.append(len(steps))
+        elif instr.cond is not None:
+            last_read[instr.cond] = len(steps)
+        steps.append((instr, kernel, args))
     # A valid circuit gives a result bit to its measurements and nothing else.
-    measurements = sum(instr.result is not None for instr in circuit.instructions)
+    measurements = len(stops) + sum(instr.result is not None for instr in instructions[len(steps):])
+    # Every branch stops at the same measurements, so where a measurement's
+    # two branches next meet, and whether a step from there on reads its bit,
+    # is fixed here, once per measurement.
+    for i, meet in zip(stops, stops[1:] + [len(steps)]):
+        instr, _, args = steps[i]
+        steps[i] = (instr, None, (*bases[instr.op], args, last_read.get(instr.result, -1) < meet))
     return _Program(engine, tuple(steps), layout.final(), circuit.output_qubits(), measurements)
 
 
@@ -707,13 +749,16 @@ def _engine(input_state: InputState) -> tuple[Engine, Callable]:
 def _advance(branch: _Branch, steps: Sequence[_Step], i: int) -> int:
     """Execute steps from i up to the next measurement; return its index (or len(steps)).
 
-    An executed instruction ends the just-measured state of its qubits.
+    An executed instruction ends the just-measured state of its qubits.  A
+    conditioned step reads the first path's bits: every path of a branch
+    holds the same value of each bit read from here on.
     """
+    classbits = branch.paths[0][0]
     while i < len(steps):
         instr, kernel, args = steps[i]
         if kernel is None:
             return i
-        if instr.cond is None or branch.classbits[instr.cond] == 1:
+        if instr.cond is None or classbits[instr.cond] == 1:
             kernel(branch, *args)
             if branch._just_measured:
                 branch._just_measured.difference_update(instr.qubits)
@@ -754,18 +799,23 @@ def _walk(program: _Program, initial, choose: Choose):
     branch it is given meets an error in an earlier branch before any later
     one.  The last outcome picked is followed first, and every other one gets
     a copy of the branch, so a measurement copies the state once per extra
-    outcome.  The walk alone records an outcome, scales the weight and marks
-    the measured qubit; the engines' projections only move amplitudes.
+    outcome.  The walk alone records an outcome in every path, scales the
+    paths' weights and marks the measured qubit; the engines' projections
+    only move amplitudes.  Where a measurement's two branches may merge,
+    :func:`_meet` runs both to the next measurement and merges them if they
+    arrive equal, so the rest of the circuit runs once for both outcomes.
     """
     steps = program.steps
-    stack = [(program.engine(initial), 0)]
+    stack: list[tuple[_Branch | SimulationError, int]] = [(program.engine(initial), 0)]
     while stack:
         branch, i = stack.pop()
+        if isinstance(branch, SimulationError):
+            raise branch  # from :func:`_meet`, in the place of the branch that raised it
         i = _advance(branch, steps, i)
         if i == len(steps):
             yield branch
             continue
-        instr, _, (probs, project, args) = steps[i]
+        instr, _, (probs, project, args, merge) = steps[i]
         # Each probability is summed from its own half of the state, not taken
         # as one minus the other: ``1 - p1`` loses every digit of a small
         # ``p0`` that the rounding of ``p1`` covers, and projection divides by its root.
@@ -774,10 +824,41 @@ def _walk(program: _Program, initial, choose: Choose):
         for k, (outcome, prob) in enumerate(picked):
             fork = branch if k == last else branch.copy()
             project(fork, *args, outcome, prob)
-            fork.classbits[instr.result] = outcome
-            fork.weight *= prob
+            for path in fork.paths:
+                path[0][instr.result] = outcome
+                path[1] *= prob
             fork._just_measured.add(instr.qubits[0])
             stack.append((fork, i + 1))
+        if merge and last:
+            _meet(stack, steps)
+
+
+def _meet(stack: list, steps: Sequence[_Step]) -> None:
+    """Run the two branches on top of ``stack``, one measurement's outcomes, to
+    the next measurement (or the end), and merge them there if they are equal.
+
+    The measurement's bit is read by no step from there on, so if the
+    branches arrive equal (:meth:`_Branch.same`), one branch carrying both
+    branches' paths goes on, and the rest of the circuit runs once for both
+    outcomes: an erased AND's fixup makes its two outcomes' states equal.
+    Each path's weight is then multiplied by the same probabilities, in the
+    same order, as its own branch's would be.  An error in the second
+    branch's stretch replaces it on the stack, so it is raised after every
+    leaf of the first, where the unmerged walk would raise it.
+    """
+    (second, i), (first, _) = stack[-2:]
+    del stack[-2:]
+    meet = _advance(first, steps, i)
+    try:
+        _advance(second, steps, i)
+    except SimulationError as err:
+        stack += [(err, meet), (first, meet)]
+        return
+    if first.same(second):
+        first.paths = second.paths + first.paths
+        stack.append((first, meet))
+    else:
+        stack += [(second, meet), (first, meet)]
 
 
 def _check_bound(program: _Program) -> None:
@@ -800,7 +881,8 @@ def run(circuit: Circuit, input_state: InputState = None, *,
     initial = read(circuit, input_state)
     program = _compile(circuit, engine)
     (leaf,) = _walk(program, initial, _sampled(np.random.default_rng(seed), force))
-    return RunResult(leaf.extract(program.final, program.outputs), leaf.classbits)
+    ((classbits, _),) = leaf.paths
+    return RunResult(leaf.extract(program.final, program.outputs), classbits)
 
 
 def enumerate_branches(circuit: Circuit, input_state: InputState = None) -> list[BranchResult]:
@@ -810,15 +892,18 @@ def enumerate_branches(circuit: Circuit, input_state: InputState = None) -> list
     to 1.  Results are sorted by outcome assignment.  A circuit with more
     than ``MAX_MEASUREMENTS`` measurements raises :class:`TooManyBranchesError`.
     Each branch's state is dense over the outputs while they number at most
-    ``MAX_LIVE_QUBITS``, as in :func:`run`, on either engine.
+    ``MAX_LIVE_QUBITS``, as in :func:`run`, on either engine.  Branches the
+    walk merged share one extraction, and each gets its own copy of it.
     """
     engine, read = _engine(input_state)
     program = _compile(circuit, engine)
     _check_bound(program)
-    leaves = _walk(program, read(circuit, input_state), _every)
-    return sorted((BranchResult(tuple(sorted(leaf.classbits.items())), leaf.weight,
-                                leaf.extract(program.final, program.outputs)) for leaf in leaves),
-                  key=lambda b: b.outcomes)
+    results = []
+    for leaf in _walk(program, read(circuit, input_state), _every):
+        state = leaf.extract(program.final, program.outputs)
+        results += [BranchResult(tuple(sorted(bits.items())), weight, state if k == 0 else state.copy())
+                    for k, (bits, weight) in enumerate(leaf.paths)]
+    return sorted(results, key=lambda b: b.outcomes)
 
 
 # -- equivalence checking -------------------------------------------------------
@@ -863,15 +948,17 @@ def channel_equiv(circuit: Circuit, ideal: IdealMap, *,
         raise ValueError("no input state to check: empty input_states")
     program = _compile(circuit, SimState)
     _check_bound(program)
-    fidelities: list[float] = []
+    fidelities: list[float] = []  # one per leaf, which stands for each of its paths
+    branch_count = 0
     for state in input_states:
         vec = _input_vector(circuit, state)
         expected = ideal(vec)
-        fidelities += [fidelity(expected, leaf.extract(program.final, program.outputs))
-                       for leaf in _walk(program, vec, _every)]
+        for leaf in _walk(program, vec, _every):
+            fidelities.append(fidelity(expected, leaf.extract(program.final, program.outputs)))
+            branch_count += len(leaf.paths)
     # np.min propagates a NaN fidelity, and NaN >= 1 - tol is False: NaN never passes.
     worst = float(np.min(fidelities, initial=1.0))
-    return EquivalenceResult(worst >= 1.0 - _FIDELITY_TOL, worst, len(fidelities))
+    return EquivalenceResult(worst >= 1.0 - _FIDELITY_TOL, worst, branch_count)
 
 
 def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex]],
@@ -885,10 +972,11 @@ def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex
     branch's fidelity to sum_i phase_i |want(i)>|i>_ref / sqrt(N) is
     |sum conj(phase) a / sqrt(N)|^2 over one term per ref, the largest whose
     output index (through ``read`` where given) is want's.  ``branch_count``
-    counts the (input, branch) pairs.  Where 2^inputs, or 2^(inputs +
-    measurements), the most pairs there can be, passes ``MAX_TERMS``, or
-    2^(inputs + 1) does in a circuit with an ``alloct`` (which doubles every
-    term), it raises :class:`SimulationError` before walking.
+    counts the (input, branch) pairs, each path of a merged branch apart.
+    Where 2^inputs, or 2^(inputs + measurements), the most pairs there can
+    be, passes ``MAX_TERMS``, or 2^(inputs + 1) does in a circuit with an
+    ``alloct`` (which doubles every term), it raises :class:`SimulationError`
+    before walking.
     """
     n_in = len(circuit.input_qubits())
     if 1 << n_in > MAX_TERMS:
@@ -927,7 +1015,7 @@ def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex
             if abs(hit) >= abs(picked.get(ref, 0)):
                 picked[ref] = hit
         fidelities.append(abs(sum(picked.values()) * scale) ** 2)
-        pairs += len(picked)
+        pairs += len(picked) * len(leaf.paths)
     worst = float(np.min(fidelities, initial=1.0))  # a NaN propagates and fails
     return EquivalenceResult(worst >= 1.0 - _FIDELITY_TOL, worst, pairs)
 

@@ -174,30 +174,6 @@ def test_corpus_formats_and_parses_as_before(name):
     assert to_text(circuit) == reference_to_text(circuit) == text
 
 
-MUTATIONS = ("drop", "duplicate", "swap", "replace")
-
-
-@st.composite
-def mutated_corpus_text(draw):
-    """A corpus file with one token of one line dropped, duplicated, swapped or replaced."""
-    lines = CORPUS[draw(st.sampled_from(sorted(CORPUS)))].splitlines()
-    k = draw(st.integers(0, len(lines) - 1))
-    tokens = lines[k].split()
-    i = draw(st.integers(0, len(tokens) - 1))
-    kind = draw(st.sampled_from(MUTATIONS))
-    if kind == "drop":
-        del tokens[i]
-    elif kind == "duplicate":
-        tokens.insert(i, tokens[i])
-    elif kind == "swap":
-        j = draw(st.integers(0, len(tokens) - 1))
-        tokens[i], tokens[j] = tokens[j], tokens[i]
-    else:
-        tokens[i] = draw(st.sampled_from(TOKENS))
-    lines[k] = " ".join(tokens)
-    return "\n".join(lines) + "\n", k + 1
-
-
 def block_lines(text: str) -> list[range]:
     """The indices of the instruction lines of each block in `text`, whose blocks are flat, in text order."""
     lines = text.splitlines()
@@ -212,6 +188,46 @@ MULTI_BLOCK = sorted(name for name, text in CORPUS.items() if len(block_lines(te
 #: and ids the parser reads otherwise than its spelling (``007``) or refuses.
 IDS = sorted({tok for text in CORPUS.values() for tok in text.split() if _decimal(tok)}, key=int) + [
     "007", "٣", "-1", str(MAX_INDEX + 1)]
+#: Each instruction line inside a block of the corpus: (file, line index).
+BLOCK_LINES = [(name, k) for name, text in sorted(CORPUS.items())
+               for block in block_lines(text) for k in block]
+#: The ids of ``IDS`` that keep a line's syntax: ASCII digits within ``MAX_INDEX``.
+BLOCK_IDS = [token for token in IDS if _decimal(token) and int(token) <= MAX_INDEX]
+
+MUTATIONS = ("drop", "duplicate", "swap", "replace", "block-id")
+
+
+@st.composite
+def mutated_corpus_text(draw):
+    """A corpus file with one token of one line dropped, duplicated, swapped or
+    replaced, or with one qubit id inside a block spelled as another id.
+
+    The last keeps the line's syntax, so the parser reaches the block's
+    template check, which most one-token edits never do.
+    """
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "block-id":
+        name, k = draw(st.sampled_from(BLOCK_LINES))
+        lines = CORPUS[name].splitlines()
+        tokens = lines[k].split()
+        i = draw(st.sampled_from([i for i, token in enumerate(tokens) if _decimal(token)]))
+        tokens[i] = draw(st.sampled_from(BLOCK_IDS))
+    else:
+        lines = CORPUS[draw(st.sampled_from(sorted(CORPUS)))].splitlines()
+        k = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k].split()
+        i = draw(st.integers(0, len(tokens) - 1))
+        if kind == "drop":
+            del tokens[i]
+        elif kind == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i] = draw(st.sampled_from(TOKENS))
+    lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n", k + 1
 
 
 @st.composite

@@ -40,8 +40,8 @@ def test_report_digest_is_pinned():
 def test_layer_rates_reports_every_layer():
     script = load_script("layer_rates")
     rates = script.layer_rates(sizes=(4,), repeat=1)
-    assert sorted(rates) == sorted(["build", "validate", "to_text", "from_text", "count",
-                                    "find_pairs", "replace_pairs", "lower_ccx"])
+    assert sorted(rates) == sorted(["build", "validate", "to_text", "from_text", "from_text_flat",
+                                    "count", "find_pairs", "replace_pairs", "lower_ccx"])
     assert all(rate[4] > 0 for rate in rates.values())
     # Rates are per instruction; the records beside them are the AND gadgets' spans.
     assert script.circuit_sizes(sizes=(4,)) == {
@@ -62,9 +62,11 @@ def test_effective_t_table_labels_model_values_and_counts_the_break_even(capsys)
 
 
 def test_layer_rates_reports_the_simulator():
-    rates = load_script("layer_rates").sim_rates(run_sizes=(4,), branch_sizes=(2,), repeat=1)
-    assert sorted(rates) == ["enumerate_branches", "run"]
+    rates = load_script("layer_rates").sim_rates(run_sizes=(4,), branch_sizes=(2,), mcx_sizes=(4,),
+                                                 repeat=1)
+    assert sorted(rates) == ["enumerate_branches", "enumerate_branches_sparse", "run"]
     assert rates["run"][4] > 0 and rates["enumerate_branches"][2] > 0
+    assert rates["enumerate_branches_sparse"][4] > 0
 
 
 def test_symbolic_layers_import_without_the_simulator():
