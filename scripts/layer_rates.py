@@ -9,7 +9,10 @@ text of ``cuccaro_adder(AdderSpec(n))``, which holds no gadget record;
 n = 64, 256 and 1024.  The simulator runs ``gidney_adder(AdderSpec(n))``
 too: ``run`` on the sparse engine from one seeded basis input at n = 64,
 256 and 1024, and ``enumerate_branches`` on the dense engine from one
-seeded random state at n = 2, 3 and 4.  ``enumerate_branches_sparse`` runs
+seeded random state at n = 2, 3 and 4.  ``channel_equiv`` checks
+``controlled_adder(AdderSpec(n))`` on the dense engine against its ideal
+permutation on two seeded random states at n = 2, 3 and 4, the call a dense
+verification spends its time in.  ``enumerate_branches_sparse`` runs
 ``multi_controlled_x(k)`` on the sparse engine from one seeded basis input
 at k = 8 and 10: k - 1 measurements, 2^(k-1) branches, each reported with
 its own 2^(k+1)-amplitude vector (k = 16 would need 64 GiB of them).  A layer's
@@ -32,15 +35,16 @@ import time
 
 import numpy as np
 
-from tclean.gadgets import AdderSpec, cuccaro_adder, gidney_adder, multi_controlled_x
+from tclean.constructions import CONSTRUCTIONS
+from tclean.gadgets import AdderSpec, controlled_adder, cuccaro_adder, gidney_adder, multi_controlled_x
 from tclean.ir import Gadget, validate
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
-from tclean.sim import enumerate_branches, run
+from tclean.sim import channel_equiv, enumerate_branches, run
 from tclean.textfmt import from_text, to_text
 
 SIZES = (64, 256, 1024)
-#: Sizes of the dense ``enumerate_branches``; the sparse ``run`` uses ``SIZES``.
+#: Sizes of the dense ``enumerate_branches`` and ``channel_equiv``; the sparse ``run`` uses ``SIZES``.
 BRANCH_SIZES = (2, 3, 4)
 #: Control counts of the sparse ``enumerate_branches`` on ``multi_controlled_x``.
 MCX_SIZES = (8, 10)
@@ -91,7 +95,7 @@ def circuit_sizes(sizes=SIZES) -> dict[str, dict[int, dict[str, int]]]:
 
 def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES, mcx_sizes=MCX_SIZES,
               repeat: int = 5) -> dict[str, dict[int, float]]:
-    rates: dict[str, dict[int, float]] = {"run": {}, "enumerate_branches": {},
+    rates: dict[str, dict[int, float]] = {"run": {}, "enumerate_branches": {}, "channel_equiv": {},
                                           "enumerate_branches_sparse": {}}
     for n in run_sizes:
         adder = gidney_adder(AdderSpec(n))
@@ -104,6 +108,21 @@ def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES, mcx_sizes=MCX_SIZES,
         state /= np.linalg.norm(state)  # a random dense state: the dense engine
         rates["enumerate_branches"][n] = round(
             len(adder) / best_time(lambda: enumerate_branches(adder, state), repeat))
+    for n in branch_sizes:
+        adder = controlled_adder(AdderSpec(n))
+        dim = 1 << len(adder.input_qubits())
+        table = np.array([CONSTRUCTIONS["controlled-adder"].ideal(n)(k) for k in range(dim)])
+
+        def ideal(vec: np.ndarray) -> np.ndarray:
+            out = np.zeros(dim, dtype=complex)
+            out[table] = vec
+            return out
+
+        rng = np.random.default_rng(n)
+        states = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2)]
+        states = [state / np.linalg.norm(state) for state in states]
+        rates["channel_equiv"][n] = round(
+            len(adder) / best_time(lambda: channel_equiv(adder, ideal, input_states=states), repeat))
     for k in mcx_sizes:
         mcx = multi_controlled_x(k)
         basis = random.Random(k).getrandbits(k + 1)

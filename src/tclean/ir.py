@@ -14,10 +14,10 @@ its :class:`Op` member, and every pass reads them there.
 
 A record is a span by construction: it holds its template, not the
 instructions, so its body is always an exact instance.  Passes that price
-or check a circuit step over each record once; simulation and the Toffoli
-matcher read :attr:`Circuit.instructions`, the body with every record
-expanded.  Depth accounting counts each record as a single unit-weight
-event on every wire it touches.
+or check a circuit step over each record once, and so does the simulator's
+compile; the Toffoli matcher reads :attr:`Circuit.instructions`, the body
+with every record expanded.  Depth accounting counts each record as a
+single unit-weight event on every wire it touches.
 
 Every :class:`Circuit` is valid: constructing one makes the walk that
 :func:`validate` makes and raises :class:`CircuitError` on the first

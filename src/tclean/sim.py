@@ -26,9 +26,19 @@ allocation to release.  Input j holds bit j, so a basis index over the inputs
 is its own key.  Allocation reuses a freed slot and release clears its bit,
 so no other qubit is ever renumbered.
 
-Lifetimes do not depend on measurement outcomes, so every instruction's
-kernel and the kernel's arguments (view shape or slot masks, and a
-measurement's basis) are fixed once per call, before anything runs.  One
+Lifetimes do not depend on measurement outcomes, so every step's kernel and
+the kernel's arguments (view shape or slot masks, and a measurement's basis)
+are fixed once per call, before anything runs.  A step is one instruction,
+or one whole gadget record whose template measures nothing and releases
+nothing: an AND compute.  Such a record runs as one kernel, each engine's
+``record``, which applies the template's action, a matrix from the basis
+states of its live-in wires to those of its live-in and newly allocated
+wires.  The action is derived once per template per process, on first use,
+by running the template's own instructions one step each from every basis
+state of its live-in wires (:func:`_action`), so a record does what its
+instructions do, whatever they do.  Results agree with running the
+instructions one by one to rounding, not bit for bit.  A record that
+measures or releases (an AND erasure) runs as its instructions.  One
 depth-first walk of the measurement tree (:func:`_walk`) serves :func:`run`,
 :func:`enumerate_branches`, :func:`channel_equiv` and :func:`basis_equiv`.
 It follows every outcome of nonzero probability, which is how gadget
@@ -66,7 +76,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .ir import Circuit, Instruction, Op
+from .ir import Circuit, Gadget, Instruction, Op, Register, Template
 
 #: Dense simulation is exact but exponential; keep acceptance checks under this.
 MAX_LIVE_QUBITS = 26
@@ -133,6 +143,14 @@ def _sqnorm(amps: np.ndarray) -> float:
     return float(np.vdot(amps, amps).real)
 
 
+def _prune(amps: np.ndarray) -> None:
+    """Zero the real and imaginary parts of `amps` at or below ``_PRUNE_TOL``, in place."""
+    parts = amps.view(np.float64)
+    for start in range(0, parts.size, _PRUNE_BLOCK):
+        block = parts[start:start + _PRUNE_BLOCK]  # a view: the product writes through
+        block *= np.abs(block) > _PRUNE_TOL
+
+
 def _release_keep(q: int, n0: float, n1: float, just_measured: set[int]) -> int:
     """Which value of a released qubit survives, given each value's squared norm."""
     if q in just_measured:
@@ -183,15 +201,10 @@ class _Branch:
 # -- dense engine -----------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4096)
-def _geometry(n: int, where: tuple[int, ...]) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
-    """How kernels see the qubits at bit positions `where` of an n-qubit state.
-
-    Returns the view shape with one size-2 axis per qubit (positions p < r
-    give ``(2^p, 2, 2^(r-p-1), 2, 2^(n-1-r))``); the index of the slab where
-    every one of the qubits is 1; the index of the slab where every qubit but
-    the last is 1; and the index reversing the last qubit's axis in that slab.
-    """
+def _view(n: int, where: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The view shape of an n-qubit state with one size-2 axis per qubit at the
+    bit positions `where` (positions p < r give ``(2^p, 2, 2^(r-p-1), 2,
+    2^(n-1-r))``), and each of those qubits' axis, in the order of `where`."""
     cuts = sorted(where)
     shape: list[int] = []
     prev = -1
@@ -199,10 +212,21 @@ def _geometry(n: int, where: tuple[int, ...]) -> tuple[tuple[int, ...], tuple, t
         shape += (1 << (p - prev - 1), 2)
         prev = p
     shape.append(1 << (n - 1 - prev))
-    axes = [2 * cuts.index(p) + 1 for p in where]
+    return tuple(shape), [2 * cuts.index(p) + 1 for p in where]
+
+
+@functools.lru_cache(maxsize=4096)
+def _geometry(n: int, where: tuple[int, ...]) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
+    """How kernels see the qubits at bit positions `where` of an n-qubit state.
+
+    Returns the view shape (:func:`_view`); the index of the slab where
+    every one of the qubits is 1; the index of the slab where every qubit but
+    the last is 1; and the index reversing the last qubit's axis in that slab.
+    """
+    shape, axes = _view(n, where)
     *controls, target = axes
     reduced = target - sum(a < target for a in controls)
-    return tuple(shape), _select(axes), _select(controls), (_ALL,) * reduced + (_FLIP,)
+    return shape, _select(axes), _select(controls), (_ALL,) * reduced + (_FLIP,)
 
 
 def _select(axes: Sequence[int]) -> tuple:
@@ -216,7 +240,7 @@ def _select(axes: Sequence[int]) -> tuple:
 class _DenseLayout:
     """Each live qubit's bit position in the dense vector, while a circuit compiles.
 
-    Every method returns the kernel arguments for one instruction.  A release
+    Every method returns the kernel arguments for one step.  A release
     renumbers the qubits after it, which is cheap at ``MAX_LIVE_QUBITS``.
     """
 
@@ -235,6 +259,13 @@ class _DenseLayout:
     def alloc(self, qubits: Sequence[int], vec: np.ndarray) -> tuple:
         self.pos[qubits[0]] = len(self.pos)
         return (vec,)
+
+    def record(self, wires: tuple[int, ...], action: _Action) -> tuple:
+        n = len(self.pos)
+        where = tuple([self.pos[q] for q in action.live_in(wires)])
+        for q in action.born(wires):
+            self.pos[q] = len(self.pos)
+        return _slab_moves(n, where, action)
 
     def release(self, qubits: Sequence[int]) -> tuple:
         args = self.axis(qubits) + (qubits[0],)
@@ -278,6 +309,24 @@ class SimState(_Branch):
             raise SimulationError(f"more than {MAX_LIVE_QUBITS} live qubits")
         self.amps = np.multiply.outer(self.amps, vec).reshape(-1)
 
+    def record(self, born: int, old_shape: tuple[int, ...], new_shape: tuple[int, ...],
+               moves: tuple, summing: bool) -> None:
+        """A fused record (:func:`_slab_moves`): write each output slab of a new
+        vector, ``born`` qubits longer, from the input slabs that reach it."""
+        if born and self.amps.size >> (MAX_LIVE_QUBITS + 1 - born):
+            raise SimulationError(f"more than {MAX_LIVE_QUBITS} live qubits")
+        old = self.amps.reshape(old_shape)
+        amps = np.zeros(self.amps.size << born, dtype=complex)
+        new = amps.reshape(new_shape)
+        for out, src, amp, more in moves:
+            slab = new[out]
+            np.multiply(old[src], amp, out=slab)
+            for src, amp in more:
+                slab += old[src] * amp
+        if summing:
+            _prune(amps)
+        self.amps = amps
+
     def release(self, shape: tuple[int, ...], q: int) -> None:
         """Drop qubit q, split out as axis 1 of ``shape``."""
         norms = self.probs(shape)
@@ -304,10 +353,7 @@ class SimState(_Branch):
         a0 += a1
         a1[...] = diff
         self.amps *= _SQ
-        parts = self.amps.view(np.float64)
-        for start in range(0, parts.size, _PRUNE_BLOCK):
-            block = parts[start:start + _PRUNE_BLOCK]  # a view: the product writes through
-            block *= np.abs(block) > _PRUNE_TOL
+        _prune(self.amps)
 
     def y(self, shape: tuple[int, ...]) -> None:
         """Pauli Y on axis 1 of ``shape``: swap the halves, then phases -i and i."""
@@ -376,7 +422,7 @@ def _check_live(live: dict[int, int], qubits: Sequence[int]) -> None:
 class _SparseLayout:
     """Each live qubit's slot, its bit in every sparse key, while a circuit compiles.
 
-    Every method returns the kernel arguments for one instruction.  Input j
+    Every method returns the kernel arguments for one step.  Input j
     holds slot j.  An allocation takes the slot freed last, or a new one, so
     keys stay as wide as the most qubits live at once; a release frees its
     slot and moves no other qubit.  ``bit`` maps each live qubit to
@@ -389,10 +435,18 @@ class _SparseLayout:
         self.bit = {q: 1 << j for j, q in enumerate(inputs)}
         self.free: list[int] = []
 
-    def alloc(self, qubits: Sequence[int], vec: np.ndarray) -> tuple:
+    def _slot(self, q: int) -> int:
         # With no free slot, every slot made so far is live.
-        bit = self.bit[qubits[0]] = self.free.pop() if self.free else 1 << len(self.bit)
-        return tuple(vec.tolist()), bit
+        bit = self.bit[q] = self.free.pop() if self.free else 1 << len(self.bit)
+        return bit
+
+    def alloc(self, qubits: Sequence[int], vec: np.ndarray) -> tuple:
+        return tuple(vec.tolist()), self._slot(qubits[0])
+
+    def record(self, wires: tuple[int, ...], action: _Action) -> tuple:
+        bit = self.bit
+        bits = tuple([bit[q] for q in action.live_in(wires)] + [self._slot(q) for q in action.born(wires)])
+        return _key_moves(action, bits)
 
     def release(self, qubits: Sequence[int]) -> tuple:
         self.free.append(self.bit.pop(qubits[0]))
@@ -417,6 +471,24 @@ class _SparseLayout:
 
     def final(self) -> dict[int, int]:
         return {q: b.bit_length() - 1 for q, b in self.bit.items()}
+
+
+@functools.lru_cache(maxsize=4096)
+def _key_moves(action: _Action, bits: tuple[int, ...]) -> tuple:
+    """The sparse ``record`` kernel's arguments for `action` on wires whose
+    slots are ``bits`` (``1 << slot`` each), live-in wires first: the allocs'
+    term growth, the live-in wires' mask, and for each value of a key under
+    the mask the (xor, amplitude) pairs that take its term to its images."""
+    keys = [0]  # keys[pattern]: the key bits that hold the pattern (see _Action)
+    for bit in bits:
+        keys += [key | bit for key in keys]
+    inputs = 1 << action.width
+    images: dict[int, list[tuple[int, complex]]] = {key: [] for key in keys[:inputs]}
+    for out, inp, amp in action.entries:
+        images[keys[inp]].append((keys[inp] ^ keys[out], amp))
+    # Shared by every compile that meets these bits: read only.
+    table = {key: tuple(pairs) for key, pairs in images.items()}
+    return action.doubles, keys[inputs - 1], table, action.summing
 
 
 def _capped(terms: dict[int, complex]) -> dict[int, complex]:
@@ -460,6 +532,23 @@ class SparseState(_Branch):
         if v1:  # |T>; |0> adds no term
             terms.update({k | bit: a * v1 for k, a in self.amps.items()})
         self.amps = _capped(terms)
+
+    def record(self, doubles: int, mask: int, table: dict[int, tuple[tuple[int, complex], ...]],
+               summing: bool) -> None:
+        """A fused record (:func:`_key_moves`): send each term to its
+        images, refusing first where the template's allocs would take the
+        terms past ``MAX_TERMS``."""
+        terms = self.amps
+        if len(terms) << doubles > MAX_TERMS:
+            raise SimulationError(f"more than {MAX_TERMS} sparse terms")
+        if not summing:  # no two terms reach one key
+            self.amps = _capped({k ^ d: a * amp for k, a in terms.items() for d, amp in table[k & mask]})
+            return
+        out: dict[int, complex] = {}
+        for k, a in terms.items():
+            for d, amp in table[k & mask]:
+                out[k ^ d] = out.get(k ^ d, 0) + a * amp
+        self.amps = _capped({k: a for k, a in out.items() if abs(a) > _PRUNE_TOL})
 
     def release(self, bit: int, q: int) -> None:
         """Drop qubit q, whose slot is ``bit``, and clear that bit in every key."""
@@ -578,12 +667,15 @@ class SparseState(_Branch):
 Engine = Union[type[SimState], type[SparseState]]
 
 
-#: One instruction with its kernel and the kernel's arguments.  A measurement,
-#: which the walk runs, has kernel None and arguments ``(probs, project, args,
-#: merge)``: its basis's two kernels, their arguments, and whether no step from
-#: the next measurement on reads its bit, so that its two outcomes' branches
-#: may merge there.  A plain tuple: a circuit compiles one per instruction.
-_Step = tuple[Instruction, Union[Callable[..., None], None], tuple]
+#: One instruction or fused record: ``(cond, qubits, kernel, args)``, the bit
+#: that conditions it (None for none), the qubits whose just-measured state it
+#: ends, its kernel and the kernel's arguments.  A measurement, which the walk
+#: runs, has kernel None and arguments ``(instr, probs, project, args,
+#: merge)``: the instruction, its basis's two kernels, their arguments, and
+#: whether no step from the next measurement on reads its bit, so that its two
+#: outcomes' branches may merge there.  A plain tuple: a circuit compiles one
+#: per step.
+_Step = tuple[Union[int, None], tuple[int, ...], Union[Callable[..., None], None], tuple]
 
 
 class _Program(NamedTuple):
@@ -618,38 +710,147 @@ _BASES: dict[Op, tuple[str, str]] = {Op.MZ: ("probs", "project"), Op.MX: ("probs
 
 
 def _compile(circuit: Circuit, engine: Engine) -> _Program:
-    """Pick every instruction's kernel and fix its arguments, once per call."""
+    """Pick every step's kernel and fix its arguments, once per call.
+
+    A record whose template measures nothing and releases nothing compiles to
+    one step, its engine's ``record`` kernel on the template's action
+    (:func:`_action`); any other record compiles as its instructions.
+    """
     layout = engine.layout(circuit.input_qubits())
     table = {op: (kernel and getattr(engine, kernel), getattr(layout, method), extra)
              for op, (kernel, method, extra) in _DISPATCH.items()}
     bases = {op: (getattr(engine, probs), getattr(engine, project))
              for op, (probs, project) in _BASES.items()}
+    record = engine.record
     steps = []
     stops = []  # the measurements' steps
     last_read = {}  # each conditioning bit's last reader's step
     rz = Op.RZ  # an Op member read costs ~100 ns
-    instructions = circuit.instructions
-    for instr in instructions:
+    for step in circuit.body:
         if layout.overflowed:
             break  # nothing past here runs: the input check or an over-limit alloc raises first
-        kernel, method, extra = table[instr.op]
-        if instr.op is rz:
-            extra = (cmath.exp(1j * instr.angle),)
-        args = method(instr.qubits, *extra)
-        if kernel is None:
-            stops.append(len(steps))
-        elif instr.cond is not None:
-            last_read[instr.cond] = len(steps)
-        steps.append((instr, kernel, args))
-    # A valid circuit gives a result bit to its measurements and nothing else.
-    measurements = len(stops) + sum(instr.result is not None for instr in instructions[len(steps):])
+        if step.__class__ is Gadget:
+            action = _action(step.template)
+            if action is not None:
+                steps.append((None, step.wires, record, layout.record(step.wires, action)))
+                continue
+            instrs = step.template.instantiate(step.wires, step.bit)
+        else:
+            instrs = (step,)
+        for instr in instrs:
+            if layout.overflowed:
+                break
+            kernel, method, extra = table[instr.op]
+            if instr.op is rz:
+                extra = (cmath.exp(1j * instr.angle),)
+            args = method(instr.qubits, *extra)
+            if kernel is None:
+                stops.append(len(steps))
+                args = (instr, args)
+            elif instr.cond is not None:
+                last_read[instr.cond] = len(steps)
+            steps.append((instr.cond, instr.qubits, kernel, args))
+    measurements = len(stops)
+    if layout.overflowed:
+        # Nothing past the overflow compiled, but every measurement counts
+        # toward the bound.  A valid circuit gives a result bit to its
+        # measurements and nothing else.
+        measurements = sum(instr.result is not None for instr in circuit.instructions)
     # Every branch stops at the same measurements, so where a measurement's
     # two branches next meet, and whether a step from there on reads its bit,
     # is fixed here, once per measurement.
     for i, meet in zip(stops, stops[1:] + [len(steps)]):
-        instr, _, args = steps[i]
-        steps[i] = (instr, None, (*bases[instr.op], args, last_read.get(instr.result, -1) < meet))
+        cond, qubits, _, (instr, args) = steps[i]
+        steps[i] = (cond, qubits, None,
+                    (instr, *bases[instr.op], args, last_read.get(instr.result, -1) < meet))
     return _Program(engine, tuple(steps), layout.final(), circuit.output_qubits(), measurements)
+
+
+# -- fused records -------------------------------------------------------------
+
+
+class _Action:
+    """What a fused template does to its wires, as a matrix from the basis
+    states of its live-in wires to those of its live-in and born wires.
+
+    A basis state is a pattern whose bit i is the value of wire i, the
+    live-in wires first, then the born ones, each in the template's wire
+    order.  ``entries`` holds ``(output pattern, input pattern, amplitude)``
+    for every nonzero amplitude; ``summing`` says two input patterns reach
+    one output pattern.  ``doubles`` counts the template's ``alloct``s, each
+    of which doubles the sparse terms on the way.  Compared and hashed by
+    identity: the kernel arguments are memoised per action.
+    """
+
+    __slots__ = ("live_in", "born", "width", "born_count", "entries", "summing", "doubles")
+
+    def __init__(self, template: Template, entries: Sequence[tuple[int, int, complex]]) -> None:
+        wires = tuple(range(template.n_wires))
+        self.live_in, self.born = template.live_in, template.born
+        self.width, self.born_count = len(template.live_in(wires)), len(template.born(wires))
+        self.entries = tuple(entries)
+        outs = [out for out, _, _ in entries]
+        self.summing = len(set(outs)) < len(outs)
+        self.doubles = template.ops.count(Op.ALLOCT)
+
+
+@functools.lru_cache(maxsize=None)
+def _action(template: Template) -> _Action | None:
+    """The action of a record of `template`, or None where the template
+    measures or releases, so that its records compile as their instructions.
+
+    Derived on a record's first compile and kept for the process: the
+    template's own instructions, compiled one step each, run on the dense
+    engine from every basis state of its live-in wires, and each output is
+    read over the live-in and born wires.  Parts at or below ``_PRUNE_TOL``
+    are rounding residue and are zeroed.  So a record runs what its
+    template's instructions do, whatever that is, to rounding.
+    """
+    wires = tuple(range(template.n_wires))
+    if template.measures or template.dies(wires):
+        return None
+    live_in, born = template.live_in(wires), template.born(wires)
+    circuit = Circuit(template.instantiate(wires), (Register("in", live_in),),
+                      (Register("out", live_in + born),))
+    program = _compile(circuit, SimState)
+    entries = []
+    for inp, basis in enumerate(np.eye(1 << len(live_in), dtype=complex)):
+        (leaf,) = _walk(program, basis, _every)
+        column = leaf.extract(program.final, program.outputs)
+        _prune(column)
+        entries += [(int(out), inp, complex(column[out])) for out in np.flatnonzero(column)]
+    return _Action(template, entries)
+
+
+def _slab(axes: Sequence[int], pattern: int) -> tuple:
+    """Index tuple picking bit i of `pattern` on ``axes[i]`` and everything elsewhere."""
+    index = [_ALL] * (max(axes, default=-1) + 1)
+    for i, axis in enumerate(axes):
+        index[axis] = pattern >> i & 1
+    return tuple(index)
+
+
+@functools.lru_cache(maxsize=4096)
+def _slab_moves(n: int, where: tuple[int, ...], action: _Action) -> tuple:
+    """The dense ``record`` kernel's arguments for `action` on an n-qubit
+    state whose live-in wires sit at bit positions `where`; the born wires
+    take the new least significant bits, as allocations do.
+
+    One move per output pattern: its slab in the new vector's view, and the
+    input slabs and amplitudes that reach it, the first apart.
+    """
+    born = action.born_count
+    old_shape, old_axes = _view(n, where)
+    new_shape, new_axes = _view(n + born, where + tuple(range(n, n + born)))
+    # Each born axis leaves a size-1 axis after it in the new view, which
+    # the old view repeats so that a slab of one fits the other's.
+    old_shape += (1,) * born
+    sources: dict[int, list[tuple[tuple, complex]]] = {}
+    for out, inp, amp in action.entries:
+        sources.setdefault(out, []).append((_slab(old_axes, inp), amp))
+    moves = tuple((_slab(new_axes, out), *first, tuple(more))
+                  for out, (first, *more) in sources.items())
+    return born, old_shape, new_shape, moves, action.summing
 
 
 FinalState = Union[np.ndarray, dict[int, complex]]
@@ -749,19 +950,19 @@ def _engine(input_state: InputState) -> tuple[Engine, Callable]:
 def _advance(branch: _Branch, steps: Sequence[_Step], i: int) -> int:
     """Execute steps from i up to the next measurement; return its index (or len(steps)).
 
-    An executed instruction ends the just-measured state of its qubits.  A
+    An executed step ends the just-measured state of its qubits.  A
     conditioned step reads the first path's bits: every path of a branch
     holds the same value of each bit read from here on.
     """
     classbits = branch.paths[0][0]
     while i < len(steps):
-        instr, kernel, args = steps[i]
+        cond, qubits, kernel, args = steps[i]
         if kernel is None:
             return i
-        if instr.cond is None or classbits[instr.cond] == 1:
+        if cond is None or classbits[cond] == 1:
             kernel(branch, *args)
             if branch._just_measured:
-                branch._just_measured.difference_update(instr.qubits)
+                branch._just_measured.difference_update(qubits)
         i += 1
     return i
 
@@ -815,7 +1016,7 @@ def _walk(program: _Program, initial, choose: Choose):
         if i == len(steps):
             yield branch
             continue
-        instr, _, (probs, project, args, merge) = steps[i]
+        instr, probs, project, args, merge = steps[i][3]
         # Each probability is summed from its own half of the state, not taken
         # as one minus the other: ``1 - p1`` loses every digit of a small
         # ``p0`` that the rounding of ``p1`` covers, and projection divides by its root.

@@ -64,8 +64,8 @@ def test_effective_t_table_labels_model_values_and_counts_the_break_even(capsys)
 def test_layer_rates_reports_the_simulator():
     rates = load_script("layer_rates").sim_rates(run_sizes=(4,), branch_sizes=(2,), mcx_sizes=(4,),
                                                  repeat=1)
-    assert sorted(rates) == ["enumerate_branches", "enumerate_branches_sparse", "run"]
-    assert rates["run"][4] > 0 and rates["enumerate_branches"][2] > 0
+    assert sorted(rates) == ["channel_equiv", "enumerate_branches", "enumerate_branches_sparse", "run"]
+    assert rates["run"][4] > 0 and rates["enumerate_branches"][2] > 0 and rates["channel_equiv"][2] > 0
     assert rates["enumerate_branches_sparse"][4] > 0
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from tclean import sim
 from tclean.constructions import CONSTRUCTIONS
 from tclean.gadgets import AdderSpec, gidney_adder
-from tclean.ir import CircuitBuilder, Op, Register
+from tclean.ir import AND_COMPUTE, CircuitBuilder, Gadget, Op, Register
 from tclean.sim import (
     MAX_LIVE_QUBITS,
     MAX_MEASUREMENTS,
@@ -262,7 +262,7 @@ def test_norm_preserved_and_probabilities_sum(seed):
 
 
 #: Every engine kernel that moves amplitudes; a measurement moves them in its projection.
-_AMPLITUDE_KERNELS = ("alloc", "release", "flip", "phase", "h", "y", "project", "project_x")
+_AMPLITUDE_KERNELS = ("alloc", "release", "flip", "phase", "h", "y", "record", "project", "project_x")
 
 
 def _unit_after(kernel, calls: list[str]):
@@ -280,20 +280,29 @@ def _unit_after(kernel, calls: list[str]):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_norm_holds_after_every_instruction(seed):
+    """Every kernel leaves a unit state, and each compiled step runs one kernel.
+
+    A step is an instruction or a whole AND-compute record, which runs as one
+    ``record`` kernel: an unconditioned step runs exactly one kernel, a
+    conditioned one at most one, a measurement its projection.
+    """
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, simulable=True)
     state = random_state(len(c.input_qubits()), rng)
-    # Each unconditioned instruction runs exactly one kernel; a conditioned one at most one.
-    unconditioned = sum(instr.cond is None for instr in c.instructions)
     calls: list[str] = []
     with pytest.MonkeyPatch.context() as mp:
         for engine in (sim.SimState, sim.SparseState):
             for name in _AMPLITUDE_KERNELS:
                 mp.setattr(engine, name, _unit_after(getattr(engine, name), calls))
         for engine, start in ((sim.SimState, state), (sim.SparseState, dict(enumerate(state)))):
+            steps = sim._compile(c, engine).steps
+            unconditioned = sum(cond is None for cond, _, _, _ in steps)
+            records = sum(isinstance(step, Gadget) and step.template is AND_COMPUTE for step in c.body)
+            assert len(steps) == len(c.instructions) - (AND_COMPUTE.size - 1) * records
             calls.clear()
             run(c, start, seed=seed % 97)
-            assert unconditioned <= len(calls) <= len(c.instructions)
+            assert unconditioned <= len(calls) <= len(steps)
+            assert calls.count(f"{engine.__name__}.record") == records
             assert {call.split(".")[0] for call in calls} <= {engine.__name__}
 
 

@@ -20,7 +20,7 @@ def unmerged_walk(program, initial, choose):
         if i == len(steps):
             yield branch
             continue
-        instr, _, (probs, project, args, _merge) = steps[i]
+        instr, probs, project, args, _merge = steps[i][3]
         picked = choose(instr, *probs(branch, *args))
         last = len(picked) - 1
         for k, (outcome, prob) in enumerate(picked):
