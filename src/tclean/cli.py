@@ -2,8 +2,9 @@
 
 All output is byte-deterministic given identical flags: ``verify`` checks
 every basis input, measurement branch and relative phase exactly, with no
-random states.  Reports go to standard output; circuits go to ``--out`` or
-standard output.  Exit codes: 0 success, 1 check failure, 2 usage error.
+random states.  Reports go to standard output, ``verify``'s one line per
+check as each check finishes; circuits go to ``--out`` or standard output.
+Exit codes: 0 success, 1 check failure, 2 usage error.
 """
 from __future__ import annotations
 
@@ -97,11 +98,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(serialize_report(count(circuit)))
             return 0
         if args.command == "verify":
-            lines = verify(CONSTRUCTIONS[args.kind], args.n, args.carry_out)
-            for name, ok, worst, branches in lines:
+            passed = True
+            for name, ok, worst, branches in verify(CONSTRUCTIONS[args.kind], args.n, args.carry_out):
                 status = "PASS" if ok else "FAIL"
                 sys.stdout.write(f"{name} {status} worst_fidelity={worst:.12f} branches={branches}\n")
-            return 0 if all(ok for _, ok, _, _ in lines) else 1
+                sys.stdout.flush()  # shown before a later check refuses
+                passed = passed and ok
+            return 0 if passed else 1
         if args.command == "rewrite":
             with open(args.infile) as fh:
                 circuit = from_text(fh.read())

@@ -10,7 +10,7 @@ new construction is one new entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .gadgets import (
     AdderSpec,
@@ -217,16 +217,19 @@ CONSTRUCTIONS: dict[str, Construction] = {entry.name: entry for entry in (
 )}
 
 
-def verify(entry: Construction, n: int, carry_out: bool = False) -> list[tuple[str, bool, float, int]]:
-    """Run ``entry``'s checks at width n, with carry-out or not: (name, passed, worst fidelity, branches) each.
+def verify(entry: Construction, n: int, carry_out: bool = False) -> Iterator[tuple[str, bool, float, int]]:
+    """Run ``entry``'s checks at width n, with carry-out or not: yields (name, passed, worst fidelity, branches) each.
 
-    Kinds without a carry-out ignore the flag, as ``build`` does.
-    Every semantic line is one :func:`exhaustive` walk, so ``verify`` refuses
-    where :func:`~tclean.sim.basis_equiv` does, with a
+    Each line is yielded as soon as its check finishes, so a caller can show
+    the lines before a later check refuses.  Kinds without a carry-out
+    ignore the flag, as ``build`` does.  Every semantic line is one
+    :func:`exhaustive` walk, so ``verify`` refuses where
+    :func:`~tclean.sim.basis_equiv` does, with a
     :class:`~tclean.sim.SimulationError` raised before the walk starts: past
     ``MAX_TERMS`` basis inputs (half of it in a circuit with an ``alloct``)
     or (input, branch) pairs, or past
     ``MAX_MEASUREMENTS`` measurements.
     """
     circuit = entry.build(n, carry_out)
-    return [(name, *check(entry, circuit, n, carry_out)) for name, check in entry.checks]
+    for name, check in entry.checks:
+        yield (name, *check(entry, circuit, n, carry_out))

@@ -13,11 +13,13 @@ measurement, diagonal, allocation lifetime) are stated once, as attributes of
 its :class:`Op` member, and every pass reads them there.
 
 A record is a span by construction: it holds its template, not the
-instructions, so its body is always an exact instance.  Passes that price
-or check a circuit step over each record once, and so does the simulator's
-compile; the Toffoli matcher reads :attr:`Circuit.instructions`, the body
-with every record expanded.  Depth accounting counts each record as a
-single unit-weight event on every wire it touches.
+instructions, so its body is always an exact instance.  Every pass walks
+the body and steps over each record once, reading what it does to each
+wire from its template: the passes that price, check, write or rewrite a
+circuit, and the simulator's compile.  :attr:`Circuit.instructions`, the
+body with every record expanded, is kept for readers outside the package.
+Depth accounting counts each record as a single unit-weight event on every
+wire it touches.
 
 Every :class:`Circuit` is valid: constructing one makes the walk that
 :func:`validate` makes and raises :class:`CircuitError` on the first
@@ -141,12 +143,15 @@ class Template:
     :data:`TEMPLATES` carry a tag; an untagged one is placed as its
     instructions.
 
-    A record is priced and checked without its instructions, so a template
-    states what its instructions do to each wire: ``live_in`` picks the
-    wires that must be live on entry, ``born`` those it allocates and
-    ``dies`` those it releases.  A tagged template whose instructions break
-    an invariant on distinct wires that meet those needs raises ValueError,
-    so a record on such wires is valid.
+    A record is priced, checked and matched without its instructions, so a
+    template states what its instructions do to each wire: ``live_in`` picks
+    the wires that must be live on entry, ``born`` those it allocates and
+    ``dies`` those it releases; ``reads`` picks the wires its instructions
+    name only as controls, and ``writes`` those that a non-diagonal
+    instruction names past its controls, whose value it may change.  A
+    tagged template whose instructions break an invariant on distinct wires
+    that meet those needs raises ValueError, so a record on such wires is
+    valid.
     """
 
     def __init__(self, tag: str | None, wires: str, text: str) -> None:
@@ -184,6 +189,10 @@ class Template:
         self.live_in = _tuple_getter([w for w, life in enumerate(lifetimes) if life[0] <= 0])
         self.born = _tuple_getter([w for w, life in enumerate(lifetimes) if life[0] > 0])
         self.dies = _tuple_getter([w for w, life in enumerate(lifetimes) if life[-1] < 0])
+        self.reads = _tuple_getter([w for w in range(len(names))
+                                    if all(w not in slots[op.controls:] for op, slots, _ in gates)])
+        self.writes = _tuple_getter([w for w in range(len(names))
+                                     if any(not op.diagonal and w in slots[op.controls:] for op, slots, _ in gates)])
         if tag is not None:
             wire_ids = tuple(range(len(names)))
             found = _check(self.instantiate(wire_ids, 0 if self.measures else None),
@@ -262,7 +271,11 @@ class Circuit:
 
     @cached_property
     def instructions(self) -> tuple[Instruction, ...]:
-        """The body with each record expanded into its instructions, made on first read."""
+        """The body with each record expanded into its instructions, made on first read.
+
+        No pass in the package reads it: they walk the body.  It is kept for
+        readers outside the package that want one instruction per item.
+        """
         out: list[Instruction] = []
         for step in self.body:
             if step.__class__ is Gadget:

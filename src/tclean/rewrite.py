@@ -11,25 +11,31 @@ walk that carries each fresh ancilla's candidate pair from one reference to
 the next (see :func:`find_pairs`).  Replacement takes one round: it adds no
 Toffoli, so it cannot unblock a pair (see :func:`replace_pairs`).
 
-Both passes splice rather than rebuild.  The output is the input's body
-cut at each rewritten instruction: the runs between them are copied as
-slices, and each rewritten instruction gets an instance of a fixed
-:class:`~tclean.ir.Template`.  The AND templates (``ir.AND_COMPUTE``,
-``ir.AND_UNCOMPUTE``) are the records the builder emits; the two Toffoli
-lowerings are templates here, placed as plain instructions.  The result is
-an ordinary, validated :class:`~tclean.ir.Circuit`.
+Every pass walks the circuit body, one step per instruction or gadget
+record, and reads what a record does to its wires from its template; none
+expands a record into its instructions.  Both passes splice rather than
+rebuild.  The output is the input's body cut at each rewritten instruction:
+the runs between them are copied as slices, and each rewritten instruction
+gets an instance of a fixed :class:`~tclean.ir.Template`.  The AND
+templates (``ir.AND_COMPUTE``, ``ir.AND_UNCOMPUTE``) are the records the
+builder emits; the two Toffoli lowerings are templates here, placed as
+plain instructions.  The result is an ordinary, validated
+:class:`~tclean.ir.Circuit`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .ir import AND_COMPUTE, AND_UNCOMPUTE, Circuit, Gadget, Op, Step, Template
 
 
 @dataclass(frozen=True)
 class PairMatch:
-    """A compute/uncompute Toffoli pair eligible for AND replacement."""
+    """A compute/uncompute Toffoli pair eligible for AND replacement.
+
+    Every index is a position in ``circuit.body``, where a gadget record is
+    one step; it is the instruction index too in a body with no record.
+    """
 
     first_index: int
     second_index: int
@@ -47,24 +53,44 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
     target and the target appears only as a control of other gates, and
     (3) the next reference to the target after the second Toffoli releases it.
 
-    Matching is one forward walk.  An ``alloc0`` starts its qubit's stage: the
-    pair it may still be the target of, as ``(alloc_index,)``, then
-    ``(alloc_index, first_index)`` once a CCX targets it and
-    ``(alloc_index, first_index, second_index)`` once the matching CCX does.
-    Each later reference to the qubit advances its stage by the rules or
-    ends it, and a release that ends the last stage is a match; matches are
-    found at their releases, so they are sorted by first index at the end.
-    A second CCX never starts a pair, since the reference before it is no
-    ``alloc0``.  Every qubit carries only the index of its last write, by
-    the one write rule below (``alloc0`` and ``release`` included), so "a
-    control is written between the pair" is one comparison at the second.
+    Matching is one forward walk over the body.  An ``alloc0`` opens its
+    qubit's stage: the pair it may still be the target of, as
+    ``(alloc_index,)``, then ``(alloc_index, first_index)`` once a CCX
+    targets it and ``(alloc_index, first_index, second_index)`` once the
+    matching CCX does.  Each later reference to the qubit advances its stage
+    by the rules or ends it, and a release that ends the last stage is a
+    match; matches are found at their releases, so they are sorted by first
+    index at the end.  A second CCX never opens a pair, since the reference
+    before it is no ``alloc0``.  Every qubit carries only the index of its
+    last write, by the one write rule below (``alloc0`` and ``release``
+    included), so "a control is written between the pair" is one comparison
+    at the second.
+
+    A record is one step, and what it does to each wire comes from its
+    template, as its instructions would meet the rules one by one.  A
+    gadget template holds no CCX and no ``alloc0``, and no wire of it is
+    first named by a ``release``.  So a record keeps a stage only between
+    the pair and only on a wire it only reads (``Template.reads``), and it
+    writes ``Template.writes``.
     """
-    instrs = circuit.instructions
+    body = circuit.body
     ccx, alloc0, release = Op.CCX, Op.ALLOC0, Op.RELEASE  # an Op member read costs ~100 ns
+    gadget = Gadget
     stages: dict[int, tuple[int, ...]] = {}
     last_write: dict[int, int] = {}
     matches: list[PairMatch] = []
-    for i, (op, qubits, _, _, _) in enumerate(instrs):
+    for i, step in enumerate(body):
+        if step.__class__ is gadget:
+            template, wires, _ = step
+            for q in wires:
+                if q in stages:
+                    stage = stages.pop(q)
+                    if len(stage) == 2 and q in template.reads(wires):
+                        stages[q] = stage
+            for q in template.writes(wires):
+                last_write[q] = i
+            continue
+        op, qubits, _, _, _ = step
         for q in qubits:
             if q not in stages:
                 continue
@@ -74,7 +100,7 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
                     stages[q] = (stage[0], i)
                 elif len(stage) == 2:
                     first = stage[1]
-                    c1, c2, _ = instrs[first].qubits
+                    c1, c2, _ = body[first].qubits
                     if ({c1, c2} == {qubits[0], qubits[1]}
                             and last_write.get(c1, -1) < first and last_write.get(c2, -1) < first):
                         stages[q] = (*stage, i)
@@ -82,7 +108,7 @@ def find_pairs(circuit: Circuit) -> list[PairMatch]:
                 stages[q] = stage
             elif len(stage) == 3 and op is release:
                 alloc_index, first, second = stage
-                matches.append(PairMatch(first, second, instrs[first].qubits[:2], q, alloc_index, i))
+                matches.append(PairMatch(first, second, body[first].qubits[:2], q, alloc_index, i))
         if op is alloc0:
             stages[qubits[0]] = (i,)
         if not op.diagonal:  # a gate may change every qubit it does not only read
@@ -98,32 +124,25 @@ Edit = tuple[Template, tuple[int, ...]] | None
 
 
 def _splice(circuit: Circuit, edits: dict[int, Edit]) -> Circuit:
-    """The circuit with the instruction at each index of `edits` replaced by its edit.
+    """The circuit with the step at each body position of `edits` replaced by its edit.
 
-    Indices are positions in ``circuit.instructions``.  Each names a CCX,
-    or the ``alloc0`` or ``release`` of a matched pair, so a step of its
-    own: a record holds no CCX and no ``alloc0``, and the one ``release`` of
-    ``ir.AND_UNCOMPUTE`` follows a measurement of its qubit, which ends
-    every candidate pair on it.  Runs of steps
-    between edited ones are copied as slices.  A tagged template becomes one
+    Each position names a CCX, or the ``alloc0`` or ``release`` of a matched
+    pair, so an instruction: a record holds no CCX and no ``alloc0``, and
+    the matcher never reads one as a release.  Runs of steps between edited
+    ones are copied as slices.  A tagged template becomes one
     :class:`~tclean.ir.Gadget` record, an untagged one its instructions, and
     a measuring one writes the next new classical bit, numbered from
-    ``circuit.n_classbits`` in instruction order.  The constructor derives
-    the output's widths.
+    ``circuit.n_classbits`` in body order.  The constructor derives the
+    output's widths.
     """
     body = circuit.body
-    starts = None  # the body index of the step at each instruction index, where records make them differ
-    if len(body) != len(circuit):
-        sizes = [step.template.size if step.__class__ is Gadget else 1 for step in body]
-        starts = {i: s for s, i in enumerate(accumulate(sizes, initial=0))}
     out: list[Step] = []
     bit = circuit.n_classbits
     last = 0
-    for i in sorted(edits):
-        s = i if starts is None else starts[i]
+    for s in sorted(edits):
         out += body[last:s]
         last = s + 1
-        edit = edits[i]
+        edit = edits[s]
         if edit is not None:
             template, wires = edit
             if template.tag is not None:
@@ -223,5 +242,6 @@ def lower_ccx(circuit: Circuit, mode: str = "textbook7") -> Circuit:
         templates[m.first_index] = PHASE_TOFFOLI
         templates[m.second_index] = PHASE_TOFFOLI_DAGGER
     ccx = Op.CCX  # an Op member read costs ~100 ns
-    return _splice(circuit, {i: (templates.get(i, TEXTBOOK_TOFFOLI), instr.qubits)
-                             for i, instr in enumerate(circuit.instructions) if instr.op is ccx})
+    # A record's first field is its template, never an op.
+    return _splice(circuit, {s: (templates.get(s, TEXTBOOK_TOFFOLI), step[1])
+                             for s, step in enumerate(circuit.body) if step[0] is ccx})

@@ -753,9 +753,9 @@ def _compile(circuit: Circuit, engine: Engine) -> _Program:
     measurements = len(stops)
     if layout.overflowed:
         # Nothing past the overflow compiled, but every measurement counts
-        # toward the bound.  A valid circuit gives a result bit to its
-        # measurements and nothing else.
-        measurements = sum(instr.result is not None for instr in circuit.instructions)
+        # toward the bound: a gadget template measures at most once.
+        measurements = sum(step.template.measures if step.__class__ is Gadget else step.op.measures
+                           for step in circuit.body)
     # Every branch stops at the same measurements, so where a measurement's
     # two branches next meet, and whether a step from there on reads its bit,
     # is fixed here, once per measurement.
@@ -794,6 +794,22 @@ class _Action:
         self.doubles = template.ops.count(Op.ALLOCT)
 
 
+class _DerivingLayout(_DenseLayout):
+    overflowed = False
+
+
+class _DerivingState(SimState):
+    """The dense engine without its live-qubit limit, which :func:`_action`
+    derives on: a template is a few wires wide, and what its records do must
+    not hang on a limit that a caller may have lowered."""
+
+    __slots__ = ()
+    layout = _DerivingLayout
+
+    def alloc(self, vec: np.ndarray) -> None:
+        self.amps = np.multiply.outer(self.amps, vec).reshape(-1)
+
+
 @functools.lru_cache(maxsize=None)
 def _action(template: Template) -> _Action | None:
     """The action of a record of `template`, or None where the template
@@ -801,10 +817,11 @@ def _action(template: Template) -> _Action | None:
 
     Derived on a record's first compile and kept for the process: the
     template's own instructions, compiled one step each, run on the dense
-    engine from every basis state of its live-in wires, and each output is
-    read over the live-in and born wires.  Parts at or below ``_PRUNE_TOL``
-    are rounding residue and are zeroed.  So a record runs what its
-    template's instructions do, whatever that is, to rounding.
+    engine, with no module limit applied, from every basis state of its
+    live-in wires, and each output is read over the live-in and born wires.
+    Parts at or below ``_PRUNE_TOL`` are rounding residue and are zeroed.
+    So a record runs what its template's instructions do, whatever that
+    is, to rounding.
     """
     wires = tuple(range(template.n_wires))
     if template.measures or template.dies(wires):
@@ -812,7 +829,7 @@ def _action(template: Template) -> _Action | None:
     live_in, born = template.live_in(wires), template.born(wires)
     circuit = Circuit(template.instantiate(wires), (Register("in", live_in),),
                       (Register("out", live_in + born),))
-    program = _compile(circuit, SimState)
+    program = _compile(circuit, _DerivingState)
     entries = []
     for inp, basis in enumerate(np.eye(1 << len(live_in), dtype=complex)):
         (leaf,) = _walk(program, basis, _every)
@@ -1188,7 +1205,8 @@ def basis_equiv(circuit: Circuit, want: Callable[[int], int | tuple[int, complex
         raise SimulationError(f"2^{n_in} inputs and 2^{program.measurements} branches "
                               f"allow more than {MAX_TERMS} (input, branch) pairs")
     # The bound above lets this through only with no measurement, so an alloct meets every term.
-    if 2 << n_in > MAX_TERMS and any(instr.op is Op.ALLOCT for instr in circuit.instructions):
+    if 2 << n_in > MAX_TERMS and any(Op.ALLOCT in step.template.ops if step.__class__ is Gadget
+                                     else step.op is Op.ALLOCT for step in circuit.body):
         raise SimulationError(f"{n_in} input qubits need more than {MAX_TERMS} sparse terms")
     _check_live(program.final, program.outputs)
     ideal = [want(i) for i in range(1 << n_in)]  # want's term per input, a phase conjugated

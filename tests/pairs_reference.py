@@ -2,8 +2,10 @@
 
 This is the matcher ``tclean.rewrite.find_pairs`` used before it moved to
 per-qubit use lists.  It rescans the circuit from every CCX, so it takes
-quadratic time, but each rule reads directly as a scan.  The differential
-tests require the production matcher to return exactly its match list.
+quadratic time, but each rule reads directly as a scan, over the
+instructions with every gadget record expanded.  The differential tests
+require the production matcher, which numbers body steps, to return exactly
+its match list once :func:`at_instructions` renumbers it.
 Its write rule (the body ``Instruction.writes`` had then) and its
 control-read rule are local copies rather than calls into ``tclean``, so a
 change to the production rules shows up as a difference instead of moving
@@ -11,8 +13,19 @@ the reference with it.
 """
 from __future__ import annotations
 
-from tclean.ir import Circuit, Instruction, Op
+from itertools import accumulate
+
+from tclean.ir import Circuit, Gadget, Instruction, Op
 from tclean.rewrite import PairMatch
+
+
+def at_instructions(circuit: Circuit, matches: list[PairMatch]) -> list[PairMatch]:
+    """`matches`, whose indices are positions in ``circuit.body``, with each
+    index replaced by the index in ``circuit.instructions`` of the step there."""
+    starts = list(accumulate((step.template.size if isinstance(step, Gadget) else 1 for step in circuit.body),
+                             initial=0))
+    return [PairMatch(starts[m.first_index], starts[m.second_index], m.controls, m.target,
+                      starts[m.alloc_index], starts[m.release_index]) for m in matches]
 
 
 #: Kinds that never change computational-basis values (phase-only).

@@ -8,15 +8,17 @@ sequences are local copies of the builder calls the passes made then, not
 reads of the production templates: an AND gadget's gates are made in a
 scratch builder and matched against its template to make the record, so a
 change to a template shows up as a failed match instead of moving the
-reference with it.  Pairs come from
-the production matcher, which ``pairs_reference`` checks on its own.
+reference with it.  Pairs come from the forward-scan reference matcher
+(``pairs_reference``), in instruction indices, so the reference shares no
+code with the passes it checks.
 """
 from __future__ import annotations
 
 from itertools import count
 
 from tclean.ir import AND_COMPUTE, AND_UNCOMPUTE, Circuit, CircuitBuilder, Gadget, Instruction, Op, Template
-from tclean.rewrite import find_pairs
+
+from pairs_reference import reference_find_pairs
 
 
 def _replay(circuit: Circuit, expand) -> Circuit:
@@ -76,7 +78,7 @@ def _and_uncompute(b: CircuitBuilder, x: int, y: int, anc: int, bit: int) -> Non
 
 
 def reference_replace_pairs(circuit: Circuit) -> Circuit:
-    matches = find_pairs(circuit)
+    matches = reference_find_pairs(circuit)
     if not matches:
         return circuit
     drop = {m.alloc_index for m in matches} | {m.release_index for m in matches}
@@ -135,7 +137,7 @@ def _phase_toffoli(b: CircuitBuilder, c1: int, c2: int, t: int, dagger: bool) ->
 def reference_lower_ccx(circuit: Circuit, mode: str = "textbook7") -> Circuit:
     if mode not in ("textbook7", "paired4"):
         raise ValueError(f"unknown lowering mode {mode!r}")
-    pairs = find_pairs(circuit) if mode == "paired4" else []
+    pairs = reference_find_pairs(circuit) if mode == "paired4" else []
     first = {m.first_index for m in pairs}
     second = {m.second_index for m in pairs}
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tclean.ir import Circuit, CircuitBuilder, Op
+from tclean.ir import AND_UNCOMPUTE, Circuit, CircuitBuilder, Op
 from tclean.gadgets import and_compute, and_uncompute
 
 ONE_QUBIT_GATES = (Op.X, Op.Y, Op.Z, Op.H, Op.S, Op.SDG, Op.T, Op.TDG)
@@ -128,6 +128,96 @@ def random_paired_circuit(rng: np.random.Generator) -> Circuit:
         b.release(t)
         if rng.random() < 0.5:
             b.h(int(rng.choice(data)))
+    b.output("q", tuple(data))
+    return b.build()
+
+
+def records_around_pairs(rng: np.random.Generator) -> Circuit:
+    """Planted alloc0/CCX/.../CCX/release pairs with AND records before, between and after them.
+
+    ANDs are computed on two data qubits and stay open until a later record
+    erases them, so records land anywhere around the pairs, and a pair's
+    control may be an open AND's ancilla.  Between a pair's Toffolis go zero
+    to three of:
+
+    - an erasure of an open AND, whose fixup CZ may read a control: the
+      pair still matches;
+    - an erasure record on (target, data qubit, an open AND's ancilla),
+      whose fixup CZ reads the target: the pair still matches;
+    - an AND compute on a control or on the target, which writes it: the
+      pair is blocked;
+    - an AND compute on two data qubits, which blocks the pair where it
+      names a control;
+    - a ``cx`` from the target.
+
+    An erasure record on the target between its ``alloc0`` and the first
+    Toffoli, or between the second and the release, blocks the pair.  The
+    erasures on a target are valid records, not erasures of an AND: the
+    circuits are for the matcher and the splice, not for simulation.
+    """
+    b = CircuitBuilder()
+    data = list(b.register("q", int(rng.integers(3, 6))))
+    ands: list[tuple[int, int, int]] = []  # the open ANDs' (x, y, ancilla)
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def close(k: int) -> tuple[int, int, int]:
+        """Take the k-th open AND off the list with every AND on its ancilla, which stay open."""
+        x, y, anc = ands.pop(k)
+        ands[:] = [a for a in ands if anc not in a[:2]]
+        return x, y, anc
+
+    def erase_on(t: int, keep: tuple[int, ...] = ()) -> None:
+        """An erasure record on (t, a data qubit, an open AND's ancilla not in `keep`), if there is one."""
+        options = [k for k, a in enumerate(ands) if a[2] not in keep]
+        if options:
+            anc = close(pick(options))[2]
+            b.emit_template(AND_UNCOMPUTE, (t, pick(data), anc))
+
+    def outside() -> None:
+        if ands and rng.random() < 0.5:
+            and_uncompute(b, *close(int(rng.integers(len(ands)))))
+        else:
+            x, y = (int(q) for q in rng.choice(data, size=2, replace=False))
+            ands.append((x, y, and_compute(b, x, y)))
+
+    def between(t: int, controls: tuple[int, int]) -> None:
+        roll = rng.random()
+        erasable = [k for k, a in enumerate(ands) if a[2] not in controls]
+        if roll < 0.3 and erasable:
+            reading = [k for k in erasable if set(ands[k][:2]) & set(controls)]
+            and_uncompute(b, *close(pick(reading or erasable)))
+        elif roll < 0.45:
+            erase_on(t, controls)
+        elif roll < 0.6:
+            c = pick(controls)
+            d = pick([q for q in data if q != c])
+            ands.append((c, d, and_compute(b, c, d)))
+        elif roll < 0.7:
+            and_compute(b, t, pick(data))  # left open: the target is released after the pair
+        elif roll < 0.85:
+            x, y = (int(q) for q in rng.choice(data, size=2, replace=False))
+            ands.append((x, y, and_compute(b, x, y)))
+        else:
+            b.cx(t, pick(data))
+
+    for _ in range(int(rng.integers(1, 4))):
+        for _ in range(int(rng.integers(0, 3))):
+            outside()
+        t = b.alloc0()
+        if rng.random() < 0.15:
+            erase_on(t)
+        c1, c2 = (int(q) for q in rng.choice(data + [a[2] for a in ands], size=2, replace=False))
+        b.ccx(c1, c2, t)
+        for _ in range(int(rng.integers(0, 4))):
+            between(t, (c1, c2))
+        b.ccx(*((c2, c1) if rng.random() < 0.5 else (c1, c2)), t)
+        if rng.random() < 0.15:
+            erase_on(t)
+        b.release(t)
+    for _ in range(int(rng.integers(0, 3))):
+        outside()
     b.output("q", tuple(data))
     return b.build()
 

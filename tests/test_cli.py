@@ -175,33 +175,53 @@ def test_verify_rejects_vacuous_trials(trials):
         assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
 
 
+def counts_line(kind: str) -> str:
+    """The line ``verify`` prints for `kind`'s passing counts check, before a semantic check can refuse."""
+    name = CONSTRUCTIONS[kind].checks[0][0]
+    return f"{name} PASS worst_fidelity=1.000000000000 branches=0\n"
+
+
 @pytest.mark.parametrize("kind", ["hamming", "gidney-adder"])
 def test_verify_too_wide_for_simulator_fails_cleanly(kind):
     code, out, err = run_cli(["verify", "--kind", kind, "--n", "40"])
     assert code == 1
-    assert out == ""
+    assert out == counts_line(kind)
     assert err.startswith("tclean: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
+def _fail_sparse_walks(monkeypatch):
+    """Fail ``verify``'s walks, which are sparse, and let pass the dense one
+    that derives a template's action on a record's first compile."""
+    walk = sim._walk
+
+    def guarded(program, *args):
+        if program.engine is sim.SparseState:
+            pytest.fail("the walk started")
+        return walk(program, *args)
+
+    monkeypatch.setattr(sim, "_walk", guarded)
+
+
 def test_verify_refuses_past_the_walks_limits_before_walking(monkeypatch):
-    monkeypatch.setattr(sim, "_walk", lambda *args: pytest.fail("the walk started"))
+    _fail_sparse_walks(monkeypatch)
     limits = {  # 2^inputs, then 2^(inputs + measurements), past MAX_TERMS
         ("hamming", 24): f"tclean: 24 input qubits need more than {MAX_TERMS} sparse terms\n",
         ("mcx", 17): f"tclean: 2^18 inputs and 2^16 branches allow more than {MAX_TERMS} "
                      "(input, branch) pairs\n",
         ("gidney-adder", 9): f"tclean: 2^18 inputs and 2^8 branches allow more than {MAX_TERMS} "
                              "(input, branch) pairs\n",
+        ("gidney-adder", 1024): f"tclean: 2048 input qubits need more than {MAX_TERMS} sparse terms\n",
     }
-    for (kind, n), err in limits.items():
-        assert run_cli(["verify", "--kind", kind, "--n", str(n)]) == (1, "", err)
+    for (kind, n), err in limits.items():  # the counts line is printed before the refusal
+        assert run_cli(["verify", "--kind", kind, "--n", str(n)]) == (1, counts_line(kind), err)
 
 
 def test_verify_refuses_hamming_where_its_alloct_doubles_past_the_term_limit(monkeypatch):
     # hamming makes no measurement: its first alloct takes 2^23 terms to 2^24.
-    monkeypatch.setattr(sim, "_walk", lambda *args: pytest.fail("the walk started"))
+    _fail_sparse_walks(monkeypatch)
     assert run_cli(["verify", "--kind", "hamming", "--n", "23"]) == (
-        1, "", f"tclean: 23 input qubits need more than {MAX_TERMS} sparse terms\n")
+        1, counts_line("hamming"), f"tclean: 23 input qubits need more than {MAX_TERMS} sparse terms\n")
 
 
 class _PastTheGuards(Exception):

@@ -569,3 +569,20 @@ def test_op_table_states_every_kind():
         assert frozenset(writes) == reference_writes(instr), op
         for q in instr.qubits + (0,):
             assert (q in instr.qubits[:op.controls]) == reference_reads_as_control(instr, q), (op, q)
+
+
+@pytest.mark.parametrize("template", list(TEMPLATES.values()) + [TEXTBOOK_TOFFOLI], ids=lambda t: t.tag or "toffoli")
+def test_template_reads_and_writes_follow_the_rules_of_its_instructions(template):
+    # What a record does to each wire, as the matcher reads it, is what the
+    # reference rules say its instructions do one by one.
+    wires = tuple(range(10, 10 + template.n_wires))
+    instrs = template.instantiate(wires, 0 if template.measures else None)
+    assert template.reads(wires) == tuple(q for q in wires if all(
+        reference_reads_as_control(instr, q) for instr in instrs if q in instr.qubits))
+    assert set(template.writes(wires)) == set().union(*map(reference_writes, instrs))
+
+
+def test_an_erasure_only_reads_x_and_y_and_a_compute_writes_every_wire():
+    wires = (4, 5, 6)
+    assert (AND_UNCOMPUTE.reads(wires), AND_UNCOMPUTE.writes(wires)) == ((4, 5), (6,))
+    assert (AND_COMPUTE.reads(wires), AND_COMPUTE.writes(wires)) == ((), (4, 5, 6))

@@ -8,17 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 import tclean.ir
 from tclean.gadgets import AdderSpec, and_compute, and_uncompute, cuccaro_adder, gidney_adder
-from tclean.ir import AND_COMPUTE, Circuit, CircuitBuilder, CircuitError, Instruction, Op, validate
+from tclean.ir import (AND_COMPUTE, AND_UNCOMPUTE, TEMPLATES, Circuit, CircuitBuilder, CircuitError, Instruction, Op,
+                       validate)
 from tclean.oracle import compile_oracle
 from tclean.resources import count
 from tclean.rewrite import find_pairs, lower_ccx, replace_pairs
 from tclean.sim import basis_equiv, channel_equiv, enumerate_branches, run
 from tclean.textfmt import from_text
 
-from pairs_reference import reference_find_pairs
+from pairs_reference import at_instructions, reference_find_pairs
 from rewrite_reference import reference_lower_ccx, reference_replace_pairs
 from spans_reference import GadgetSpan, flatten
-from strategies import near_miss_circuit, random_circuit, random_paired_circuit, seeded_states
+from strategies import near_miss_circuit, random_circuit, random_paired_circuit, records_around_pairs, seeded_states
 from textfmt_reference import reference_to_text
 
 
@@ -263,7 +264,7 @@ GENERATORS = {
 @given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32 - 1))
 def test_matcher_agrees_with_forward_scan_reference(kind, seed):
     c = GENERATORS[kind](np.random.default_rng(seed))
-    assert find_pairs(c) == reference_find_pairs(c)
+    assert at_instructions(c, find_pairs(c)) == reference_find_pairs(c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,11 +324,11 @@ def test_matcher_agrees_with_forward_scan_reference_on_structured_circuits():
     circuits += [compile_oracle(expr, "ccx") for expr in CCX_ORACLE_EXPRS]
     circuits.append(from_text(CONTROL_REALLOCATED))
     for c in circuits:
-        assert find_pairs(c) == reference_find_pairs(c)
+        assert at_instructions(c, find_pairs(c)) == reference_find_pairs(c)
     assert find_pairs(circuits[-1]) == []
     # The same circuit with the control left live between the pair matches.
     kept = from_text(CONTROL_REALLOCATED.replace("release 1\nalloc0 1\n", ""))
-    assert len(find_pairs(kept)) == 1 and find_pairs(kept) == reference_find_pairs(kept)
+    assert len(find_pairs(kept)) == 1 and at_instructions(kept, find_pairs(kept)) == reference_find_pairs(kept)
 
 
 @pytest.mark.parametrize("body", [
@@ -356,7 +357,7 @@ def test_cuccaro_rewrite_at_n_1024(carry_out):
     assert count(replace_pairs(c)).t_count == 4 * pairs
     assert count(lower_ccx(c, "paired4")).t_count == 8 * pairs
     small = cuccaro_adder(AdderSpec(256, carry_out=carry_out))
-    assert find_pairs(small) == reference_find_pairs(small)
+    assert at_instructions(small, find_pairs(small)) == reference_find_pairs(small)
 
 
 # -- the splice against the replaying reference ------------------------------------
@@ -439,3 +440,111 @@ def test_splice_shifts_spans_beside_and_around_a_pair(extra):
     assert_passes_agree_with_reference(c)
     starts = [span.start for span in flatten(replace_pairs(c)).spans]
     assert starts == [0, 12, 25, 28]  # AND compute, new compute, new erase, AND erase
+
+
+# -- gadget records around pairs ------------------------------------------------------
+
+
+@pytest.mark.parametrize("template", TEMPLATES.values(), ids=lambda t: t.tag)
+def test_gadget_templates_meet_what_the_matcher_assumes_of_a_record(template):
+    # find_pairs steps over a record as one step, which holds only where its
+    # instructions could neither open nor advance a pair nor end one as a match.
+    assert Op.CCX not in template.ops and Op.ALLOC0 not in template.ops
+    for w in range(template.n_wires):
+        first = next(op for op, slots, _ in template.lines if w in slots)
+        assert first is not Op.RELEASE
+
+
+def pair_beside_an_and(between) -> Circuit:
+    """A pair on controls (a, b) with an AND of (a, x) computed before it.
+
+    Body: AND compute 0, alloc0 1, CCX 2, ``between(b, a, c, t, x, anc)``,
+    CCX, release.
+    """
+    b = CircuitBuilder()
+    a, c, x = (b.register(name, 1)[0] for name in "abx")
+    anc = and_compute(b, a, x)
+    t = b.alloc0()
+    b.ccx(a, c, t)
+    between(b, a, c, t, x, anc)
+    b.ccx(a, c, t)
+    b.release(t)
+    return b.build()
+
+
+@pytest.mark.parametrize("between", [
+    lambda b, a, c, t, x, anc: and_uncompute(b, a, x, anc),  # its fixup CZ reads the control a
+    lambda b, a, c, t, x, anc: b.emit_template(AND_UNCOMPUTE, (t, x, anc)),  # its fixup CZ reads the target
+], ids=["control", "target"])
+def test_an_erasure_that_only_reads_a_pair_wire_keeps_the_pair(between):
+    c = pair_beside_an_and(between)
+    (match,) = find_pairs(c)
+    assert (match.alloc_index, match.first_index, match.second_index, match.release_index) == (1, 2, 4, 5)
+    assert at_instructions(c, [match]) == reference_find_pairs(c)
+    assert reference_find_pairs(c)[0].first_index == 13  # past the 12 instructions of the record
+    assert_passes_agree_with_reference(c)
+
+
+def test_a_pair_around_an_erasure_is_replaced_equivalently():
+    c = pair_beside_an_and(lambda b, a, c, t, x, anc: and_uncompute(b, a, x, anc))
+    replaced = replace_pairs(c)
+    assert count(replaced).t_count == 8  # the AND before and the one that replaced the pair
+    res = channel_equiv(replaced, lambda v: run(c, v, seed=0).final_state,
+                        input_states=seeded_states(replaced, 4, seed=3))
+    assert res.equivalent
+
+
+@pytest.mark.parametrize("between", [
+    lambda b, a, c, t, x, anc: and_compute(b, c, x),  # writes the control b
+    lambda b, a, c, t, x, anc: and_compute(b, t, x),  # writes the target
+], ids=["control", "target"])
+def test_an_and_compute_on_a_pair_wire_blocks_the_pair(between):
+    c = pair_beside_an_and(between)
+    assert find_pairs(c) == reference_find_pairs(c) == []
+
+
+@pytest.mark.parametrize("where", ["before-the-first", "after-the-second"])
+def test_a_record_on_the_target_outside_the_pair_blocks_it(where):
+    # Only the pair's own Toffolis may follow the alloc0 and precede the release.
+    b = CircuitBuilder()
+    a, c, x = (b.register(name, 1)[0] for name in "abx")
+    anc = and_compute(b, a, x)
+    t = b.alloc0()
+    if where == "before-the-first":
+        b.emit_template(AND_UNCOMPUTE, (t, x, anc))
+    b.ccx(a, c, t)
+    b.ccx(a, c, t)
+    if where == "after-the-second":
+        b.emit_template(AND_UNCOMPUTE, (t, x, anc))
+    b.release(t)
+    circuit = b.build()
+    assert find_pairs(circuit) == reference_find_pairs(circuit) == []
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_records_around_pairs_agree_with_both_references(seed):
+    c = records_around_pairs(np.random.default_rng(seed))
+    assert at_instructions(c, find_pairs(c)) == reference_find_pairs(c)
+    assert_passes_agree_with_reference(c)
+    assert find_pairs(replace_pairs(c)) == []
+
+
+def test_records_around_pairs_keep_and_block_pairs():
+    # The property test above sees a record between a matched pair read its
+    # target and read a control, and an AND compute on a control block one.
+    seen = set()
+    for seed in range(100):
+        c = records_around_pairs(np.random.default_rng(seed))
+        matched = {m.first_index: m for m in find_pairs(c)}
+        ccx = [s for s, step in enumerate(c.body) if step[0] is Op.CCX]
+        for first, second in zip(ccx[::2], ccx[1::2]):  # the generator plants one pair after another
+            controls = set(c.body[first].qubits[:2])
+            for step in c.body[first + 1:second]:
+                if step[0] is AND_UNCOMPUTE and first in matched:
+                    seen.add("reads target" if matched[first].target in step.wires
+                             else "reads control" if controls & set(step.wires[:2]) else "erasure")
+                if step[0] is AND_COMPUTE and controls & set(step.wires[:2]):
+                    assert first not in matched
+                    seen.add("compute blocks")
+    assert seen >= {"reads target", "reads control", "compute blocks"}

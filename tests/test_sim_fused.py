@@ -288,7 +288,6 @@ def test_live_qubit_limit_is_met_where_the_expansion_meets_it(monkeypatch, name)
     flat = expanded(c)
     n_in = len(c.input_qubits())
     state = random_state(n_in, np.random.default_rng(5))
-    sim._action(AND_COMPUTE)  # derived under the full limit, as on any earlier call
     raised = 0
     for limit in range(max(n_in, 3), _peak_live(c) + 1):
         monkeypatch.setattr(sim, "MAX_LIVE_QUBITS", limit)
@@ -369,6 +368,25 @@ def test_an_overflow_after_a_record_counts_every_measurement(monkeypatch, before
     program = sim._compile(c, sim.SimState)
     assert program.measurements == before + after
     assert len(program.steps) == 1 + before + 1  # the record, the measurements, the allocation
+
+
+def test_an_action_derived_under_a_lowered_limit_is_the_action(monkeypatch):
+    # The derivation holds the template's three wires whatever limit a caller
+    # set, so the record meets the bound where its expansion does.
+    b = CircuitBuilder()
+    x, y = b.register("q", 2)
+    and_compute(b, x, y)
+    for _ in range(MAX_MEASUREMENTS + 1):
+        b.mz(x)
+    c = b.build()
+    derived = sim._action(AND_COMPUTE).entries
+    sim._action.cache_clear()
+    monkeypatch.setattr(sim, "MAX_LIVE_QUBITS", 2)
+    for state in (0, random_state(2, np.random.default_rng(0))):
+        with pytest.raises(TooManyBranchesError):
+            enumerate_branches(c, state)
+        assert _outcome(enumerate_branches, c, state) == _outcome(enumerate_branches, expanded(c), state)
+    assert sim._action(AND_COMPUTE).entries == derived
 
 
 def test_merged_branches_agree_with_their_expansion_on_many_erasures():
