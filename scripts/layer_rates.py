@@ -15,7 +15,10 @@ permutation on two seeded random states at n = 2, 3 and 4, the call a dense
 verification spends its time in.  ``enumerate_branches_sparse`` runs
 ``multi_controlled_x(k)`` on the sparse engine from one seeded basis input
 at k = 8 and 10: k - 1 measurements, 2^(k-1) branches, each reported with
-its own 2^(k+1)-amplitude vector (k = 16 would need 64 GiB of them).  A layer's
+its own 2^(k+1)-amplitude vector (k = 16 would need 64 GiB of them).
+``enumerate_branches_mcx`` runs ``multi_controlled_x(k)`` on the dense engine
+from the uniform state at k = 4, 6 and 8, where every erasure's outcomes
+agree, so the walk never forks.  A layer's
 rate is the instructions it reads (for build, the instructions it makes;
 for the simulator, the circuit's instructions once, however many branches
 run them) divided by the fastest of k timed calls.  Prints one JSON object
@@ -48,6 +51,8 @@ SIZES = (64, 256, 1024)
 BRANCH_SIZES = (2, 3, 4)
 #: Control counts of the sparse ``enumerate_branches`` on ``multi_controlled_x``.
 MCX_SIZES = (8, 10)
+#: Control counts of the dense ``enumerate_branches`` on ``multi_controlled_x``.
+DENSE_MCX_SIZES = (4, 6, 8)
 
 
 def best_time(call, repeat: int) -> float:
@@ -94,9 +99,9 @@ def circuit_sizes(sizes=SIZES) -> dict[str, dict[int, dict[str, int]]]:
 
 
 def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES, mcx_sizes=MCX_SIZES,
-              repeat: int = 5) -> dict[str, dict[int, float]]:
+              dense_mcx_sizes=DENSE_MCX_SIZES, repeat: int = 5) -> dict[str, dict[int, float]]:
     rates: dict[str, dict[int, float]] = {"run": {}, "enumerate_branches": {}, "channel_equiv": {},
-                                          "enumerate_branches_sparse": {}}
+                                          "enumerate_branches_sparse": {}, "enumerate_branches_mcx": {}}
     for n in run_sizes:
         adder = gidney_adder(AdderSpec(n))
         basis = random.Random(n).getrandbits(len(adder.input_qubits()))  # sparse engine
@@ -128,6 +133,11 @@ def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES, mcx_sizes=MCX_SIZES,
         basis = random.Random(k).getrandbits(k + 1)
         rates["enumerate_branches_sparse"][k] = round(
             len(mcx) / best_time(lambda: enumerate_branches(mcx, basis), repeat))
+    for k in dense_mcx_sizes:
+        mcx = multi_controlled_x(k)
+        uniform = np.full(1 << (k + 1), 2 ** (-(k + 1) / 2), dtype=complex)
+        rates["enumerate_branches_mcx"][k] = round(
+            len(mcx) / best_time(lambda: enumerate_branches(mcx, uniform), repeat))
     return rates
 
 

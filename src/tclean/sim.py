@@ -38,20 +38,27 @@ by running the template's own instructions one step each from every basis
 state of its live-in wires (:func:`_action`), so a record does what its
 instructions do, whatever they do.  Results agree with running the
 instructions one by one to rounding, not bit for bit.  A record that
-measures or releases (an AND erasure) runs as its instructions.  One
-depth-first walk of the measurement tree (:func:`_walk`) serves :func:`run`,
-:func:`enumerate_branches`, :func:`channel_equiv` and :func:`basis_equiv`.
-It follows every outcome of nonzero probability, which is how gadget
-constructions are certified to be outcome-independent, or one outcome per
-measurement, forced or sampled from seeded pseudorandomness.  Where the two
-outcomes of a measurement lead to exactly the same state by the next
-measurement, as an erased AND's do after its fixup, and no later step reads
-the measured bit, the walk goes on with one branch that carries both
-outcome histories, so the rest of the circuit runs once, not once per
-outcome.  Every history is still reported and counted as its own branch.
-Both engines share one branch record (:class:`_Branch`) for the histories
-(classical bits and weight) and the just-measured qubits, which only the
-walk writes; the kernels move amplitudes.
+measures (an AND erasure) gets the same kernel on the map that both its
+outcomes apply where they agree, derived the same way with each outcome
+forced: for ``and_uncompute`` that is where the ancilla holds ``x & y``,
+and the map drops it, each outcome at probability 1/2.  Its step comes
+before its instructions, which run instead where the branch's state leaves
+that set.  One depth-first walk of the measurement tree (:func:`_walk`)
+serves :func:`run`, :func:`enumerate_branches`, :func:`channel_equiv` and
+:func:`basis_equiv`.  It follows every outcome of nonzero probability,
+which is how gadget constructions are certified to be outcome-independent,
+or one outcome per measurement, forced or sampled from seeded
+pseudorandomness.  At an erasure that can run as its one kernel, the
+branch takes the outcomes it follows as histories of its own and forks
+nothing.  Elsewhere, where the two outcomes of a measurement lead to
+exactly the same state by the walk's next stop, as a bare erased AND's do
+after its fixup, and no later step reads the measured bit, the walk goes
+on with one branch that carries both outcome histories.  Either way the
+rest of the circuit runs once, not once per outcome, and every history is
+still reported and counted as its own branch.  Both engines share one
+branch record (:class:`_Branch`) for the histories (classical bits and
+weight) and the just-measured qubits, which only the walk writes; the
+kernels move amplitudes.
 
 A result's ``final_state`` is a dense vector over the output qubits while
 they number at most ``MAX_LIVE_QUBITS``; a wider sparse result is a dict
@@ -309,23 +316,29 @@ class SimState(_Branch):
             raise SimulationError(f"more than {MAX_LIVE_QUBITS} live qubits")
         self.amps = np.multiply.outer(self.amps, vec).reshape(-1)
 
-    def record(self, born: int, old_shape: tuple[int, ...], new_shape: tuple[int, ...],
-               moves: tuple, summing: bool) -> None:
+    def record(self, outside: tuple, born: int, old_shape: tuple[int, ...], new_shape: tuple[int, ...],
+               moves: tuple, summing: bool) -> bool:
         """A fused record (:func:`_slab_moves`): write each output slab of a new
-        vector, ``born`` qubits longer, from the input slabs that reach it."""
+        vector, ``born`` qubits longer and shorter by the dead ones, from the
+        input slabs that reach it.  Where an input slab in ``outside`` is not
+        exactly zero (an erasure's support leaves the patterns where its
+        outcomes agree), return False and change nothing."""
+        old = self.amps.reshape(old_shape)
+        for slab in outside:
+            if old[slab].any():
+                return False
         if born and self.amps.size >> (MAX_LIVE_QUBITS + 1 - born):
             raise SimulationError(f"more than {MAX_LIVE_QUBITS} live qubits")
-        old = self.amps.reshape(old_shape)
-        amps = np.zeros(self.amps.size << born, dtype=complex)
-        new = amps.reshape(new_shape)
+        new = np.zeros(new_shape, dtype=complex)
         for out, src, amp, more in moves:
             slab = new[out]
             np.multiply(old[src], amp, out=slab)
             for src, amp in more:
                 slab += old[src] * amp
+        self.amps = new.reshape(-1)
         if summing:
-            _prune(amps)
-        self.amps = amps
+            _prune(self.amps)
+        return True
 
     def release(self, shape: tuple[int, ...], q: int) -> None:
         """Drop qubit q, split out as axis 1 of ``shape``."""
@@ -478,17 +491,21 @@ def _key_moves(action: _Action, bits: tuple[int, ...]) -> tuple:
     """The sparse ``record`` kernel's arguments for `action` on wires whose
     slots are ``bits`` (``1 << slot`` each), live-in wires first: the allocs'
     term growth, the live-in wires' mask, and for each value of a key under
-    the mask the (xor, amplitude) pairs that take its term to its images."""
-    keys = [0]  # keys[pattern]: the key bits that hold the pattern (see _Action)
-    for bit in bits:
-        keys += [key | bit for key in keys]
-    inputs = 1 << action.width
-    images: dict[int, list[tuple[int, complex]]] = {key: [] for key in keys[:inputs]}
+    the mask, but those outside ``action.agree``, the (xor, amplitude) pairs
+    that take its term to its images.  A dead wire's bit is clear in every image."""
+    ins, outs = [0], [0]  # ins[pattern], outs[pattern]: the key bits that hold it (see _Action)
+    for bit in bits[:action.width]:
+        ins += [key | bit for key in ins]
+    for i, bit in enumerate(bits):
+        if i not in action.dead:
+            outs += [key | bit for key in outs]
+    agree = range(len(ins)) if action.agree is None else action.agree
+    images: dict[int, list[tuple[int, complex]]] = {ins[inp]: [] for inp in agree}
     for out, inp, amp in action.entries:
-        images[keys[inp]].append((keys[inp] ^ keys[out], amp))
+        images[ins[inp]].append((ins[inp] ^ outs[out], amp))
     # Shared by every compile that meets these bits: read only.
     table = {key: tuple(pairs) for key, pairs in images.items()}
-    return action.doubles, keys[inputs - 1], table, action.summing
+    return action.doubles, ins[-1], table, action.summing
 
 
 def _capped(terms: dict[int, complex]) -> dict[int, complex]:
@@ -534,21 +551,27 @@ class SparseState(_Branch):
         self.amps = _capped(terms)
 
     def record(self, doubles: int, mask: int, table: dict[int, tuple[tuple[int, complex], ...]],
-               summing: bool) -> None:
+               summing: bool) -> bool:
         """A fused record (:func:`_key_moves`): send each term to its
         images, refusing first where the template's allocs would take the
-        terms past ``MAX_TERMS``."""
+        terms past ``MAX_TERMS``.  Where a term's pattern is not in
+        ``table`` (an erasure's support leaves the patterns where its
+        outcomes agree), return False and change nothing."""
         terms = self.amps
         if len(terms) << doubles > MAX_TERMS:
             raise SimulationError(f"more than {MAX_TERMS} sparse terms")
-        if not summing:  # no two terms reach one key
-            self.amps = _capped({k ^ d: a * amp for k, a in terms.items() for d, amp in table[k & mask]})
-            return
-        out: dict[int, complex] = {}
-        for k, a in terms.items():
-            for d, amp in table[k & mask]:
-                out[k ^ d] = out.get(k ^ d, 0) + a * amp
+        try:
+            if not summing:  # no two terms reach one key
+                self.amps = _capped({k ^ d: a * amp for k, a in terms.items() for d, amp in table[k & mask]})
+                return True
+            out: dict[int, complex] = {}
+            for k, a in terms.items():
+                for d, amp in table[k & mask]:
+                    out[k ^ d] = out.get(k ^ d, 0) + a * amp
+        except KeyError:
+            return False
         self.amps = _capped({k: a for k, a in out.items() if abs(a) > _PRUNE_TOL})
+        return True
 
     def release(self, bit: int, q: int) -> None:
         """Drop qubit q, whose slot is ``bit``, and clear that bit in every key."""
@@ -669,13 +692,26 @@ Engine = Union[type[SimState], type[SparseState]]
 
 #: One instruction or fused record: ``(cond, qubits, kernel, args)``, the bit
 #: that conditions it (None for none), the qubits whose just-measured state it
-#: ends, its kernel and the kernel's arguments.  A measurement, which the walk
-#: runs, has kernel None and arguments ``(instr, probs, project, args,
-#: merge)``: the instruction, its basis's two kernels, their arguments, and
-#: whether no step from the next measurement on reads its bit, so that its two
-#: outcomes' branches may merge there.  A plain tuple: a circuit compiles one
+#: ends, its kernel and the kernel's arguments.  The walk runs the steps with
+#: kernel None itself, its stops.  A measurement has arguments ``(instr,
+#: probs, project, args, merge)``: the instruction, its basis's two kernels,
+#: their arguments, and whether no step from the next stop on reads its bit,
+#: so that its two outcomes' branches may merge there.  An erasure record's
+#: fused step has an :class:`_Erasure`.  A plain tuple: a circuit compiles one
 #: per step.
 _Step = tuple[Union[int, None], tuple[int, ...], Union[Callable[..., None], None], tuple]
+
+
+class _Erasure(NamedTuple):
+    """The arguments of an erasure record's fused step, which :func:`_walk`
+    takes in place of the record's instructions, the steps after it, where it
+    applies."""
+
+    instr: Instruction  # the record's measurement
+    probs: tuple[float, float]  # its outcomes' derived probabilities
+    kernel: Callable[..., bool]  # the engine's ``record``
+    args: tuple
+    end: int | None  # the step after the record's instructions; None where a later step reads its bit
 
 
 class _Program(NamedTuple):
@@ -714,7 +750,12 @@ def _compile(circuit: Circuit, engine: Engine) -> _Program:
 
     A record whose template measures nothing and releases nothing compiles to
     one step, its engine's ``record`` kernel on the template's action
-    (:func:`_action`); any other record compiles as its instructions.
+    (:func:`_action`).  A record whose template measures and has an action
+    (an AND erasure) compiles to its fused step, a stop that applies the
+    action where it can (:func:`_walk`), then its instructions, which the
+    walk runs where it cannot and which alone move the layout: the action
+    allocates nothing, and its dead wires are the ones they release.  Any
+    other record compiles as its instructions.
     """
     layout = engine.layout(circuit.input_qubits())
     table = {op: (kernel and getattr(engine, kernel), getattr(layout, method), extra)
@@ -723,7 +764,7 @@ def _compile(circuit: Circuit, engine: Engine) -> _Program:
              for op, (probs, project) in _BASES.items()}
     record = engine.record
     steps = []
-    stops = []  # the measurements' steps
+    stops = []  # the stops' steps: measurements and fused erasures
     last_read = {}  # each conditioning bit's last reader's step
     rz = Op.RZ  # an Op member read costs ~100 ns
     for step in circuit.body:
@@ -731,10 +772,15 @@ def _compile(circuit: Circuit, engine: Engine) -> _Program:
             break  # nothing past here runs: the input check or an over-limit alloc raises first
         if step.__class__ is Gadget:
             action = _action(step.template)
-            if action is not None:
+            if action is not None and action.probs is None:
                 steps.append((None, step.wires, record, layout.record(step.wires, action)))
                 continue
             instrs = step.template.instantiate(step.wires, step.bit)
+            if action is not None:
+                stops.append(len(steps))
+                steps.append((None, step.wires, None, _Erasure(None, action.probs, record,
+                                                                layout.record(step.wires, action),
+                                                                len(steps) + 1 + len(instrs))))
         else:
             instrs = (step,)
         for instr in instrs:
@@ -750,19 +796,27 @@ def _compile(circuit: Circuit, engine: Engine) -> _Program:
             elif instr.cond is not None:
                 last_read[instr.cond] = len(steps)
             steps.append((instr.cond, instr.qubits, kernel, args))
+    # Every branch reaches the same stops, so where a measurement's two
+    # branches next meet, and whether a step from there on reads its bit, is
+    # fixed here, once per measurement; so is whether a step after an
+    # erasure's instructions reads its bit.
     measurements = len(stops)
+    for i, meet in zip(stops, stops[1:] + [len(steps)]):
+        cond, qubits, _, stop = steps[i]
+        if stop.__class__ is _Erasure:
+            measurements -= 1
+            instr = steps[meet][3][0]  # the next stop: its instructions' one measurement
+            read = last_read.get(instr.result, -1) >= stop.end
+            steps[i] = (cond, qubits, None, stop._replace(instr=instr, end=None if read else stop.end))
+            continue
+        instr, args = stop
+        steps[i] = (cond, qubits, None,
+                    (instr, *bases[instr.op], args, last_read.get(instr.result, -1) < meet))
     if layout.overflowed:
         # Nothing past the overflow compiled, but every measurement counts
         # toward the bound: a gadget template measures at most once.
         measurements = sum(step.template.measures if step.__class__ is Gadget else step.op.measures
                            for step in circuit.body)
-    # Every branch stops at the same measurements, so where a measurement's
-    # two branches next meet, and whether a step from there on reads its bit,
-    # is fixed here, once per measurement.
-    for i, meet in zip(stops, stops[1:] + [len(steps)]):
-        cond, qubits, _, (instr, args) = steps[i]
-        steps[i] = (cond, qubits, None,
-                    (instr, *bases[instr.op], args, last_read.get(instr.result, -1) < meet))
     return _Program(engine, tuple(steps), layout.final(), circuit.output_qubits(), measurements)
 
 
@@ -771,27 +825,39 @@ def _compile(circuit: Circuit, engine: Engine) -> _Program:
 
 class _Action:
     """What a fused template does to its wires, as a matrix from the basis
-    states of its live-in wires to those of its live-in and born wires.
+    states of its live-in wires to those of the wires it leaves live: the
+    live-in ones it does not release, then the born ones.
 
     A basis state is a pattern whose bit i is the value of wire i, the
-    live-in wires first, then the born ones, each in the template's wire
-    order.  ``entries`` holds ``(output pattern, input pattern, amplitude)``
-    for every nonzero amplitude; ``summing`` says two input patterns reach
-    one output pattern.  ``doubles`` counts the template's ``alloct``s, each
-    of which doubles the sparse terms on the way.  Compared and hashed by
-    identity: the kernel arguments are memoised per action.
+    wires in that order, each group in the template's wire order; ``dead``
+    holds the input bits of the live-in wires it releases.  ``entries``
+    holds ``(output pattern, input pattern, amplitude)`` for every nonzero
+    amplitude; ``summing`` says two input patterns reach one output
+    pattern.  ``doubles`` counts the template's ``alloct``s, each of which
+    doubles the sparse terms on the way.  A measuring template's action (an
+    AND erasure's) is the one map both its outcomes apply where they agree
+    (:func:`_agreed`): ``agree`` lists those input patterns, the only ones
+    with entries, and ``probs`` the two outcomes' probabilities, the same
+    on each of them.  For a template that measures nothing both are None.
+    Compared and hashed by identity: the kernel arguments are memoised per
+    action.
     """
 
-    __slots__ = ("live_in", "born", "width", "born_count", "entries", "summing", "doubles")
+    __slots__ = ("live_in", "born", "width", "born_count", "dead", "entries", "summing", "doubles",
+                 "agree", "probs")
 
-    def __init__(self, template: Template, entries: Sequence[tuple[int, int, complex]]) -> None:
+    def __init__(self, template: Template, entries: Sequence[tuple[int, int, complex]],
+                 agree: tuple[int, ...] | None = None, probs: tuple[float, float] | None = None) -> None:
         wires = tuple(range(template.n_wires))
         self.live_in, self.born = template.live_in, template.born
-        self.width, self.born_count = len(template.live_in(wires)), len(template.born(wires))
+        live_in, dies = template.live_in(wires), template.dies(wires)
+        self.width, self.born_count = len(live_in), len(template.born(wires))
+        self.dead = tuple(i for i, w in enumerate(live_in) if w in dies)
         self.entries = tuple(entries)
         outs = [out for out, _, _ in entries]
         self.summing = len(set(outs)) < len(outs)
         self.doubles = template.ops.count(Op.ALLOCT)
+        self.agree, self.probs = agree, probs
 
 
 class _DerivingLayout(_DenseLayout):
@@ -812,31 +878,94 @@ class _DerivingState(SimState):
 
 @functools.lru_cache(maxsize=None)
 def _action(template: Template) -> _Action | None:
-    """The action of a record of `template`, or None where the template
-    measures or releases, so that its records compile as their instructions.
+    """The action of a record of `template`, or None where its records
+    compile as their instructions alone: where the template releases and
+    measures nothing, or measures and has no action (:func:`_agreed`).
 
     Derived on a record's first compile and kept for the process: the
     template's own instructions, compiled one step each, run on the dense
     engine, with no module limit applied, from every basis state of its
-    live-in wires, and each output is read over the live-in and born wires.
+    live-in wires, and each output is read over the wires it leaves live.
     Parts at or below ``_PRUNE_TOL`` are rounding residue and are zeroed.
     So a record runs what its template's instructions do, whatever that
     is, to rounding.
     """
-    wires = tuple(range(template.n_wires))
-    if template.measures or template.dies(wires):
+    if template.measures:
+        return _agreed(template)
+    if template.dies(tuple(range(template.n_wires))):
         return None
-    live_in, born = template.live_in(wires), template.born(wires)
-    circuit = Circuit(template.instantiate(wires), (Register("in", live_in),),
-                      (Register("out", live_in + born),))
-    program = _compile(circuit, _DerivingState)
+    program = _template_program(template)
     entries = []
-    for inp, basis in enumerate(np.eye(1 << len(live_in), dtype=complex)):
+    for inp, basis in enumerate(_bases(template)):
         (leaf,) = _walk(program, basis, _every)
-        column = leaf.extract(program.final, program.outputs)
-        _prune(column)
-        entries += [(int(out), inp, complex(column[out])) for out in np.flatnonzero(column)]
+        entries += _column(program, leaf, inp)
     return _Action(template, entries)
+
+
+def _template_program(template: Template) -> _Program:
+    """The template's instructions on wires 0, 1, ..., measuring into bit 0,
+    compiled on :class:`_DerivingState`, from its live-in wires to the wires
+    it leaves live, in :class:`_Action`'s order."""
+    wires = tuple(range(template.n_wires))
+    live_in, dies = template.live_in(wires), template.dies(wires)
+    kept = tuple(w for w in live_in + template.born(wires) if w not in dies)
+    circuit = Circuit(template.instantiate(wires, 0 if template.measures else None),
+                      (Register("in", live_in),), (Register("out", kept),))
+    return _compile(circuit, _DerivingState)
+
+
+def _bases(template: Template) -> np.ndarray:
+    """Every basis state of the template's live-in wires, pattern p in row p."""
+    return np.eye(1 << len(template.live_in(tuple(range(template.n_wires)))), dtype=complex)
+
+
+def _column(program: _Program, leaf: _Branch, inp: int) -> list[tuple[int, int, complex]]:
+    """The entries of input pattern ``inp`` read off its leaf, with the residue zeroed."""
+    column = leaf.extract(program.final, program.outputs)
+    _prune(column)
+    return [(int(out), inp, complex(column[out])) for out in np.flatnonzero(column)]
+
+
+def _agreed(template: Template) -> _Action | None:
+    """The action of a template that measures once and allocates nothing, on
+    the input patterns where its two outcomes agree; None for any other
+    template, or where no pattern agrees.
+
+    The template runs from each basis state of its live-in wires once per
+    outcome, forced.  Its outcomes agree on a pattern where neither has
+    probability zero or raises, both leave the same amplitudes, and neither
+    leaves a wire just measured.  For ``and_uncompute`` these are the
+    patterns with ``anc == x & y``, where both outcomes, each at
+    probability 1/2, drop the ancilla.  The action stands for both outcomes
+    on any superposition of agreeing patterns only where each outcome's
+    probability is the same on all of them and their images are
+    orthonormal; else there is none.  A record's fused step leaves the
+    layout to its instructions' releases (:func:`_compile`), so its
+    template may allocate nothing.
+    """
+    if sum(op.measures for op in template.ops) != 1 or any(op.lifetime > 0 for op in template.ops):
+        return None
+    program = _template_program(template)
+    entries, agree, probs = [], [], set()
+    for inp, basis in enumerate(_bases(template)):
+        try:
+            leaves = [leaf for outcome in (0, 1)
+                      for leaf in _walk(program, basis, _sampled(None, {0: outcome}))]
+        except SimulationError:  # an outcome of probability zero, or a refused release
+            continue
+        columns = [_column(program, leaf, inp) for leaf in leaves]
+        if columns[0] == columns[1] and not any(leaf._just_measured for leaf in leaves):
+            entries += columns[0]
+            agree.append(inp)
+            probs.add(tuple(weight for leaf in leaves for _, weight in leaf.paths))
+    if len(probs) != 1:
+        return None
+    images = np.zeros((len(agree), 1 << len(program.outputs)), dtype=complex)
+    for out, inp, amp in entries:
+        images[agree.index(inp), out] = amp
+    if not np.allclose(images @ images.conj().T, np.eye(len(agree)), rtol=0, atol=_ZERO_TOL):
+        return None
+    return _Action(template, entries, tuple(agree), probs.pop())
 
 
 def _slab(axes: Sequence[int], pattern: int) -> tuple:
@@ -854,20 +983,29 @@ def _slab_moves(n: int, where: tuple[int, ...], action: _Action) -> tuple:
     take the new least significant bits, as allocations do.
 
     One move per output pattern: its slab in the new vector's view, and the
-    input slabs and amplitudes that reach it, the first apart.
+    input slabs and amplitudes that reach it, the first apart.  Before them,
+    the input slabs of the patterns outside ``action.agree``, which must be
+    zero for the map to apply (none for an action that measures nothing).
     """
     born = action.born_count
     old_shape, old_axes = _view(n, where)
     new_shape, new_axes = _view(n + born, where + tuple(range(n, n + born)))
     # Each born axis leaves a size-1 axis after it in the new view, which
-    # the old view repeats so that a slab of one fits the other's.
+    # the old view repeats so that a slab of one fits the other's.  A dead
+    # wire's axis shrinks to size 1 in the new view, where every slab picks
+    # its 0, the bit past the output pattern's, so the rest still fits.
     old_shape += (1,) * born
+    dead = [new_axes[i] for i in action.dead]
+    new_shape = tuple(1 if axis in dead else size for axis, size in enumerate(new_shape))
+    out_axes = [axis for axis in new_axes if axis not in dead] + dead
     sources: dict[int, list[tuple[tuple, complex]]] = {}
     for out, inp, amp in action.entries:
         sources.setdefault(out, []).append((_slab(old_axes, inp), amp))
-    moves = tuple((_slab(new_axes, out), *first, tuple(more))
+    moves = tuple((_slab(out_axes, out), *first, tuple(more))
                   for out, (first, *more) in sources.items())
-    return born, old_shape, new_shape, moves, action.summing
+    agree = range(1 << action.width) if action.agree is None else action.agree
+    outside = tuple(_slab(old_axes, inp) for inp in range(1 << action.width) if inp not in agree)
+    return outside, born, old_shape, new_shape, moves, action.summing
 
 
 FinalState = Union[np.ndarray, dict[int, complex]]
@@ -1020,8 +1158,17 @@ def _walk(program: _Program, initial, choose: Choose):
     outcome.  The walk alone records an outcome in every path, scales the
     paths' weights and marks the measured qubit; the engines' projections
     only move amplitudes.  Where a measurement's two branches may merge,
-    :func:`_meet` runs both to the next measurement and merges them if they
+    :func:`_meet` runs both to the next stop and merges them if they
     arrive equal, so the rest of the circuit runs once for both outcomes.
+
+    An erasure record's fused step (:class:`_Erasure`) forks nothing where
+    the branch's support lies in the patterns where the record's outcomes
+    agree (the engine's ``record`` kernel tests it), no later step reads the
+    record's bit, and none of its wires was just measured.  There the
+    outcomes ``choose`` picks from the derived probabilities become paths of
+    the one branch, as a merge would leave them, the kernel applies the
+    derived map, and the walk goes on after the record's instructions.
+    Elsewhere it runs those instructions, which fork as any measurement does.
     """
     steps = program.steps
     stack: list[tuple[_Branch | SimulationError, int]] = [(program.engine(initial), 0)]
@@ -1033,7 +1180,27 @@ def _walk(program: _Program, initial, choose: Choose):
         if i == len(steps):
             yield branch
             continue
-        instr, probs, project, args, merge = steps[i][3]
+        stop = steps[i][3]
+        if stop.__class__ is _Erasure:
+            just = branch._just_measured
+            if (stop.end is None or (just and not just.isdisjoint(steps[i][1]))
+                    or not stop.kernel(branch, *stop.args)):
+                stack.append((branch, i + 1))
+                continue
+            picked = choose(stop.instr, *stop.probs)
+            last = len(picked) - 1
+            paths = []
+            for k, (outcome, prob) in enumerate(picked):
+                for classbits, weight in branch.paths:
+                    if k < last:  # the last outcome takes the dicts over
+                        classbits = dict(classbits)
+                    classbits[stop.instr.result] = outcome
+                    paths.append([classbits, weight * prob])
+            if paths:
+                branch.paths = paths
+                stack.append((branch, stop.end))
+            continue
+        instr, probs, project, args, merge = stop
         # Each probability is summed from its own half of the state, not taken
         # as one minus the other: ``1 - p1`` loses every digit of a small
         # ``p0`` that the rounding of ``p1`` covers, and projection divides by its root.
@@ -1053,12 +1220,16 @@ def _walk(program: _Program, initial, choose: Choose):
 
 def _meet(stack: list, steps: Sequence[_Step]) -> None:
     """Run the two branches on top of ``stack``, one measurement's outcomes, to
-    the next measurement (or the end), and merge them there if they are equal.
+    the next stop (or the end), and merge them there if they are equal.
 
     The measurement's bit is read by no step from there on, so if the
     branches arrive equal (:meth:`_Branch.same`), one branch carrying both
     branches' paths goes on, and the rest of the circuit runs once for both
     outcomes: an erased AND's fixup makes its two outcomes' states equal.
+    A fused erasure record forks nothing, so this serves the erasures that
+    fork: bare ones, written as instructions, as the corpus mutants are read
+    with their markers stripped, and records whose fused step does not
+    apply.
     Each path's weight is then multiplied by the same probabilities, in the
     same order, as its own branch's would be.  An error in the second
     branch's stretch replaces it on the stack, so it is raised after every

@@ -264,12 +264,15 @@ def test_a_nan_phase_is_refused():
 
 #: ``exhaustive`` results of int ideals as the walk gave them before phased
 #: ideals were accepted: (kind, n, mutant or None, (ok, worst fidelity, branches)).
+#: The two 0.9999999999999998 read 1.0 before erasure records were fused: a
+#: fused erasure does not renormalise the state, as a projection and a
+#: release do.
 INT_IDEAL_RESULTS = [
-    ("gidney-adder", 2, None, (True, 1.0, 32)),
+    ("gidney-adder", 2, None, (True, 0.9999999999999998, 32)),
     ("gidney-adder", 3, "drop-cz-fixup", (False, 0.24999999999999994, 256)),
     ("hamming", 3, None, (True, 1.0, 8)),
     ("hamming", 3, "drop-s", (False, 0.6250000000000001, 8)),
-    ("phase-gradient", 2, None, (True, 1.0, 32)),
+    ("phase-gradient", 2, None, (True, 0.9999999999999998, 32)),
     ("mcx", 3, "drop-t", (False, 0.8535533905932733, 64)),
     ("and", None, "swap-cx", (False, 0.12500000000000003, 8)),
 ]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from tclean import sim
 from tclean.constructions import CONSTRUCTIONS
 from tclean.gadgets import AdderSpec, gidney_adder
-from tclean.ir import AND_COMPUTE, CircuitBuilder, Gadget, Op, Register
+from tclean.ir import AND_COMPUTE, AND_UNCOMPUTE, CircuitBuilder, Gadget, Op, Register
 from tclean.sim import (
     MAX_LIVE_QUBITS,
     MAX_MEASUREMENTS,
@@ -268,11 +268,12 @@ _AMPLITUDE_KERNELS = ("alloc", "release", "flip", "phase", "h", "y", "record", "
 def _unit_after(kernel, calls: list[str]):
     """``kernel``, asserting that it leaves the branch a unit state."""
     def checked(branch, *args):
-        kernel(branch, *args)
+        result = kernel(branch, *args)
         amps = branch.amps
         norm = np.linalg.norm(list(amps.values()) if isinstance(amps, dict) else amps)
         assert abs(norm - 1.0) <= 1e-12, f"{kernel.__qualname__} left norm {norm!r}"
         calls.append(kernel.__qualname__)
+        return result
 
     return checked
 
@@ -282,9 +283,12 @@ def _unit_after(kernel, calls: list[str]):
 def test_norm_holds_after_every_instruction(seed):
     """Every kernel leaves a unit state, and each compiled step runs one kernel.
 
-    A step is an instruction or a whole AND-compute record, which runs as one
-    ``record`` kernel: an unconditioned step runs exactly one kernel, a
-    conditioned one at most one, a measurement its projection.
+    A step is an instruction, a whole AND-compute record, which runs as one
+    ``record`` kernel, or an AND-erasure record's fused step, which runs the
+    ``record`` kernel and, where that applies the record's action, stands
+    for the record's instructions after it (two of them unconditioned).  An
+    unconditioned step runs exactly one kernel, a conditioned one at most
+    one, a measurement its projection.
     """
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, simulable=True)
@@ -298,11 +302,12 @@ def test_norm_holds_after_every_instruction(seed):
             steps = sim._compile(c, engine).steps
             unconditioned = sum(cond is None for cond, _, _, _ in steps)
             records = sum(isinstance(step, Gadget) and step.template is AND_COMPUTE for step in c.body)
-            assert len(steps) == len(c.instructions) - (AND_COMPUTE.size - 1) * records
+            erasures = sum(isinstance(step, Gadget) and step.template is AND_UNCOMPUTE for step in c.body)
+            assert len(steps) == len(c.instructions) - (AND_COMPUTE.size - 1) * records + erasures
             calls.clear()
             run(c, start, seed=seed % 97)
-            assert unconditioned <= len(calls) <= len(steps)
-            assert calls.count(f"{engine.__name__}.record") == records
+            assert unconditioned - 2 * erasures <= len(calls) <= len(steps)
+            assert calls.count(f"{engine.__name__}.record") == records + erasures
             assert {call.split(".")[0] for call in calls} <= {engine.__name__}
 
 

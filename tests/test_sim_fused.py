@@ -1,4 +1,4 @@
-"""An AND-compute record runs as one kernel and reports what its instructions report.
+"""An AND record runs as one kernel and reports what its instructions report.
 
 ``tclean.sim`` compiles each record whose template measures and releases
 nothing to one step: the engine's ``record`` kernel on the template's action,
@@ -11,7 +11,15 @@ amplitudes and probabilities within 1e-12, and raise the same error with the
 same message after the same branches, also with the simulator's limits
 lowered.  The results agree to rounding, not bit for bit: the record
 multiplies by its derived amplitudes instead of running twelve kernels.
+
+An erasure record compiles to a fused step before its instructions, and the
+walk takes it, with no fork, where both outcomes lead to one state.  Its
+reference is the same circuit with that step left out
+(``walk_reference.fusion_off``): the same classical bits from ``run``, the
+same outcomes and path counts elsewhere, and the rest within 1e-12.  Where
+the step does not apply, the walk must run exactly what it runs without it.
 """
+import collections
 import itertools
 
 import numpy as np
@@ -20,7 +28,8 @@ from hypothesis import given, settings, strategies as st
 
 from tclean import sim
 from tclean.constructions import CONSTRUCTIONS
-from tclean.gadgets import AdderSpec, and_compute, and_gadget_circuit, gidney_adder, multi_controlled_x
+from tclean.gadgets import (AdderSpec, and_compute, and_gadget_circuit, and_uncompute, gidney_adder,
+                            multi_controlled_x)
 from tclean.ir import AND_COMPUTE, AND_UNCOMPUTE, Circuit, CircuitBuilder, Gadget, Register, Template
 from tclean.sim import (
     MAX_MEASUREMENTS,
@@ -32,10 +41,13 @@ from tclean.sim import (
     enumerate_branches,
     run,
 )
+from tclean.textfmt import from_text, to_text
 
 import sim_reference as reference
 from basis_reference import ideal_map
 from strategies import random_circuit, random_state, seeded_states
+from test_goldens import bare
+from walk_reference import fusion_off
 
 TOL = 1e-12
 #: Most measurements for which ``enumerate_branches`` is compared: every path
@@ -111,6 +123,10 @@ def _fused_records(circuit: Circuit) -> int:
     return sum(isinstance(step, Gadget) and step.template is AND_COMPUTE for step in circuit.body)
 
 
+def _erasure_records(circuit: Circuit) -> int:
+    return sum(isinstance(step, Gadget) and step.template is AND_UNCOMPUTE for step in circuit.body)
+
+
 def _distinct_builds():
     """(name, n, carry_out) for every construction at n = 1 to 4 whose circuit the flag changes."""
     cases = []
@@ -131,20 +147,52 @@ def test_the_and_action_is_the_and():
     assert [(out, inp) for out, inp, _ in action.entries] == [(0, 0), (1, 1), (2, 2), (7, 3)]
     assert all(abs(amp - 1) <= 1e-15 for _, _, amp in action.entries)
     assert not action.summing and action.doubles == 1
-    # A measuring or releasing template runs as its instructions.
-    assert sim._action(AND_UNCOMPUTE) is None
+    assert action.agree is None and action.probs is None
+
+
+def test_the_erasure_action_drops_an_ancilla_holding_the_and():
+    # Patterns x + 2y + 4anc: the outcomes agree where anc == x & y, and
+    # there both drop the ancilla, each at probability 1/2.
+    action = sim._action(AND_UNCOMPUTE)
+    assert action.agree == (0b000, 0b001, 0b010, 0b111)
+    assert action.entries == ((0, 0b000, 1), (1, 0b001, 1), (2, 0b010, 1), (3, 0b111, 1))
+    assert action.probs == (0.5, 0.5) and action.dead == (2,)
+    assert not action.summing and action.doubles == 0
+
+
+def test_a_measuring_template_is_fused_where_its_own_outcomes_agree():
+    # Wire roles come from the instructions.  An ancilla that copies x is
+    # erased by an X measurement and a Z fixup on x: the outcomes agree where
+    # anc == x (patterns x + 2anc).  A Z measurement's never do: on a basis
+    # state one outcome has probability zero.
+    copy = sim._action(Template(None, "x anc", """
+        mx anc
+        ? z x
+        release anc
+    """))
+    assert (copy.agree, copy.entries) == ((0, 3), ((0, 0, 1), (1, 3, 1)))
+    assert (copy.probs, copy.dead) == ((0.5, 0.5), (1,))
+    assert sim._action(Template(None, "x anc", """
+        cx x anc
+        mz anc
+        release anc
+    """)) is None
 
 
 @pytest.mark.parametrize("engine", [sim.SimState, sim.SparseState], ids=["dense", "sparse"])
 def test_each_compute_record_compiles_to_one_step(engine):
+    # And each erasure record to its fused step before its instructions.
     c = gidney_adder(AdderSpec(3, carry_out=True))
     records = _fused_records(c)
-    assert records == 3
+    erasures = _erasure_records(c)
+    assert (records, erasures) == (3, 3)
     steps = sim._compile(c, engine).steps
     flat_steps = sim._compile(expanded(c), engine).steps
-    assert len(steps) == len(flat_steps) - (AND_COMPUTE.size - 1) * records
+    assert len(steps) == len(flat_steps) - (AND_COMPUTE.size - 1) * records + erasures
     assert sum(kernel == engine.record for _, _, kernel, _ in steps) == records
-    assert not any(kernel == engine.record for _, _, kernel, _ in flat_steps)
+    assert sum(isinstance(args, sim._Erasure) for _, _, _, args in steps) == erasures
+    assert not any(kernel == engine.record or isinstance(args, sim._Erasure)
+                   for _, _, kernel, args in flat_steps)
 
 
 #: A template whose action sends two inputs to one output (its H), so the
@@ -395,3 +443,139 @@ def test_merged_branches_agree_with_their_expansion_on_many_erasures():
     flat = expanded(c)
     for state in (63 | 1 << 6, {63: 0.6, 62: 0.8j}, random_state(7, np.random.default_rng(6))):
         _same_branches(_outcome(enumerate_branches, c, state), _outcome(enumerate_branches, flat, state))
+
+
+# -- erasure records, against fusion off -------------------------------------------------
+
+
+def _unfused(fn, *args, **kwargs):
+    """``_outcome`` of ``fn`` with every erasure record compiled as its instructions."""
+    with fusion_off():
+        return _outcome(fn, *args, **kwargs)
+
+
+@pytest.mark.parametrize("name, n, carry_out", _distinct_builds())
+def test_fused_erasures_agree_with_fusion_off(name, n, carry_out):
+    entry = CONSTRUCTIONS[name]
+    c = entry.build(n, carry_out)
+    rng = np.random.default_rng(100 + n + 8 * carry_out)
+    bits = _measurements(c)
+    for state in _inputs(c, rng):
+        for seed in range(3):
+            _same_run(_outcome(run, c, state, seed=seed), _unfused(run, c, state, seed=seed))
+        force = {bit: int(rng.integers(2)) for bit in range(bits)}
+        _same_run(_outcome(run, c, state, force=force), _unfused(run, c, state, force=force))
+        if bits <= MAX_ENUMERATED:
+            _same_branches(_outcome(enumerate_branches, c, state), _unfused(enumerate_branches, c, state))
+    ideal = ideal_map(entry, c, n, carry_out)
+    states = seeded_states(c, 2, seed=n)
+    _same_verdict(_outcome(channel_equiv, c, ideal, input_states=states),
+                  _unfused(channel_equiv, c, ideal, input_states=states))
+    read = entry.readout(c, n) if entry.readout else None
+    want = entry.ideal(n, carry_out)
+    _same_verdict(_outcome(basis_equiv, c, want, read), _unfused(basis_equiv, c, want, read))
+
+
+def _flipped_ancilla() -> Circuit:
+    """The ancilla flipped between the compute and the erasure: no pattern agrees."""
+    b = CircuitBuilder()
+    x, y = b.register("q", 2)
+    anc = and_compute(b, x, y)
+    b.x(anc)
+    and_uncompute(b, x, y, anc)
+    return b.build()
+
+
+def _bit_read_later() -> Circuit:
+    b = CircuitBuilder()
+    x, y = b.register("q", 2)
+    and_uncompute(b, x, y, and_compute(b, x, y))
+    b.x(x, cond=0)  # the builder hands out bit 0 first: the erasure's
+    return b.build()
+
+
+def _wire_just_measured(released: bool) -> Circuit:
+    """An erasure of the AND of ``a`` right after ``a`` is measured, and ``a``
+    released after it where ``released``: after outcome 1 of both, ``a``
+    holds 1, and the fixup ended its just-measured state, so the release
+    must refuse."""
+    b = CircuitBuilder()
+    (y,) = b.register("y", 1)
+    a = b.alloc0()
+    b.h(a)
+    anc = and_compute(b, a, y)
+    b.mz(a)
+    and_uncompute(b, a, y, anc)
+    if released:
+        b.release(a)
+    b.output("out", (y,) if released else (y, a))
+    return b.build()
+
+
+def _bare_erasures() -> Circuit:
+    """A gidney adder read back without its span markers, as the corpus mutants are."""
+    return from_text(bare(to_text(gidney_adder(AdderSpec(2)))))
+
+
+def _projections(fn, *args):
+    """``_outcome`` of ``fn``, and how many outcome probabilities in X it computed."""
+    counts = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for engine in (sim.SimState, sim.SparseState):
+            kernel = engine.probs_x
+            mp.setattr(engine, "probs_x", lambda branch, *a, _kernel=kernel:
+                       counts.update(["probs_x"]) or _kernel(branch, *a))
+        return _outcome(fn, *args), counts["probs_x"]
+
+
+def _assert_identical_branches(got, want) -> None:
+    if _errored(got) or _errored(want):
+        assert got == want
+        return
+    assert [(b.outcomes, b.probability) for b in got] == [(b.outcomes, b.probability) for b in want]
+    assert all(np.array_equal(g.final_state, w.final_state) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("build, raises", [
+    (_flipped_ancilla, False),
+    (_bit_read_later, False),
+    (lambda: _wire_just_measured(False), False),
+    (lambda: _wire_just_measured(True), True),
+    (_bare_erasures, False),
+], ids=["flipped-ancilla", "bit-read-later", "wire-just-measured", "wire-just-measured-then-released",
+        "bare"])
+def test_an_erasure_that_cannot_fuse_runs_its_instructions(build, raises):
+    # Not fused: as many X-basis probabilities as with fusion off, and every
+    # result bit for bit what the walk returns with fusion off.
+    sim._action(AND_UNCOMPUTE)  # derived by walks of its own, once per process
+    c = build()
+    for state in _inputs(c, np.random.default_rng(7)):
+        got, calls = _projections(enumerate_branches, c, state)
+        with fusion_off():
+            want, want_calls = _projections(enumerate_branches, c, state)
+        assert calls == want_calls > 0
+        _assert_identical_branches(got, want)
+        assert _errored(got) == raises
+        if raises:
+            assert got[0] is ReleaseEntangledError
+
+
+def test_every_erasure_fuses_without_a_fork():
+    # gidney-adder n = 3 and mcx k = 6 measure only in their erasures: with
+    # every erasure fused, none computes an X-basis probability, projects or
+    # copies a branch, and every path is still reported.
+    sim._action(AND_UNCOMPUTE)
+    counts = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((sim.SimState, "probs_x"), (sim.SimState, "project_x"), (sim._Branch, "copy")):
+            kernel = getattr(owner, name)
+            mp.setattr(owner, name, lambda *a, _kernel=kernel, _name=name:
+                       counts.update([_name]) or _kernel(*a))
+        adder = gidney_adder(AdderSpec(3))
+        ideal = ideal_map(CONSTRUCTIONS["gidney-adder"], adder, 3)
+        result = channel_equiv(adder, ideal, input_states=seeded_states(adder, 2, seed=3))
+        mcx = multi_controlled_x(6)
+        branches = enumerate_branches(mcx, np.full(1 << 7, 2 ** -3.5, dtype=complex))
+    assert not counts
+    assert result.equivalent and result.branch_count == 2 << _measurements(adder)
+    assert len(branches) == 1 << _measurements(mcx) == 32

@@ -4,12 +4,19 @@ The random circuits here are built from AND erasures, whose two outcomes
 reconverge after the CZ fixup; X and Z measurements with no fixup, whose
 outcomes do not; erasures whose bit a gate reads after the next
 measurement, where the merge must be refused; and releases that fail after
-outcome 0 only, in the second branch's stretch.  On both engines,
+outcome 0 only, in the second branch's stretch.  On both engines, with every
+erasure record compiled as its instructions (``walk_reference.fusion_off``),
 ``enumerate_branches``, ``channel_equiv`` and ``basis_equiv`` must return
-exactly what they return on the unmerged walk (``walk_reference``), raise
-the same errors, and agree with the moveaxis engine (``sim_reference``)
-within the differential tests' tolerances.
+exactly what they return on the unmerged walk (``walk_reference``) and raise
+the same errors.  With erasure records fused, as they run by default, they
+must report the same outcomes, path counts and errors, with probabilities,
+states and fidelities within 1e-12 (a fused erasure multiplies by its
+derived probability, 1/2, where the forking walk divides by a computed
+one), and agree with the moveaxis engine (``sim_reference``) within the
+differential tests' tolerances.
 """
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +35,7 @@ from tclean.sim import (
 
 import sim_reference as reference
 from strategies import random_state
-from walk_reference import unmerged_walk
+from walk_reference import fusion_off, unmerged_walk
 
 #: Most measurements a random circuit makes: 64 branches at most, for the moveaxis engine.
 MAX_MEASURED = 6
@@ -123,6 +130,12 @@ def _unmerged(fn, *args, **kwargs):
         return _outcome(fn, *args, **kwargs)
 
 
+def _unfused(fn, *args, **kwargs):
+    """``_outcome`` of ``fn`` with every erasure record compiled as its instructions."""
+    with fusion_off():
+        return _outcome(fn, *args, **kwargs)
+
+
 def _errored(result) -> bool:
     return isinstance(result, type)
 
@@ -139,14 +152,24 @@ def _assert_same_branches(got, want) -> None:
     assert len({id(b.final_state) for b in got}) == len(got)
 
 
-def _assert_near_reference(got, ref) -> None:
-    if _errored(got) or _errored(ref):
-        assert got == ref
+def _assert_near_branches(got, want) -> None:
+    """The same branches, probabilities and amplitudes within 1e-12."""
+    if _errored(got) or _errored(want):
+        assert got == want
         return
-    assert [b.outcomes for b in got] == [b.outcomes for b in ref]
-    for g, r in zip(got, ref):
-        assert abs(g.probability - r.probability) <= 1e-12
-        assert np.allclose(g.final_state, r.final_state, rtol=0, atol=1e-12)
+    assert [b.outcomes for b in got] == [b.outcomes for b in want]
+    for g, w in zip(got, want):
+        assert abs(g.probability - w.probability) <= 1e-12
+        assert np.allclose(g.final_state, w.final_state, rtol=0, atol=1e-12)
+
+
+def _assert_near_verdict(got, want) -> None:
+    """The same verdict and branch count, the worst fidelity within 1e-12."""
+    if _errored(got) or _errored(want):
+        assert got == want
+        return
+    assert (got.equivalent, got.branch_count) == (want.equivalent, want.branch_count)
+    assert abs(got.worst_fidelity - want.worst_fidelity) <= 1e-12
 
 
 def _paths_before_error(walk, circuit, state):
@@ -192,21 +215,27 @@ def test_merged_walk_reports_what_the_unmerged_walk_and_the_reference_report(see
 
     for state, ref_state in ((dense, dense), (basis, basis), (pair, pair_vec)):
         got = _outcome(enumerate_branches, c, state)
-        _assert_same_branches(got, _unmerged(enumerate_branches, c, state))
-        _assert_near_reference(got, _outcome(reference.enumerate_branches, c, ref_state))
-        merged, merged_error = _paths_before_error(sim._walk, c, state)
+        unfused = _unfused(enumerate_branches, c, state)
+        _assert_same_branches(unfused, _unmerged(enumerate_branches, c, state))
+        _assert_near_branches(got, unfused)
+        _assert_near_branches(got, _outcome(reference.enumerate_branches, c, ref_state))
         unmerged, unmerged_error = _paths_before_error(unmerged_walk, c, state)
-        # An error in the second branch's stretch comes after every leaf of the
-        # first; a merged branch may have yielded more paths before one it carries.
-        assert merged_error == unmerged_error
-        assert set(unmerged) <= set(merged)
-        if merged_error is None:
-            assert sorted(merged) == sorted(unmerged)
+        with fusion_off():
+            unfused_paths = _paths_before_error(sim._walk, c, state)
+        for merged, merged_error in (_paths_before_error(sim._walk, c, state), unfused_paths):
+            # An error in the second branch's stretch comes after every leaf of the
+            # first; a merged branch may have yielded more paths before one it carries.
+            assert merged_error == unmerged_error
+            assert set(unmerged) <= set(merged)
+            if merged_error is None:
+                assert sorted(merged) == sorted(unmerged)
 
     states = [dense, random_state(n_in, rng)]
     ideal = _ideal(c, rng)
     got = _outcome(channel_equiv, c, ideal, input_states=states)
-    assert got == _unmerged(channel_equiv, c, ideal, input_states=states)
+    unfused = _unfused(channel_equiv, c, ideal, input_states=states)
+    assert unfused == _unmerged(channel_equiv, c, ideal, input_states=states)
+    _assert_near_verdict(got, unfused)
     refs = [_outcome(reference.enumerate_branches, c, s) for s in states]
     if not _errored(got) and not any(map(_errored, refs)):
         assert got.branch_count == sum(map(len, refs))
@@ -216,7 +245,9 @@ def test_merged_walk_reports_what_the_unmerged_walk_and_the_reference_report(see
     refs = [_outcome(reference.enumerate_branches, c, i) for i in range(1 << n_in)]
     want = [0 if _errored(bs) else int(np.argmax(np.abs(bs[0].final_state))) for bs in refs]
     got = _outcome(basis_equiv, c, want.__getitem__)
-    assert got == _unmerged(basis_equiv, c, want.__getitem__)
+    unfused = _unfused(basis_equiv, c, want.__getitem__)
+    assert unfused == _unmerged(basis_equiv, c, want.__getitem__)
+    _assert_near_verdict(got, unfused)
     if not _errored(got) and not any(map(_errored, refs)):
         assert got.branch_count == sum(map(len, refs))
         if got.equivalent:  # the one walk also compares phases across inputs
@@ -242,12 +273,19 @@ def _erasure_pair(read_first_bit: bool):
 @pytest.mark.parametrize("read_first_bit,paths", [(False, [4]), (True, [2, 2])])
 @pytest.mark.parametrize("engine", ["dense", "sparse"])
 def test_an_erasure_merges_unless_its_bit_is_read_after_the_next_measurement(read_first_bit, paths, engine):
+    # The second erasure is a record: fused, it takes both outcomes as paths
+    # without forking; unfused, its outcomes merge after its fixup.  Either
+    # way the first erasure's outcomes merge at it unless its bit is read.
     c = _erasure_pair(read_first_bit)
     state = np.full(4, 0.5, dtype=complex) if engine == "dense" else {k: 0.5 for k in range(4)}
     engine_type, read = sim._engine(state)
-    leaves = list(sim._walk(sim._compile(c, engine_type), read(c, state), sim._every))
-    assert [len(leaf.paths) for leaf in leaves] == paths
-    _assert_same_branches(enumerate_branches(c, state), _unmerged(enumerate_branches, c, state))
+    for fused in (True, False):
+        with contextlib.nullcontext() if fused else fusion_off():
+            leaves = list(sim._walk(sim._compile(c, engine_type), read(c, state), sim._every))
+        assert [len(leaf.paths) for leaf in leaves] == paths
+    unmerged = _unmerged(enumerate_branches, c, state)
+    _assert_same_branches(_unfused(enumerate_branches, c, state), unmerged)
+    _assert_near_branches(enumerate_branches(c, state), unmerged)
 
 
 def test_measured_branches_that_differ_are_not_merged():
@@ -311,13 +349,16 @@ def _kernel_calls(circuit, state) -> int:
 
 @pytest.mark.parametrize("k", (4, 8, 12))
 def test_branch_enumeration_calls_kernels_in_proportion_to_instructions(k, monkeypatch):
-    # k - 1 erasures give 2^(k-1) branches; merged, each stretch runs at most
-    # twice, once per outcome, so no count grows with the branches.  Results
+    # k - 1 erasures give 2^(k-1) branches; fused, each stretch runs once,
+    # and merged, at most twice, once per outcome, so no count grows with the
+    # branches.  Results
     # as terms, not 2^(k+1)-entry vectors: 2048 of those would take 256 MiB at k = 12.
     monkeypatch.setattr(sim, "MAX_LIVE_QUBITS", k)
     c = multi_controlled_x(k)
     ones = (1 << k) - 1  # every control set: the target flips
     assert _kernel_calls(c, ones) <= 2 * len(c.instructions)
+    with fusion_off():
+        assert _kernel_calls(c, ones) <= 2 * len(c.instructions)
     if k == 8:  # the unmerged walk's count grows with the branches
         monkeypatch.setattr(sim, "_walk", unmerged_walk)
         assert _kernel_calls(c, ones) > 8 * len(c.instructions)
