@@ -21,7 +21,11 @@ from the uniform state at k = 4, 6 and 8, where every erasure's outcomes
 agree, so the walk never forks.  A layer's
 rate is the instructions it reads (for build, the instructions it makes;
 for the simulator, the circuit's instructions once, however many branches
-run them) divided by the fastest of k timed calls.  Prints one JSON object
+run them) divided by the fastest of k timed calls.  A circuit keeps its
+compiled program once simulated, so each simulator layer is timed twice:
+under its own name on a newly built circuit per call, built outside the
+timer, so that each call compiles and walks; and as ``<layer>_warm`` on one
+circuit already compiled, so that each call only walks.  Prints one JSON object
 ``{layer: {n: instructions_per_s}}``, with ``"circuits"`` beside the layers:
 each timed circuit's instruction count and the number of gadget records
 among its steps, ``{name: {n: {"instructions": i, "records": r}}}``.  A
@@ -55,11 +59,14 @@ MCX_SIZES = (8, 10)
 DENSE_MCX_SIZES = (4, 6, 8)
 
 
-def best_time(call, repeat: int) -> float:
+def best_time(call, repeat: int, fresh=None) -> float:
+    """The fastest of ``repeat`` timed calls.  With ``fresh``, each call gets
+    a value newly made by it, outside the timer: ``call(fresh())``."""
     best = float("inf")
     for _ in range(repeat):
+        args = () if fresh is None else (fresh(),)
         start = time.perf_counter()
-        call()
+        call(*args)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -98,21 +105,33 @@ def circuit_sizes(sizes=SIZES) -> dict[str, dict[int, dict[str, int]]]:
     return out
 
 
+def time_walk(rates: dict[str, dict[int, float]], layer: str, size: int, build, call, repeat: int) -> None:
+    """Rate ``call(circuit)`` as ``layer`` on circuits newly made by ``build``
+    outside the timer, so that each timed call compiles its program, and as
+    ``layer + "_warm"`` on one circuit that already keeps its program, so
+    that each timed call only walks."""
+    circuit = build()
+    call(circuit)
+    rates.setdefault(layer, {})[size] = round(len(circuit) / best_time(call, repeat, build))
+    warm = best_time(lambda: call(circuit), repeat)
+    rates.setdefault(layer + "_warm", {})[size] = round(len(circuit) / warm)
+
+
 def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES, mcx_sizes=MCX_SIZES,
               dense_mcx_sizes=DENSE_MCX_SIZES, repeat: int = 5) -> dict[str, dict[int, float]]:
-    rates: dict[str, dict[int, float]] = {"run": {}, "enumerate_branches": {}, "channel_equiv": {},
-                                          "enumerate_branches_sparse": {}, "enumerate_branches_mcx": {}}
+    rates: dict[str, dict[int, float]] = {}
     for n in run_sizes:
         adder = gidney_adder(AdderSpec(n))
         basis = random.Random(n).getrandbits(len(adder.input_qubits()))  # sparse engine
-        rates["run"][n] = round(len(adder) / best_time(lambda: run(adder, basis, seed=1), repeat))
+        time_walk(rates, "run", n, lambda: gidney_adder(AdderSpec(n)),
+                  lambda adder: run(adder, basis, seed=1), repeat)
     for n in branch_sizes:
         adder = gidney_adder(AdderSpec(n))
         rng, dim = np.random.default_rng(n), 1 << len(adder.input_qubits())
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state /= np.linalg.norm(state)  # a random dense state: the dense engine
-        rates["enumerate_branches"][n] = round(
-            len(adder) / best_time(lambda: enumerate_branches(adder, state), repeat))
+        time_walk(rates, "enumerate_branches", n, lambda: gidney_adder(AdderSpec(n)),
+                  lambda adder: enumerate_branches(adder, state), repeat)
     for n in branch_sizes:
         adder = controlled_adder(AdderSpec(n))
         dim = 1 << len(adder.input_qubits())
@@ -126,18 +145,16 @@ def sim_rates(run_sizes=SIZES, branch_sizes=BRANCH_SIZES, mcx_sizes=MCX_SIZES,
         rng = np.random.default_rng(n)
         states = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2)]
         states = [state / np.linalg.norm(state) for state in states]
-        rates["channel_equiv"][n] = round(
-            len(adder) / best_time(lambda: channel_equiv(adder, ideal, input_states=states), repeat))
+        time_walk(rates, "channel_equiv", n, lambda: controlled_adder(AdderSpec(n)),
+                  lambda adder: channel_equiv(adder, ideal, input_states=states), repeat)
     for k in mcx_sizes:
-        mcx = multi_controlled_x(k)
         basis = random.Random(k).getrandbits(k + 1)
-        rates["enumerate_branches_sparse"][k] = round(
-            len(mcx) / best_time(lambda: enumerate_branches(mcx, basis), repeat))
+        time_walk(rates, "enumerate_branches_sparse", k, lambda: multi_controlled_x(k),
+                  lambda mcx: enumerate_branches(mcx, basis), repeat)
     for k in dense_mcx_sizes:
-        mcx = multi_controlled_x(k)
         uniform = np.full(1 << (k + 1), 2 ** (-(k + 1) / 2), dtype=complex)
-        rates["enumerate_branches_mcx"][k] = round(
-            len(mcx) / best_time(lambda: enumerate_branches(mcx, uniform), repeat))
+        time_walk(rates, "enumerate_branches_mcx", k, lambda: multi_controlled_x(k),
+                  lambda mcx: enumerate_branches(mcx, uniform), repeat)
     return rates
 
 

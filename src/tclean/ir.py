@@ -297,6 +297,13 @@ class Circuit:
         """Each output qubit's bit in an output basis index, computed once per circuit."""
         return {q: j for j, q in enumerate(self.output_qubits())}
 
+    @cached_property
+    def programs(self) -> dict:
+        """The simulator's compiled programs of this circuit, kept for its
+        lifetime: ``tclean.sim`` fills it, one per engine and the limits in
+        force.  Like every cached view, no part of equality, hash or repr."""
+        return {}
+
     def __len__(self) -> int:
         return self._length
 

@@ -28,7 +28,8 @@ so no other qubit is ever renumbered.
 
 Lifetimes do not depend on measurement outcomes, so every step's kernel and
 the kernel's arguments (view shape or slot masks, and a measurement's basis)
-are fixed once per call, before anything runs.  A step is one instruction,
+are fixed before anything runs, once per circuit and engine: the compiled
+program is kept on the circuit (:func:`_compile`).  A step is one instruction,
 or one whole gadget record whose template measures nothing and releases
 nothing: an AND compute.  Such a record runs as one kernel, each engine's
 ``record``, which applies the template's action, a matrix from the basis
@@ -317,22 +318,26 @@ class SimState(_Branch):
         self.amps = np.multiply.outer(self.amps, vec).reshape(-1)
 
     def record(self, outside: tuple, born: int, old_shape: tuple[int, ...], new_shape: tuple[int, ...],
-               moves: tuple, summing: bool) -> bool:
+               blank: Callable[..., np.ndarray], moves: tuple, summing: bool) -> bool:
         """A fused record (:func:`_slab_moves`): write each output slab of a new
         vector, ``born`` qubits longer and shorter by the dead ones, from the
-        input slabs that reach it.  Where an input slab in ``outside`` is not
-        exactly zero (an erasure's support leaves the patterns where its
-        outcomes agree), return False and change nothing."""
+        input slabs that reach it, copied where the amplitude is exactly 1
+        (None).  Where an input slab in ``outside`` is not exactly zero (an
+        erasure's support leaves the patterns where its outcomes agree; a NaN
+        counts as nonzero), return False and change nothing."""
         old = self.amps.reshape(old_shape)
         for slab in outside:
-            if old[slab].any():
+            if np.count_nonzero(old[slab]):
                 return False
         if born and self.amps.size >> (MAX_LIVE_QUBITS + 1 - born):
             raise SimulationError(f"more than {MAX_LIVE_QUBITS} live qubits")
-        new = np.zeros(new_shape, dtype=complex)
+        new = blank(new_shape, dtype=complex)
         for out, src, amp, more in moves:
             slab = new[out]
-            np.multiply(old[src], amp, out=slab)
+            if amp is None:
+                slab[...] = old[src]
+            else:
+                np.multiply(old[src], amp, out=slab)
             for src, amp in more:
                 slab += old[src] * amp
         self.amps = new.reshape(-1)
@@ -715,7 +720,9 @@ class _Erasure(NamedTuple):
 
 
 class _Program(NamedTuple):
-    """A circuit compiled for one call on one engine: its steps and the layout they end in."""
+    """A circuit compiled for one engine, kept on the circuit (:func:`_compile`):
+    its steps and the layout they end in.  Read only: every walk of the
+    circuit on that engine shares it."""
 
     engine: Engine
     steps: tuple[_Step, ...]
@@ -746,7 +753,20 @@ _BASES: dict[Op, tuple[str, str]] = {Op.MZ: ("probs", "project"), Op.MX: ("probs
 
 
 def _compile(circuit: Circuit, engine: Engine) -> _Program:
-    """Pick every step's kernel and fix its arguments, once per call.
+    """The circuit's program on `engine`, compiled on first use and kept on
+    the circuit (``Circuit.programs``), so that every later call on the same
+    circuit object runs it as it is.  The key holds what the compile reads
+    besides the circuit: the engine, ``MAX_LIVE_QUBITS`` and the ``_action``
+    in force."""
+    key = (engine, MAX_LIVE_QUBITS, _action)
+    program = circuit.programs.get(key)
+    if program is None:
+        program = circuit.programs[key] = _translate(circuit, engine)
+    return program
+
+
+def _translate(circuit: Circuit, engine: Engine) -> _Program:
+    """Pick every step's kernel and fix its arguments (:func:`_compile` keeps the result).
 
     A record whose template measures nothing and releases nothing compiles to
     one step, its engine's ``record`` kernel on the template's action
@@ -983,9 +1003,12 @@ def _slab_moves(n: int, where: tuple[int, ...], action: _Action) -> tuple:
     take the new least significant bits, as allocations do.
 
     One move per output pattern: its slab in the new vector's view, and the
-    input slabs and amplitudes that reach it, the first apart.  Before them,
-    the input slabs of the patterns outside ``action.agree``, which must be
-    zero for the map to apply (none for an action that measures nothing).
+    input slabs and amplitudes that reach it, the first apart, with None for
+    an amplitude of exactly 1 (every erasure's), which the kernel copies.
+    Before them, the input slabs of the patterns outside ``action.agree``,
+    which must be zero for the map to apply (none for an action that
+    measures nothing), and how the new vector is made: ``np.empty`` where
+    the moves write every output pattern, else ``np.zeros``.
     """
     born = action.born_count
     old_shape, old_axes = _view(n, where)
@@ -1001,11 +1024,12 @@ def _slab_moves(n: int, where: tuple[int, ...], action: _Action) -> tuple:
     sources: dict[int, list[tuple[tuple, complex]]] = {}
     for out, inp, amp in action.entries:
         sources.setdefault(out, []).append((_slab(old_axes, inp), amp))
-    moves = tuple((_slab(out_axes, out), *first, tuple(more))
-                  for out, (first, *more) in sources.items())
+    moves = tuple((_slab(out_axes, out), src, None if amp == 1 else amp, tuple(more))
+                  for out, ((src, amp), *more) in sources.items())
     agree = range(1 << action.width) if action.agree is None else action.agree
     outside = tuple(_slab(old_axes, inp) for inp in range(1 << action.width) if inp not in agree)
-    return outside, born, old_shape, new_shape, moves, action.summing
+    blank = np.empty if len(moves) == 1 << (len(new_axes) - len(dead)) else np.zeros
+    return outside, born, old_shape, new_shape, blank, moves, action.summing
 
 
 FinalState = Union[np.ndarray, dict[int, complex]]
@@ -1262,6 +1286,9 @@ def run(circuit: Circuit, input_state: InputState = None, *,
 
     `force` pins chosen classical bits to fixed outcomes (error if that
     outcome has probability zero).  Same seed, same input: identical result.
+    A circuit compiles on its first call on an engine and keeps the program
+    (:func:`_compile`): later calls on the same circuit object, of this or
+    any other walk here, skip the compile.
     With at most ``MAX_LIVE_QUBITS`` outputs even a sparse run returns a dense
     2^outputs vector, however few terms it holds: 16 MiB for ``gidney_adder``
     n = 10, 1 GiB for n = 13.

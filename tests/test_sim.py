@@ -20,6 +20,7 @@ from tclean.sim import (
     SimulationError,
     T_STATE,
     TooManyBranchesError,
+    basis_equiv,
     channel_equiv,
     decode_register,
     enumerate_branches,
@@ -33,6 +34,7 @@ import sim_reference as reference
 from sim_reference import GATES_1Q
 from basis_reference import ideal_map
 from strategies import random_circuit, random_state, seeded_states
+from walk_reference import fusion_off
 
 
 def test_gate_matrix_identities():
@@ -497,3 +499,119 @@ def test_live_qubit_limit_agrees_with_moveaxis_reference(monkeypatch, entangle_f
     one_hot = np.array([1.0, 0.0])  # an amplitude array runs the dense engine and its limit
     assert _outcome(run, c, one_hot) is expected
     assert_engines_agree(c, one_hot, 0)
+
+
+# -- kept programs ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Returns a reader of the engines that ``circuit`` compiled on from here on, one per compile."""
+    seen = []
+    translate = sim._translate
+    monkeypatch.setattr(sim, "_translate", lambda circuit, engine:
+                        seen.append((circuit, engine)) or translate(circuit, engine))
+    return lambda circuit: [engine for c, engine in seen if c is circuit]
+
+
+def test_two_runs_compile_once(compiles):
+    c = gidney_adder(AdderSpec(2))
+    state = random_state(4, np.random.default_rng(0))
+    run(c, state, seed=1)
+    run(c, state, seed=2)
+    assert compiles(c) == [sim.SimState]
+
+
+def test_a_check_then_a_run_compile_once(compiles):
+    # What a dense verification does: channel_equiv, then one run on a checked input.
+    c = CONSTRUCTIONS["controlled-adder"].build(2)
+    states = seeded_states(c, 2, seed=0)
+    assert channel_equiv(c, ideal_map(CONSTRUCTIONS["controlled-adder"], c, 2), input_states=states)
+    run(c, states[0], seed=3)
+    assert compiles(c) == [sim.SimState]
+
+
+def test_each_engine_compiles_once(compiles):
+    entry = CONSTRUCTIONS["gidney-adder"]
+    c = entry.build(2)
+    state = random_state(4, np.random.default_rng(0))
+    for _ in range(2):
+        run(c, state)
+        run(c, 5)
+        enumerate_branches(c, state)
+        enumerate_branches(c, {5: 0.6, 6: 0.8j})
+        assert basis_equiv(c, entry.ideal(2))
+    assert compiles(c) == [sim.SimState, sim.SparseState]
+
+
+def test_a_patched_limit_or_action_compiles_afresh(compiles):
+    # The key holds what the compile reads besides the circuit; unpatched, the first program is back.
+    c = gidney_adder(AdderSpec(2))
+    first = sim._compile(c, sim.SimState)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "MAX_LIVE_QUBITS", 4)  # the inputs: nothing compiles past the first AND
+        limited = sim._compile(c, sim.SimState)
+    with fusion_off():
+        unfused = sim._compile(c, sim.SimState)
+    assert sim._compile(c, sim.SimState) is first
+    assert compiles(c) == [sim.SimState] * 3
+    assert len(limited.steps) == 1  # nothing compiles past the record that overflows
+    assert [sum(step[3].__class__ is sim._Erasure for step in program.steps)
+            for program in (first, unfused)] == [1, 0]
+
+
+def _plain(result):
+    """A walk's result with every state as bytes and every dict as its items in order,
+    so that ``==`` compares them bit for bit; an error (a type) as it is."""
+    if isinstance(result, list):
+        return [(b.outcomes, b.probability, _plain(b.final_state)) for b in result]
+    if isinstance(result, sim.RunResult):
+        return _plain(result.final_state), list(result.classbits.items())
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, dict):
+        return list(result.items())
+    return result
+
+
+def _walks(name: str, circuit, n: int) -> list:
+    """Every walk's result on ``circuit``, or its error, on fixed inputs and seeds: ``run``
+    and ``enumerate_branches`` on both engines, ``channel_equiv`` and ``basis_equiv``."""
+    entry = CONSTRUCTIONS[name]
+    rng = np.random.default_rng(n)
+    n_in = len(circuit.input_qubits())
+    dense = random_state(n_in, rng)
+    basis = int(rng.integers(1 << n_in))
+    results = []
+    for state in (dense, basis, {basis: 0.6, basis ^ 1: 0.8j}):
+        results.append(_plain(_outcome(run, circuit, state, seed=n)))
+        if sum(instr.op.measures for instr in circuit.instructions) <= 10:  # 2^10 vectors at most
+            results.append(_plain(_outcome(enumerate_branches, circuit, state)))
+    states = [dense, random_state(n_in, rng)]
+    results.append(_outcome(channel_equiv, circuit, ideal_map(entry, circuit, n), input_states=states))
+    read = entry.readout(circuit, n) if entry.readout else None
+    results.append(_outcome(basis_equiv, circuit, entry.ideal(n), read))
+    return results
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_kept_programs_give_what_fresh_ones_give(name, n, compiles):
+    c = CONSTRUCTIONS[name].build(n)
+    first = _walks(name, c, n)
+    kept = _walks(name, c, n)
+    fresh = CONSTRUCTIONS[name].build(n)
+    assert compiles(c) == [sim.SimState, sim.SparseState]
+    assert kept == first == _walks(name, fresh, n)
+    assert compiles(fresh) == [sim.SimState, sim.SparseState]
+
+
+def test_kept_programs_are_no_part_of_equality_hash_or_repr():
+    c, twin = gidney_adder(AdderSpec(2)), gidney_adder(AdderSpec(2))
+    before = hash(c), repr(c)
+    run(c, random_state(4, np.random.default_rng(0)))
+    run(c, 5)
+    assert len(c.programs) == 2 and not twin.programs
+    assert c == twin and hash(c) == hash(twin) == before[0]
+    assert repr(c) == repr(twin) == before[1]
+    assert {c: 1}[twin] == 1

@@ -47,7 +47,7 @@ import sim_reference as reference
 from basis_reference import ideal_map
 from strategies import random_circuit, random_state, seeded_states
 from test_goldens import bare
-from walk_reference import fusion_off
+from walk_reference import fusion_off, per_slab_record, uncompiled
 
 TOL = 1e-12
 #: Most measurements for which ``enumerate_branches`` is compared: every path
@@ -177,6 +177,45 @@ def test_a_measuring_template_is_fused_where_its_own_outcomes_agree():
         mz anc
         release anc
     """)) is None
+
+
+@pytest.mark.parametrize("template", [AND_COMPUTE, AND_UNCOMPUTE], ids=["compute", "erasure"])
+def test_the_dense_record_kernel_agrees_with_the_per_slab_reference(template):
+    # Random states a few qubits wider than the live-in wires, which sit at
+    # random positions: within the patterns where an erasure's outcomes
+    # agree or with support outside them, with exact zeros, and with one NaN
+    # amplitude.  The kernel copies where the reference multiplies by 1, so a
+    # NaN part may spread to the other part in the reference only.
+    action = sim._action(template)
+    verdicts = collections.Counter()
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(action.width, action.width + 4))
+        where = tuple(int(p) for p in rng.permutation(n)[:action.width])
+        args = sim._slab_moves(n, where, action)
+        outside, old_shape = args[0], args[2]
+        for case in ("within", "outside", "zeros", "nan"):
+            amps = random_state(n, rng)
+            if case != "outside" and (case == "within" or rng.random() < 0.5):
+                for slab in outside:
+                    amps.reshape(old_shape)[slab] = 0
+            if case == "zeros":
+                amps[rng.random(amps.size) < 0.5] = 0
+            if case == "nan":
+                amps[rng.integers(amps.size)] = np.nan
+            got, want = sim.SimState(amps), sim.SimState(amps)
+            with np.errstate(invalid="ignore"):
+                applied = got.record(*args)
+                assert applied == per_slab_record(want, *args)
+            assert np.array_equal(got.amps, want.amps, equal_nan=True)
+            if not applied:
+                assert np.array_equal(got.amps, amps, equal_nan=True)
+            verdicts[case, applied] += 1
+    if action.agree is None:
+        assert not any(applied is False for _, applied in verdicts)
+    else:  # every case both ways, but "within", which always applies, and "outside", which never does
+        assert verdicts.keys() == {("within", True), ("outside", False), ("zeros", True), ("zeros", False),
+                                   ("nan", True), ("nan", False)}
 
 
 @pytest.mark.parametrize("engine", [sim.SimState, sim.SparseState], ids=["dense", "sparse"])
@@ -517,15 +556,16 @@ def _bare_erasures() -> Circuit:
     return from_text(bare(to_text(gidney_adder(AdderSpec(2)))))
 
 
-def _projections(fn, *args):
-    """``_outcome`` of ``fn``, and how many outcome probabilities in X it computed."""
+def _projections(fn, circuit, *args):
+    """``_outcome`` of ``fn`` on a copy of ``circuit`` compiled afresh, and how
+    many outcome probabilities in X it computed."""
     counts = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
         for engine in (sim.SimState, sim.SparseState):
             kernel = engine.probs_x
             mp.setattr(engine, "probs_x", lambda branch, *a, _kernel=kernel:
                        counts.update(["probs_x"]) or _kernel(branch, *a))
-        return _outcome(fn, *args), counts["probs_x"]
+        return _outcome(fn, uncompiled(circuit), *args), counts["probs_x"]
 
 
 def _assert_identical_branches(got, want) -> None:

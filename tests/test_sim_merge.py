@@ -35,7 +35,7 @@ from tclean.sim import (
 
 import sim_reference as reference
 from strategies import random_state
-from walk_reference import fusion_off, unmerged_walk
+from walk_reference import fusion_off, uncompiled, unmerged_walk
 
 #: Most measurements a random circuit makes: 64 branches at most, for the moveaxis engine.
 MAX_MEASURED = 6
@@ -337,13 +337,14 @@ _KERNELS = ("alloc", "release", "flip", "phase", "h", "y", "probs", "project", "
 
 
 def _kernel_calls(circuit, state) -> int:
+    """How many engine kernels enumerating ``circuit``'s branches calls, compiled afresh."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         for name in _KERNELS:
             kernel = getattr(sim.SparseState, name)
             mp.setattr(sim.SparseState, name, lambda branch, *args, _kernel=kernel:
                        calls.append(_kernel.__name__) or _kernel(branch, *args))
-        enumerate_branches(circuit, state)
+        enumerate_branches(uncompiled(circuit), state)
     return len(calls)
 
 

@@ -7,15 +7,20 @@ every erasure record's fused step by to run the record's instructions, and
 each branch it yields holds one path.  Put in place of ``sim._walk``, it
 gives the results the merging and fusing walk must reproduce on the same
 engines.
+
+Beside it, the dense ``record`` kernel as it first ran (:func:`per_slab_record`),
+the reference for the kernel's fast paths.
 """
 from __future__ import annotations
 
 import contextlib
 
+import numpy as np
 import pytest
 
 from tclean import sim
-from tclean.sim import _advance, _Erasure
+from tclean.ir import Circuit
+from tclean.sim import SimulationError, _advance, _Erasure
 
 
 @contextlib.contextmanager
@@ -27,6 +32,13 @@ def fusion_off():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_action", lambda template: None if template.measures else action(template))
         yield
+
+
+def uncompiled(circuit: Circuit) -> Circuit:
+    """An equal circuit that keeps no program yet (``Circuit.programs``), so
+    that a walk of it compiles afresh and binds the engines' kernels as a
+    test has patched them; a kept program holds the kernels it was compiled with."""
+    return Circuit(circuit.body, circuit.inputs, circuit.outputs)
 
 
 def unmerged_walk(program, initial, choose):
@@ -52,3 +64,25 @@ def unmerged_walk(program, initial, choose):
             fork.paths[0][1] *= prob
             fork._just_measured.add(instr.qubits[0])
             stack.append((fork, i + 1))
+
+
+def per_slab_record(branch, outside, born, old_shape, new_shape, _blank, moves, summing) -> bool:
+    """``SimState.record`` on the same arguments, one numpy call per slab: an
+    ``.any()`` per outside slab, a zeroed new vector, and a multiply per
+    move, by 1 where the arguments say copy (None)."""
+    old = branch.amps.reshape(old_shape)
+    for slab in outside:
+        if old[slab].any():
+            return False
+    if born and branch.amps.size >> (sim.MAX_LIVE_QUBITS + 1 - born):
+        raise SimulationError(f"more than {sim.MAX_LIVE_QUBITS} live qubits")
+    new = np.zeros(new_shape, dtype=complex)
+    for out, src, amp, more in moves:
+        slab = new[out]
+        np.multiply(old[src], 1 if amp is None else amp, out=slab)
+        for src, amp in more:
+            slab += old[src] * amp
+    branch.amps = new.reshape(-1)
+    if summing:
+        sim._prune(branch.amps)
+    return True
